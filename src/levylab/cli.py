@@ -87,6 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalFailure, SupportOverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    except ValueError as exc:  # a parameter range the config grammar does not check
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     print(json.dumps({
         "record": str(path),
         "verdict": record.verdict,

@@ -35,17 +35,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import rng
 from .errors import NumericalFailure, SupportOverflowError
 from .grid import (
     BOUNDARY_WINDOW,
-    GridSpec,
     Observable,
     WaveFunction,
     WeylLabel,
-    apply_free_evolution,
     apply_weyl,
+    displace,
     expectation,
 )
 from .levy import LevyTriplet2D, _chol_psd, noise_covariance_2d
@@ -157,42 +157,6 @@ def evolve_weyl_closed_form(gen: GalileanGenerator, x0: float, v0: float, t: flo
 # Langevin dilation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LangevinStep:
-    """One Strang-split step: half free flow, Weyl kick, half free flow.
-
-    The kick label is ``(x, v) = (dxi, deta)`` with the package's central
-    phase convention; with the free term disabled the step is the bare kick.
-    """
-
-    dt: float
-    kick: WeylLabel
-    include_free: bool
-
-    def apply(self, psi: WaveFunction) -> WaveFunction:
-        half = 0.5 * self.dt if self.include_free else 0.0
-        out = apply_free_evolution(psi, half, check_bandlimit=False) if half else psi
-        out = apply_weyl(out, self.kick, check_support=False)
-        return apply_free_evolution(out, half, check_bandlimit=False) if half else out
-
-
-def sample_langevin_step(gen: GalileanGenerator, dt: float, increments: tuple[float, float]) -> LangevinStep:
-    """Unitary recipe for one time step given sampled increments ``(dxi, deta)``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    dxi, deta = increments
-    return LangevinStep(dt=dt, kick=WeylLabel(x=float(dxi), v=float(deta)), include_free=gen.include_free_hamiltonian)
-
-
-def _apply_weyl_block(states: np.ndarray, grid: GridSpec, label: WeylLabel) -> np.ndarray:
-    """Batched Weyl displacement of a block of states (paths along axis 0)."""
-    hat = np.fft.fft(states, axis=1, norm="ortho")
-    hat *= np.exp(-1j * label.x * grid.p)[None, :]
-    out = np.fft.ifft(hat, axis=1, norm="ortho")
-    out *= (label.central_phase * np.exp(1j * label.v * grid.x))[None, :]
-    return out
-
-
 def _evolve_block(
     gen: GalileanGenerator,
     psi: WaveFunction,
@@ -201,31 +165,21 @@ def _evolve_block(
 ) -> np.ndarray:
     """Evolve a block of paths through Strang-split steps.
 
-    ``increments`` has shape (paths, steps, 2).  Adjacent free half-steps
-    are merged and each kick's shift part rides the same momentum pass as
-    the free flow, so every step costs one FFT round trip.
+    One step is half free flow, the Weyl kick ``exp(i (deta Q - dxi P))``
+    from the step's increments, half free flow; with the free term disabled
+    it is the bare kick.  ``increments`` has shape (paths, steps, 2).
+    Adjacent free half-steps are merged into the kick's momentum pass, so
+    every step costs one FFT round trip.
     """
-    import scipy.fft as sfft
-
     grid = psi.grid
-    n_paths, n_steps, _ = increments.shape
-    p = grid.p
-    x = grid.x
+    n_steps = increments.shape[1]
     include = gen.include_free_hamiltonian
-    free_half = np.exp(-0.25j * dt * p**2) if include else None
+    free_half = np.exp(-0.25j * dt * grid.p**2) if include else None
     free_full = free_half * free_half if include else None
-    states_p = sfft.fft(np.tile(psi.amplitudes, (n_paths, 1)), axis=1, norm="ortho")
-    states_x = None
+    states_p = sfft.fft(psi.amplitudes, norm="ortho")[None, :]
     for step in range(n_steps):
-        dxi = increments[:, step, 0]
-        deta = increments[:, step, 1]
-        phase_p = np.exp(-1j * np.outer(dxi, p))
-        if include:
-            phase_p *= (free_half if step == 0 else free_full)[None, :]
-        states_p *= phase_p
-        states_x = sfft.ifft(states_p, axis=1, norm="ortho")
-        central = np.exp(-0.5j * dxi * deta)  # BCH phase of exp(i(deta Q - dxi P))
-        states_x *= central[:, None] * np.exp(1j * np.outer(deta, x))
+        free = free_half if step == 0 else free_full
+        states_x = displace(states_p, grid, increments[:, step, 0], increments[:, step, 1], momentum_factor=free)
         if step < n_steps - 1:
             states_p = sfft.fft(states_x, axis=1, norm="ortho")
     if include:
@@ -273,7 +227,7 @@ def mc_weyl_expectation(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     fine = n_steps * aggregate
     dt_fine = t / fine
     values = np.empty(mc.n_paths, dtype=complex)
@@ -325,7 +279,7 @@ def scheme_expected_weyl(
     is the deterministic part of the splitting error and shrinks as
     ``1/n_steps^2``.
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     dt = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt
     if gen.include_free_hamiltonian:
@@ -387,7 +341,7 @@ def mc_vs_closed_form(
     form); NaN when the noise commutes with the free flow and the bias
     vanishes.
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     label = WeylLabel(x0, v0)
     sym = evolve_weyl_closed_form(gen, x0, v0, t)
     closed = sym.multiplier * expectation(psi, WeylLabel(sym.point[0], sym.point[1]))
@@ -439,12 +393,11 @@ def galilean_covariance_check(
     flow transports its label, through kicks it only collects a central
     phase that cancels in the sandwich).
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     battery = list(observables) if observables is not None else [
         WeylLabel(0.4, 0.0), WeylLabel(0.0, 0.6), WeylLabel(-0.5, 0.8),
     ]
     boosted = apply_weyl(psi, WeylLabel(x - v * t, v))
-    conj = WeylLabel(x, v)
     dt_fine = t / n_steps
     sum_a = np.zeros(len(battery), dtype=complex)
     sum_b = np.zeros(len(battery), dtype=complex)
@@ -454,7 +407,8 @@ def galilean_covariance_check(
         inc = _sample_step_increments(gen.triplet2, dt_fine, stop - start, n_steps, stream)
         # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B measures
         # X on the evolution of the boosted state, same increments.
-        conj_states = _apply_weyl_block(_evolve_block(gen, psi, inc, dt_fine), psi.grid, conj)
+        evolved = sfft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")
+        conj_states = displace(evolved, psi.grid, [x], [v])
         states_b = _evolve_block(gen, boosted, inc, dt_fine)
         for k, ob in enumerate(battery):
             sum_a[k] += _observable_values(conj_states, psi.grid, ob).sum()

@@ -145,16 +145,6 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
-def map_to_superop(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of a linear map (column stacking)."""
-    out = np.empty((d * d, d * d), dtype=complex)
-    for col in range(d * d):
-        e = np.zeros(d * d, dtype=complex)
-        e[col] = 1.0
-        out[:, col] = vec(map_fn(unvec(e)))
-    return out
-
-
 def superop_matrix(gen: StandardGenerator) -> np.ndarray:
     """Superoperator matrix of the generator's observable-picture action."""
     d = gen.dim
@@ -171,12 +161,6 @@ def cp_part_superop(gen: StandardGenerator) -> np.ndarray:
     for L in gen.jump_ops:
         mat += np.kron(L.T, L.conj().T)
     return mat
-
-
-def relax_superop(gen: StandardGenerator, t: float) -> np.ndarray:
-    """Superoperator of ``X -> exp(-K^dag t) X exp(-K t)``."""
-    E = expm(-gen.K * t)
-    return np.kron(E.T, E.conj().T)
 
 
 @dataclass
@@ -486,12 +470,6 @@ def random_standard_generator(d: int, m: int, seed: int, unital: bool = True) ->
     base = StandardGenerator.unital_build(H, ops)
     slack = 0.1 + 0.4 * gen.random()
     return StandardGenerator.raw_build(base.K + slack * np.eye(d), ops)
-
-
-def random_hermitian(d: int, seed: int) -> np.ndarray:
-    gen = rng.stream(seed, 1)
-    A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-    return 0.5 * (A + A.conj().T)
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

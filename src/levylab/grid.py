@@ -17,6 +17,11 @@ Operator conventions, fixed by testable identities rather than typography:
   * ``weyl(x, v)`` = exp(i (v Q - x P)) = exp(-i v x / 2) position_phase(v)
     shift(x); the central phase sign follows from [Q, P] = i with the
     conventions above.  Displacements: Q -> Q + x, P -> P + v.
+
+Every shift, kick and Weyl displacement in the package goes through one
+batched kernel, :func:`displace`; the single-state unitaries are its batch
+of one.  Its lattice phases ``exp(i c q_k)`` are never formed as a full
+``paths x N`` exponential: see :func:`_apply_lattice_phase`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import rng
 
@@ -115,6 +121,10 @@ class WaveFunction:
             raise ValueError("cannot normalize the zero state")
         return WaveFunction(self.grid, self.amplitudes / n)
 
+    def unit(self) -> "WaveFunction":
+        """This state if its norm is 1 to within 1e-12, else its normalization."""
+        return self.normalized() if abs(self.norm() - 1.0) > 1e-12 else self
+
     def inner(self, other: "WaveFunction") -> complex:
         return complex(self.grid.dx * np.vdot(self.amplitudes, other.amplitudes))
 
@@ -194,10 +204,6 @@ class WeylLabel:
         if not (np.isfinite(self.x) and np.isfinite(self.v)):
             raise ValueError("Weyl label entries must be finite")
 
-    @property
-    def central_phase(self) -> complex:
-        return np.exp(0.5j * self.half_phase_sign * self.v * self.x)
-
 
 Observable = QTable | PTable | WeylLabel
 
@@ -216,9 +222,76 @@ def _check_support(psi: WaveFunction) -> None:
         )
 
 
+def _apply_lattice_phase(
+    block: np.ndarray,
+    grid: GridSpec,
+    coef: np.ndarray,
+    momentum: bool,
+    scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """``block[m, k] * scale[m] * exp(i coef[m] q_k)`` as a new array.
+
+    ``q`` is the momentum lattice in FFT order (``momentum=True``) or the
+    position lattice.  ``block`` and ``coef`` broadcast against each other
+    along the first axis.  The lattice index is split as ``k = B j + r`` with
+    ``B`` the power of two nearest ``sqrt(N)``, so the phase is the product
+    of two small tables ``T1[m, j]`` (``M x N/B``, carrying the origin
+    ``x_min``, the fftfreq wrap ``k -> k - N`` and ``scale``) and
+    ``T2[m, r]`` (``M x B``), applied in place on the output.
+    """
+    n = grid.n_points
+    b = 1 << ((n.bit_length() - 1) // 2)
+    coarse = b * np.arange(n // b)
+    if momentum:
+        coarse[coarse >= n // 2] -= n
+        origin, unit = 0.0, grid.dp
+    else:
+        origin, unit = grid.x_min, grid.dx
+    t1 = np.exp(1j * np.outer(coef, origin + unit * coarse))
+    if scale is not None:
+        t1 = t1 * scale[:, None]
+    t2 = np.exp(1j * np.outer(coef, unit * np.arange(b)))
+    rows = max(block.shape[0], t1.shape[0])
+    out = np.multiply(block.reshape(block.shape[0], n // b, b), t1[:, :, None])
+    out *= t2[:, None, :]
+    return out.reshape(rows, n)
+
+
+def displace(
+    hat: np.ndarray,
+    grid: GridSpec,
+    xi: np.ndarray,
+    eta: np.ndarray | None = None,
+    half_phase_sign: int = -1,
+    momentum_factor: np.ndarray | None = None,
+) -> np.ndarray:
+    """Batched Weyl displacement ``exp(i (eta_m Q - xi_m P))``, one FFT round trip.
+
+    ``hat`` holds states in the momentum representation (orthonormal FFT),
+    one per row; a single row is shared by every label, and a single label
+    by every row.  Returns the displaced states in the position
+    representation, with the central phase ``exp(i s xi eta / 2)`` of
+    :class:`WeylLabel`.  Without ``eta`` this is the pure shift
+    ``exp(-i xi P)``.  ``momentum_factor`` (length ``N``, FFT order) is a
+    momentum-diagonal unitary, such as a free-flow step, applied in the same
+    pass before the shift.
+    """
+    xi = np.asarray(xi, dtype=float)
+    states = _apply_lattice_phase(hat, grid, -xi, momentum=True)
+    if momentum_factor is not None:
+        states *= momentum_factor
+    states = sfft.ifft(states, axis=1, norm="ortho", overwrite_x=True)
+    if eta is None:
+        return states
+    eta = np.asarray(eta, dtype=float)
+    central = np.exp(0.5j * half_phase_sign * xi * eta)
+    return _apply_lattice_phase(states, grid, eta, momentum=False, scale=central)
+
+
 def apply_position_phase(psi: WaveFunction, y: float) -> WaveFunction:
     """``exp(i y Q)``: pointwise phase; exactly norm-preserving."""
-    return WaveFunction(psi.grid, psi.amplitudes * np.exp(1j * y * psi.grid.x))
+    out = _apply_lattice_phase(psi.amplitudes[None, :], psi.grid, np.array([y]), momentum=False)
+    return WaveFunction(psi.grid, out[0])
 
 
 def apply_shift(psi: WaveFunction, x: float, check_support: bool = True) -> WaveFunction:
@@ -231,16 +304,17 @@ def apply_shift(psi: WaveFunction, x: float, check_support: bool = True) -> Wave
         return WaveFunction(psi.grid, psi.amplitudes.copy())
     if check_support:
         _check_support(psi)
-    hat = np.fft.fft(psi.amplitudes, norm="ortho")
-    hat *= np.exp(-1j * x * psi.grid.p)
-    return WaveFunction(psi.grid, np.fft.ifft(hat, norm="ortho"))
+    hat = sfft.fft(psi.amplitudes, norm="ortho")
+    return WaveFunction(psi.grid, displace(hat[None, :], psi.grid, [x])[0])
 
 
 def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) -> WaveFunction:
     """``exp(i (v Q - x P))`` with the documented central phase."""
-    out = apply_shift(psi, label.x, check_support=check_support)
-    out = apply_position_phase(out, label.v)
-    return WaveFunction(psi.grid, out.amplitudes * label.central_phase)
+    if check_support and label.x != 0.0:
+        _check_support(psi)
+    hat = sfft.fft(psi.amplitudes, norm="ortho")
+    out = displace(hat[None, :], psi.grid, [label.x], [label.v], label.half_phase_sign)
+    return WaveFunction(psi.grid, out[0])
 
 
 def apply_free_evolution(psi: WaveFunction, t: float, check_bandlimit: bool = True) -> WaveFunction:

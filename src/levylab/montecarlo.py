@@ -70,7 +70,9 @@ def mc_stats(values: np.ndarray, antithetic: bool = False) -> tuple[complex, flo
             raise ValueError("antithetic statistics need an even sample count")
         half = values.shape[0] // 2
         values = 0.5 * (values[:half] + values[half:])
-    mean = complex(np.mean(values))
+    # Real and imaginary means separately, so a real-valued sample averages
+    # bit for bit as it would as a real array.
+    mean = complex(np.mean(values.real), np.mean(values.imag))
     n = values.shape[0]
     if n == 1:
         return mean, 0.0

@@ -28,6 +28,7 @@ from .grid import (
     QTable,
     WaveFunction,
     WeylLabel,
+    displace,
     expectation,
 )
 from .levy import LevyTriplet1D, convolve_classical, sample_ensemble
@@ -84,8 +85,11 @@ def _support_interval(psi: WaveFunction, tol: float = OVERFLOW_TOL) -> tuple[flo
     return float(x[max(lo, 0)]), float(x[min(hi, x.size - 1)])
 
 
-def _shifted_batches(psi: WaveFunction, xi: np.ndarray, batch: int = STATE_BATCH):
+def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None, batch: int = STATE_BATCH):
     """Yield (slice, shifted amplitude block) for exact spectral shifts by xi.
+
+    With ``kick`` every shifted state also gets the momentum kick
+    ``exp(i kick Q)`` (and the Weyl central phase, a per-path constant).
 
     Aborts with :class:`SupportOverflowError` when more than
     ``OVERFLOW_FRACTION`` of the paths would carry support past the boundary
@@ -103,26 +107,16 @@ def _shifted_batches(psi: WaveFunction, xi: np.ndarray, batch: int = STATE_BATCH
             f"{overflowed}/{xi.size} shifts would push support into the boundary window",
             fraction=overflowed / xi.size,
         )
-    hat = np.fft.fft(psi.amplitudes, norm="ortho")
-    p = grid.p
+    hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
+    eta = None if kick is None else [kick]
     for start in range(0, xi.size, batch):
         block_xi = xi[start:start + batch]
-        phases = np.exp(-1j * np.outer(block_xi, p))
-        states = np.fft.ifft(hat[None, :] * phases, axis=1, norm="ortho")
-        yield slice(start, start + block_xi.size), states
+        yield slice(start, start + block_xi.size), displace(hat, grid, block_xi, eta)
 
 
 def _qtable_values(states: np.ndarray, dx: float, f_arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     dens = np.abs(states) ** 2
     return [dx * dens @ f for f in f_arrays]
-
-
-def _weyl_values(states: np.ndarray, grid: GridSpec, label: WeylLabel) -> np.ndarray:
-    hat = np.fft.fft(states, axis=1, norm="ortho")
-    hat = hat * np.exp(-1j * label.x * grid.p)[None, :]
-    moved = np.fft.ifft(hat, axis=1, norm="ortho")
-    moved = moved * (label.central_phase * np.exp(1j * label.v * grid.x))[None, :]
-    return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
 
 
 def mc_heisenberg_expectation(
@@ -138,7 +132,7 @@ def mc_heisenberg_expectation(
     (zero stderr, ``exact=True``).  Antithetic pairing is applied when the
     increment law is symmetric (or as forced by the config).
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     if isinstance(observable, PTable):
         return MCResult(
             estimate=expectation(psi, observable),
@@ -163,7 +157,7 @@ def mc_heisenberg_batch(
     All sampled observables see the same increment ensemble; estimates are
     individually valid, correlations only matter across observables.
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     antithetic = mc.resolve_antithetic(spec.triplet.is_symmetric)
     results: list[MCResult | None] = [None] * len(observables)
     sampled = [i for i, ob in enumerate(observables) if not isinstance(ob, PTable)]
@@ -196,7 +190,7 @@ def mc_evolve_state_ensemble(
     ``coarse_bins`` orthonormal box modes (for mixing diagnostics), and the
     states themselves when ``keep_states`` is set (memory permitting).
     """
-    psi = psi.normalized() if abs(psi.norm() - 1.0) > 1e-12 else psi
+    psi = psi.unit()
     grid = spec.grid
     if grid.n_points % coarse_bins != 0:
         raise ValueError("coarse_bins must divide the grid size")
@@ -235,27 +229,6 @@ def coarse_purity(rho: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # Classical reduction: generator and fixed-point oracle
 # --------------------------------------------------------------------------
-
-@dataclass
-class TableFunction:
-    """Cubic-spline wrapper turning a sampled table into a callable with a domain."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        self.x = np.asarray(self.x, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self._spline = CubicSpline(self.x, self.values)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
-            raise ValueError("argument outside the tabulated domain")
-        return self._spline(x)
-
 
 def classical_generator_apply(
     triplet: LevyTriplet1D,
@@ -404,9 +377,8 @@ def momentum_covariance_check(
     boosted = apply_position_phase(psi, y)
     vals_a = np.empty(mc.n_paths, dtype=complex)
     vals_b = np.empty(mc.n_paths, dtype=complex)
-    for sl, states in _shifted_batches(psi, xi):
-        phased = states * np.exp(1j * y * spec.grid.x)[None, :]
-        vals_a[sl] = _observable_values(phased, spec.grid, observable)
+    for sl, states in _shifted_batches(psi, xi, kick=y):
+        vals_a[sl] = _observable_values(states, spec.grid, observable)
     for sl, states in _shifted_batches(boosted, xi):
         vals_b[sl] = _observable_values(states, spec.grid, observable)
     return float(np.abs(np.mean(vals_a) - np.mean(vals_b)))
@@ -416,7 +388,9 @@ def _observable_values(states: np.ndarray, grid: GridSpec, observable: Observabl
     if isinstance(observable, QTable):
         return _qtable_values(states, grid.dx, [observable.array])[0]
     if isinstance(observable, WeylLabel):
-        return _weyl_values(states, grid, observable)
+        hat = np.fft.fft(states, axis=1, norm="ortho")
+        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign)
+        return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")
         return grid.dx * (np.abs(hat) ** 2) @ observable.array

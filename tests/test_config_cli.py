@@ -1,6 +1,9 @@
 """Config grammar, validation discipline, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,9 @@ x = 2
     def test_kind_override_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
             parse_config(MINIMAL_CHAR, kind_override="dyson")
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path: Path, text: str) -> str:
@@ -343,3 +349,21 @@ t = 0.4
 n_steps = 8
 """)
         assert main(["covariance-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("kind,name,key,bad", [
+        ("galilei-compare", "galilei_gauss.cfg", "n_steps", "0"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "t", "-1"),
+    ])
+    def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
+        # these values pass parse_config and are only rejected inside the run
+        lines = (REPO / "configs" / name).read_text().splitlines()
+        text = "\n".join(f"{key} = {bad}" if line.split("=")[0].strip() == key else line for line in lines)
+        cfg = write_config(tmp_path, text)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levylab", kind, "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1].startswith("config error:")

@@ -5,17 +5,26 @@ import pytest
 
 from levylab.galilean import (
     GalileanGenerator,
+    _evolve_block,
     WeylSymbolState,
     evolve_weyl_closed_form,
     galilean_covariance_check,
     mc_vs_closed_form,
     mc_weyl_expectation,
     one_dimensional_reduction,
-    sample_langevin_step,
     scheme_expected_weyl,
     weyl_symbol_rate,
 )
-from levylab.grid import WeylLabel, default_grid, expectation, gaussian_state, momentum_expectation, position_expectation
+from levylab.grid import (
+    WaveFunction,
+    WeylLabel,
+    apply_free_evolution,
+    default_grid,
+    expectation,
+    gaussian_state,
+    momentum_expectation,
+    position_expectation,
+)
 from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, char_exponent_2d
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import NoiseSemigroupSpec, mc_heisenberg_expectation
@@ -106,31 +115,27 @@ class TestClosedForm:
             WeylSymbolState(multiplier=1.1, point=(0.0, 0.0))
 
 
+def one_step(gen, psi, dt, increments):
+    """The batched Strang step on a single path."""
+    out = _evolve_block(gen, psi, np.array([[increments]], dtype=float), dt)
+    return WaveFunction(psi.grid, out[0])
+
+
 class TestLangevinStep:
     def test_zero_increments_is_free_step(self, psi512):
-        gen = GalileanGenerator(GAUSS_PP)
-        step = sample_langevin_step(gen, 0.25, (0.0, 0.0))
-        out = step.apply(psi512)
-        from levylab.grid import apply_free_evolution
-
+        out = one_step(GalileanGenerator(GAUSS_PP), psi512, 0.25, (0.0, 0.0))
         ref = apply_free_evolution(psi512, 0.25, check_bandlimit=False)
         assert np.abs(out.amplitudes - ref.amplitudes).max() < 1e-12
 
     def test_position_kick_moves_mean(self, psi512):
-        gen = GalileanGenerator(GAUSS_PP)
         dt, dxi = 0.25, 0.6
-        out = sample_langevin_step(gen, dt, (dxi, 0.0)).apply(psi512)
+        out = one_step(GalileanGenerator(GAUSS_PP), psi512, dt, (dxi, 0.0))
         expected = position_expectation(psi512) + dt * momentum_expectation(psi512) + dxi
         assert position_expectation(out) == pytest.approx(expected, abs=1e-8)
 
     def test_momentum_kick_moves_mean(self, psi512):
-        gen = GalileanGenerator(GAUSS_PP)
-        out = sample_langevin_step(gen, 0.25, (0.0, 0.9)).apply(psi512)
+        out = one_step(GalileanGenerator(GAUSS_PP), psi512, 0.25, (0.0, 0.9))
         assert momentum_expectation(out) == pytest.approx(momentum_expectation(psi512) + 0.9, abs=1e-8)
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            sample_langevin_step(GalileanGenerator(FULL), 0.0, (0.0, 0.0))
 
 
 class TestDilation:

@@ -1,8 +1,11 @@
 """Lattice quantum system: unitaries, exchange relation, expectations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -16,12 +19,14 @@ from levylab.grid import (
     UnnormalizedStateWarning,
     WaveFunction,
     WeylLabel,
+    _apply_lattice_phase,
     apply_free_evolution,
     apply_position_phase,
     apply_shift,
     apply_weyl,
     ccr_defect,
     default_grid,
+    displace,
     expectation,
     gaussian_state,
     is_commensurate,
@@ -200,3 +205,59 @@ class TestCSVRoundTrip:
         back = wavefunction_from_csv(path)
         assert back.grid == moving_psi.grid
         assert np.abs(back.amplitudes - moving_psi.amplitudes).max() < 1e-15
+
+
+class TestDisplacementKernel:
+    @given(
+        st.integers(1, 12),
+        st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    )
+    @example(1, [2.5], 0.5, True)   # N = 2: B = 1
+    @example(3, [-2.9], 0.3, True)  # N = 8: B = 2, N/B = 4
+    @example(3, [2.9], 0.3, False)
+    def test_factorized_phase_matches_direct(self, log_n, spans, origin, momentum):
+        # xi up to three lattice lengths, eta up to three momentum lattice lengths
+        n = 2**log_n
+        grid = GridSpec(n_points=n, x_min=-80.0 * origin, dx=80.0 / n)
+        lattice = grid.p if momentum else grid.x
+        coef = np.array(spans) * (grid.length if momentum else n * grid.dp)
+        direct = np.exp(1j * np.outer(coef, lattice))
+        table = _apply_lattice_phase(np.ones((1, n), dtype=complex), grid, coef, momentum)
+        # both forms round the argument coef * q; the direct form alone is off by
+        # about eps * |coef * q|, which is 1e-12 at |coef * q| ~ 1100
+        bound = 4.0 * np.finfo(float).eps * max(1.0, np.abs(np.outer(coef, lattice)).max())
+        assert np.abs(table - direct).max() <= bound
+
+    def test_batch_rows_match_single_state_weyl(self, moving_psi):
+        grid = moving_psi.grid
+        labels = [WeylLabel(0.7, -0.9), WeylLabel(-2.3, 1.4), WeylLabel(0.0, 0.5), WeylLabel(1.1, 0.0)]
+        hat = np.fft.fft(moving_psi.amplitudes, norm="ortho")
+        block = displace(hat[None, :], grid, [w.x for w in labels], [w.v for w in labels])
+        for row, w in zip(block, labels):
+            single = apply_weyl(moving_psi, w, check_support=False).amplitudes
+            assert np.abs(row - single).max() <= 1e-14
+            direct = np.fft.ifft(hat * np.exp(-1j * w.x * grid.p), norm="ortho")
+            direct *= np.exp(-0.5j * w.v * w.x) * np.exp(1j * w.v * grid.x)
+            assert np.abs(row - direct).max() <= 1e-12
+
+    def test_only_grid_builds_outer_product_phases(self):
+        # every shift and kick goes through grid.displace; a full paths x N
+        # exp(outer(...)) anywhere else is a second, slow copy of it
+        def is_np(node, name):
+            return (isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+        src = Path(__file__).resolve().parent.parent / "src" / "levylab"
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "grid.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and is_np(node.func, "exp") and any(
+                    isinstance(inner, ast.Call) and is_np(inner.func, "outer")
+                    for arg in node.args for inner in ast.walk(arg)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
