@@ -133,11 +133,33 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
         return None
 
 
+#: Declared value ranges, by the name a :class:`Field` gives.
+RANGES = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+}
+
+
 @dataclass(frozen=True)
 class Field:
+    """One config key: its type, default and declared range.
+
+    ``range`` names an entry of :data:`RANGES`, checked on the value (on
+    every entry of a list).  ``multiple_of`` names another key of the same
+    section that must divide this one an integer number of times.
+    """
+
     type: str
     required: bool = False
     default: object = None
+    range: str | None = None
+    multiple_of: str | None = None
+
+
+def _is_multiple(value: float, unit: float) -> bool:
+    """``value`` is an integer multiple of ``unit`` to relative precision 1e-9."""
+    steps = round(value / unit)
+    return abs(steps * unit - value) <= 1e-9 * max(abs(value), 1.0)
 
 
 _RUN_FIELDS = {
@@ -191,14 +213,17 @@ _OBSERVABLE_FIELDS = {
 SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     "levy-sample": {
         "triplet": _TRIPLET_FIELDS,
-        "sample": {"t_max": Field("float", required=True), "n_steps": Field("int", default=100)},
+        "sample": {
+            "t_max": Field("float", required=True, range="positive"),
+            "n_steps": Field("int", default=100),
+        },
     },
     "char-check": {
         "triplet": _TRIPLET_FIELDS,
         "check": {
-            "t": Field("list_float", default=[0.5, 1.0]),
+            "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
             "args": Field("list_float", required=True),
-            "n_samples": Field("int", default=100000),
+            "n_samples": Field("int", default=100000, range="positive"),
             "sigmas": Field("float", default=4.0),
         },
     },
@@ -208,13 +233,13 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "state": _STATE_FIELDS,
         "mc": _MC_FIELDS,
         "observable": _OBSERVABLE_FIELDS,
-        "semigroup": {"t": Field("list_float", default=[1.0])},
+        "semigroup": {"t": Field("list_float", default=[1.0], range="nonnegative")},
     },
     "generator-check": {
         "triplet": _TRIPLET_FIELDS,
         "mc": _MC_FIELDS,
         "genchk": {
-            "t_small": Field("float", default=0.01),
+            "t_small": Field("float", default=0.01, range="positive"),
             "points": Field("list_float", default=[-2.0, -1.0, 0.0, 1.0, 2.0]),
             "func": Field("str", default="bump"),
             "scale": Field("float", default=1.0),
@@ -253,7 +278,7 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "x0": Field("float", default=0.0),
             "v0": Field("float", default=1.0),
             "t": Field("float", default=1.0),
-            "n_steps": Field("int", default=64),
+            "n_steps": Field("int", default=64, range="positive"),
             "free": Field("bool", default=True),
         },
     },
@@ -266,7 +291,7 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "x": Field("float", default=1.0),
             "v": Field("float", default=0.8),
             "t": Field("float", default=0.7),
-            "n_steps": Field("int", default=32),
+            "n_steps": Field("int", default=32, range="positive"),
             "free": Field("bool", default=True),
         },
     },
@@ -290,8 +315,8 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "mc": _MC_FIELDS,
         "kd": {
             "x_start": Field("float", default=1.0),
-            "t": Field("float", default=1.0),
-            "dt": Field("float", default=0.001),
+            "t": Field("float", default=1.0, range="nonnegative", multiple_of="dt"),
+            "dt": Field("float", default=0.001, range="positive"),
             "expect": Field("float", default=float("nan")),
             "tol": Field("float", default=0.01),
             "reflecting": Field("bool", default=False),
@@ -325,6 +350,16 @@ def _check_section(
     for key in raw:
         if key not in fields:
             errors.append(f"[{name}]: unknown key {key!r}")
+    for key, spec in fields.items():
+        value = out.get(key)
+        if value is None:
+            continue
+        if spec.range is not None:
+            if not all(map(RANGES[spec.range], value if isinstance(value, list) else [value])):
+                errors.append(f"[{name}] {key}: must be {spec.range}, got {raw.get(key, value)}")
+        unit = out.get(spec.multiple_of) if spec.multiple_of else None
+        if unit is not None and unit > 0 and not _is_multiple(value, unit):
+            errors.append(f"[{name}] {key}: must be an integer multiple of {spec.multiple_of} = {unit!r}, got {value!r}")
     return out
 
 

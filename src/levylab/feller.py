@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import rng
 from .errors import NumericalFailure
@@ -100,6 +99,8 @@ def feller_function(spec: DriftSpec, x: float) -> float:
     Accurate (used to pin closed forms); for endpoint scans use
     :func:`feller_test`, which works in log space.
     """
+    from scipy import integrate  # deferred: the endpoint scans need no quadrature
+
     if not (spec.l < x <= spec.x_max):
         raise ValueError(f"x = {x} outside covered range ({spec.l}, {spec.x_max}]")
 

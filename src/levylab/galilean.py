@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import rng
 from .errors import NumericalFailure, SupportOverflowError
@@ -176,16 +175,16 @@ def _evolve_block(
     include = gen.include_free_hamiltonian
     free_half = np.exp(-0.25j * dt * grid.p**2) if include else None
     free_full = free_half * free_half if include else None
-    states_p = sfft.fft(psi.amplitudes, norm="ortho")[None, :]
+    states_p = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
     for step in range(n_steps):
         free = free_half if step == 0 else free_full
         states_x = displace(states_p, grid, increments[:, step, 0], increments[:, step, 1], momentum_factor=free)
         if step < n_steps - 1:
-            states_p = sfft.fft(states_x, axis=1, norm="ortho")
+            states_p = np.fft.fft(states_x, axis=1, norm="ortho")
     if include:
-        states_p = sfft.fft(states_x, axis=1, norm="ortho")
+        states_p = np.fft.fft(states_x, axis=1, norm="ortho")
         states_p *= free_half[None, :]
-        states_x = sfft.ifft(states_p, axis=1, norm="ortho")
+        states_x = np.fft.ifft(states_p, axis=1, norm="ortho")
     return states_x
 
 
@@ -407,7 +406,7 @@ def galilean_covariance_check(
         inc = _sample_step_increments(gen.triplet2, dt_fine, stop - start, n_steps, stream)
         # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B measures
         # X on the evolution of the boosted state, same increments.
-        evolved = sfft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")
+        evolved = np.fft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")
         conj_states = displace(evolved, psi.grid, [x], [v])
         states_b = _evolve_block(gen, boosted, inc, dt_fine)
         for k, ob in enumerate(battery):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import rng
 
@@ -222,6 +221,34 @@ def _check_support(psi: WaveFunction) -> None:
         )
 
 
+def phase_tables(
+    coef: np.ndarray,
+    n: int,
+    unit: float,
+    origin: float = 0.0,
+    wrap: bool = False,
+    scale: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factorized phases ``exp(i coef[m] (origin + unit k))`` for ``k < n``.
+
+    ``n`` is a power of two.  The index is split as ``k = B j + r`` with ``B``
+    the power of two nearest ``sqrt(n)``, and the phase is returned as two
+    small tables ``T1[m, j]`` (``M x n/B``, carrying ``origin``, ``scale[m]``
+    and, with ``wrap``, the fftfreq wrap ``k -> k - n`` for ``k >= n/2``) and
+    ``T2[m, r]`` (``M x B``): the phase at ``k`` is ``T1[m, k // B] *
+    T2[m, k % B]``.  No ``M x n`` exponential is formed.
+    """
+    b = 1 << ((n.bit_length() - 1) // 2)
+    coarse = b * np.arange(n // b)
+    if wrap:
+        coarse[coarse >= n // 2] -= n
+    t1 = np.exp(1j * np.outer(coef, origin + unit * coarse))
+    if scale is not None:
+        t1 = t1 * scale[:, None]
+    t2 = np.exp(1j * np.outer(coef, unit * np.arange(b)))
+    return t1, t2
+
+
 def _apply_lattice_phase(
     block: np.ndarray,
     grid: GridSpec,
@@ -233,24 +260,15 @@ def _apply_lattice_phase(
 
     ``q`` is the momentum lattice in FFT order (``momentum=True``) or the
     position lattice.  ``block`` and ``coef`` broadcast against each other
-    along the first axis.  The lattice index is split as ``k = B j + r`` with
-    ``B`` the power of two nearest ``sqrt(N)``, so the phase is the product
-    of two small tables ``T1[m, j]`` (``M x N/B``, carrying the origin
-    ``x_min``, the fftfreq wrap ``k -> k - N`` and ``scale``) and
-    ``T2[m, r]`` (``M x B``), applied in place on the output.
+    along the first axis.  The phase comes from :func:`phase_tables` and is
+    applied table by table, in place on the output.
     """
     n = grid.n_points
-    b = 1 << ((n.bit_length() - 1) // 2)
-    coarse = b * np.arange(n // b)
     if momentum:
-        coarse[coarse >= n // 2] -= n
-        origin, unit = 0.0, grid.dp
+        t1, t2 = phase_tables(coef, n, grid.dp, wrap=True, scale=scale)
     else:
-        origin, unit = grid.x_min, grid.dx
-    t1 = np.exp(1j * np.outer(coef, origin + unit * coarse))
-    if scale is not None:
-        t1 = t1 * scale[:, None]
-    t2 = np.exp(1j * np.outer(coef, unit * np.arange(b)))
+        t1, t2 = phase_tables(coef, n, grid.dx, origin=grid.x_min, scale=scale)
+    b = t2.shape[1]
     rows = max(block.shape[0], t1.shape[0])
     out = np.multiply(block.reshape(block.shape[0], n // b, b), t1[:, :, None])
     out *= t2[:, None, :]
@@ -280,7 +298,7 @@ def displace(
     states = _apply_lattice_phase(hat, grid, -xi, momentum=True)
     if momentum_factor is not None:
         states *= momentum_factor
-    states = sfft.ifft(states, axis=1, norm="ortho", overwrite_x=True)
+    states = np.fft.ifft(states, axis=1, norm="ortho", out=states)
     if eta is None:
         return states
     eta = np.asarray(eta, dtype=float)
@@ -304,7 +322,7 @@ def apply_shift(psi: WaveFunction, x: float, check_support: bool = True) -> Wave
         return WaveFunction(psi.grid, psi.amplitudes.copy())
     if check_support:
         _check_support(psi)
-    hat = sfft.fft(psi.amplitudes, norm="ortho")
+    hat = np.fft.fft(psi.amplitudes, norm="ortho")
     return WaveFunction(psi.grid, displace(hat[None, :], psi.grid, [x])[0])
 
 
@@ -312,7 +330,7 @@ def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) 
     """``exp(i (v Q - x P))`` with the documented central phase."""
     if check_support and label.x != 0.0:
         _check_support(psi)
-    hat = sfft.fft(psi.amplitudes, norm="ortho")
+    hat = np.fft.fft(psi.amplitudes, norm="ortho")
     out = displace(hat[None, :], psi.grid, [label.x], [label.v], label.half_phase_sign)
     return WaveFunction(psi.grid, out[0])
 

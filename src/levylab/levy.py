@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import rng
 from .errors import NumericalFailure
@@ -251,6 +250,8 @@ class PathSample:
 
 def _quad_part(fn, lo, hi, points, what):
     """Adaptive quadrature of a real integrand; loud failure on divergence."""
+    from scipy import integrate  # deferred: only density laws need quadrature
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         val, err = integrate.quad(fn, lo, hi, points=points, limit=300)

@@ -45,7 +45,9 @@ class MCResult:
     """Estimate with standard error and the provenance needed to reproduce it.
 
     ``exact=True`` marks values computed without sampling (conserved
-    observables); their stderr is identically zero.
+    observables); their stderr is identically zero.  ``overflow_fraction``
+    is the share of paths whose support reached the lattice boundary
+    window, reported even when it is below the abort threshold.
     """
 
     estimate: complex
@@ -54,6 +56,7 @@ class MCResult:
     seed: int
     antithetic: bool = False
     exact: bool = False
+    overflow_fraction: float = 0.0
 
 
 def mc_stats(values: np.ndarray, antithetic: bool = False) -> tuple[complex, float]:

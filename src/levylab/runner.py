@@ -192,15 +192,19 @@ def _run_mc_semigroup(cfg: RunConfig, ws: _Workspace) -> None:
     psi = cfg.params["state"]
     obs = cfg.params["observable"]
     rows = []
+    overflow = 0.0
     for t in cfg.params["semigroup"]["t"]:
         _progress(f"mc-semigroup: t = {t}")
         res = mc_heisenberg_expectation(spec, psi, obs, t, cfg.params["mc"])
+        overflow = max(overflow, res.overflow_fraction)
         rows.append([t, getattr(obs, "label", "W"), res.estimate.real, res.estimate.imag,
                      res.stderr, res.n_paths, res.seed])
     header = ["t", "observable", "estimate_re", "estimate_im", "stderr", "n_paths", "seed"]
     ws.write_csv("semigroup", header, rows)
     ws.write_json("semigroup", {"rows": [dict(zip(header, r)) for r in rows]})
     ws.record.add_metric("points", len(rows))
+    # Largest share of paths reaching the boundary window, below the abort threshold.
+    ws.record.add_metric("overflow_fraction", overflow)
 
 
 def _run_generator_check(cfg: RunConfig, ws: _Workspace) -> None:

@@ -6,6 +6,14 @@ and averages over the increment law: the Heisenberg expectation at time
 increment draw followed by one exact spectral shift -- no time stepping,
 hence no discretization error in this module.
 
+One path's value ``<S_xi psi, X S_xi psi>`` is a trigonometric polynomial
+in ``xi`` whose coefficients depend only on the state and the observable.
+The expectation estimators build those coefficients once (one correlation
+FFT) and evaluate every path from the factorized phase tables of
+:func:`levylab.grid.phase_tables`; no shifted state is ever formed.  The
+ensemble and covariance diagnostics, which need the states, shift them
+through :func:`levylab.grid.displace`.
+
 On observables ``f(Q)`` the evolution reduces to classical smoothing of
 ``f`` by the increment law, which is the oracle all quantum estimates here
 are checked against.  Observables ``g(P)`` commute with the coupling and
@@ -30,11 +38,12 @@ from .grid import (
     WeylLabel,
     displace,
     expectation,
+    phase_tables,
 )
 from .levy import LevyTriplet1D, convolve_classical, sample_ensemble
 from .montecarlo import MCConfig, MCResult, mc_stats
 
-#: Paths evolved per state batch (memory control; no effect on results).
+#: Paths evolved or evaluated per batch (memory control; no effect on results).
 STATE_BATCH = 1024
 #: Boundary mass above which a shifted path counts as overflowed.
 OVERFLOW_TOL = 1e-10
@@ -85,16 +94,13 @@ def _support_interval(psi: WaveFunction, tol: float = OVERFLOW_TOL) -> tuple[flo
     return float(x[max(lo, 0)]), float(x[min(hi, x.size - 1)])
 
 
-def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None, batch: int = STATE_BATCH):
-    """Yield (slice, shifted amplitude block) for exact spectral shifts by xi.
+def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
+    """Fraction of the shifts ``xi`` that push the support of ``psi`` into the boundary window.
 
-    With ``kick`` every shifted state also gets the momentum kick
-    ``exp(i kick Q)`` (and the Weyl central phase, a per-path constant).
-
-    Aborts with :class:`SupportOverflowError` when more than
-    ``OVERFLOW_FRACTION`` of the paths would carry support past the boundary
-    window (interval arithmetic on the support, so full wrap-arounds are
-    caught, not just mass straddling the edge).
+    Interval arithmetic on the support, so full wrap-arounds are caught,
+    not just mass straddling the edge.  Aborts with
+    :class:`SupportOverflowError` when the fraction exceeds
+    ``OVERFLOW_FRACTION``.
     """
     grid = psi.grid
     lo_x, hi_x = _support_interval(psi)
@@ -107,6 +113,18 @@ def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = Non
             f"{overflowed}/{xi.size} shifts would push support into the boundary window",
             fraction=overflowed / xi.size,
         )
+    return overflowed / xi.size
+
+
+def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None, batch: int = STATE_BATCH):
+    """Yield (slice, shifted amplitude block) for exact spectral shifts by xi.
+
+    With ``kick`` every shifted state also gets the momentum kick
+    ``exp(i kick Q)`` (and the Weyl central phase, a per-path constant).
+    Runs :func:`_check_overflow` first.
+    """
+    grid = psi.grid
+    _check_overflow(psi, xi)
     hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
     eta = None if kick is None else [kick]
     for start in range(0, xi.size, batch):
@@ -114,9 +132,87 @@ def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = Non
         yield slice(start, start + block_xi.size), displace(hat, grid, block_xi, eta)
 
 
-def _qtable_values(states: np.ndarray, dx: float, f_arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    dens = np.abs(states) ** 2
-    return [dx * dens @ f for f in f_arrays]
+def _circulant_diagonal(observable: Observable, grid: GridSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(c, w)`` with ``X = Circ(c) diag(w)`` in the orthonormal momentum basis.
+
+    ``Circ(c)[k, k'] = c[(k' - k) mod N]`` and ``w`` is in FFT order;
+    ``None`` stands for ``c = delta`` and ``w = 1``.
+    """
+    if isinstance(observable, QTable):
+        return np.fft.ifft(observable.array), None
+    if isinstance(observable, PTable):
+        return None, observable.array
+    if isinstance(observable, WeylLabel):
+        central = np.exp(0.5j * observable.half_phase_sign * observable.x * observable.v)
+        c = np.fft.ifft(np.exp(1j * observable.v * grid.x))
+        return c, central * np.exp(-1j * observable.x * grid.p)
+    raise TypeError(f"unsupported observable {type(observable)!r}")
+
+
+def _lag_coefficients(psi: WaveFunction, observables: Sequence[Observable]) -> np.ndarray:
+    """Coefficients of the path value as a polynomial in ``z = exp(-i xi dp)``.
+
+    One path's value is ``sum_{|d| < N} dx C_d z^d`` with
+    ``C_d = c[d mod N] sum_m conj(a_{m-d}) (w a)_m`` over centred momentum
+    indices (``a`` is ``psi`` in the momentum basis, ``(c, w)`` from
+    :func:`_circulant_diagonal`).  The sum over ``m`` is one zero-padded
+    correlation FFT on ``2N`` points.  Since ``conj(z^d) = z^-d``, the value
+    is ``P(z) + conj(R(z))`` with two polynomials of degree below ``N``:
+    row ``d`` holds ``dx C_d`` in column ``i`` (``P`` of observable ``i``)
+    and ``conj(dx C_-d)`` in column ``K + i`` (``R``, zero at ``d = 0``).
+    """
+    grid = psi.grid
+    n = grid.n_points
+    hat = np.fft.fft(psi.amplitudes, norm="ortho")
+    pad = np.zeros(2 * n, dtype=complex)
+    pad[:n] = np.fft.fftshift(hat)
+    spec_a = np.fft.fft(pad)
+    k = len(observables)
+    coef = np.zeros((n, 2 * k), dtype=complex)
+    for i, ob in enumerate(observables):
+        c, w = _circulant_diagonal(ob, grid)
+        if w is None:
+            cross = spec_a * spec_a.conj()
+        else:
+            pad[:n] = np.fft.fftshift(w * hat)
+            cross = np.fft.fft(pad) * spec_a.conj()
+        corr = grid.dx * np.fft.ifft(cross)  # lag d at index d mod 2N
+        if c is None:
+            coef[0, i] = corr[0]
+            continue
+        coef[:, i] = c * corr[:n]
+        coef[1:, k + i] = np.conj(c[:0:-1] * corr[:n:-1])
+    return coef
+
+
+def _shift_values(psi: WaveFunction, observables: Sequence[Observable], xi: np.ndarray) -> np.ndarray:
+    """Values ``<S_xi psi, X S_xi psi>`` per observable (rows) and path (columns).
+
+    Evaluates the polynomials of :func:`_lag_coefficients` with the phase
+    tables of :func:`levylab.grid.phase_tables` on the ``N`` lags: per block
+    of paths one matrix product ``T2 @ C`` followed by a row-wise
+    contraction with ``T1``.  Values of Hermitian observables are real.
+    """
+    grid = psi.grid
+    n = grid.n_points
+    k = len(observables)
+    coef = _lag_coefficients(psi, observables)
+    out = np.empty((xi.size, k), dtype=complex)
+    cmat = None
+    for start in range(0, xi.size, STATE_BATCH):
+        block = xi[start:start + STATE_BATCH]
+        t1, t2 = phase_tables(-block, n, grid.dp)
+        b = t2.shape[1]
+        if cmat is None:  # coef[B j + r, col] -> cmat[r, (j, col)]
+            cmat = coef.reshape(n // b, b, 2 * k).transpose(1, 0, 2).reshape(b, -1)
+        part = (t2 @ cmat).reshape(block.size, n // b, 2 * k)
+        both = np.einsum("mjc,mj->mc", part, t1)
+        out[start:start + block.size] = both[:, :k] + both[:, k:].conj()
+    values = out.T
+    for row, ob in zip(values, observables):
+        if not isinstance(ob, WeylLabel):
+            row.imag = 0.0
+    return values
 
 
 def mc_heisenberg_expectation(
@@ -166,13 +262,12 @@ def mc_heisenberg_batch(
             results[i] = MCResult(expectation(psi, ob), 0.0, 0, mc.seed, exact=True)
     if sampled:
         xi = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
-        values = np.zeros((len(sampled), mc.n_paths), dtype=complex)
-        for sl, states in _shifted_batches(psi, xi):
-            for row, i in enumerate(sampled):
-                values[row, sl] = _observable_values(states, spec.grid, observables[i])
+        overflow = _check_overflow(psi, xi)
+        values = _shift_values(psi, [observables[i] for i in sampled], xi)
         for row, i in enumerate(sampled):
             est, se = mc_stats(values[row], antithetic=antithetic)
-            results[i] = MCResult(est, se, mc.n_paths, mc.seed, antithetic=antithetic)
+            results[i] = MCResult(est, se, mc.n_paths, mc.seed, antithetic=antithetic,
+                                  overflow_fraction=overflow)
     return results  # type: ignore[return-value]
 
 
@@ -386,7 +481,7 @@ def momentum_covariance_check(
 
 def _observable_values(states: np.ndarray, grid: GridSpec, observable: Observable) -> np.ndarray:
     if isinstance(observable, QTable):
-        return _qtable_values(states, grid.dx, [observable.array])[0]
+        return grid.dx * np.abs(states) ** 2 @ observable.array
     if isinstance(observable, WeylLabel):
         hat = np.fft.fft(states, axis=1, norm="ortho")
         moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign)
@@ -413,11 +508,10 @@ def semigroup_two_stage(
     one = mc_heisenberg_expectation(spec, psi, observable, t + s, mc)
     xi1 = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed + 101, threads=mc.threads)
     xi2 = sample_ensemble(spec.triplet, s, mc.n_paths, mc.seed + 202, threads=mc.threads)
-    vals = np.empty(mc.n_paths, dtype=complex)
-    for sl, states in _shifted_batches(psi, xi1 + xi2):
-        vals[sl] = _observable_values(states, spec.grid, observable)
-    est, se = mc_stats(vals)
-    two = MCResult(est, se, mc.n_paths, mc.seed)
+    xi = xi1 + xi2
+    overflow = _check_overflow(psi, xi)
+    est, se = mc_stats(_shift_values(psi, [observable], xi)[0])
+    two = MCResult(est, se, mc.n_paths, mc.seed, overflow_fraction=overflow)
     return one, two
 
 

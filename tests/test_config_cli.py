@@ -92,8 +92,32 @@ x = 2
         with pytest.raises(ConfigError, match="does not match"):
             parse_config(MINIMAL_CHAR, kind_override="dyson")
 
+    @pytest.mark.parametrize("name,key,bad,message", [
+        ("char_check_gauss.cfg", "n_samples", "0", "[check] n_samples: must be positive"),
+        ("galilei_gauss.cfg", "n_steps", "0", "[galilei] n_steps: must be positive"),
+        ("mc_semigroup_mixed.cfg", "t", "-1", "[semigroup] t: must be nonnegative"),
+        ("mc_semigroup_mixed.cfg", "t", "0.5, -0.25", "[semigroup] t: must be nonnegative"),
+        ("killed_bm.cfg", "dt", "0.003", "[kd] t: must be an integer multiple of dt"),
+    ])
+    def test_declared_ranges(self, name, key, bad, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(replace_key((REPO / "configs" / name).read_text(), key, bad))
+        assert [e for e in exc.value.errors if e.startswith(message)]
+
+    def test_range_boundaries_accepted(self):
+        text = (REPO / "configs" / "mc_semigroup_mixed.cfg").read_text()
+        assert parse_config(replace_key(text, "t", "0, 1.5")).params["semigroup"]["t"] == [0.0, 1.5]
+        kd = (REPO / "configs" / "killed_bm.cfg").read_text()
+        assert parse_config(replace_key(kd, "dt", "0.0025")).params["kd"]["dt"] == 0.0025
+
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def replace_key(text: str, key: str, value: str) -> str:
+    """``text`` with every ``key = ...`` line set to ``key = value``."""
+    return "\n".join(f"{key} = {value}" if line.split("=")[0].strip() == key else line
+                     for line in text.splitlines())
 
 
 def write_config(tmp_path: Path, text: str) -> str:
@@ -251,6 +275,10 @@ t = 0.5, 1.0
         assert main(["mc-semigroup", "--config", cfg, "--out", str(out)]) == 0
         header = (out / "semigroup.csv").read_text().splitlines()[0]
         assert header == "t,observable,estimate_re,estimate_im,stderr,n_paths,seed"
+        # observability only: the share of overflowed paths carries no verdict
+        record = json.loads((out / "record.json").read_text())
+        assert record["metrics"]["overflow_fraction"] == {"value": 0.0}
+        assert set(record["manifest"]) == {"semigroup.csv", "semigroup.json"}
 
     def test_generator_check_runner(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -353,12 +381,13 @@ n_steps = 8
     @pytest.mark.parametrize("kind,name,key,bad", [
         ("galilei-compare", "galilei_gauss.cfg", "n_steps", "0"),
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "t", "-1"),
+        ("char-check", "char_check_gauss.cfg", "n_samples", "0"),
+        ("killed-diffusion", "killed_bm.cfg", "dt", "0.003"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
-        # these values pass parse_config and are only rejected inside the run
-        lines = (REPO / "configs" / name).read_text().splitlines()
-        text = "\n".join(f"{key} = {bad}" if line.split("=")[0].strip() == key else line for line in lines)
-        cfg = write_config(tmp_path, text)
+        # out-of-range values are config errors caught before the run starts,
+        # so no output directory is left behind
+        cfg = write_config(tmp_path, replace_key((REPO / "configs" / name).read_text(), key, bad))
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "levylab", kind, "--config", cfg, "--out", str(tmp_path / "o")],
@@ -367,3 +396,14 @@ n_steps = 8
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip().splitlines()[-1].startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_cli_import_defers_fft_and_quadrature(self):
+        # scipy.fft (which pulls in scipy.special) and scipy.integrate are not
+        # needed to start a run; quadrature imports its module on first use
+        code = ("import sys, levylab.cli; "
+                "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

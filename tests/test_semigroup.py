@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from levylab import grid as grid_module
+from levylab import rng
+from levylab import semigroup as semigroup_module
 from levylab.errors import SupportOverflowError
-from levylab.grid import PTable, QTable, WeylLabel, expectation, gaussian_state
-from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d
-from levylab.montecarlo import MCConfig
+from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, displace, expectation, gaussian_state
+from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
+from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
+    OVERFLOW_FRACTION,
     NoiseSemigroupSpec,
     classical_fixed_point_oracle,
     classical_generator_apply,
@@ -18,6 +24,8 @@ from levylab.semigroup import (
     mc_heisenberg_expectation,
     momentum_covariance_check,
     semigroup_two_stage,
+    _observable_values,
+    _shift_values,
 )
 
 GAUSS = LevyTriplet1D(alpha=1.0)
@@ -90,6 +98,79 @@ class TestHeisenbergExpectation:
         assert batch[0].estimate == single.estimate
 
 
+class TestShiftEstimator:
+    @given(
+        st.integers(1, 12),
+        st.sampled_from(["qtable", "ptable", "weyl", "weyl+"]),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @example(1, "weyl+", 1.0, True, 1)    # N = 2
+    @example(3, "qtable", 1.0, False, 2)  # N = 8
+    @example(12, "weyl", 1.0, True, 3)    # N = 4096
+    @example(12, "qtable", 1.0, False, 4)
+    def test_matches_fft_route_per_path(self, log_n, kind, span, antithetic, seed):
+        # random state and observable, |xi| up to span box lengths; the FFT
+        # route shifts every state and measures it, the estimator does neither
+        n = 2**log_n
+        gen = rng.stream(seed, 0)
+        grid = GridSpec(n_points=n, x_min=-80.0 * gen.uniform(), dx=80.0 / n)
+        psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
+        if kind == "qtable":
+            observable = QTable(tuple(gen.uniform(-1.0, 1.0, n)))
+        elif kind == "ptable":
+            observable = PTable(tuple(gen.uniform(-1.0, 1.0, n)))
+        else:
+            x, v = gen.uniform(-1.0, 1.0, 2) * (grid.length, 0.5 * n * grid.dp)
+            observable = WeylLabel(x, v, half_phase_sign=1 if kind == "weyl+" else -1)
+        xi = span * grid.length * gen.uniform(-1.0, 1.0, 16)
+        if antithetic:
+            xi = np.concatenate([xi, -xi])
+        hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
+        oracle = _observable_values(displace(hat, grid, xi), grid, observable)
+        values = _shift_values(psi, [observable], xi)[0]
+        # both routes round the arguments of their phases: xi p, and for a
+        # Weyl label x p and v q; a phase is off by about eps |argument|, and
+        # the value by that times the operator norm (measured: at most 3.4
+        # times eps |argument| norm over 1500 random cases, N = 2..4096)
+        arg = grid.dp * n * np.abs(xi)
+        norm = 1.0
+        if isinstance(observable, WeylLabel):
+            arg = arg + grid.dp * n * abs(observable.x) + abs(observable.v) * np.abs(grid.x).max()
+        else:
+            norm = np.abs(observable.array).max()
+        bound = 8.0 * np.finfo(float).eps * np.maximum(1.0, arg) * norm
+        assert np.all(np.abs(values - oracle) <= bound)
+        est, se = mc_stats(values, antithetic=antithetic)
+        ref, ref_se = mc_stats(oracle, antithetic=antithetic)
+        assert abs(est - ref) <= bound.max()
+        assert abs(se - ref_se) <= bound.max()
+
+    def test_estimators_never_shift_states(self, spec, psi, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the coefficient estimator must not call grid.displace")
+
+        monkeypatch.setattr(grid_module, "displace", forbidden)
+        monkeypatch.setattr(semigroup_module, "displace", forbidden)
+        fq = QTable.from_function(spec.grid, bump, "bump")
+        mc_heisenberg_batch(spec, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(256, 16))
+        mc_heisenberg_expectation(spec, psi, WeylLabel(-0.2, 0.9, half_phase_sign=1), 0.5, MCConfig(256, 17))
+        semigroup_two_stage(spec, psi, fq, 0.5, 0.7, MCConfig(256, 18))
+
+    def test_overflow_fraction_reported_below_threshold(self, grid):
+        # support near the right edge: a few Gaussian paths reach the window
+        psi = gaussian_state(grid, 30.0, 1.0)
+        near = NoiseSemigroupSpec(LevyTriplet1D(alpha=2.0), grid)
+        fq = QTable.from_function(grid, bump, "bump")
+        res = mc_heisenberg_expectation(near, psi, fq, 1.0, MCConfig(20000, 19))
+        assert 0.0 < res.overflow_fraction <= OVERFLOW_FRACTION
+        xi = sample_ensemble(near.triplet, 1.0, 20000, 19, antithetic=res.antithetic)
+        assert res.overflow_fraction == semigroup_module._check_overflow(psi, xi)
+        centred = mc_heisenberg_expectation(near, gaussian_state(grid), fq, 1.0, MCConfig(2000, 19))
+        assert centred.overflow_fraction == 0.0
+
+
 class TestStateEnsemble:
     def test_time_zero_paths_equal_initial(self, spec, psi):
         ens = mc_evolve_state_ensemble(spec, psi, 0.0, MCConfig(64, 8), keep_states=True)
@@ -106,15 +187,18 @@ class TestStateEnsemble:
         assert coarse_purity(after.coarse_rho) < coarse_purity(before.coarse_rho) - 0.05
 
     def test_ensemble_reproduces_expectation_numerically(self, spec, psi):
-        # same seed, same streams: averaging the observable over kept states
-        # must equal the direct estimator bit for bit (asymmetric law, so the
+        # same seed, same streams: the observable on each kept state must
+        # match the coefficient estimator's value for that path, and the
+        # averages must agree, both to round-off (asymmetric law, so the
         # estimator uses plain sampling on both sides)
         fq = QTable.from_function(spec.grid, bump, "bump")
         ens = mc_evolve_state_ensemble(spec, psi, 1.0, MCConfig(512, 15), keep_states=True)
-        dens = np.abs(ens.states) ** 2
-        by_states = np.mean(spec.grid.dx * dens @ fq.array)
+        by_states = spec.grid.dx * np.abs(ens.states) ** 2 @ fq.array
+        xi = sample_ensemble(spec.triplet, 1.0, 512, 15)
+        per_path = _shift_values(psi, [fq], xi)[0]
+        assert np.abs(by_states - per_path).max() <= 1e-14
         direct = mc_heisenberg_expectation(spec, psi, fq, 1.0, MCConfig(512, 15))
-        assert by_states == direct.estimate.real
+        assert abs(np.mean(by_states) - direct.estimate) <= 1e-14
 
 
 class TestClassicalGenerator:
