@@ -137,6 +137,7 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
 RANGES = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
+    "at least 2": lambda v: v >= 2,
 }
 
 
@@ -247,10 +248,10 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     },
     "cp-suite": {
         "suite": {
-            "count": Field("int", default=20),
-            "max_dim": Field("int", default=4),
-            "max_jumps": Field("int", default=3),
-            "times": Field("list_float", default=[0.1, 1.0, 10.0]),
+            "count": Field("int", default=20, range="positive"),
+            "max_dim": Field("int", default=4, range="at least 2"),
+            "max_jumps": Field("int", default=3, range="positive"),
+            "times": Field("list_float", default=[0.1, 1.0, 10.0], range="nonnegative"),
         },
     },
     "dyson": {
@@ -264,9 +265,9 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     },
     "gauge-suite": {
         "suite": {
-            "count": Field("int", default=20),
-            "d": Field("int", default=2),
-            "m": Field("int", default=3),
+            "count": Field("int", default=20, range="positive"),
+            "d": Field("int", default=2, range="positive"),
+            "m": Field("int", default=3, range="positive"),
         },
     },
     "galilei-compare": {

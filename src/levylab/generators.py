@@ -11,10 +11,10 @@ build" takes ``(K, {L_k})`` and validates dissipativity, keeping the two
 ways ``K`` absorbs Hamiltonian and relaxation from being confused.
 
 Superoperators use column stacking: ``vec(A X B) = (B^T kron A) vec(X)``.
-The Choi matrix of a map M is ``C = sum_ij E_ij kron M[E_ij]``; complete
-positivity is positivity of C, and conditional complete positivity is
-positivity of C compressed to the orthogonal complement of the maximally
-entangled vector ``sum_i |ii>``.
+The Choi matrix of a map M is ``C = sum_ij E_ij kron M[E_ij]``, an index
+permutation of M's superoperator matrix; complete positivity is positivity
+of C, and conditional complete positivity is positivity of C compressed to
+the orthogonal complement of the maximally entangled vector ``sum_i |ii>``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import rng
 
@@ -145,22 +144,59 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes, broadcast over the leading ones.
+
+    Forms the same products as ``np.kron`` on contiguous operands, so a
+    single pair gives its result bit for bit.
+    """
+    A = np.ascontiguousarray(A)
+    B = np.ascontiguousarray(B)
+    (n, m), (p, q) = A.shape[-2:], B.shape[-2:]
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * p, m * q))
+
+
+def _relaxing_superop(gen: StandardGenerator) -> np.ndarray:
+    """``-(I kron K^dag) - (K^T kron I)``: the generator without its jumps."""
+    eye = np.eye(gen.dim, dtype=complex)
+    return -_kron(eye, gen.K.conj().T) - _kron(gen.K.T, eye)
+
+
+def _jump_superops(gen: StandardGenerator) -> np.ndarray:
+    """``L^T kron L^dag`` for each jump operator, stacked along axis 0."""
+    ops = np.array(gen.jump_ops, dtype=complex).reshape(-1, gen.dim, gen.dim)
+    return _kron(ops.swapaxes(1, 2), ops.conj().swapaxes(1, 2))
+
+
 def superop_matrix(gen: StandardGenerator) -> np.ndarray:
     """Superoperator matrix of the generator's observable-picture action."""
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    mat = -np.kron(eye, gen.K.conj().T) - np.kron(gen.K.T, eye)
-    for L in gen.jump_ops:
-        mat += np.kron(L.T, L.conj().T)
+    mat = _relaxing_superop(gen)
+    for term in _jump_superops(gen):
+        mat += term
     return mat
 
 
 def cp_part_superop(gen: StandardGenerator) -> np.ndarray:
-    d = gen.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for L in gen.jump_ops:
-        mat += np.kron(L.T, L.conj().T)
-    return mat
+    return _jump_superops(gen).sum(axis=0)
+
+
+def choi_of_superop(S: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix of the map with superoperator matrix ``S``, batched over leading axes.
+
+    Under column stacking ``C[i d + a, j d + b] = S[a + b d, i + j d]``, an
+    index permutation: it copies the entries :func:`choi_matrix` reads off
+    one-hot inputs, without calling the map.
+    """
+    S = np.asarray(S, dtype=complex)
+    lead = S.shape[:-2]
+    return S.reshape(lead + (d, d, d, d)).swapaxes(-4, -1).reshape(lead + (d * d, d * d))
+
+
+def _min_hermitian_eig(M: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of ``M``, batched over leading axes."""
+    herm = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
+    return np.linalg.eigvalsh(herm).min(axis=-1)
 
 
 @dataclass
@@ -170,21 +206,12 @@ class ChoiMatrix:
     matrix: np.ndarray
     dim: int
 
-    @property
-    def is_hermitian(self) -> bool:
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= 1e-10 * scale)
-
     def min_eigenvalue(self) -> float:
-        herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm).min())
+        return float(_min_hermitian_eig(self.matrix))
 
 
-def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> ChoiMatrix:
-    """Assemble the Choi matrix column block by column block.
-
-    Spot-checks linearity on a random pair and raises on violation.
-    """
+def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
+    """Spot-check linearity on a random pair; raises on violation."""
     gen = rng.stream(0x5EED, 0)
     A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     B = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -193,6 +220,15 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> ChoiMatri
     scale = max(1.0, float(np.abs(lhs).max()))
     if np.abs(lhs - rhs).max() > 1e-9 * scale:
         raise ValueError("map is not linear (spot check failed)")
+
+
+def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> ChoiMatrix:
+    """Assemble the Choi matrix of a black-box map column block by column block.
+
+    Spot-checks linearity on a random pair and raises on violation.  A map
+    known by its superoperator matrix goes through :func:`choi_of_superop`.
+    """
+    _check_linear(map_fn, d)
     C = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -212,25 +248,26 @@ def is_completely_positive(map_fn: Callable, d: int, tol: float = 1e-10) -> tupl
 def is_conditionally_cp(gen_or_map, tol: float = 1e-10, d: int | None = None) -> bool:
     """Conditional complete positivity: Choi positivity off the entangled vector.
 
-    Accepts a :class:`StandardGenerator` or a map handle with explicit
-    ``d``.  The tolerance is scaled by the map's magnitude.
+    Accepts a :class:`StandardGenerator` (Choi matrix from its superoperator
+    matrix, after a linearity spot check of :func:`apply_generator`) or a map
+    handle with explicit ``d``.  The tolerance is scaled by the map's magnitude.
     """
     if isinstance(gen_or_map, StandardGenerator):
         g = gen_or_map
-        map_fn = lambda X: apply_generator(g, X)
         d = g.dim
+        _check_linear(lambda X: apply_generator(g, X), d)
+        C = choi_of_superop(superop_matrix(g), d)
     else:
         if d is None:
             raise ValueError("explicit dimension required for a bare map handle")
-        map_fn = gen_or_map
-    C = choi_matrix(map_fn, d).matrix
+        C = choi_matrix(gen_or_map, d).matrix
     omega = np.zeros(d * d, dtype=complex)
     for i in range(d):
         omega[i * d + i] = 1.0
     P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
     compressed = P @ C @ P
     scale = max(1.0, float(np.abs(C).max()))
-    m = float(np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T)).min())
+    m = float(_min_hermitian_eig(compressed))
     return m >= -tol * scale
 
 
@@ -238,9 +275,52 @@ def is_conditionally_cp(gen_or_map, tol: float = 1e-10, d: int | None = None) ->
 # Evolution: exact exponential and the jump expansion
 # --------------------------------------------------------------------------
 
-def exact_evolve(gen: StandardGenerator, t: float) -> np.ndarray:
-    """``exp(t gen)`` as a superoperator matrix (scaling-and-squaring)."""
-    return expm(t * superop_matrix(gen))
+def exact_evolve(gen: StandardGenerator, t) -> np.ndarray:
+    """``exp(t gen)`` as a superoperator matrix (scaling-and-squaring).
+
+    ``t`` may be a sequence of times: the superoperator is built once, one
+    stacked ``expm`` call evaluates every time, and slice ``k`` of the
+    result equals ``exact_evolve(gen, t[k])`` bit for bit.
+    """
+    from scipy.linalg import expm  # deferred: importing the package needs no scipy.linalg
+
+    t = np.asarray(t, dtype=float)
+    return expm(t[..., None, None] * superop_matrix(gen))
+
+
+@dataclass(frozen=True)
+class StructureRow:
+    """One generator's checks in the CP structure suite."""
+
+    conditionally_cp: bool
+    choi_min_eig: float  # min(0, smallest Choi eigenvalue of exp(t gen) over the times)
+    preserves_identity: bool  # exp(gen)[I] = I to 1e-10; vacuous for non-unital generators
+
+    @property
+    def passed(self) -> bool:
+        return self.conditionally_cp and self.choi_min_eig >= -1e-8 and self.preserves_identity
+
+
+def structure_row(gen: StandardGenerator, times: Sequence[float]) -> StructureRow:
+    """Conditional CP of ``gen`` and complete positivity of ``exp(t gen)`` at each time.
+
+    One stacked exponential covers the times (plus ``t = 1`` for the
+    identity check of a unital generator, unless it is among them) and one
+    stacked ``eigvalsh`` the Choi matrices.
+    """
+    d = gen.dim
+    ccp = is_conditionally_cp(gen)
+    ts = [float(t) for t in times]
+    if gen.unital and 1.0 not in ts:
+        ts.append(1.0)
+    E = exact_evolve(gen, ts)
+    eigs = _min_hermitian_eig(choi_of_superop(E[:len(times)], d))
+    worst = min([0.0, *map(float, eigs)])
+    preserves = True
+    if gen.unital:
+        E1 = E[ts.index(1.0)]
+        preserves = bool(np.abs(unvec(E1 @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
+    return StructureRow(conditionally_cp=ccp, choi_min_eig=worst, preserves_identity=preserves)
 
 
 def dyson_terms(gen: StandardGenerator, t: float, n_terms: int, method: str = "exact") -> list[np.ndarray]:
@@ -274,9 +354,10 @@ def dyson_evolve(gen: StandardGenerator, t: float, n_terms: int, method: str = "
 
 
 def _dyson_block_expm(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
+    from scipy.linalg import expm  # deferred, as in exact_evolve
+
     d2 = gen.dim**2
-    eye = np.eye(gen.dim, dtype=complex)
-    relax_gen = -np.kron(eye, gen.K.conj().T) - np.kron(gen.K.T, eye)
+    relax_gen = _relaxing_superop(gen)
     phi = cp_part_superop(gen)
     nblk = n_terms + 1
     big = np.zeros((nblk * d2, nblk * d2), dtype=complex)
@@ -298,7 +379,7 @@ def _dyson_quadrature(gen: StandardGenerator, t: float, n_terms: int) -> list[np
 
     def relax(s: float) -> np.ndarray:
         E = (v * np.exp(-w * s)) @ vinv
-        return np.kron(E.T, E.conj().T)
+        return _kron(E.T, E.conj().T)
 
     def term(n: int, upto: float) -> np.ndarray:
         if n == 0:
@@ -415,42 +496,6 @@ def covariance_defect(map_fn: Callable, V, sample_xs: Sequence) -> float:
         rhs = V.conj().T @ np.asarray(map_fn(X)) @ V
         worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
-
-
-# --------------------------------------------------------------------------
-# Matrix I/O (JSON, row-major complex pairs) and superoperator snapshots
-# --------------------------------------------------------------------------
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists of ``[re, im]`` pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    rows = [[complex(re, im) for re, im in row] for row in data]
-    return np.array(rows, dtype=complex)
-
-
-def save_superop_snapshot(path, mat: np.ndarray, meta: dict | None = None) -> None:
-    """Dump a superoperator matrix for regression comparisons."""
-    import json
-
-    payload = {"shape": list(mat.shape), "matrix": matrix_to_json(mat)}
-    payload.update(meta or {})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_superop_snapshot(path) -> tuple[np.ndarray, dict]:
-    import json
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    mat = matrix_from_json(payload.pop("matrix"))
-    payload.pop("shape", None)
-    return mat, payload
 
 
 # --------------------------------------------------------------------------

@@ -231,15 +231,7 @@ def _run_generator_check(cfg: RunConfig, ws: _Workspace) -> None:
 
 
 def _run_cp_suite(cfg: RunConfig, ws: _Workspace) -> None:
-    from .generators import (
-        choi_matrix,
-        exact_evolve,
-        is_completely_positive,
-        is_conditionally_cp,
-        random_standard_generator,
-        unvec,
-        vec,
-    )
+    from .generators import is_completely_positive, random_standard_generator, structure_row
 
     p = cfg.params["suite"]
     gen0 = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -250,19 +242,9 @@ def _run_cp_suite(cfg: RunConfig, ws: _Workspace) -> None:
         m = int(gen0.integers(1, p["max_jumps"] + 1))
         unital = bool(gen0.integers(0, 2))
         g = random_standard_generator(d, m, seed=cfg.seed * 1000 + i, unital=unital)
-        ccp = is_conditionally_cp(g)
-        worst_eig = 0.0
-        for t in p["times"]:
-            E = exact_evolve(g, t)
-            c = choi_matrix(lambda X: unvec(E @ vec(X)), d)
-            worst_eig = min(worst_eig, c.min_eigenvalue())
-        preserves = True
-        if g.unital:
-            E = exact_evolve(g, 1.0)
-            preserves = bool(np.abs(unvec(E @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
-        ok = ccp and worst_eig >= -1e-8 and preserves
-        all_pass &= ok
-        rows.append([i, d, m, unital, ccp, worst_eig, preserves, ok])
+        row = structure_row(g, p["times"])
+        all_pass &= row.passed
+        rows.append([i, d, m, unital, row.conditionally_cp, row.choi_min_eig, row.preserves_identity, row.passed])
     cp_ok, witness = is_completely_positive(lambda X: X.T, 2)
     transpose_ok = (not cp_ok) and abs(witness + 1.0) <= 1e-10
     all_pass &= transpose_ok

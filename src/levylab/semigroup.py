@@ -504,7 +504,9 @@ def semigroup_two_stage(
 
     Composition is realized through the additivity of shifts: independent
     increments for the two stages are summed before the single shift.
+    Both estimates use the normalized state.
     """
+    psi = psi.unit()
     one = mc_heisenberg_expectation(spec, psi, observable, t + s, mc)
     xi1 = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed + 101, threads=mc.threads)
     xi2 = sample_ensemble(spec.triplet, s, mc.n_paths, mc.seed + 202, threads=mc.threads)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levylab.cli import main
@@ -98,6 +99,14 @@ x = 2
         ("mc_semigroup_mixed.cfg", "t", "-1", "[semigroup] t: must be nonnegative"),
         ("mc_semigroup_mixed.cfg", "t", "0.5, -0.25", "[semigroup] t: must be nonnegative"),
         ("killed_bm.cfg", "dt", "0.003", "[kd] t: must be an integer multiple of dt"),
+        ("cp_suite.cfg", "count", "0", "[suite] count: must be positive"),
+        ("cp_suite.cfg", "count", "-1", "[suite] count: must be positive"),
+        ("cp_suite.cfg", "times", "-1.0", "[suite] times: must be nonnegative"),
+        ("cp_suite.cfg", "max_jumps", "0", "[suite] max_jumps: must be positive"),
+        ("cp_suite.cfg", "max_dim", "1", "[suite] max_dim: must be at least 2"),
+        ("gauge_suite.cfg", "count", "0", "[suite] count: must be positive"),
+        ("gauge_suite.cfg", "d", "0", "[suite] d: must be positive"),
+        ("gauge_suite.cfg", "m", "0", "[suite] m: must be positive"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         with pytest.raises(ConfigError) as exc:
@@ -109,6 +118,9 @@ x = 2
         assert parse_config(replace_key(text, "t", "0, 1.5")).params["semigroup"]["t"] == [0.0, 1.5]
         kd = (REPO / "configs" / "killed_bm.cfg").read_text()
         assert parse_config(replace_key(kd, "dt", "0.0025")).params["kd"]["dt"] == 0.0025
+        suite = parse_config(replace_key(replace_key((REPO / "configs" / "cp_suite.cfg").read_text(),
+                                                     "times", "0, 1"), "max_dim", "2")).params["suite"]
+        assert suite["times"] == [0.0, 1.0] and suite["max_dim"] == 2
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -241,15 +253,45 @@ count = 5
         assert main(["gauge-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_cp_suite_runner(self, tmp_path):
+        # rows against a reference loop over black-box maps: one exponential
+        # and one Choi assembly by map calls per time, the conditional CP test
+        # through apply_generator, and a separate t = 1 exponential for the
+        # identity check (the times here leave t = 1 out)
+        from levylab.generators import (apply_generator, choi_matrix, exact_evolve,
+                                        is_conditionally_cp, random_standard_generator, unvec, vec)
+        from levylab.runner import _fmt
+
         cfg = write_config(tmp_path, """
 [run]
 kind = cp-suite
-seed = 5
+seed = 3
 [suite]
-count = 5
-times = 0.1, 1.0
+count = 12
+max_dim = 4
+max_jumps = 3
+times = 0, 0.1, 2.5
 """)
-        assert main(["cp-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = tmp_path / "o"
+        assert main(["cp-suite", "--config", cfg, "--out", str(out)]) == 0
+        gen0 = np.random.Generator(np.random.Philox(key=3))
+        lines = ["index,dim,jumps,unital,conditionally_cp,choi_min_eig,preserves_identity,pass"]
+        for i in range(12):
+            d = int(gen0.integers(2, 5))
+            m = int(gen0.integers(1, 4))
+            unital = bool(gen0.integers(0, 2))
+            g = random_standard_generator(d, m, seed=3000 + i, unital=unital)
+            ccp = is_conditionally_cp(lambda X: apply_generator(g, X), d=d)
+            worst = 0.0
+            for t in (0.0, 0.1, 2.5):
+                E = exact_evolve(g, t)
+                worst = min(worst, choi_matrix(lambda X: unvec(E @ vec(X)), d).min_eigenvalue())
+            preserves = True
+            if g.unital:
+                E = exact_evolve(g, 1.0)
+                preserves = bool(np.abs(unvec(E @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
+            ok = ccp and worst >= -1e-8 and preserves
+            lines.append(",".join(_fmt(c) for c in [i, d, m, unital, ccp, worst, preserves, ok]))
+        assert (out / "cp_suite.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_mc_semigroup_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -383,6 +425,7 @@ n_steps = 8
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "t", "-1"),
         ("char-check", "char_check_gauss.cfg", "n_samples", "0"),
         ("killed-diffusion", "killed_bm.cfg", "dt", "0.003"),
+        ("cp-suite", "cp_suite.cfg", "max_jumps", "0"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,
@@ -399,10 +442,11 @@ n_steps = 8
         assert not (tmp_path / "o").exists()
 
     def test_cli_import_defers_fft_and_quadrature(self):
-        # scipy.fft (which pulls in scipy.special) and scipy.integrate are not
-        # needed to start a run; quadrature imports its module on first use
-        code = ("import sys, levylab.cli; "
-                "print(sorted(m for m in ('scipy.fft', 'scipy.integrate') if m in sys.modules))")
+        # scipy.fft (which pulls in scipy.special), scipy.integrate and
+        # scipy.linalg are not needed to start a run; quadrature and the
+        # matrix exponential import their modules on first use
+        code = ("import sys, levylab.cli; print(sorted(m for m in "
+                "('scipy.fft', 'scipy.integrate', 'scipy.linalg') if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,12 @@
 """Finite-dimensional generator structure: CP tests, expansion, gauge freedom."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from levylab import rng
 from levylab.generators import (
@@ -13,6 +18,7 @@ from levylab.generators import (
     apply_preadjoint,
     check_duality,
     choi_matrix,
+    choi_of_superop,
     covariance_defect,
     cp_part_superop,
     dyson_evolve,
@@ -24,6 +30,7 @@ from levylab.generators import (
     is_completely_positive,
     is_conditionally_cp,
     random_standard_generator,
+    superop_matrix,
     unvec,
     vec,
 )
@@ -116,6 +123,69 @@ class TestChoi:
     def test_transpose_not_cp_with_witness(self):
         ok, witness = is_completely_positive(lambda X: X.T, 2)
         assert not ok and witness == pytest.approx(-1.0, abs=1e-10)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and identical IEEE bit patterns, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(np.asarray(a, complex).view(np.uint64),
+                                                 np.asarray(b, complex).view(np.uint64))
+
+
+def kron_superop(g: StandardGenerator) -> np.ndarray:
+    """Reference: the superoperator from ``np.kron``, term by term in the package's order."""
+    eye = np.eye(g.dim, dtype=complex)
+    mat = -np.kron(eye, g.K.conj().T) - np.kron(g.K.T, eye)
+    for L in g.jump_ops:
+        mat += np.kron(L.T, L.conj().T)
+    return mat
+
+
+class TestSuperopAndChoi:
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(1, 0, 1.0)
+    @example(6, 1, 1e3)
+    def test_choi_of_superop_matches_block_assembly(self, d, seed, scale):
+        gen = rng.stream(seed, d)
+        S = scale * (gen.standard_normal((2, d * d, d * d)) + 1j * gen.standard_normal((2, d * d, d * d)))
+        S[gen.random(S.shape) < 0.2] = 0.0  # exact zeros, as in structured superoperators
+        batch = choi_of_superop(S, d)
+        for k in range(2):
+            oracle = choi_matrix(lambda X: unvec(S[k] @ vec(X)), d).matrix
+            assert same_bits(choi_of_superop(S[k], d), oracle)
+            assert same_bits(batch[k], oracle)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_superop_matrix_matches_kron_build(self, d, m):
+        for unital in (True, False):
+            g = random_standard_generator(d, m, seed=900 + 10 * d + m, unital=unital)
+            S = superop_matrix(g)
+            assert same_bits(S, kron_superop(g))
+            X = np.arange(d * d).reshape(d, d) * (1.0 - 0.5j)
+            assert np.abs(unvec(S @ vec(X)) - apply_generator(g, X)).max() < 1e-12
+
+    def test_batched_evolution_matches_scalar_calls(self):
+        times = [0.0, 0.1, 1.0, 2.5, 10.0]
+        for d, unital in ((2, True), (3, False), (5, True)):
+            g = random_standard_generator(d, 2, seed=40 + d, unital=unital)
+            stacked = exact_evolve(g, times)
+            assert stacked.shape == (len(times), d * d, d * d)
+            for k, t in enumerate(times):
+                assert same_bits(stacked[k], exact_evolve(g, t))
+            assert exact_evolve(g, []).shape == (0, d * d, d * d)
+
+    def test_no_module_calls_np_kron(self):
+        # every Kronecker product in the package goes through the one broadcast
+        # helper in generators.py
+        src = Path(__file__).resolve().parent.parent / "src" / "levylab"
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "kron"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        ]
+        assert offenders == []
 
 
 class TestConditionalCP:
@@ -306,24 +376,6 @@ class TestCovariance:
         E = exact_evolve(g, 1.0)
         fn = lambda X: unvec(E @ vec(X))
         assert covariance_defect(fn, V, hermitian_basis(2)) > 0.01
-
-
-class TestMatrixIO:
-    def test_round_trip(self):
-        from levylab.generators import matrix_from_json, matrix_to_json
-
-        m = np.array([[1.0 + 2.0j, -0.5], [0.0, 3.0j]])
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
-
-    def test_superop_snapshot(self, tmp_path):
-        from levylab.generators import load_superop_snapshot, save_superop_snapshot
-
-        g = damped_qubit()
-        mat = exact_evolve(g, 0.9)
-        path = tmp_path / "snap.json"
-        save_superop_snapshot(path, mat, {"t": 0.9})
-        back, meta = load_superop_snapshot(path)
-        assert np.array_equal(back, mat) and meta["t"] == 0.9
 
 
 class TestDensityMatrix:

@@ -260,3 +260,11 @@ class TestCovarianceAndSemigroup:
         fq = QTable.from_function(spec.grid, bump, "bump")
         one, two = semigroup_two_stage(spec, psi, fq, 0.5, 0.7, MCConfig(40000, 14))
         assert abs(one.estimate - two.estimate) <= 4.0 * np.hypot(one.stderr, two.stderr)
+
+    def test_two_stage_normalizes_the_state(self, spec, psi):
+        # both estimates are expectations in the normalized state; an
+        # unnormalized input must not scale the two-stage one by its norm squared
+        fq = QTable.from_function(spec.grid, bump, "bump")
+        doubled = WaveFunction(spec.grid, 2.0 * psi.amplitudes)
+        one, two = semigroup_two_stage(spec, doubled, fq, 0.5, 0.7, MCConfig(4000, 15))
+        assert abs(one.estimate - two.estimate) <= 5.0 * np.hypot(one.stderr, two.stderr)
