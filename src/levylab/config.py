@@ -20,20 +20,6 @@ from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
 from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D
 from .montecarlo import MCConfig
 
-KINDS = (
-    "levy-sample",
-    "char-check",
-    "mc-semigroup",
-    "generator-check",
-    "cp-suite",
-    "dyson",
-    "gauge-suite",
-    "galilei-compare",
-    "covariance-check",
-    "feller-classify",
-    "killed-diffusion",
-)
-
 FORMATS = ("csv", "json", "both")
 
 
@@ -324,6 +310,8 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         },
     },
 }
+
+KINDS = tuple(SCHEMAS)
 
 OBSERVABLE_FUNCS = {
     "cos": lambda s: (lambda x: np.cos(s * x)),

@@ -47,7 +47,7 @@ from .grid import (
     displace,
     expectation,
 )
-from .levy import LevyTriplet2D, _chol_psd, noise_covariance_2d
+from .levy import LevyTriplet2D, _sample_increments
 from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
 from .semigroup import OVERFLOW_FRACTION, OVERFLOW_TOL, STATE_BATCH, _observable_values
 
@@ -188,26 +188,6 @@ def _evolve_block(
     return states_x
 
 
-def _sample_step_increments(
-    triplet: LevyTriplet2D, dt: float, n_paths: int, n_steps: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Exact per-step increments, shape (n_paths, n_steps, 2)."""
-    out = np.empty((n_paths, n_steps, 2))
-    drift = np.array([triplet.beta_p, triplet.beta_q]) * dt
-    chol = _chol_psd(noise_covariance_2d(triplet)) * np.sqrt(dt)
-    locs, rates = triplet.jumps.atom_arrays()
-    inside = np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h if locs.size else np.zeros(0, bool)
-    for step in range(n_steps):
-        inc = drift + gen.standard_normal((n_paths, 2)) @ chol.T
-        for j in range(len(rates)):
-            counts = gen.poisson(rates[j] * dt, size=n_paths)
-            inc = inc + counts[:, None] * locs[j]
-            if inside[j]:
-                inc = inc - rates[j] * locs[j] * dt
-        out[:, step] = inc
-    return out
-
-
 def mc_weyl_expectation(
     gen: GalileanGenerator,
     psi: WaveFunction,
@@ -228,14 +208,13 @@ def mc_weyl_expectation(
         raise ValueError("n_steps must be positive")
     psi = psi.unit()
     fine = n_steps * aggregate
-    dt_fine = t / fine
+    dt_fine = np.full(fine, t / fine)
     values = np.empty(mc.n_paths, dtype=complex)
     grid = psi.grid
     overflow = 0
 
     def worker(idx, start, stop):
-        stream = rng.stream(mc.seed, idx)
-        inc = _sample_step_increments(gen.triplet2, dt_fine, stop - start, fine, stream)
+        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, idx))
         if aggregate > 1:
             inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
         block_vals = np.empty(stop - start, dtype=complex)
@@ -402,8 +381,7 @@ def galilean_covariance_check(
     sum_b = np.zeros(len(battery), dtype=complex)
 
     for idx, start, stop in rng.chunk_bounds(mc.n_paths, 4 * STATE_BATCH):
-        stream = rng.stream(mc.seed, idx)
-        inc = _sample_step_increments(gen.triplet2, dt_fine, stop - start, n_steps, stream)
+        inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, idx))
         # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B measures
         # X on the evolution of the boosted state, same increments.
         evolved = np.fft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")

@@ -28,7 +28,6 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -491,64 +490,73 @@ def _validate_grid(time_grid) -> np.ndarray:
     return grid
 
 
+def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n_paths: int, gen: np.random.Generator):
+    """Exact increments of ``n_paths`` paths over steps of lengths ``dt``.
+
+    Returns the increments, shape ``(n_paths, n_steps)`` in 1-D or
+    ``(n_paths, n_steps, 2)`` in 2-D, and the jumps larger than ``h`` as a
+    list of ``(counts, magnitudes)`` pairs: ``counts[path, step]`` jumps per
+    cell, ``magnitudes`` in cell order.  The whole block is drawn in a fixed
+    order: the Gaussian part, each atom's Poisson counts, then the density
+    counts, magnitudes and matched-variance correction.
+    """
+    shape = (n_paths, dt.size)
+    two_d = isinstance(triplet, LevyTriplet2D)
+    locs, rates = triplet.jumps.atom_arrays()
+    if two_d:
+        out = np.full(shape + (2,), np.array([triplet.beta_p, triplet.beta_q]) * dt[:, None])
+        chol = _chol_psd(noise_covariance_2d(triplet))
+        out += (gen.standard_normal((n_paths * dt.size, 2)) @ chol.T).reshape(out.shape) * np.sqrt(dt)[:, None]
+        norms = np.hypot(*locs.reshape(-1, 2).T)
+    else:
+        out = np.full(shape, triplet.beta * dt)
+        if triplet.alpha > 0:
+            out += np.sqrt(triplet.alpha * dt) * gen.standard_normal(shape)
+        norms = np.abs(locs)
+    step_dt = dt[:, None] if two_d else dt
+    big = []
+    for j in range(len(rates)):
+        counts = gen.poisson(rates[j] * dt, size=shape)
+        out += (counts[..., None] if two_d else counts) * locs[j]
+        if norms[j] <= triplet.h:
+            out -= rates[j] * locs[j] * step_dt
+        else:
+            big.append((counts, np.broadcast_to(locs[j], (int(counts.sum()),) + locs[j].shape)))
+    spec = triplet.jumps.density
+    if spec is not None:
+        tables = _density_tables(spec, triplet.h)
+        counts = gen.poisson(tables["total_rate"] * dt, size=shape)
+        total = int(counts.sum())
+        if total:
+            mags = _sample_density_magnitudes(tables, total, gen)
+            owner = np.repeat(np.arange(counts.size), counts.ravel())
+            out += np.bincount(owner, weights=mags, minlength=counts.size).reshape(shape)
+            large = np.abs(mags) > triplet.h
+            big.append((np.bincount(owner[large], minlength=counts.size).reshape(shape), mags[large]))
+        out -= tables["comp_drift"] * dt
+        if spec.gaussian_correction and tables["var_eps"] > 0:
+            out += np.sqrt(tables["var_eps"] * dt) * gen.standard_normal(shape)
+    return out, big
+
+
 def sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, time_grid: Sequence[float], seed: int) -> PathSample:
     """Sample one path on ``time_grid`` with exact per-step increments.
 
     Identical ``(triplet, time_grid, seed)`` produce bit-identical output.
     Jumps larger than ``h`` are recorded in the jump log with a time drawn
-    uniformly inside their step.
+    uniformly inside their step, from the same stream after the increments.
     """
     grid = _validate_grid(time_grid)
-    two_d = isinstance(triplet, LevyTriplet2D)
+    dt = np.diff(grid)
     gen = rng.stream(seed, 0)
-    locs, rates = triplet.jumps.atom_arrays()
-    if two_d:
-        norms = np.hypot(locs[:, 0], locs[:, 1]) if locs.size else np.zeros(0)
-        chol = _chol_psd(noise_covariance_2d(triplet))
-        values = np.zeros((grid.size, 2))
-    else:
-        norms = np.abs(locs)
-        values = np.zeros(grid.size)
-    big = norms > triplet.h
-    jump_log = []
-    tables = _density_tables(triplet.jumps.density, triplet.h) if triplet.jumps.density is not None else None
-
-    pos = values[0].copy() if two_d else 0.0
-    for k in range(1, grid.size):
-        dt = grid[k] - grid[k - 1]
-        if two_d:
-            inc = np.array([triplet.beta_p, triplet.beta_q]) * dt
-            inc += chol @ gen.standard_normal(2) * np.sqrt(dt)
-        else:
-            inc = triplet.beta * dt
-            if triplet.alpha > 0:
-                inc += np.sqrt(triplet.alpha * dt) * gen.standard_normal()
-        for j in range(len(rates)):
-            count = int(gen.poisson(rates[j] * dt))
-            loc = locs[j]
-            inc = inc + count * loc
-            if big[j]:
-                if count:
-                    jt = grid[k - 1] + dt * np.sort(gen.random(count))
-                    mag = tuple(loc) if two_d else float(loc)
-                    jump_log.extend((float(t), mag) for t in jt)
-            else:
-                inc = inc - rates[j] * loc * dt
-        if tables is not None:
-            count = int(gen.poisson(tables["total_rate"] * dt))
-            if count:
-                mags = _sample_density_magnitudes(tables, count, gen)
-                inc = inc + mags.sum()
-                big_mags = mags[np.abs(mags) > triplet.h]
-                if big_mags.size:
-                    jt = grid[k - 1] + dt * np.sort(gen.random(big_mags.size))
-                    jump_log.extend((float(t), float(m)) for t, m in zip(jt, big_mags))
-            inc = inc - tables["comp_drift"] * dt
-            if triplet.jumps.density.gaussian_correction and tables["var_eps"] > 0:
-                inc = inc + np.sqrt(tables["var_eps"] * dt) * gen.standard_normal()
-        pos = pos + inc
-        values[k] = pos
-    sample = PathSample(times=grid, values=values, jump_log=tuple(jump_log), seed=seed)
+    inc, big = _sample_increments(triplet, dt, 1, gen)
+    values = np.concatenate([np.zeros((1,) + inc.shape[2:]), np.cumsum(inc[0], axis=0)])
+    steps = np.concatenate([np.zeros(0, dtype=int)] + [np.repeat(np.arange(dt.size), c[0]) for c, _ in big])
+    times = grid[steps] + dt[steps] * gen.random(steps.size)
+    mags = [tuple(map(float, m)) if m.ndim else float(m) for _, ms in big for m in ms]
+    order = np.argsort(times, kind="stable")
+    jump_log = tuple((float(times[i]), mags[i]) for i in order)
+    sample = PathSample(times=grid, values=values, jump_log=jump_log, seed=seed)
     sample.validate(triplet.h)
     return sample
 
@@ -572,44 +580,6 @@ def noise_covariance_2d(triplet: LevyTriplet2D) -> np.ndarray:
     return np.array([[a[0, 0], -a[0, 1]], [-a[0, 1], a[1, 1]]])
 
 
-def _ensemble_chunk_1d(triplet: LevyTriplet1D, t: float, m: int, gen: np.random.Generator) -> np.ndarray:
-    out = np.full(m, triplet.beta * t)
-    if triplet.alpha > 0:
-        out += np.sqrt(triplet.alpha * t) * gen.standard_normal(m)
-    locs, rates = triplet.jumps.atom_arrays()
-    for j in range(len(rates)):
-        counts = gen.poisson(rates[j] * t, size=m)
-        out += counts * locs[j]
-        if abs(locs[j]) <= triplet.h:
-            out -= rates[j] * locs[j] * t
-    spec = triplet.jumps.density
-    if spec is not None:
-        tables = _density_tables(spec, triplet.h)
-        counts = gen.poisson(tables["total_rate"] * t, size=m)
-        total = int(counts.sum())
-        if total:
-            mags = _sample_density_magnitudes(tables, total, gen)
-            owner = np.repeat(np.arange(m), counts)
-            out += np.bincount(owner, weights=mags, minlength=m)
-        out -= tables["comp_drift"] * t
-        if spec.gaussian_correction and tables["var_eps"] > 0:
-            out += np.sqrt(tables["var_eps"] * t) * gen.standard_normal(m)
-    return out
-
-
-def _ensemble_chunk_2d(triplet: LevyTriplet2D, t: float, m: int, gen: np.random.Generator) -> np.ndarray:
-    out = np.tile(np.array([triplet.beta_p, triplet.beta_q]) * t, (m, 1))
-    chol = _chol_psd(noise_covariance_2d(triplet))
-    out += gen.standard_normal((m, 2)) @ chol.T * np.sqrt(t)
-    locs, rates = triplet.jumps.atom_arrays()
-    for j in range(len(rates)):
-        counts = gen.poisson(rates[j] * t, size=m)
-        out += counts[:, None] * locs[j]
-        if np.hypot(*locs[j]) <= triplet.h:
-            out -= rates[j] * locs[j] * t
-    return out
-
-
 def sample_ensemble(
     triplet: LevyTriplet1D | LevyTriplet2D,
     t: float,
@@ -621,9 +591,10 @@ def sample_ensemble(
     """One-shot increments at time ``t`` for ``n_paths`` paths.
 
     Chunked over derived streams so the result is independent of execution
-    order; with ``antithetic`` the second half mirrors the first
-    (``n_paths`` must be even and the law symmetric, which the caller
-    asserts via :class:`MCConfig`).
+    order; each chunk is one step of :func:`_sample_increments`.  With
+    ``antithetic`` the second half mirrors the first (``n_paths`` must be
+    even and the law symmetric, which the caller asserts via
+    :class:`MCConfig`).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -633,14 +604,13 @@ def sample_ensemble(
     if t == 0.0 or n_draw == 0:
         return np.zeros(shape)
     out = np.empty((n_draw, 2) if two_d else n_draw)
+    dt = np.array([t], dtype=float)
 
     def worker(idx, start, stop):
-        gen = rng.stream(seed, idx)
-        if two_d:
-            return idx, start, stop, _ensemble_chunk_2d(triplet, t, stop - start, gen)
-        return idx, start, stop, _ensemble_chunk_1d(triplet, t, stop - start, gen)
+        inc, _ = _sample_increments(triplet, dt, stop - start, rng.stream(seed, idx))
+        return start, stop, inc[:, 0]
 
-    for _, start, stop, vals in run_chunks(worker, n_draw, threads=threads):
+    for start, stop, vals in run_chunks(worker, n_draw, threads=threads):
         out[start:stop] = vals
     if antithetic:
         out = np.concatenate([out, -out])
@@ -702,25 +672,3 @@ def convolve_classical(
     mean = sums / n
     var = np.maximum(sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
     return ConvolutionTable(x=x_grid, values=mean, stderr=np.sqrt(var / n))
-
-
-# --------------------------------------------------------------------------
-# Export
-# --------------------------------------------------------------------------
-
-def save_path_csv(sample: PathSample, csv_path, json_path) -> None:
-    """Write a path as CSV (time, value columns) with the jump log as sidecar JSON."""
-    two_d = sample.values.ndim == 2
-    header = "time,xi,eta" if two_d else "time,xi"
-    lines = [header]
-    for i, t in enumerate(sample.times):
-        if two_d:
-            lines.append(f"{t:.17g},{sample.values[i, 0]:.17g},{sample.values[i, 1]:.17g}")
-        else:
-            lines.append(f"{t:.17g},{sample.values[i]:.17g}")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    log = [{"time": t, "magnitude": list(m) if isinstance(m, tuple) else m} for t, m in sample.jump_log]
-    with open(json_path, "w") as fh:
-        json.dump({"seed": sample.seed, "jumps": log}, fh, sort_keys=True)
-        fh.write("\n")

@@ -29,7 +29,6 @@ from .levy import (
     empirical_char_function,
     sample_ensemble,
     sample_increments,
-    save_path_csv,
 )
 
 EXIT_PASS = 0
@@ -39,7 +38,9 @@ EXIT_NUMERICAL_FAILURE = 3
 
 
 def _fmt(value) -> str:
-    """Deterministic scalar formatting for CSV cells."""
+    """Deterministic scalar formatting for CSV cells; ``None`` is an empty cell."""
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -156,9 +157,13 @@ def _run_levy_sample(cfg: RunConfig, ws: _Workspace) -> None:
     p = cfg.params["sample"]
     grid = np.linspace(0.0, p["t_max"], p["n_steps"] + 1)
     sample = sample_increments(cfg.params["triplet"], grid, cfg.seed)
-    save_path_csv(sample, ws.dir / "path.csv", ws.dir / "jumps.json")
-    ws._register(ws.dir / "path.csv")
-    ws._register(ws.dir / "jumps.json")
+    rows = [[t, x] for t, x in zip(sample.times, sample.values)]
+    ws.write_csv("path", ["time", "xi"], rows)
+    ws.write_json("path", {
+        "rows": [{"time": t, "xi": x} for t, x in rows],
+        "jumps": [{"time": t, "magnitude": m} for t, m in sample.jump_log],
+        "seed": sample.seed,
+    })
     ws.record.add_metric("n_steps", p["n_steps"])
     ws.record.add_metric("big_jumps", len(sample.jump_log))
 

@@ -126,6 +126,17 @@ x = 2
 REPO = Path(__file__).resolve().parent.parent
 
 
+def test_one_list_of_kinds():
+    # the CLI subcommands, the config schemas and the runners name the same kinds
+    import argparse
+
+    from levylab import config, runner
+    from levylab.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(config.SCHEMAS) == list(runner.RUNNERS) == list(config.KINDS)
+
+
 def replace_key(text: str, key: str, value: str) -> str:
     """``text`` with every ``key = ...`` line set to ``key = value``."""
     return "\n".join(f"{key} = {value}" if line.split("=")[0].strip() == key else line
@@ -210,7 +221,7 @@ expect_left = non-absorbing
         assert main(["feller-classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     def test_levy_sample_outputs(self, tmp_path):
-        cfg = write_config(tmp_path, """
+        text = """
 [run]
 kind = levy-sample
 seed = 9
@@ -220,14 +231,24 @@ atoms = 2.0:1.5
 [sample]
 t_max = 1.0
 n_steps = 20
-""")
+"""
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["levy-sample", "--config", cfg, "--out", str(out)]) == 0
         path_csv = (out / "path.csv").read_text().splitlines()
         assert path_csv[0] == "time,xi"
         assert len(path_csv) == 22
-        jumps = json.loads((out / "jumps.json").read_text())
-        assert all(abs(j["magnitude"]) > 1.0 for j in jumps["jumps"])
+        path = json.loads((out / "path.json").read_text())
+        assert path["seed"] == 9 and len(path["rows"]) == 21
+        assert [f"{r['time']:.17g},{r['xi']:.17g}" for r in path["rows"]] == path_csv[1:]
+        assert all(abs(j["magnitude"]) > 1.0 for j in path["jumps"])
+        record = json.loads((out / "record.json").read_text())
+        assert sorted(record["manifest"]) == ["path.csv", "path.json"]
+        assert not (out / "jumps.json").exists()
+        for fmt, present in (("csv", "path.csv"), ("json", "path.json")):
+            only = tmp_path / fmt
+            assert main(["levy-sample", "--config", cfg, "--out", str(only), "--format", fmt]) == 0
+            assert sorted(p.name for p in only.iterdir()) == sorted([present, "record.json"])
 
     def test_dyson_runner(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -285,13 +306,16 @@ times = 0, 0.1, 2.5
             for t in (0.0, 0.1, 2.5):
                 E = exact_evolve(g, t)
                 worst = min(worst, choi_matrix(lambda X: unvec(E @ vec(X)), d).min_eigenvalue())
-            preserves = True
+            preserves = None  # the identity check is made for unital generators only
             if g.unital:
                 E = exact_evolve(g, 1.0)
                 preserves = bool(np.abs(unvec(E @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
-            ok = ccp and worst >= -1e-8 and preserves
+            ok = ccp and worst >= -1e-8 and preserves is not False
             lines.append(",".join(_fmt(c) for c in [i, d, m, unital, ccp, worst, preserves, ok]))
         assert (out / "cp_suite.csv").read_text() == "\n".join(lines) + "\n"
+        rows = [line.split(",") for line in lines[1:]]
+        assert {r[3] for r in rows} == {"true", "false"}
+        assert all((r[6] == "") == (r[3] == "false") for r in rows)
 
     def test_mc_semigroup_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path, """

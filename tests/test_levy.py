@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from levylab import rng
 from levylab.errors import NumericalFailure
 from levylab.levy import (
+    _sample_increments,
     DensitySpec,
     JumpMeasure,
     LevyTriplet1D,
@@ -192,6 +194,72 @@ class TestSampling:
             for i in range(n)
         ])
         assert stats.ks_2samp(direct, shifted).pvalue >= 0.01
+
+
+_SPECS = (
+    DensitySpec(density=lambda y: np.abs(y) ** -1.5, eps=0.02, support=(-1.0, 1.0)),
+    DensitySpec(density=lambda y: np.exp(-y) * y ** -1.2, eps=0.05, support=(0.0, 4.0), gaussian_correction=False),
+)
+_loc = st.floats(0.05, 3.0).flatmap(lambda a: st.sampled_from((a, -a)))
+_rate = st.floats(0.05, 4.0)
+_laws_1d = st.builds(
+    LevyTriplet1D,
+    beta=st.floats(-1.0, 1.0),
+    alpha=st.sampled_from((0.0, 0.4, 1.0)),
+    jumps=st.builds(
+        JumpMeasure,
+        atoms=st.lists(st.tuples(_loc, _rate), max_size=3),
+        density=st.none() | st.sampled_from(_SPECS),
+    ),
+    h=st.sampled_from((0.5, 1.0)),
+)
+_laws_2d = st.builds(
+    lambda beta, diag, corr, atoms, h: LevyTriplet2D(
+        beta_p=beta[0], beta_q=beta[1],
+        alpha=((diag[0], corr * np.sqrt(diag[0] * diag[1])), (corr * np.sqrt(diag[0] * diag[1]), diag[1])),
+        jumps=JumpMeasure(atoms=atoms), h=h,
+    ),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    st.floats(-0.9, 0.9),
+    st.lists(st.tuples(st.tuples(_loc, _loc), _rate), max_size=3),
+    st.sampled_from((0.5, 1.0)),
+)
+
+
+class TestUnifiedSampler:
+    @settings(deadline=None, max_examples=60)
+    @given(_laws_1d | _laws_2d, st.floats(0.01, 5.0), st.integers(0, 2**32))
+    def test_single_step_path_is_one_path_ensemble(self, triplet, t, seed):
+        # both read stream (seed, 0): a one-step path draws the ensemble's numbers
+        path = sample_increments(triplet, [0.0, t], seed).values[1]
+        assert np.array_equal(path, sample_ensemble(triplet, t, 1, seed)[0])
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_non_uniform_steps_match_exponent(self, two_d):
+        # 1-D: atom plus density (with matched-variance correction); 2-D: a big
+        # atom. Every step and the summed path are checked at 4 stderr.
+        dt = np.array([0.05, 0.4, 0.15, 0.25, 0.15])
+        if two_d:
+            triplet = LevyTriplet2D(beta_p=0.4, beta_q=-0.7, alpha=((1.0, 0.3), (0.3, 0.8)),
+                                    jumps=JumpMeasure(atoms=[((1.5, 0.5), 0.6), ((0.2, -0.1), 2.0)]))
+            args = [(0.5, 0.9), (1.2, -0.6)]
+            eta = lambda a: char_exponent_2d(triplet, *a)
+            plain = lambda a: (a[0], -a[1])
+        else:
+            triplet = LevyTriplet1D(beta=0.2, alpha=0.1, h=0.5,
+                                    jumps=JumpMeasure(atoms=[(0.3, 1.0)], density=_SPECS[0]))
+            args = [0.6, 1.1, -1.8]
+            eta = lambda a: char_exponent_1d(triplet, a)
+            plain = lambda a: a
+        inc, big = _sample_increments(triplet, dt, 100000, rng.stream(3, 0))
+        assert inc.shape == (100000, dt.size) + ((2,) if two_d else ())
+        assert len(big) == 1 and big[0][0].shape == (100000, dt.size)
+        checks = [(inc.sum(axis=1), dt.sum(), a) for a in args]
+        checks += [(inc[:, k], dt[k], args[0]) for k in range(dt.size)]
+        for xs, t, a in checks:
+            emp, se = empirical_char_function(xs, plain(a))
+            assert abs(emp - np.exp(t * eta(a))) <= 4.0 * se
 
 
 class TestDensityScheme:
