@@ -24,7 +24,6 @@ dynamics exist when the boundary absorbs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,6 +47,16 @@ FIT_R2 = 0.99
 #: Log growth over the last four shells that counts as runaway divergence
 #: (super-polynomial blow-up curves in log-log and defeats the linear fit).
 RUNAWAY_LOG_GROWTH = float(np.log(10.0))
+#: The bridge kill test ``u < exp(arg)`` evaluates ``exp`` only where the
+#: exponent is above ``-BRIDGE_CUT`` or the uniform is below
+#: ``BRIDGE_U_FLOOR``.  Elsewhere ``exp(arg) <= exp(-37) < 2**-53 <= u``, so
+#: the test is false and skipping it changes no kill.  Uniforms are
+#: multiples of 2**-53, so the floor admits only ``u == 0.0``.  Far from
+#: the boundary the exponent is hundreds below zero, where ``exp``
+#: underflows to subnormals or zero at tens to hundreds of times the cost
+#: of a normal-range value.
+BRIDGE_CUT = 37.0
+BRIDGE_U_FLOOR = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -92,37 +101,6 @@ class BoundaryReport:
 # --------------------------------------------------------------------------
 # Scale-like function
 # --------------------------------------------------------------------------
-
-def feller_function(spec: DriftSpec, x: float) -> float:
-    """Direct nested adaptive quadrature of F at a single point.
-
-    Accurate (used to pin closed forms); for endpoint scans use
-    :func:`feller_test`, which works in log space.
-    """
-    from scipy import integrate  # deferred: the endpoint scans need no quadrature
-
-    if not (spec.l < x <= spec.x_max):
-        raise ValueError(f"x = {x} outside covered range ({spec.l}, {spec.x_max}]")
-
-    def inner(y: float) -> float:
-        val, err = integrate.quad(spec.drift, x, y, limit=200)
-        if not np.isfinite(val):
-            raise NumericalFailure("inner drift integral diverged", {"x": x, "y": y})
-        return val
-
-    def integrand(y: float) -> float:
-        return math.exp(2.0 * inner(y))
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, spec.x0, x, limit=200)
-    bad = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if bad or not np.isfinite(val):
-        raise NumericalFailure(
-            "outer quadrature failed", {"x": x, "abserr": err, "refinement": bad}
-        )
-    return float(val)
-
 
 class _LogScale:
     """Log-space evaluation of ``|F|`` on cached node ladders.
@@ -259,6 +237,12 @@ class SurvivalCurve:
         return float(self.stderr[-1])
 
 
+def _bridge_kills(arg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices where ``u < exp(arg)``, evaluating ``exp`` only where that can hold."""
+    test = np.flatnonzero((arg > -BRIDGE_CUT) | (u < BRIDGE_U_FLOOR))
+    return test[u[test] < np.exp(arg[test])]
+
+
 def _simulate(
     spec: DriftSpec,
     x_start: float,
@@ -292,36 +276,38 @@ def _simulate(
     def worker(idx, start, stop):
         m = stop - start
         gen = rng.stream(mc.seed, idx)
-        x = np.full(m, float(x_start))
-        alive = np.ones(m, dtype=bool)
+        noise = np.empty(m)
+        u = np.empty(m)
+        # Live set, compacted: positions and increasing path indices.
+        xa = np.full(m, float(x_start))
+        ia = np.arange(m)
         alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
         rec_pos = 0
         for step in range(n_steps + 1):
             if rec_pos < rec_steps.size and step == rec_steps[rec_pos]:
-                alive_counts[rec_pos] = int(alive.sum())
+                alive_counts[rec_pos] = ia.size
                 rec_pos += 1
             if step == n_steps:
                 break
-            noise = gen.standard_normal(m)
-            u = gen.random(m)  # drawn in all modes to keep streams aligned
-            idx_alive = np.nonzero(alive)[0]
-            if idx_alive.size == 0:
+            gen.standard_normal(out=noise)
+            gen.random(out=u)  # drawn in all modes and for dead paths, to keep streams aligned
+            if ia.size == 0:
                 continue
-            xa = x[idx_alive]
-            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * noise[idx_alive]
+            full = ia.size == m
+            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * (noise if full else noise[ia])
             if mode == "reflect":
-                xb = l + np.abs(xb - l)
-                x[idx_alive] = xb
+                xa = l + np.abs(xb - l)
                 continue
             crossed = xb <= l
             if bridge:
-                ua = u[idx_alive]
                 with np.errstate(over="ignore"):
-                    p_cross = np.exp(-2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt)
-                crossed |= ua < p_cross
-            kill = idx_alive[crossed]
-            alive[kill] = False
-            x[idx_alive[~crossed]] = xb[~crossed]
+                    arg = -2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt
+                crossed[_bridge_kills(arg, u if full else u[ia])] = True
+            if crossed.any():
+                keep = ~crossed
+                xa, ia = xb[keep], ia[keep]
+            else:
+                xa = xb
         return alive_counts
 
     counts = np.zeros(rec_steps.size, dtype=np.int64)

@@ -98,11 +98,10 @@ def weyl_symbol_rate(gen: GalileanGenerator, x0: float, v0: float) -> complex:
     a = t.alpha_matrix
     rate = 1j * (v0 * t.beta_p - x0 * t.beta_q)
     rate -= 0.5 * (a[0, 0] * v0 * v0 + 2.0 * a[0, 1] * v0 * x0 + a[1, 1] * x0 * x0)
-    locs, rates = t.jumps.atom_arrays()
-    if locs.size:
-        phase = v0 * locs[:, 0] - x0 * locs[:, 1]
-        comp = (np.hypot(locs[:, 0], locs[:, 1]) <= t.h).astype(float)
-        rate += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
+    locs, rates = t.jumps.atom_arrays(t.dim)
+    phase = v0 * locs[:, 0] - x0 * locs[:, 1]
+    comp = (np.hypot(locs[:, 0], locs[:, 1]) <= t.h).astype(float)
+    rate += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
     return complex(rate)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -100,12 +100,6 @@ class JumpMeasure:
             return tuple(float(c) for c in loc)
         return float(loc)
 
-    @property
-    def dim(self) -> int:
-        for loc, _ in self.atoms:
-            return 2 if isinstance(loc, tuple) else 1
-        return 1
-
     def validate(self, dim: int) -> list[str]:
         problems = []
         for loc, rate in self.atoms:
@@ -122,12 +116,9 @@ class JumpMeasure:
             problems.append("density components are supported in 1-D only")
         return problems
 
-    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Locations (shape (m,) or (m, 2)) and rates (shape (m,))."""
-        if not self.atoms:
-            d = self.dim
-            return np.zeros((0, 2) if d == 2 else 0), np.zeros(0)
-        locs = np.array([loc for loc, _ in self.atoms], dtype=float)
+    def atom_arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Locations (shape (m,) for ``dim`` 1, (m, 2) for ``dim`` 2) and rates (shape (m,))."""
+        locs = np.array([loc for loc, _ in self.atoms], dtype=float).reshape((-1, 2) if dim == 2 else -1)
         rates = np.array([r for _, r in self.atoms], dtype=float)
         return locs, rates
 
@@ -139,6 +130,7 @@ NO_JUMPS = JumpMeasure()
 class LevyTriplet1D:
     """Drift rate, diffusion rate, jump measure and truncation radius for a 1-D law."""
 
+    dim: ClassVar[int] = 1
     beta: float = 0.0
     alpha: float = 0.0
     jumps: JumpMeasure = NO_JUMPS
@@ -150,7 +142,7 @@ class LevyTriplet1D:
             problems.append(f"alpha must be nonnegative, got {self.alpha}")
         if not self.h > 0:
             problems.append(f"h must be positive, got {self.h}")
-        problems += self.jumps.validate(dim=1)
+        problems += self.jumps.validate(self.dim)
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -180,6 +172,7 @@ class LevyTriplet2D:
     ``x`` feeding the first component and ``v`` the second.
     """
 
+    dim: ClassVar[int] = 2
     beta_p: float = 0.0
     beta_q: float = 0.0
     alpha: tuple = ((0.0, 0.0), (0.0, 0.0))
@@ -199,7 +192,7 @@ class LevyTriplet2D:
                 problems.append(f"alpha must be positive semidefinite, min eigenvalue {eigs.min():.3e}")
         if not self.h > 0:
             problems.append(f"h must be positive, got {self.h}")
-        problems += self.jumps.validate(dim=2)
+        problems += self.jumps.validate(self.dim)
         if problems:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "alpha", tuple(tuple(float(v) for v in row) for row in a))
@@ -282,7 +275,7 @@ def char_exponent_1d(triplet: LevyTriplet1D, lam: float) -> complex:
     """Characteristic exponent: ``E exp(i lam xi_t) = exp(t * eta(lam))``."""
     lam = float(lam)
     eta = 1j * triplet.beta * lam - 0.5 * triplet.alpha * lam * lam
-    locs, rates = triplet.jumps.atom_arrays()
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     if locs.size:
         comp = (np.abs(locs) <= triplet.h).astype(float)
         eta += complex(np.sum(rates * (np.exp(1j * locs * lam) - 1.0 - 1j * locs * lam * comp)))
@@ -302,11 +295,10 @@ def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
     a = triplet.alpha_matrix
     eta = 1j * (mu * triplet.beta_p - lam * triplet.beta_q)
     eta -= 0.5 * (a[0, 0] * mu * mu + 2.0 * a[0, 1] * mu * lam + a[1, 1] * lam * lam)
-    locs, rates = triplet.jumps.atom_arrays()
-    if locs.size:
-        phase = mu * locs[:, 0] - lam * locs[:, 1]
-        comp = (np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h).astype(float)
-        eta += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
+    phase = mu * locs[:, 0] - lam * locs[:, 1]
+    comp = (np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h).astype(float)
+    eta += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
     return complex(eta)
 
 
@@ -319,7 +311,7 @@ def with_truncation(triplet: LevyTriplet1D | LevyTriplet2D, new_h: float):
     if not new_h > 0:
         raise ValueError("new_h must be positive")
     if isinstance(triplet, LevyTriplet1D):
-        locs, rates = triplet.jumps.atom_arrays()
+        locs, rates = triplet.jumps.atom_arrays(triplet.dim)
         shift = 0.0
         if locs.size:
             delta = (np.abs(locs) <= new_h).astype(float) - (np.abs(locs) <= triplet.h).astype(float)
@@ -332,12 +324,10 @@ def with_truncation(triplet: LevyTriplet1D | LevyTriplet2D, new_h: float):
                 "compensator shift",
             )))
         return LevyTriplet1D(beta=triplet.beta + shift, alpha=triplet.alpha, jumps=triplet.jumps, h=new_h)
-    locs, rates = triplet.jumps.atom_arrays()
-    shift = np.zeros(2)
-    if locs.size:
-        norms = np.hypot(locs[:, 0], locs[:, 1])
-        delta = (norms <= new_h).astype(float) - (norms <= triplet.h).astype(float)
-        shift = (rates * delta) @ locs
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
+    norms = np.hypot(locs[:, 0], locs[:, 1])
+    delta = (norms <= new_h).astype(float) - (norms <= triplet.h).astype(float)
+    shift = (rates * delta) @ locs
     return LevyTriplet2D(
         beta_p=triplet.beta_p + float(shift[0]),
         beta_q=triplet.beta_q + float(shift[1]),
@@ -387,12 +377,9 @@ def validate_levy_condition(triplet: LevyTriplet1D | LevyTriplet2D) -> LevyCondi
     refinement trace attached.
     """
     two_d = isinstance(triplet, LevyTriplet2D)
-    locs, rates = triplet.jumps.atom_arrays()
-    value = 0.0
-    if locs.size:
-        norms = np.hypot(locs[:, 0], locs[:, 1]) if two_d else np.abs(locs)
-        inside = norms <= triplet.h
-        value += float(np.sum(rates * np.where(inside, norms**2, 1.0)))
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
+    norms = np.hypot(locs[:, 0], locs[:, 1]) if two_d else np.abs(locs)
+    value = float(np.sum(rates * np.where(norms <= triplet.h, norms**2, 1.0)))
     diagnostics: dict = {"atomic_value": value}
     passed = True
     spec = triplet.jumps.density
@@ -502,12 +489,12 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
     """
     shape = (n_paths, dt.size)
     two_d = isinstance(triplet, LevyTriplet2D)
-    locs, rates = triplet.jumps.atom_arrays()
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     if two_d:
         out = np.full(shape + (2,), np.array([triplet.beta_p, triplet.beta_q]) * dt[:, None])
         chol = _chol_psd(noise_covariance_2d(triplet))
         out += (gen.standard_normal((n_paths * dt.size, 2)) @ chol.T).reshape(out.shape) * np.sqrt(dt)[:, None]
-        norms = np.hypot(*locs.reshape(-1, 2).T)
+        norms = np.hypot(*locs.T)
     else:
         out = np.full(shape, triplet.beta * dt)
         if triplet.alpha > 0:
@@ -642,6 +629,13 @@ class ConvolutionTable:
     stderr: np.ndarray
 
 
+def _blocked_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, xi: np.ndarray):
+    """Yield ``(start, f(x[None, :] + xi[start:stop, None]))`` in row blocks of about 2**21 values."""
+    step = max(1, (1 << 21) // max(1, x.size))
+    for start in range(0, xi.shape[0], step):
+        yield start, np.asarray(f(x[None, :] + xi[start:start + step, None]), dtype=float)
+
+
 def convolve_classical(
     f: Callable[[np.ndarray], np.ndarray],
     triplet: LevyTriplet1D,
@@ -664,9 +658,7 @@ def convolve_classical(
     n = xi.shape[0]
     sums = np.zeros(x_grid.size)
     sq = np.zeros(x_grid.size)
-    step = max(1, (1 << 21) // max(1, x_grid.size))
-    for start in range(0, n, step):
-        block = np.asarray(f(x_grid[None, :] + xi[start:start + step, None]), dtype=float)
+    for _, block in _blocked_values(f, x_grid, xi):
         sums += block.sum(axis=0)
         sq += (block * block).sum(axis=0)
     mean = sums / n

@@ -40,7 +40,7 @@ from .grid import (
     expectation,
     phase_tables,
 )
-from .levy import LevyTriplet1D, convolve_classical, sample_ensemble
+from .levy import LevyTriplet1D, _blocked_values, convolve_classical, sample_ensemble
 from .montecarlo import MCConfig, MCResult, mc_stats
 
 #: Paths evolved or evaluated per batch (memory control; no effect on results).
@@ -49,6 +49,8 @@ STATE_BATCH = 1024
 OVERFLOW_TOL = 1e-10
 #: Run aborts when more than this fraction of paths overflow.
 OVERFLOW_FRACTION = 0.01
+#: ``|psi|^2`` mass the classical oracle may leave out of its weighted sum.
+ORACLE_TOL = 2e-30
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,21 @@ class MCEnsemble:
             raise ValueError("variance must be nonnegative")
 
 
+def _support_bounds(dens: np.ndarray, tol: float) -> tuple[int, int]:
+    """First and last index of the smallest range with less than ``tol / 2`` of ``dens`` on either side.
+
+    Each tail is summed from its own end, so a ``tol`` far below the
+    round-off of the total mass is still honoured.
+    """
+    lo = int(np.searchsorted(np.cumsum(dens), tol / 2))
+    hi = dens.size - 1 - int(np.searchsorted(np.cumsum(dens[::-1]), tol / 2))
+    return min(lo, dens.size - 1), max(hi, 0)
+
+
 def _support_interval(psi: WaveFunction, tol: float = OVERFLOW_TOL) -> tuple[float, float]:
     """Smallest lattice interval outside which the state carries mass < tol."""
-    dens = np.abs(psi.amplitudes) ** 2 * psi.grid.dx
-    cum = np.cumsum(dens)
-    lo = int(np.searchsorted(cum, tol / 2))
-    hi = int(np.searchsorted(cum, cum[-1] - tol / 2))
-    x = psi.grid.x
-    return float(x[max(lo, 0)]), float(x[min(hi, x.size - 1)])
+    lo, hi = _support_bounds(np.abs(psi.amplitudes) ** 2 * psi.grid.dx, tol)
+    return float(psi.grid.x[lo]), float(psi.grid.x[hi])
 
 
 def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
@@ -344,7 +353,7 @@ def classical_generator_apply(
     fp = (float(f(x + fd_step)) - float(f(x - fd_step))) / (2.0 * fd_step)
     fpp = (float(f(x + fd_step)) - 2.0 * float(f(x)) + float(f(x - fd_step))) / fd_step**2
     out = triplet.beta * fp + 0.5 * triplet.alpha * fpp
-    locs, rates = triplet.jumps.atom_arrays()
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     fx = float(f(x))
     for y, r in zip(locs, rates):
         comp = fp * y if abs(y) <= triplet.h else 0.0
@@ -432,15 +441,16 @@ def classical_fixed_point_oracle(
 
     Samples the increment law directly (no quantum machinery), aggregating
     ``integral |psi(x)|^2 f(x + xi) dx`` per sample so the stderr is honest
-    for the weighted quantity.
+    for the weighted quantity.  The integral runs over the support of
+    ``psi`` only: the lattice points left out carry less than
+    ``ORACLE_TOL`` of its mass.
     """
     xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
     weights = np.abs(psi.normalized().amplitudes) ** 2 * psi.grid.dx
-    x = psi.grid.x
+    lo, hi = _support_bounds(weights, ORACLE_TOL)
+    weights = weights[lo:hi + 1]
     vals = np.empty(mc.n_paths)
-    step = max(1, (1 << 21) // x.size)
-    for start in range(0, mc.n_paths, step):
-        block = np.asarray(f(x[None, :] + xi[start:start + step, None]), dtype=float)
+    for start, block in _blocked_values(f, psi.grid.x[lo:hi + 1], xi):
         vals[start:start + block.shape[0]] = block @ weights
     est, se = mc_stats(vals.astype(complex))
     return MCResult(est, se, mc.n_paths, mc.seed)

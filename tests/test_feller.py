@@ -1,14 +1,22 @@
 """Boundary classification and killed-diffusion Monte Carlo."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import erf
 
+from levylab import rng
 from levylab.feller import (
+    BRIDGE_CUT,
+    BRIDGE_U_FLOOR,
+    CANONICAL_DRIFTS,
     BoundaryReport,
     DriftSpec,
+    _bridge_kills,
     bessel3_drift_spec,
-    feller_function,
     feller_test,
     ou_drift_spec,
     simulate_killed_diffusion,
@@ -16,29 +24,7 @@ from levylab.feller import (
     trace_decay_link,
     zero_drift_spec,
 )
-from levylab.montecarlo import MCConfig
-
-
-class TestFellerFunction:
-    def test_zero_drift_is_linear(self):
-        spec = zero_drift_spec()
-        for x in (0.2, 0.7, 1.5, 3.0):
-            assert feller_function(spec, x) == pytest.approx(x - 1.0, abs=1e-10)
-
-    def test_reference_point_gives_zero(self):
-        assert feller_function(zero_drift_spec(), 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_drift_closed_form(self):
-        # b(x) = 2c: F(x) = (1 - exp(-4c (x - x0))) / (4c)
-        c = 0.35
-        spec = DriftSpec(l=0.0, drift=lambda x: 2 * c * np.ones_like(np.asarray(x, dtype=float)), x0=1.0)
-        for x in (0.3, 1.4, 2.5):
-            closed = (1.0 - np.exp(-4 * c * (x - 1.0))) / (4 * c)
-            assert feller_function(spec, x) == pytest.approx(closed, abs=1e-8)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside covered range"):
-            feller_function(zero_drift_spec(), -0.5)
+from levylab.montecarlo import MCConfig, run_chunks
 
 
 class TestClassification:
@@ -110,6 +96,106 @@ class TestKilledDiffusion:
     def test_reflecting_never_absorbs(self):
         curve = simulate_reflecting_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-2, MCConfig(2000, 7))
         assert np.all(curve.survival == 1.0)
+
+
+def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_times=None):
+    """Survival curve from the per-step alive-mask loop the compacted worker replaced."""
+    n_steps = int(round(t / dt))
+    rec = np.asarray(record_times, dtype=float) if record_times is not None else np.linspace(0.0, t, min(n_steps, 200) + 1)
+    rec_steps = np.unique(np.clip(np.round(rec / dt).astype(int), 0, n_steps))
+    sqdt, l = np.sqrt(dt), spec.l
+
+    def worker(idx, start, stop):
+        m = stop - start
+        gen = rng.stream(mc.seed, idx)
+        x = np.full(m, float(x_start))
+        alive = np.ones(m, dtype=bool)
+        alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
+        rec_pos = 0
+        for step in range(n_steps + 1):
+            if rec_pos < rec_steps.size and step == rec_steps[rec_pos]:
+                alive_counts[rec_pos] = int(alive.sum())
+                rec_pos += 1
+            if step == n_steps:
+                break
+            noise = gen.standard_normal(m)
+            u = gen.random(m)
+            idx_alive = np.nonzero(alive)[0]
+            if idx_alive.size == 0:
+                continue
+            xa = x[idx_alive]
+            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * noise[idx_alive]
+            if mode == "reflect":
+                x[idx_alive] = l + np.abs(xb - l)
+                continue
+            crossed = xb <= l
+            if bridge:
+                with np.errstate(over="ignore"):
+                    p_cross = np.exp(-2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt)
+                crossed |= u[idx_alive] < p_cross
+            alive[idx_alive[crossed]] = False
+            x[idx_alive[~crossed]] = xb[~crossed]
+        return alive_counts
+
+    return sum(run_chunks(worker, mc.n_paths, threads=mc.threads)) / mc.n_paths
+
+
+def _simulate_both(drift, x_start, n_steps, dt, mc, variant, record_times=None):
+    mode, bridge = variant
+    spec = CANONICAL_DRIFTS[drift]()
+    t = n_steps * dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # coarse-step warning at small x_start
+        if mode == "reflect":
+            curve = simulate_reflecting_diffusion(spec, x_start, t, dt, mc, record_times=record_times)
+        else:
+            curve = simulate_killed_diffusion(spec, x_start, t, dt, mc, bridge=bridge, record_times=record_times)
+    return curve, _reference_survival(spec, x_start, t, dt, mc, mode, bridge, record_times)
+
+
+class TestCompactedWorker:
+    """The compacted live-set worker reproduces the alive-mask loop bit for bit."""
+
+    VARIANTS = [("kill", True), ("kill", False), ("reflect", True)]
+
+    @given(
+        st.sampled_from(sorted(CANONICAL_DRIFTS)),
+        st.sampled_from(VARIANTS),
+        st.sampled_from([0.05, 0.3, 1.0]),
+        st.integers(0, 12),
+        st.sampled_from([2.5e-4, 1e-3, 4e-3, 1e-2]),
+        st.one_of(st.integers(1, 400), st.integers(rng.CHUNK + 1, rng.CHUNK + 64)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.booleans(),
+    )
+    @example("zero", ("kill", True), 1.0, 12, 4e-3, rng.CHUNK + 17, 5, 2, True)
+    @example("ou", ("reflect", True), 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1, False)
+    @example("bessel3", ("kill", False), 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2, False)
+    def test_survival_matches_mask_loop(self, drift, variant, x_start, n_steps, dt, n_paths, seed, threads, explicit):
+        record = np.array([0.0, 0.5, 1.0]) * n_steps * dt if explicit else None
+        curve, ref = _simulate_both(drift, x_start, n_steps, dt, MCConfig(n_paths, seed, threads=threads), variant, record)
+        assert np.array_equal(curve.survival, ref)
+
+    @pytest.mark.parametrize("variant", [("kill", True), ("kill", False)])
+    def test_all_dead_before_t(self, variant):
+        curve, ref = _simulate_both("zero", 0.01, 100, 0.01, MCConfig(20, 15), variant)
+        assert curve.survival[-2] == 0.0  # every path died before t; later steps still draw
+        assert np.array_equal(curve.survival, ref)
+
+    def test_bridge_cut_below_uniform_floor(self):
+        assert np.exp(-BRIDGE_CUT) < BRIDGE_U_FLOOR
+        u = rng.stream(1).random(10000)
+        assert np.array_equal(u / BRIDGE_U_FLOOR, np.floor(u / BRIDGE_U_FLOOR))  # multiples of the floor
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(-2000.0, 0.0), st.sampled_from([-np.inf, np.nan, -745.5, -710.0, -36.9, -0.0])),
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 1e-300, 2.0**-53])),
+    ), max_size=40))
+    def test_bridge_kills_match_full_exp(self, pairs):
+        arg = np.array([a for a, _ in pairs], dtype=float)
+        u = np.array([v for _, v in pairs], dtype=float)
+        assert np.array_equal(_bridge_kills(arg, u), np.flatnonzero(u < np.exp(arg)))
 
 
 class TestVerdictAgreement:

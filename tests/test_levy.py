@@ -91,6 +91,10 @@ class TestCharExponent2D:
         expected = rate * (np.exp(1j * (mu * x0 - lam * v0)) - 1.0)
         assert char_exponent_2d(t, mu, lam) == pytest.approx(expected, abs=1e-14)
 
+    def test_atomless_law_has_two_column_atoms(self):
+        t = LevyTriplet2D(alpha=((1.0, 0.0), (0.0, 1.0)))
+        assert t.jumps.atom_arrays(t.dim)[0].shape == (0, 2)
+
     def test_alpha_must_be_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             LevyTriplet2D(alpha=((1.0, 2.0), (2.0, 1.0)))

@@ -13,6 +13,7 @@ from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, disp
 from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
 from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
+    ORACLE_TOL,
     OVERFLOW_FRACTION,
     NoiseSemigroupSpec,
     classical_fixed_point_oracle,
@@ -26,6 +27,7 @@ from levylab.semigroup import (
     semigroup_two_stage,
     _observable_values,
     _shift_values,
+    _support_bounds,
 )
 
 GAUSS = LevyTriplet1D(alpha=1.0)
@@ -65,6 +67,19 @@ class TestHeisenbergExpectation:
         classical = classical_fixed_point_oracle(bump, spec.triplet, 1.0, psi, MCConfig(40000, 999))
         joint = np.hypot(quantum.stderr, classical.stderr)
         assert abs(quantum.estimate - classical.estimate) <= 4.0 * joint
+
+    def test_oracle_sums_over_the_support(self, spec, moving_psi):
+        weights = np.abs(moving_psi.normalized().amplitudes) ** 2 * moving_psi.grid.dx
+        lo, hi = _support_bounds(weights, ORACLE_TOL)
+        assert weights[:lo].sum() < ORACLE_TOL / 2 and weights[hi + 1:].sum() < ORACLE_TOL / 2
+        assert hi - lo + 1 < weights.size // 3
+        # reference: the weighted sum over the whole lattice
+        mc = MCConfig(3000, 5)
+        xi = sample_ensemble(spec.triplet, 1.0, mc.n_paths, mc.seed)
+        full = bump(moving_psi.grid.x[None, :] + xi[:, None]) @ weights
+        res = classical_fixed_point_oracle(bump, spec.triplet, 1.0, moving_psi, mc)
+        assert res.estimate == pytest.approx(full.mean(), rel=1e-13)
+        assert res.stderr == pytest.approx(full.std(ddof=1) / np.sqrt(mc.n_paths), rel=1e-10)
 
     def test_weyl_observable_closed_form(self, gauss_spec, psi):
         # conjugating a displacement by a shift multiplies it by a phase, so
