@@ -6,7 +6,7 @@ Carlo on a spectral lattice, verify the finite-dimensional structure theory
 explosion through boundary classification of the abelian reduction.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .levy import (  # noqa: F401
     DensitySpec,

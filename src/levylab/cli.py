@@ -2,7 +2,8 @@
 
 Progress goes to stderr; standard output carries only the final record
 JSON.  Exit codes: 0 pass, 1 verdict fail, 2 usage/config error,
-3 numerical failure.
+3 numerical failure or any other internal error (reported on one stderr
+line, without a traceback).
 """
 
 from __future__ import annotations
@@ -68,8 +69,15 @@ def _apply_overrides(text: str, args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # an unmapped failure is a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:

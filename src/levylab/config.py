@@ -124,6 +124,7 @@ RANGES = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
     "at least 2": lambda v: v >= 2,
+    "in [0, 2**64)": lambda v: 0 <= v < 1 << 64,
 }
 
 
@@ -151,7 +152,7 @@ def _is_multiple(value: float, unit: float) -> bool:
 
 _RUN_FIELDS = {
     "kind": Field("str", required=True),
-    "seed": Field("int", required=True),
+    "seed": Field("int", required=True, range="in [0, 2**64)"),
     "out": Field("str", default="."),
     "format": Field("str", default="both"),
     "threads": Field("int", default=1),

@@ -47,16 +47,15 @@ FIT_R2 = 0.99
 #: Log growth over the last four shells that counts as runaway divergence
 #: (super-polynomial blow-up curves in log-log and defeats the linear fit).
 RUNAWAY_LOG_GROWTH = float(np.log(10.0))
-#: The bridge kill test ``u < exp(arg)`` evaluates ``exp`` only where the
-#: exponent is above ``-BRIDGE_CUT`` or the uniform is below
-#: ``BRIDGE_U_FLOOR``.  Elsewhere ``exp(arg) <= exp(-37) < 2**-53 <= u``, so
-#: the test is false and skipping it changes no kill.  Uniforms are
-#: multiples of 2**-53, so the floor admits only ``u == 0.0``.  Far from
-#: the boundary the exponent is hundreds below zero, where ``exp``
-#: underflows to subnormals or zero at tens to hundreds of times the cost
-#: of a normal-range value.
+#: The bridge kill test ``U < exp(arg)`` is made, and its uniform drawn, only
+#: for live paths whose exponent ``arg = -2 (x_k - l)(x_{k+1} - l) / dt`` is
+#: above ``-BRIDGE_CUT``; crossed paths (``x_{k+1} <= l``, ``arg >= 0``) are
+#: among them.  Everywhere else the kill probability is below
+#: ``exp(-37) < 2**-53``, so a path loses less than ``n_steps * exp(-37)`` of
+#: kill probability over a run.  Far from the boundary the exponent is
+#: hundreds below zero, where ``exp`` underflows to subnormals or zero at
+#: tens to hundreds of times the cost of a normal-range value.
 BRIDGE_CUT = 37.0
-BRIDGE_U_FLOOR = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -237,10 +236,16 @@ class SurvivalCurve:
         return float(self.stderr[-1])
 
 
-def _bridge_kills(arg: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Indices where ``u < exp(arg)``, evaluating ``exp`` only where that can hold."""
-    test = np.flatnonzero((arg > -BRIDGE_CUT) | (u < BRIDGE_U_FLOOR))
-    return test[u[test] < np.exp(arg[test])]
+def _bridge_candidates(xa: np.ndarray, xb: np.ndarray, l: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the live paths whose kill the bridge test decides, and their exponents.
+
+    ``arg = -2 (xa - l)(xb - l) / dt`` is Gobet's exponent while ``xb > l``
+    and non-negative (a certain kill) once ``xb <= l``.
+    """
+    with np.errstate(over="ignore"):
+        arg = -2.0 * (xa - l) * (xb - l) / dt
+    near = np.flatnonzero(arg > -BRIDGE_CUT)
+    return near, arg[near]
 
 
 def _simulate(
@@ -272,42 +277,33 @@ def _simulate(
 
     sqdt = np.sqrt(dt)
     l = spec.l
+    reflect = mode == "reflect"
+    normals_tag = "feller.reflect.normals" if reflect else "feller.kill.normals"
 
     def worker(idx, start, stop):
-        m = stop - start
-        gen = rng.stream(mc.seed, idx)
-        noise = np.empty(m)
-        u = np.empty(m)
-        # Live set, compacted: positions and increasing path indices.
-        xa = np.full(m, float(x_start))
-        ia = np.arange(m)
+        normals = rng.stream(mc.seed, normals_tag, idx)
+        uniforms = None if reflect or not bridge else rng.stream(mc.seed, "feller.kill.bridge", idx)
+        xa = np.full(stop - start, float(x_start))  # live positions, in path order
         alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
         rec_pos = 0
         for step in range(n_steps + 1):
             if rec_pos < rec_steps.size and step == rec_steps[rec_pos]:
-                alive_counts[rec_pos] = ia.size
+                alive_counts[rec_pos] = xa.size
                 rec_pos += 1
-            if step == n_steps:
-                break
-            gen.standard_normal(out=noise)
-            gen.random(out=u)  # drawn in all modes and for dead paths, to keep streams aligned
-            if ia.size == 0:
-                continue
-            full = ia.size == m
-            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * (noise if full else noise[ia])
-            if mode == "reflect":
+            if step == n_steps or xa.size == 0:
+                break  # once every path is dead the chunk draws nothing more
+            dw = normals.standard_normal(xa.size)  # one normal per live path
+            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * dw
+            if reflect:
                 xa = l + np.abs(xb - l)
                 continue
-            crossed = xb <= l
-            if bridge:
-                with np.errstate(over="ignore"):
-                    arg = -2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt
-                crossed[_bridge_kills(arg, u if full else u[ia])] = True
-            if crossed.any():
-                keep = ~crossed
-                xa, ia = xb[keep], ia[keep]
+            if uniforms is None:
+                kill = np.flatnonzero(xb <= l)
             else:
-                xa = xb
+                near, arg = _bridge_candidates(xa, xb, l, dt)
+                with np.errstate(over="ignore"):
+                    kill = near[uniforms.random(near.size) < np.exp(arg)]
+            xa = np.delete(xb, kill) if kill.size else xb
         return alive_counts
 
     counts = np.zeros(rec_steps.size, dtype=np.int64)
@@ -337,8 +333,8 @@ def simulate_killed_diffusion(
     """Euler-Maruyama paths killed at ``l``, with Brownian-bridge correction.
 
     Returns the survival curve on a time grid (absorbed fraction is its
-    complement).  ``bridge=False`` disables the crossing correction; the
-    uniform draws still happen so the two variants share randomness.
+    complement).  ``bridge=False`` disables the crossing correction and
+    draws no uniforms; both variants read the same normals stream.
     """
     return _simulate(spec, x_start, t, dt, mc, mode="kill", bridge=bridge, record_times=record_times)
 
@@ -354,6 +350,8 @@ def simulate_reflecting_diffusion(
     """Same scheme with per-step reflection ``x -> l + |x - l|``; nothing is killed.
 
     Used only as a non-uniqueness witness against the absorbing variant.
+    Its normals come from streams of their own, so under one seed it is
+    independent of the killed run.
     """
     return _simulate(spec, x_start, t, dt, mc, mode="reflect", record_times=record_times)
 
@@ -391,9 +389,7 @@ def trace_decay_link(
     t_grid = np.asarray(t_grid, dtype=float)
     t_max = float(t_grid.max())
     minimal = simulate_killed_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
-    reflecting = simulate_reflecting_diffusion(
-        spec, x_start, t_max, dt, MCConfig(mc.n_paths, mc.seed + 1, threads=mc.threads), record_times=t_grid
-    )
+    reflecting = simulate_reflecting_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
     sep = reflecting.survival - minimal.survival
     joint = np.sqrt(minimal.stderr**2 + reflecting.stderr**2)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -213,7 +213,7 @@ def mc_weyl_expectation(
     overflow = 0
 
     def worker(idx, start, stop):
-        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, idx))
+        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, "dilation", idx))
         if aggregate > 1:
             inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
         block_vals = np.empty(stop - start, dtype=complex)
@@ -380,7 +380,7 @@ def galilean_covariance_check(
     sum_b = np.zeros(len(battery), dtype=complex)
 
     for idx, start, stop in rng.chunk_bounds(mc.n_paths, 4 * STATE_BATCH):
-        inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, idx))
+        inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, "dilation", idx))
         # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B measures
         # X on the evolution of the boosted state, same increments.
         evolved = np.fft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")

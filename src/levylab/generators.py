@@ -214,7 +214,7 @@ class ChoiMatrix:
 @functools.lru_cache(maxsize=None)
 def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed random pair of :func:`_check_linear`, drawn once per ``d``, read-only."""
-    gen = rng.stream(0x5EED, 0)
+    gen = rng.stream(0, "linearity-probe")
     pair = tuple(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)) for _ in range(2))
     for M in pair:
         M.setflags(write=False)
@@ -511,8 +511,11 @@ def covariance_defect(map_fn: Callable, V, sample_xs: Sequence) -> float:
 # Random instances for batteries
 # --------------------------------------------------------------------------
 
-def random_standard_generator(d: int, m: int, seed: int, unital: bool = True) -> StandardGenerator:
-    gen = rng.stream(seed, 0)
+def random_standard_generator(
+    d: int, m: int, seed: int, unital: bool = True, tag: str = "random-generator", index: int = 0
+) -> StandardGenerator:
+    """A random ``d``-level generator with ``m`` jump operators, from stream ``index`` of ``tag``."""
+    gen = rng.stream(seed, tag, index)
     A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     H = 0.5 * (A + A.conj().T)
     ops = []

@@ -394,7 +394,7 @@ def _default_battery(grid: GridSpec) -> list[WaveFunction]:
         gaussian_state(grid, -3.0, 2.0, 1.5),
         gaussian_state(grid, 4.0, 0.7, -2.0),
     ]
-    gen = rng.stream(0xC0FFEE, 0)
+    gen = rng.stream(0, "ccr-battery")
     hat = np.zeros(grid.n_points, dtype=complex)
     band = grid.n_points // 8
     coeffs = gen.standard_normal(2 * band) + 1j * gen.standard_normal(2 * band)

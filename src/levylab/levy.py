@@ -535,7 +535,7 @@ def sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, time_grid: Sequenc
     """
     grid = _validate_grid(time_grid)
     dt = np.diff(grid)
-    gen = rng.stream(seed, 0)
+    gen = rng.stream(seed, "increments")
     inc, big = _sample_increments(triplet, dt, 1, gen)
     values = np.concatenate([np.zeros((1,) + inc.shape[2:]), np.cumsum(inc[0], axis=0)])
     steps = np.concatenate([np.zeros(0, dtype=int)] + [np.repeat(np.arange(dt.size), c[0]) for c, _ in big])
@@ -574,11 +574,15 @@ def sample_ensemble(
     seed: int,
     antithetic: bool = False,
     threads: int = 1,
+    tag: str = "increments",
+    first_index: int = 0,
 ) -> np.ndarray:
     """One-shot increments at time ``t`` for ``n_paths`` paths.
 
     Chunked over derived streams so the result is independent of execution
-    order; each chunk is one step of :func:`_sample_increments`.  With
+    order; each chunk is one step of :func:`_sample_increments`, drawn from
+    stream ``first_index + chunk`` of ``tag``.  Path 0 of the default streams
+    is the first step of :func:`sample_increments` on the same seed.  With
     ``antithetic`` the second half mirrors the first (``n_paths`` must be
     even and the law symmetric, which the caller asserts via
     :class:`MCConfig`).
@@ -594,7 +598,7 @@ def sample_ensemble(
     dt = np.array([t], dtype=float)
 
     def worker(idx, start, stop):
-        inc, _ = _sample_increments(triplet, dt, stop - start, rng.stream(seed, idx))
+        inc, _ = _sample_increments(triplet, dt, stop - start, rng.stream(seed, tag, first_index + idx))
         return start, stop, inc[:, 0]
 
     for start, stop, vals in run_chunks(worker, n_draw, threads=threads):
@@ -642,11 +646,13 @@ def convolve_classical(
     t: float,
     mc: MCConfig,
     x_grid: np.ndarray,
+    tag: str = "increments",
 ) -> ConvolutionTable:
     """Classical smoothing of ``f`` by the increment law at time ``t``.
 
     ``t = 0`` returns ``f`` exactly with zero error bars.  This is the
-    abelian oracle the quantum Monte Carlo results are checked against.
+    abelian oracle the quantum Monte Carlo results are checked against;
+    ``tag`` names the increment streams (see :func:`sample_ensemble`).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -654,7 +660,7 @@ def convolve_classical(
     if t == 0.0:
         vals = np.asarray(f(x_grid), dtype=float)
         return ConvolutionTable(x=x_grid, values=vals, stderr=np.zeros_like(vals))
-    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
+    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag=tag)
     n = xi.shape[0]
     sums = np.zeros(x_grid.size)
     sq = np.zeros(x_grid.size)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rng
 from .config import OBSERVABLE_FUNCS, RunConfig
 from .errors import NumericalFailure
 from .levy import (
@@ -174,8 +174,10 @@ def _run_char_check(cfg: RunConfig, ws: _Workspace) -> None:
     rows = []
     worst = 0.0
     all_pass = True
+    chunks = -(-p["n_samples"] // rng.CHUNK)  # streams per time: each time gets its own index range
     for ti, t in enumerate(p["t"]):
-        xs = sample_ensemble(triplet, t, p["n_samples"], cfg.seed + ti, threads=cfg.threads)
+        xs = sample_ensemble(triplet, t, p["n_samples"], cfg.seed, threads=cfg.threads,
+                             tag="char-check", first_index=ti * chunks)
         for lam in p["args"]:
             emp, se = empirical_char_function(xs, lam)
             theo = np.exp(t * char_exponent_1d(triplet, lam))
@@ -239,14 +241,14 @@ def _run_cp_suite(cfg: RunConfig, ws: _Workspace) -> None:
     from .generators import is_completely_positive, random_standard_generator, structure_row
 
     p = cfg.params["suite"]
-    gen0 = np.random.Generator(np.random.Philox(key=cfg.seed))
+    shapes = rng.stream(cfg.seed, "cp-suite.shapes")
     rows = []
     all_pass = True
     for i in range(p["count"]):
-        d = int(gen0.integers(2, p["max_dim"] + 1))
-        m = int(gen0.integers(1, p["max_jumps"] + 1))
-        unital = bool(gen0.integers(0, 2))
-        g = random_standard_generator(d, m, seed=cfg.seed * 1000 + i, unital=unital)
+        d = int(shapes.integers(2, p["max_dim"] + 1))
+        m = int(shapes.integers(1, p["max_jumps"] + 1))
+        unital = bool(shapes.integers(0, 2))
+        g = random_standard_generator(d, m, cfg.seed, unital=unital, tag="cp-suite.generator", index=i)
         row = structure_row(g, p["times"])
         all_pass &= row.passed
         rows.append([i, d, m, unital, row.conditionally_cp, row.choi_min_eig, row.preserves_identity, row.passed])
@@ -282,7 +284,6 @@ def _run_dyson(cfg: RunConfig, ws: _Workspace) -> None:
 
 
 def _run_gauge_suite(cfg: RunConfig, ws: _Workspace) -> None:
-    from . import rng as rngmod
     from .generators import (
         GaugeElement,
         apply_gauge,
@@ -297,8 +298,8 @@ def _run_gauge_suite(cfg: RunConfig, ws: _Workspace) -> None:
     worst_action = 0.0
     worst_law = 0.0
     for i in range(p["count"]):
-        g = random_standard_generator(p["d"], p["m"], seed=cfg.seed * 2000 + i)
-        stream = rngmod.stream(cfg.seed, 5000 + i)
+        g = random_standard_generator(p["d"], p["m"], cfg.seed, tag="gauge-suite.generator", index=i)
+        stream = rng.stream(cfg.seed, "gauge-suite.elements", i)
         A = stream.standard_normal((p["m"], p["m"])) + 1j * stream.standard_normal((p["m"], p["m"]))
         Q, _ = np.linalg.qr(A)
         a = stream.standard_normal(p["m"]) + 1j * stream.standard_normal(p["m"])

@@ -405,8 +405,8 @@ def generator_consistency_check(
         raise ValueError("t_small must be positive")
     x = np.asarray(x_points if x_points is not None else np.linspace(-2.0, 2.0, 9), dtype=float)
     fx = np.asarray(f(x), dtype=float)
-    conv_t = convolve_classical(f, triplet, t_small, MCConfig(mc.n_paths, mc.seed, threads=mc.threads), x)
-    conv_h = convolve_classical(f, triplet, 0.5 * t_small, MCConfig(mc.n_paths, mc.seed + 1, threads=mc.threads), x)
+    conv_t = convolve_classical(f, triplet, t_small, mc, x)
+    conv_h = convolve_classical(f, triplet, 0.5 * t_small, mc, x, tag="generator-check.half-step")
     q_t = (conv_t.values - fx) / t_small
     q_h = (conv_h.values - fx) / (0.5 * t_small)
     se_t = conv_t.stderr / t_small
@@ -518,8 +518,8 @@ def semigroup_two_stage(
     """
     psi = psi.unit()
     one = mc_heisenberg_expectation(spec, psi, observable, t + s, mc)
-    xi1 = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed + 101, threads=mc.threads)
-    xi2 = sample_ensemble(spec.triplet, s, mc.n_paths, mc.seed + 202, threads=mc.threads)
+    xi1 = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
+    xi2 = sample_ensemble(spec.triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
     xi = xi1 + xi2
     overflow = _check_overflow(psi, xi)
     est, se = mc_stats(_shift_values(psi, [observable], xi)[0])

@@ -194,7 +194,7 @@ def test_criterion_04_ccr_and_weyl_algebra():
 
 
 def test_criterion_05_cp_structure_suite():
-    gen0 = rng.stream(77, 0)
+    gen0 = rng.stream(77, "criterion-05.shapes")
     ok = True
     worst_eig = 0.0
     for i in range(20):
@@ -233,7 +233,7 @@ def test_criterion_07_gauge_invariance():
     worst_law = 0.0
     for i in range(20):
         g = random_standard_generator(2 + i % 2, 3, seed=8000 + i, unital=bool(i % 2))
-        stream = rng.stream(81, i)
+        stream = rng.stream(81, "criterion-07.gauge-element", i)
         m = 3
         A = stream.standard_normal((m, m)) + 1j * stream.standard_normal((m, m))
         Q, _ = np.linalg.qr(A)

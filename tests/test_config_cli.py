@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levylab import rng
 from levylab.cli import main
 from levylab.config import parse_config
 from levylab.errors import ConfigError
@@ -294,13 +295,13 @@ times = 0, 0.1, 2.5
 """)
         out = tmp_path / "o"
         assert main(["cp-suite", "--config", cfg, "--out", str(out)]) == 0
-        gen0 = np.random.Generator(np.random.Philox(key=3))
+        gen0 = rng.stream(3, "cp-suite.shapes")
         lines = ["index,dim,jumps,unital,conditionally_cp,choi_min_eig,preserves_identity,pass"]
         for i in range(12):
             d = int(gen0.integers(2, 5))
             m = int(gen0.integers(1, 4))
             unital = bool(gen0.integers(0, 2))
-            g = random_standard_generator(d, m, seed=3000 + i, unital=unital)
+            g = random_standard_generator(d, m, 3, unital=unital, tag="cp-suite.generator", index=i)
             ccp = is_conditionally_cp(lambda X: apply_generator(g, X), d=d)
             worst = 0.0
             for t in (0.0, 0.1, 2.5):
@@ -422,6 +423,25 @@ func = bump
 t = 1.0
 """)
         assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_unmapped_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        from levylab import runner
+
+        def broken(cfg, ws):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(runner.RUNNERS, "dyson", broken)
+        cfg = write_config(tmp_path, "[run]\nkind = dyson\nseed = 3\n")
+        assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n" and captured.out == ""
+
+    def test_seed_outside_key_word_is_config_error(self, tmp_path, capsys):
+        for seed in (-1, 2**64):
+            cfg = write_config(tmp_path, f"[run]\nkind = dyson\nseed = {seed}\n")
+            assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert f"[run] seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_covariance_check_runner(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -11,11 +11,10 @@ from scipy.special import erf
 from levylab import rng
 from levylab.feller import (
     BRIDGE_CUT,
-    BRIDGE_U_FLOOR,
     CANONICAL_DRIFTS,
     BoundaryReport,
     DriftSpec,
-    _bridge_kills,
+    _bridge_candidates,
     bessel3_drift_spec,
     feller_test,
     ou_drift_spec,
@@ -99,15 +98,24 @@ class TestKilledDiffusion:
 
 
 def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_times=None):
-    """Survival curve from the per-step alive-mask loop the compacted worker replaced."""
+    """Survival curve from a per-step alive-mask loop on the worker's draw order.
+
+    Per chunk and step: one normal per live path from the mode's normals
+    stream, then, with the bridge on in kill mode, one uniform per live path
+    whose bridge exponent (Gobet's, both factors as ``max(., 0)``) is above
+    ``-BRIDGE_CUT``, from the bridge stream; both in path order, and nothing
+    once every path is dead.
+    """
     n_steps = int(round(t / dt))
     rec = np.asarray(record_times, dtype=float) if record_times is not None else np.linspace(0.0, t, min(n_steps, 200) + 1)
     rec_steps = np.unique(np.clip(np.round(rec / dt).astype(int), 0, n_steps))
     sqdt, l = np.sqrt(dt), spec.l
+    normals_tag = "feller.reflect.normals" if mode == "reflect" else "feller.kill.normals"
 
     def worker(idx, start, stop):
         m = stop - start
-        gen = rng.stream(mc.seed, idx)
+        normals = rng.stream(mc.seed, normals_tag, idx)
+        uniforms = rng.stream(mc.seed, "feller.kill.bridge", idx)
         x = np.full(m, float(x_start))
         alive = np.ones(m, dtype=bool)
         alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
@@ -118,21 +126,20 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_time
                 rec_pos += 1
             if step == n_steps:
                 break
-            noise = gen.standard_normal(m)
-            u = gen.random(m)
             idx_alive = np.nonzero(alive)[0]
             if idx_alive.size == 0:
                 continue
             xa = x[idx_alive]
-            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * noise[idx_alive]
+            xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * normals.standard_normal(idx_alive.size)
             if mode == "reflect":
                 x[idx_alive] = l + np.abs(xb - l)
                 continue
             crossed = xb <= l
             if bridge:
                 with np.errstate(over="ignore"):
-                    p_cross = np.exp(-2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt)
-                crossed |= u[idx_alive] < p_cross
+                    arg = -2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt
+                tested = arg > -BRIDGE_CUT
+                crossed[tested] |= uniforms.random(np.count_nonzero(tested)) < np.exp(arg[tested])
             alive[idx_alive[crossed]] = False
             x[idx_alive[~crossed]] = xb[~crossed]
         return alive_counts
@@ -140,9 +147,8 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_time
     return sum(run_chunks(worker, mc.n_paths, threads=mc.threads)) / mc.n_paths
 
 
-def _simulate_both(drift, x_start, n_steps, dt, mc, variant, record_times=None):
+def _simulate_both(spec, x_start, n_steps, dt, mc, variant, record_times=None):
     mode, bridge = variant
-    spec = CANONICAL_DRIFTS[drift]()
     t = n_steps * dt
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # coarse-step warning at small x_start
@@ -154,7 +160,7 @@ def _simulate_both(drift, x_start, n_steps, dt, mc, variant, record_times=None):
 
 
 class TestCompactedWorker:
-    """The compacted live-set worker reproduces the alive-mask loop bit for bit."""
+    """The compacted live-set worker reproduces an alive-mask loop bit for bit."""
 
     VARIANTS = [("kill", True), ("kill", False), ("reflect", True)]
 
@@ -174,28 +180,74 @@ class TestCompactedWorker:
     @example("bessel3", ("kill", False), 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2, False)
     def test_survival_matches_mask_loop(self, drift, variant, x_start, n_steps, dt, n_paths, seed, threads, explicit):
         record = np.array([0.0, 0.5, 1.0]) * n_steps * dt if explicit else None
-        curve, ref = _simulate_both(drift, x_start, n_steps, dt, MCConfig(n_paths, seed, threads=threads), variant, record)
+        curve, ref = _simulate_both(CANONICAL_DRIFTS[drift](), x_start, n_steps, dt,
+                                    MCConfig(n_paths, seed, threads=threads), variant, record)
         assert np.array_equal(curve.survival, ref)
 
     @pytest.mark.parametrize("variant", [("kill", True), ("kill", False)])
     def test_all_dead_before_t(self, variant):
-        curve, ref = _simulate_both("zero", 0.01, 100, 0.01, MCConfig(20, 15), variant)
-        assert curve.survival[-2] == 0.0  # every path died before t; later steps still draw
+        # a drift of -5 toward the boundary kills every path well before t
+        # (a driftless path from 0.01 survives to t = 1 with probability 0.008)
+        spec = DriftSpec(l=0.0, drift=lambda x: -5.0 * np.ones_like(np.asarray(x, dtype=float)), x0=1.0)
+        curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15), variant)
+        assert curve.survival[-2] == 0.0  # every path died before t; later steps draw nothing
         assert np.array_equal(curve.survival, ref)
 
-    def test_bridge_cut_below_uniform_floor(self):
-        assert np.exp(-BRIDGE_CUT) < BRIDGE_U_FLOOR
-        u = rng.stream(1).random(10000)
-        assert np.array_equal(u / BRIDGE_U_FLOOR, np.floor(u / BRIDGE_U_FLOOR))  # multiples of the floor
+    @given(
+        st.floats(-5.0, 5.0),
+        st.lists(st.tuples(st.floats(1e-12, 50.0), st.floats(-50.0, 50.0)), min_size=1, max_size=40),
+        st.sampled_from([2.5e-4, 1e-3, 4e-3, 1e-2]),
+    )
+    @example(0.0, [(1.0, 0.0185), (1.0, float(np.nextafter(0.0185, 0.0))), (1.0, float(np.nextafter(0.0185, 1.0))),
+                   (1.0, 0.0), (1.0, -1e-300), (0.5, 40.0)], 1e-3)
+    @example(-1.5, [(2.0, -1.5), (1e-12, 3.0), (37.0 * 4e-3 / 2.0, 1.0)], 4e-3)
+    def test_bridge_set_holds_every_possible_kill(self, l, offsets, dt):
+        xa = l + np.array([a for a, _ in offsets])
+        xb = l + np.array([b for _, b in offsets])
+        near, arg = _bridge_candidates(xa, xb, l, dt)
+        gobet = -2.0 * np.maximum(xa - l, 0.0) * np.maximum(xb - l, 0.0) / dt
+        assert np.isin(np.flatnonzero((gobet > -BRIDGE_CUT) | (xb <= l)), near).all()
+        outside = np.setdiff1d(np.arange(xa.size), near)
+        assert np.all(gobet[outside] <= -BRIDGE_CUT)  # kill probability at most e^-37
+        with np.errstate(over="ignore"):
+            assert np.array_equal(np.minimum(np.exp(arg), 1.0), np.exp(gobet[near]))
 
-    @given(st.lists(st.tuples(
-        st.one_of(st.floats(-2000.0, 0.0), st.sampled_from([-np.inf, np.nan, -745.5, -710.0, -36.9, -0.0])),
-        st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 1e-300, 2.0**-53])),
-    ), max_size=40))
-    def test_bridge_kills_match_full_exp(self, pairs):
-        arg = np.array([a for a, _ in pairs], dtype=float)
-        u = np.array([v for _, v in pairs], dtype=float)
-        assert np.array_equal(_bridge_kills(arg, u), np.flatnonzero(u < np.exp(arg)))
+    @pytest.mark.parametrize("variant", [("kill", True), ("kill", False), ("reflect", True)])
+    def test_bridge_stream_read_only_by_the_bridge(self, monkeypatch, variant):
+        opened = []
+        original = rng.stream
+
+        def recording(seed, tag, index=0):
+            gen = original(seed, tag, index)
+            opened.append((tag, gen, original(seed, tag, index)))
+            return gen
+
+        monkeypatch.setattr(rng, "stream", recording)
+        mode, bridge = variant
+        mc = MCConfig(rng.CHUNK + 50, 23)
+        if mode == "reflect":
+            simulate_reflecting_diffusion(zero_drift_spec(), 0.2, 0.5, 1e-2, mc)
+        else:
+            simulate_killed_diffusion(zero_drift_spec(), 0.2, 0.5, 1e-2, mc, bridge=bridge)
+        # an untouched stream still yields what a fresh one yields first
+        advanced = {tag for tag, gen, fresh in opened
+                    if gen.bit_generator.random_raw() != fresh.bit_generator.random_raw()}
+        assert advanced == ({"feller.kill.normals", "feller.kill.bridge"} if bridge and mode == "kill"
+                            else {f"feller.{mode}.normals"})
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_thread_count_does_not_change_curves(self, bridge):
+        curves = [simulate_killed_diffusion(zero_drift_spec(), 0.5, 0.5, 1e-2,
+                                            MCConfig(2 * rng.CHUNK + 100, 29, threads=threads), bridge=bridge)
+                  for threads in (1, 2)]
+        assert np.array_equal(curves[0].survival, curves[1].survival)
+
+    @pytest.mark.parametrize("seed", [301, 302, 303])
+    def test_killed_bm_matches_erf_on_fresh_seeds(self, seed):
+        # driftless paths with the bridge correction are killed with the exact
+        # probability, so the Euler step adds no bias to erf(1/sqrt 2)
+        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 4e-3, MCConfig(50000, seed))
+        assert abs(curve.final - erf(1.0 / np.sqrt(2.0))) <= 5.0 * curve.final_stderr
 
 
 class TestVerdictAgreement:

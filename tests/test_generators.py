@@ -46,7 +46,7 @@ def damped_qubit(gamma=1.0, drive=0.5, detuning=0.25) -> StandardGenerator:
 
 
 def random_gauge(m: int, seed: int) -> GaugeElement:
-    gen = rng.stream(seed, 99)
+    gen = rng.stream(seed, "test.gauge-element")
     A = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
     Q, _ = np.linalg.qr(A)
     a = gen.standard_normal(m) + 1j * gen.standard_normal(m)
@@ -109,7 +109,7 @@ class TestChoi:
             choi_matrix(lambda X: X @ X, 2)
 
     def test_kraus_map_is_cp(self):
-        gen = rng.stream(12, 0)
+        gen = rng.stream(12, "test.kraus-ops")
         ops = [gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)) for _ in range(2)]
         fn = lambda X: sum(L.conj().T @ X @ L for L in ops)
         ok, min_eig = is_completely_positive(fn, 3)
@@ -145,7 +145,7 @@ class TestSuperopAndChoi:
     @example(1, 0, 1.0)
     @example(6, 1, 1e3)
     def test_choi_of_superop_matches_block_assembly(self, d, seed, scale):
-        gen = rng.stream(seed, d)
+        gen = rng.stream(seed, "test.superop", d)
         S = scale * (gen.standard_normal((2, d * d, d * d)) + 1j * gen.standard_normal((2, d * d, d * d)))
         S[gen.random(S.shape) < 0.2] = 0.0  # exact zeros, as in structured superoperators
         batch = choi_of_superop(S, d)
@@ -291,7 +291,7 @@ class TestDuality:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_instances_up_to_d5(self, d):
-        gen = rng.stream(17, d)
+        gen = rng.stream(17, "test.states", d)
         for i in range(3):
             g = random_standard_generator(d, 2, seed=50 + 10 * d + i, unital=bool(i % 2))
             rho = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))

@@ -235,7 +235,7 @@ class TestUnifiedSampler:
     @settings(deadline=None, max_examples=60)
     @given(_laws_1d | _laws_2d, st.floats(0.01, 5.0), st.integers(0, 2**32))
     def test_single_step_path_is_one_path_ensemble(self, triplet, t, seed):
-        # both read stream (seed, 0): a one-step path draws the ensemble's numbers
+        # both read stream (seed, "increments", 0): a one-step path draws the ensemble's numbers
         path = sample_increments(triplet, [0.0, t], seed).values[1]
         assert np.array_equal(path, sample_ensemble(triplet, t, 1, seed)[0])
 
@@ -256,7 +256,7 @@ class TestUnifiedSampler:
             args = [0.6, 1.1, -1.8]
             eta = lambda a: char_exponent_1d(triplet, a)
             plain = lambda a: a
-        inc, big = _sample_increments(triplet, dt, 100000, rng.stream(3, 0))
+        inc, big = _sample_increments(triplet, dt, 100000, rng.stream(3, "increments"))
         assert inc.shape == (100000, dt.size) + ((2,) if two_d else ())
         assert len(big) == 1 and big[0][0].shape == (100000, dt.size)
         checks = [(inc.sum(axis=1), dt.sum(), a) for a in args]

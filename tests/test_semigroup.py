@@ -129,7 +129,7 @@ class TestShiftEstimator:
         # random state and observable, |xi| up to span box lengths; the FFT
         # route shifts every state and measures it, the estimator does neither
         n = 2**log_n
-        gen = rng.stream(seed, 0)
+        gen = rng.stream(seed, "test.state-observable")
         grid = GridSpec(n_points=n, x_min=-80.0 * gen.uniform(), dx=80.0 / n)
         psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
         if kind == "qtable":
