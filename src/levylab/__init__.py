@@ -40,7 +40,6 @@ from .grid import (  # noqa: F401
 )
 from .generators import (  # noqa: F401
     ChoiMatrix,
-    DensityMatrix,
     GaugeElement,
     StandardGenerator,
     apply_gauge,

@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import KINDS, parse_config
+from .config import FORMATS, parse_config
 from .errors import ConfigError, NumericalFailure, SupportOverflowError
-from .runner import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE, run
+from .runner import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE, EXPERIMENTS, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,48 +24,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducible experiments on noise-driven quantum dynamical semigroups",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind in EXPERIMENTS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--threads", type=int, default=None, help="override worker thread count")
-        p.add_argument("--format", choices=("csv", "json", "both"), default=None, help="override output formats")
+        p.add_argument("--format", choices=FORMATS, default=None, help="override output formats")
     return parser
-
-
-def _apply_overrides(text: str, args: argparse.Namespace) -> str:
-    """Overrides are injected into the raw text so the config hash sees them."""
-    lines = []
-    if args.seed is not None:
-        lines.append(f"seed = {args.seed}")
-    if args.out is not None:
-        lines.append(f"out = {args.out}")
-    if args.threads is not None:
-        lines.append(f"threads = {args.threads}")
-    if args.format is not None:
-        lines.append(f"format = {args.format}")
-    if not lines:
-        return text
-    # Later duplicate keys are errors, so strip overridden keys from [run].
-    keys = {line.split("=")[0].strip() for line in lines}
-    out_lines = []
-    in_run = False
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            in_run = stripped == "[run]"
-            out_lines.append(raw)
-            continue
-        if in_run and "=" in stripped and stripped.split("=")[0].strip() in keys:
-            continue
-        out_lines.append(raw)
-    insert_at = next((i + 1 for i, l in enumerate(out_lines) if l.split("#", 1)[0].strip() == "[run]"), None)
-    if insert_at is None:
-        out_lines = ["[run]"] + lines + out_lines
-    else:
-        out_lines[insert_at:insert_at] = lines
-    return "\n".join(out_lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,9 +49,10 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    text = _apply_overrides(text, args)
+    overrides = {key: value for key in ("seed", "out", "threads", "format")
+                 if (value := getattr(args, key)) is not None}
     try:
-        cfg = parse_config(text, kind_override=args.kind)
+        cfg = parse_config(text, kind_override=args.kind, overrides=overrides)
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)

@@ -3,15 +3,14 @@
 The format is a deliberately small line-oriented grammar (documented in
 ``docs/config_grammar.md``): ``[section]`` headers, ``key = value`` entries,
 ``#`` comments.  Values are scalars, comma-separated lists, or semicolon
-lists of ``location:rate`` jump atoms.  Validation is schema-driven per
-experiment kind and reports every problem found, never just the first;
+lists of ``location:rate`` jump atoms.  Validation follows the schema each
+kind declares in ``runner.EXPERIMENTS`` and reports every problem found;
 unknown sections or keys are errors, and the seed is always explicit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +18,9 @@ from .errors import ConfigError
 from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
 from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D
 from .montecarlo import MCConfig
+from .runner import EXPERIMENTS, RANGES, Field, RunConfig
 
 FORMATS = ("csv", "json", "both")
-
-
-@dataclass
-class RunConfig:
-    """Validated experiment description; ``params`` holds constructed objects."""
-
-    kind: str
-    seed: int
-    out_dir: str
-    formats: str
-    threads: int
-    params: dict
-    text_hash: str
 
 
 # --------------------------------------------------------------------------
@@ -94,54 +81,20 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
             return raw
         if kind == "list_float":
             return [float(p) for p in raw.split(",") if p.strip()]
-        if kind == "atoms1d":
+        if kind in ("atoms1d", "atoms2d"):
             atoms = []
-            for part in raw.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
+            for part in filter(None, (part.strip() for part in raw.split(";"))):
                 loc, rate = part.split(":")
-                atoms.append((float(loc), float(rate)))
-            return tuple(atoms)
-        if kind == "atoms2d":
-            atoms = []
-            for part in raw.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                loc, rate = part.split(":")
-                x, v = loc.split(",")
-                atoms.append(((float(x), float(v)), float(rate)))
+                if kind == "atoms2d":
+                    x, v = loc.split(",")
+                    atoms.append(((float(x), float(v)), float(rate)))
+                else:
+                    atoms.append((float(loc), float(rate)))
             return tuple(atoms)
         raise AssertionError(kind)
     except (ValueError, IndexError) as exc:
         errors.append(f"{where}: cannot parse as {kind}: {exc}")
         return None
-
-
-#: Declared value ranges, by the name a :class:`Field` gives.
-RANGES = {
-    "positive": lambda v: v > 0,
-    "nonnegative": lambda v: v >= 0,
-    "at least 2": lambda v: v >= 2,
-    "in [0, 2**64)": lambda v: 0 <= v < 1 << 64,
-}
-
-
-@dataclass(frozen=True)
-class Field:
-    """One config key: its type, default and declared range.
-
-    ``range`` names an entry of :data:`RANGES`, checked on the value (on
-    every entry of a list).  ``multiple_of`` names another key of the same
-    section that must divide this one an integer number of times.
-    """
-
-    type: str
-    required: bool = False
-    default: object = None
-    range: str | None = None
-    multiple_of: str | None = None
 
 
 def _is_multiple(value: float, unit: float) -> bool:
@@ -155,164 +108,8 @@ _RUN_FIELDS = {
     "seed": Field("int", required=True, range="in [0, 2**64)"),
     "out": Field("str", default="."),
     "format": Field("str", default="both"),
-    "threads": Field("int", default=1),
+    "threads": Field("int", default=1, range="positive"),
 }
-
-_TRIPLET_FIELDS = {
-    "beta": Field("float", default=0.0),
-    "alpha": Field("float", default=0.0),
-    "h": Field("float", default=1.0),
-    "atoms": Field("atoms1d", default=()),
-}
-
-_TRIPLET2_FIELDS = {
-    "beta_p": Field("float", default=0.0),
-    "beta_q": Field("float", default=0.0),
-    "alpha": Field("list_float", default=[0.0, 0.0, 0.0]),
-    "h": Field("float", default=1.0),
-    "atoms": Field("atoms2d", default=()),
-}
-
-_GRID_FIELDS = {
-    "n": Field("int", default=1024),
-    "x_min": Field("float", default=-40.0),
-    "dx": Field("float", default=0.078125),
-}
-
-_STATE_FIELDS = {
-    "center": Field("float", default=0.0),
-    "width": Field("float", default=1.0),
-    "momentum": Field("float", default=0.0),
-}
-
-_MC_FIELDS = {
-    "n_paths": Field("int", required=True),
-    "antithetic": Field("str", default="auto"),
-}
-
-_OBSERVABLE_FIELDS = {
-    "kind": Field("str", required=True),
-    "func": Field("str", default="cos"),
-    "scale": Field("float", default=0.7),
-    "x": Field("float", default=0.0),
-    "v": Field("float", default=0.0),
-}
-
-SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
-    "levy-sample": {
-        "triplet": _TRIPLET_FIELDS,
-        "sample": {
-            "t_max": Field("float", required=True, range="positive"),
-            "n_steps": Field("int", default=100),
-        },
-    },
-    "char-check": {
-        "triplet": _TRIPLET_FIELDS,
-        "check": {
-            "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
-            "args": Field("list_float", required=True),
-            "n_samples": Field("int", default=100000, range="positive"),
-            "sigmas": Field("float", default=4.0),
-        },
-    },
-    "mc-semigroup": {
-        "triplet": _TRIPLET_FIELDS,
-        "grid": _GRID_FIELDS,
-        "state": _STATE_FIELDS,
-        "mc": _MC_FIELDS,
-        "observable": _OBSERVABLE_FIELDS,
-        "semigroup": {"t": Field("list_float", default=[1.0], range="nonnegative")},
-    },
-    "generator-check": {
-        "triplet": _TRIPLET_FIELDS,
-        "mc": _MC_FIELDS,
-        "genchk": {
-            "t_small": Field("float", default=0.01, range="positive"),
-            "points": Field("list_float", default=[-2.0, -1.0, 0.0, 1.0, 2.0]),
-            "func": Field("str", default="bump"),
-            "scale": Field("float", default=1.0),
-        },
-    },
-    "cp-suite": {
-        "suite": {
-            "count": Field("int", default=20, range="positive"),
-            "max_dim": Field("int", default=4, range="at least 2"),
-            "max_jumps": Field("int", default=3, range="positive"),
-            "times": Field("list_float", default=[0.1, 1.0, 10.0], range="nonnegative"),
-        },
-    },
-    "dyson": {
-        "dyson": {
-            "gamma": Field("float", default=1.0),
-            "drive": Field("float", default=0.5),
-            "detuning": Field("float", default=0.25),
-            "t": Field("float", default=1.0),
-            "n_terms": Field("int", default=12),
-        },
-    },
-    "gauge-suite": {
-        "suite": {
-            "count": Field("int", default=20, range="positive"),
-            "d": Field("int", default=2, range="positive"),
-            "m": Field("int", default=3, range="positive"),
-        },
-    },
-    "galilei-compare": {
-        "triplet2": _TRIPLET2_FIELDS,
-        "grid": _GRID_FIELDS,
-        "state": _STATE_FIELDS,
-        "mc": _MC_FIELDS,
-        "galilei": {
-            "x0": Field("float", default=0.0),
-            "v0": Field("float", default=1.0),
-            "t": Field("float", default=1.0),
-            "n_steps": Field("int", default=64, range="positive"),
-            "free": Field("bool", default=True),
-        },
-    },
-    "covariance-check": {
-        "triplet2": _TRIPLET2_FIELDS,
-        "grid": _GRID_FIELDS,
-        "state": _STATE_FIELDS,
-        "mc": _MC_FIELDS,
-        "galilei": {
-            "x": Field("float", default=1.0),
-            "v": Field("float", default=0.8),
-            "t": Field("float", default=0.7),
-            "n_steps": Field("int", default=32, range="positive"),
-            "free": Field("bool", default=True),
-        },
-    },
-    "feller-classify": {
-        "feller": {
-            "drift": Field("str", required=True),
-            "coefficient": Field("float", default=1.0),
-            "l": Field("float", default=0.0),
-            "x0": Field("float", default=1.0),
-            "expect_left": Field("str", default=""),
-            "expect_right": Field("str", default=""),
-        },
-    },
-    "killed-diffusion": {
-        "feller": {
-            "drift": Field("str", required=True),
-            "coefficient": Field("float", default=1.0),
-            "l": Field("float", default=0.0),
-            "x0": Field("float", default=1.0),
-        },
-        "mc": _MC_FIELDS,
-        "kd": {
-            "x_start": Field("float", default=1.0),
-            "t": Field("float", default=1.0, range="nonnegative", multiple_of="dt"),
-            "dt": Field("float", default=0.001, range="positive"),
-            "expect": Field("float", default=float("nan")),
-            "tol": Field("float", default=0.01),
-            "reflecting": Field("bool", default=False),
-        },
-    },
-}
-
-KINDS = tuple(SCHEMAS)
 
 OBSERVABLE_FUNCS = {
     "cos": lambda s: (lambda x: np.cos(s * x)),
@@ -353,16 +150,22 @@ def _check_section(
     return out
 
 
+def _test_function(section: str, params: dict, errors: list[str]):
+    """The function ``func`` at ``scale`` named in ``[section]``; ``None`` after recording an unknown name."""
+    if params["func"] not in OBSERVABLE_FUNCS:
+        errors.append(f"[{section}]: unknown func {params['func']!r} (choose from {sorted(OBSERVABLE_FUNCS)})")
+        return None
+    return OBSERVABLE_FUNCS[params["func"]](params["scale"])
+
+
 def _build_observable(params: dict, grid: GridSpec, errors: list[str]):
     kind = params["kind"]
     if kind == "weyl":
         return WeylLabel(params["x"], params["v"])
-    func_name = params["func"]
-    if func_name not in OBSERVABLE_FUNCS:
-        errors.append(f"[observable]: unknown func {func_name!r} (choose from {sorted(OBSERVABLE_FUNCS)})")
+    fn = _test_function("observable", params, errors)
+    if fn is None:
         return None
-    fn = OBSERVABLE_FUNCS[func_name](params["scale"])
-    label = f"{func_name}({params['scale']:g})"
+    label = f"{params['func']}({params['scale']:g})"
     if kind == "qtable":
         return QTable.from_function(grid, fn, label=f"{label}(Q)")
     if kind == "ptable":
@@ -371,29 +174,32 @@ def _build_observable(params: dict, grid: GridSpec, errors: list[str]):
     return None
 
 
-def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
+def parse_config(text: str, kind_override: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Raises :class:`ConfigError` carrying *all* problems found.  Domain
-    invariants (nonnegative diffusion, valid grids, positive rates) are
-    enforced by constructing the actual objects here.
+    ``overrides`` (the CLI's ``--seed``, ``--out``, ``--threads``,
+    ``--format``) replace keys of ``[run]`` after tokenizing and are
+    checked like the file's own entries.  Raises :class:`ConfigError`
+    carrying *all* problems found.  Domain invariants (nonnegative
+    diffusion, valid grids, positive rates) are enforced by constructing
+    the actual objects here.
     """
     errors: list[str] = []
     sections = _parse_sections(text, errors)
+    if overrides:
+        sections.setdefault("run", {}).update({key: str(value) for key, value in overrides.items()})
 
     run = _check_section("run", _RUN_FIELDS, sections, errors)
     kind = run.get("kind") or kind_override
     if kind_override is not None and run.get("kind") not in (None, kind_override):
         errors.append(f"[run] kind = {run.get('kind')!r} does not match the requested command {kind_override!r}")
-    if kind not in KINDS:
-        errors.append(f"[run]: unknown kind {kind!r} (choose from {', '.join(KINDS)})")
+    if kind not in EXPERIMENTS:
+        errors.append(f"[run]: unknown kind {kind!r} (choose from {', '.join(EXPERIMENTS)})")
         raise ConfigError(errors)
     if run.get("format") not in FORMATS:
         errors.append(f"[run]: format must be one of {FORMATS}, got {run.get('format')!r}")
-    if isinstance(run.get("threads"), int) and run["threads"] < 1:
-        errors.append("[run]: threads must be >= 1")
 
-    schema = SCHEMAS[kind]
+    schema = EXPERIMENTS[kind].schema
     params: dict = {}
     for section, fields in schema.items():
         params[section] = _check_section(section, fields, sections, errors)
@@ -470,9 +276,9 @@ def try_build(kind: str, params: dict, built: dict, errors: list[str], run: dict
                 n_paths=p["n_paths"], seed=run["seed"], antithetic=anti, threads=run["threads"]
             ))
     if "observable" in params and "grid" in built:
-        obs = _build_observable(params["observable"], built["grid"], errors)
-        if obs is not None:
-            built["observable"] = obs
+        attempt("observable", lambda: _build_observable(params["observable"], built["grid"], errors))
+    if "genchk" in params:
+        attempt("genchk_func", lambda: _test_function("genchk", params["genchk"], errors))
     if "feller" in params:
         from .feller import CANONICAL_DRIFTS, DriftSpec
 

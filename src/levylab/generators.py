@@ -41,33 +41,6 @@ def _as_matrix(m, d=None) -> np.ndarray:
 
 
 @dataclass
-class DensityMatrix:
-    """Validated state: Hermitian, positive semidefinite, unit trace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        scale = max(1.0, float(np.abs(m).max()))
-        problems = []
-        if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
-            problems.append("density matrix must be Hermitian")
-        else:
-            eigs = np.linalg.eigvalsh(m)
-            if eigs.min() < -_HERM_TOL * scale:
-                problems.append(f"density matrix must be PSD, min eigenvalue {eigs.min():.3e}")
-        if abs(np.trace(m) - 1.0) > _HERM_TOL * m.shape[0]:
-            problems.append(f"density matrix must have unit trace, got {np.trace(m):.12g}")
-        if problems:
-            raise ValueError("; ".join(problems))
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
 class StandardGenerator:
     """Jump operators and accretive K defining a generator in standard form."""
 

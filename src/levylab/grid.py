@@ -380,10 +380,6 @@ def momentum_expectation(psi: WaveFunction) -> float:
     return float(np.real(expectation(psi, PTable(values=tuple(psi.grid.p), label="P"))))
 
 
-def kinetic_energy(psi: WaveFunction) -> float:
-    return float(np.real(expectation(psi, PTable(values=tuple(0.5 * psi.grid.p**2), label="P^2/2"))))
-
-
 # --------------------------------------------------------------------------
 # Exchange-relation diagnostic
 # --------------------------------------------------------------------------
@@ -438,25 +434,3 @@ def ccr_defect(grid: GridSpec, x: float, y: float, states: list[WaveFunction] | 
         diff = lhs.amplitudes - phase * rhs.amplitudes
         worst = max(worst, float(np.sqrt(grid.dx * np.sum(np.abs(diff) ** 2))))
     return worst
-
-
-# --------------------------------------------------------------------------
-# CSV interface
-# --------------------------------------------------------------------------
-
-def wavefunction_to_csv(psi: WaveFunction, path) -> None:
-    lines = ["x,re,im"]
-    for xk, a in zip(psi.grid.x, psi.amplitudes):
-        lines.append(f"{xk:.17g},{a.real:.17g},{a.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def wavefunction_from_csv(path) -> WaveFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    x, re, im = data[:, 0], data[:, 1], data[:, 2]
-    n = x.size
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-12 * max(1.0, abs(dx))):
-        raise ValueError("CSV lattice is not uniform")
-    return WaveFunction(GridSpec(n_points=n, x_min=float(x[0]), dx=float(dx)), re + 1j * im)

@@ -11,8 +11,8 @@ in ``xi`` whose coefficients depend only on the state and the observable.
 The expectation estimators build those coefficients once (one correlation
 FFT) and evaluate every path from the factorized phase tables of
 :func:`levylab.grid.phase_tables`; no shifted state is ever formed.  The
-ensemble and covariance diagnostics, which need the states, shift them
-through :func:`levylab.grid.displace`.
+covariance diagnostic, which needs the states, shifts them through
+:func:`levylab.grid.displace`.
 
 On observables ``f(Q)`` the evolution reduces to classical smoothing of
 ``f`` by the increment law, which is the oracle all quantum estimates here
@@ -63,27 +63,6 @@ class NoiseSemigroupSpec:
 
     triplet: LevyTriplet1D
     grid: GridSpec
-
-
-@dataclass
-class MCEnsemble:
-    """Per-path results of an ensemble evolution with running accumulators."""
-
-    n_paths: int
-    seed: int
-    values: np.ndarray | None = None
-    states: np.ndarray | None = None
-    coarse_rho: np.ndarray | None = None
-    mean: complex = 0.0
-    variance: float = 0.0
-
-    def validate(self) -> None:
-        if self.values is not None and self.values.shape[0] != self.n_paths:
-            raise ValueError("accumulator count does not match n_paths")
-        if self.states is not None and self.states.shape[0] != self.n_paths:
-            raise ValueError("state count does not match n_paths")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
 
 
 def _support_bounds(dens: np.ndarray, tol: float) -> tuple[int, int]:
@@ -278,56 +257,6 @@ def mc_heisenberg_batch(
             results[i] = MCResult(est, se, mc.n_paths, mc.seed, antithetic=antithetic,
                                   overflow_fraction=overflow)
     return results  # type: ignore[return-value]
-
-
-def mc_evolve_state_ensemble(
-    spec: NoiseSemigroupSpec,
-    psi: WaveFunction,
-    t: float,
-    mc: MCConfig,
-    keep_states: bool = False,
-    coarse_bins: int = 16,
-) -> MCEnsemble:
-    """Evolve an ensemble of states; each path is one exact shift of ``psi``.
-
-    Accumulates per-path norms, a coarse-grained average density matrix on
-    ``coarse_bins`` orthonormal box modes (for mixing diagnostics), and the
-    states themselves when ``keep_states`` is set (memory permitting).
-    """
-    psi = psi.unit()
-    grid = spec.grid
-    if grid.n_points % coarse_bins != 0:
-        raise ValueError("coarse_bins must divide the grid size")
-    xi = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
-    width = grid.n_points // coarse_bins
-    rho = np.zeros((coarse_bins, coarse_bins), dtype=complex)
-    norms = np.empty(mc.n_paths)
-    kept = np.empty((mc.n_paths, grid.n_points), dtype=complex) if keep_states else None
-    for sl, states in _shifted_batches(psi, xi):
-        norms[sl] = np.sqrt(grid.dx * np.sum(np.abs(states) ** 2, axis=1))
-        coarse = states.reshape(states.shape[0], coarse_bins, width).sum(axis=2) * np.sqrt(grid.dx / width)
-        rho += np.einsum("bi,bj->ij", coarse, coarse.conj())
-        if kept is not None:
-            kept[sl] = states
-    rho /= mc.n_paths
-    mean, se = mc_stats(norms.astype(complex))
-    ens = MCEnsemble(
-        n_paths=mc.n_paths,
-        seed=mc.seed,
-        values=norms,
-        states=kept,
-        coarse_rho=rho,
-        mean=mean,
-        variance=float(np.var(norms)),
-    )
-    ens.validate()
-    return ens
-
-
-def coarse_purity(rho: np.ndarray) -> float:
-    """Purity ``Tr rho^2 / (Tr rho)^2`` of a coarse-grained density matrix."""
-    tr = np.trace(rho).real
-    return float(np.trace(rho @ rho).real / tr**2)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from levylab import rng
 from levylab.cli import main
 from levylab.config import parse_config
 from levylab.errors import ConfigError
+from levylab.runner import EXPERIMENTS, Experiment
 
 MINIMAL_CHAR = """
 [run]
@@ -108,6 +109,11 @@ x = 2
         ("gauge_suite.cfg", "count", "0", "[suite] count: must be positive"),
         ("gauge_suite.cfg", "d", "0", "[suite] d: must be positive"),
         ("gauge_suite.cfg", "m", "0", "[suite] m: must be positive"),
+        ("dyson.cfg", "gamma", "-1", "[dyson] gamma: must be nonnegative"),
+        ("dyson.cfg", "n_terms", "-1", "[dyson] n_terms: must be nonnegative"),
+        ("levy_sample_mixed.cfg", "n_steps", "0", "[sample] n_steps: must be positive"),
+        ("generator_check.cfg", "func", "nope", "[genchk]: unknown func 'nope'"),
+        ("mc_semigroup_mixed.cfg", "scale", "abc", "[observable] scale: cannot parse as float"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         with pytest.raises(ConfigError) as exc:
@@ -128,14 +134,17 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def test_one_list_of_kinds():
-    # the CLI subcommands, the config schemas and the runners name the same kinds
+    # the CLI subcommands are the registry's kinds
     import argparse
 
-    from levylab import config, runner
     from levylab.cli import build_parser
 
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(config.SCHEMAS) == list(runner.RUNNERS) == list(config.KINDS)
+    assert list(sub.choices) == list(EXPERIMENTS)
+
+
+def test_every_kind_has_a_sample_config():
+    assert sorted(parse_config(p.read_text()).kind for p in (REPO / "configs").glob("*.cfg")) == sorted(EXPERIMENTS)
 
 
 def replace_key(text: str, key: str, value: str) -> str:
@@ -425,16 +434,23 @@ t = 1.0
         assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_unmapped_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
-        from levylab import runner
-
-        def broken(cfg, ws):
+        # a run that raises leaves no output directory: it is created only after the run returns
+        def broken(cfg):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(runner.RUNNERS, "dyson", broken)
+        monkeypatch.setitem(EXPERIMENTS, "dyson", Experiment("dyson", EXPERIMENTS["dyson"].schema, broken))
         cfg = write_config(tmp_path, "[run]\nkind = dyson\nseed = 3\n")
         assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: boom\n" and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_out_override_is_not_tokenized(self, tmp_path):
+        # a '#' in --out is part of the path, not a comment
+        cfg = write_config(tmp_path, "[run]\nkind = dyson\nseed = 3\nout = elsewhere\n")
+        assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "dir#1")]) == 0
+        assert (tmp_path / "dir#1" / "record.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir#1", "run.cfg"]
 
     def test_seed_outside_key_word_is_config_error(self, tmp_path, capsys):
         for seed in (-1, 2**64):
@@ -470,6 +486,10 @@ n_steps = 8
         ("char-check", "char_check_gauss.cfg", "n_samples", "0"),
         ("killed-diffusion", "killed_bm.cfg", "dt", "0.003"),
         ("cp-suite", "cp_suite.cfg", "max_jumps", "0"),
+        ("dyson", "dyson.cfg", "gamma", "-1"),
+        ("dyson", "dyson.cfg", "n_terms", "-1"),
+        ("levy-sample", "levy_sample_mixed.cfg", "n_steps", "-3"),
+        ("generator-check", "generator_check.cfg", "func", "nope"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,

@@ -78,11 +78,6 @@ class TestKilledDiffusion:
         uncorrected = abs(final(4e-3, False) - final(1e-3, False))
         assert corrected < uncorrected
 
-    def test_determinism(self):
-        a = simulate_killed_diffusion(zero_drift_spec(), 1.0, 0.5, 1e-2, MCConfig(4000, 6))
-        b = simulate_killed_diffusion(zero_drift_spec(), 1.0, 0.5, 1e-2, MCConfig(4000, 6, threads=4))
-        assert np.array_equal(a.survival, b.survival)
-
     def test_start_left_of_boundary_rejected(self):
         with pytest.raises(ValueError, match="right of the boundary"):
             simulate_killed_diffusion(zero_drift_spec(), -1.0, 1.0, 0.01, MCConfig(10, 1))
@@ -239,8 +234,8 @@ class TestCompactedWorker:
     def test_thread_count_does_not_change_curves(self, bridge):
         curves = [simulate_killed_diffusion(zero_drift_spec(), 0.5, 0.5, 1e-2,
                                             MCConfig(2 * rng.CHUNK + 100, 29, threads=threads), bridge=bridge)
-                  for threads in (1, 2)]
-        assert np.array_equal(curves[0].survival, curves[1].survival)
+                  for threads in (1, 2, 4)]
+        assert all(np.array_equal(curves[0].survival, curve.survival) for curve in curves[1:])
 
     @pytest.mark.parametrize("seed", [301, 302, 303])
     def test_killed_bm_matches_erf_on_fresh_seeds(self, seed):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from levylab import rng
 from levylab.generators import (
-    DensityMatrix,
     GaugeElement,
     StandardGenerator,
     apply_gauge,
@@ -286,7 +285,7 @@ class TestDuality:
 
     def test_identity_observable_unital(self):
         g = damped_qubit()
-        rho = DensityMatrix(np.diag([0.7, 0.3])).matrix
+        rho = np.diag([0.7, 0.3]).astype(complex)
         assert abs(np.trace(apply_preadjoint(g, rho))) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -376,20 +375,3 @@ class TestCovariance:
         E = exact_evolve(g, 1.0)
         fn = lambda X: unvec(E @ vec(X))
         assert covariance_defect(fn, V, hermitian_basis(2)) > 0.01
-
-
-class TestDensityMatrix:
-    def test_valid(self):
-        DensityMatrix(np.diag([0.5, 0.5]))
-
-    def test_trace_enforced(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            DensityMatrix(np.diag([0.5, 0.6]))
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError, match="PSD"):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_hermiticity_enforced(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))

@@ -30,11 +30,8 @@ from levylab.grid import (
     expectation,
     gaussian_state,
     is_commensurate,
-    kinetic_energy,
     momentum_expectation,
     position_expectation,
-    wavefunction_from_csv,
-    wavefunction_to_csv,
 )
 
 shifts = st.floats(-3.0, 3.0, allow_nan=False)
@@ -163,7 +160,8 @@ class TestFreeEvolution:
         out = apply_free_evolution(psi, 2.0)
         assert position_expectation(out) == pytest.approx(2.0 * 1.3, abs=1e-8)
         assert momentum_expectation(out) == pytest.approx(1.3, abs=1e-10)
-        assert kinetic_energy(out) == pytest.approx(kinetic_energy(psi), abs=1e-12)
+        kinetic = PTable.from_function(grid, lambda p: 0.5 * p**2)
+        assert expectation(out, kinetic).real == pytest.approx(expectation(psi, kinetic).real, abs=1e-12)
 
     def test_reversibility(self, moving_psi):
         out = apply_free_evolution(apply_free_evolution(moving_psi, 1.1), -1.1)
@@ -196,15 +194,6 @@ class TestExpectation:
         with pytest.warns(UnnormalizedStateWarning):
             val = expectation(doubled, one)
         assert val == pytest.approx(1.0, abs=1e-12)
-
-
-class TestCSVRoundTrip:
-    def test_round_trip(self, tmp_path, moving_psi):
-        path = tmp_path / "psi.csv"
-        wavefunction_to_csv(moving_psi, path)
-        back = wavefunction_from_csv(path)
-        assert back.grid == moving_psi.grid
-        assert np.abs(back.amplitudes - moving_psi.amplitudes).max() < 1e-15
 
 
 class TestDisplacementKernel:
