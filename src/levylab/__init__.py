@@ -39,7 +39,6 @@ from .grid import (  # noqa: F401
     gaussian_state,
 )
 from .generators import (  # noqa: F401
-    ChoiMatrix,
     GaugeElement,
     StandardGenerator,
     apply_gauge,
@@ -47,7 +46,6 @@ from .generators import (  # noqa: F401
     check_duality,
     choi_matrix,
     covariance_defect,
-    dyson_evolve,
     exact_evolve,
     gauge_product,
     is_completely_positive,

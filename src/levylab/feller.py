@@ -101,31 +101,21 @@ class BoundaryReport:
 # Scale-like function
 # --------------------------------------------------------------------------
 
-class _LogScale:
-    """Log-space evaluation of ``|F|`` on cached node ladders.
+def _log_abs_scale(spec: DriftSpec, nodes: np.ndarray) -> np.ndarray:
+    """``log |F|`` on a node ladder ordered from ``x0`` outward.
 
-    Caches the cumulative drift integral ``B(y) = integral_{x0}^{y} 2 b`` on
-    a refinement grid (trapezoid on the shell ladder, nodes geometrically
-    spaced toward the endpoint), then assembles ``log |F(x)| = -B(x) +
-    log integral_{x0}^{x} exp(B(y)) dy`` with log-sum-exp accumulation.
+    The cumulative drift integral ``B(y) = integral_{x0}^{y} 2 b`` comes from
+    the trapezoid rule on the ladder (the sign of the steps encodes the
+    direction), and ``log |F(x)| = -B(x) + log integral_{x0}^{x} exp(B(y)) dy``
+    from log-sum-exp accumulation.
     """
-
-    def __init__(self, spec: DriftSpec, nodes: np.ndarray, toward_left: bool):
-        # nodes ordered from x0 outward
-        self.toward_left = toward_left
-        b_vals = 2.0 * np.asarray(spec.drift(nodes), dtype=float)
-        if not np.all(np.isfinite(b_vals)):
-            raise NumericalFailure("drift not finite on the node ladder", {})
-        steps = np.diff(nodes)
-        self.nodes = nodes
-        # B along the ladder; sign of steps already encodes direction
-        self.B = np.concatenate([[0.0], np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * steps)])
-        # log of cumulative integral of exp(B) from x0 to each node
-        seg = np.logaddexp(self.B[1:], self.B[:-1]) + np.log(np.abs(steps) / 2.0)
-        self.logI = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
-
-    def log_abs_f(self) -> np.ndarray:
-        return -self.B + self.logI
+    b_vals = 2.0 * np.asarray(spec.drift(nodes), dtype=float)
+    if not np.all(np.isfinite(b_vals)):
+        raise NumericalFailure("drift not finite on the node ladder", {})
+    steps = np.diff(nodes)
+    B = np.concatenate([[0.0], np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * steps)])
+    seg = np.logaddexp(B[1:], B[:-1]) + np.log(np.abs(steps) / 2.0)
+    return -B + np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
 
 
 def _shell_ladder(d0: float, d1: float, n_shells: int, nodes_per_shell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +173,7 @@ def _endpoint_scan(spec: DriftSpec, n_shells: int, left: bool) -> dict:
         d_hi = min(spec.x_max - spec.l, span * 2.0**n_shells)
         edges, dist = _shell_ladder(span, d_hi, n_shells, SHELL_NODES)
     nodes_x = spec.l + dist
-    scale = _LogScale(spec, nodes_x, toward_left=left)
-    log_j = _log_shell_integrals(scale.log_abs_f(), nodes_x, n_shells)
+    log_j = _log_shell_integrals(_log_abs_scale(spec, nodes_x), nodes_x, n_shells)
     slope, r2 = _fit_loglog(np.log(edges[1:]), log_j)
     verdict = _classify(slope, r2, log_j)
     return {

@@ -40,16 +40,19 @@ from . import rng
 from .errors import NumericalFailure, SupportOverflowError
 from .grid import (
     BOUNDARY_WINDOW,
+    OVERFLOW_FRACTION,
+    OVERFLOW_TOL,
+    STATE_BATCH,
     Observable,
     WaveFunction,
     WeylLabel,
     apply_weyl,
     displace,
     expectation,
+    expectations,
 )
-from .levy import LevyTriplet2D, _sample_increments
+from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _sample_increments, char_exponent_2d
 from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
-from .semigroup import OVERFLOW_FRACTION, OVERFLOW_TOL, STATE_BATCH, _observable_values
 
 _SIMPSON_TOL = 1e-10
 
@@ -60,17 +63,6 @@ class GalileanGenerator:
 
     triplet2: LevyTriplet2D
     include_free_hamiltonian: bool = True
-
-    @property
-    def is_noise_free(self) -> bool:
-        t = self.triplet2
-        return (
-            t.beta_p == 0.0
-            and t.beta_q == 0.0
-            and not np.any(t.alpha_matrix)
-            and not t.jumps.atoms
-            and t.jumps.density is None
-        )
 
 
 @dataclass
@@ -88,21 +80,12 @@ class WeylSymbolState:
 def weyl_symbol_rate(gen: GalileanGenerator, x0: float, v0: float) -> complex:
     """Dissipative eigenvalue on the displacement ``W(x0, v0)``.
 
-    Assembled from the conjugation algebra: drift enters through the
-    commutation phases ``i (v0 beta_p - x0 beta_q)``, diffusion through the
-    quadratic form in ``(v0, x0)``, and each jump atom through the Weyl
-    conjugation multiplier ``exp(i (v0 x_a - x0 v_a))`` with its small-jump
-    compensator.  Always has nonpositive real part.
+    Conjugating ``W(x0, v0)`` by a kick with increments ``(dxi, deta)``
+    multiplies it by ``exp(i (v0 dxi - x0 deta))``, so the rate is the 2-D
+    characteristic exponent at the pinned pairing ``eta2(mu = v0, lam = x0)``.
+    Always has nonpositive real part.
     """
-    t = gen.triplet2
-    a = t.alpha_matrix
-    rate = 1j * (v0 * t.beta_p - x0 * t.beta_q)
-    rate -= 0.5 * (a[0, 0] * v0 * v0 + 2.0 * a[0, 1] * v0 * x0 + a[1, 1] * x0 * x0)
-    locs, rates = t.jumps.atom_arrays(t.dim)
-    phase = v0 * locs[:, 0] - x0 * locs[:, 1]
-    comp = (np.hypot(locs[:, 0], locs[:, 1]) <= t.h).astype(float)
-    rate += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
-    return complex(rate)
+    return char_exponent_2d(gen.triplet2, v0, x0)
 
 
 def _adaptive_simpson(fn, a: float, b: float, tol: float = _SIMPSON_TOL, depth: int = 24) -> complex:
@@ -224,7 +207,7 @@ def mc_weyl_expectation(
             dens = np.abs(states) ** 2
             edge = grid.dx * (dens[:, :BOUNDARY_WINDOW].sum(1) + dens[:, -BOUNDARY_WINDOW:].sum(1))
             block_overflow += int(np.count_nonzero(edge > OVERFLOW_TOL))
-            block_vals[bsl] = _observable_values(states, grid, label)
+            block_vals[bsl] = expectations(states, grid, label)
         return start, stop, block_vals, block_overflow
 
     for start, stop, vals, ov in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=4 * STATE_BATCH):
@@ -376,30 +359,31 @@ def galilean_covariance_check(
     ]
     boosted = apply_weyl(psi, WeylLabel(x - v * t, v))
     dt_fine = t / n_steps
-    sum_a = np.zeros(len(battery), dtype=complex)
-    sum_b = np.zeros(len(battery), dtype=complex)
 
-    for idx, start, stop in rng.chunk_bounds(mc.n_paths, 4 * STATE_BATCH):
+    def worker(idx, start, stop):
         inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, "dilation", idx))
         # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B measures
         # X on the evolution of the boosted state, same increments.
         evolved = np.fft.fft(_evolve_block(gen, psi, inc, dt_fine), axis=1, norm="ortho")
         conj_states = displace(evolved, psi.grid, [x], [v])
         states_b = _evolve_block(gen, boosted, inc, dt_fine)
-        for k, ob in enumerate(battery):
-            sum_a[k] += _observable_values(conj_states, psi.grid, ob).sum()
-            sum_b[k] += _observable_values(states_b, psi.grid, ob).sum()
+        return (np.array([expectations(conj_states, psi.grid, ob).sum() for ob in battery]),
+                np.array([expectations(states_b, psi.grid, ob).sum() for ob in battery]))
+
+    sum_a = np.zeros(len(battery), dtype=complex)
+    sum_b = np.zeros(len(battery), dtype=complex)
+    for part_a, part_b in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=4 * STATE_BATCH):
+        sum_a += part_a
+        sum_b += part_b
     return float(np.abs((sum_a - sum_b) / mc.n_paths).max())
 
 
-def one_dimensional_reduction(gen: GalileanGenerator) -> "LevyTriplet1D | None":
+def one_dimensional_reduction(gen: GalileanGenerator) -> LevyTriplet1D | None:
     """The 1-D increment law this generator reduces to, when it does.
 
     Requires no free term, no second-component drift/diffusion and jumps on
     the first axis only; returns None otherwise.
     """
-    from .levy import JumpMeasure, LevyTriplet1D
-
     t = gen.triplet2
     a = t.alpha_matrix
     if gen.include_free_hamiltonian or t.beta_q != 0.0 or a[0, 1] != 0.0 or a[1, 1] != 0.0:

@@ -173,17 +173,6 @@ def _min_hermitian_eig(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(herm).min(axis=-1)
 
 
-@dataclass
-class ChoiMatrix:
-    """``C = sum_ij E_ij kron M[E_ij]`` for a map M on d x d matrices."""
-
-    matrix: np.ndarray
-    dim: int
-
-    def min_eigenvalue(self) -> float:
-        return float(_min_hermitian_eig(self.matrix))
-
-
 @functools.lru_cache(maxsize=None)
 def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed random pair of :func:`_check_linear`, drawn once per ``d``, read-only."""
@@ -204,8 +193,8 @@ def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
         raise ValueError("map is not linear (spot check failed)")
 
 
-def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> ChoiMatrix:
-    """Assemble the Choi matrix of a black-box map column block by column block.
+def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Choi matrix ``C = sum_ij E_ij kron M[E_ij]`` of a black-box map, block by block.
 
     Spot-checks linearity on a random pair and raises on violation.  A map
     known by its superoperator matrix goes through :func:`choi_of_superop`.
@@ -217,13 +206,12 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> ChoiMatri
             E = np.zeros((d, d), dtype=complex)
             E[i, j] = 1.0
             C[i * d:(i + 1) * d, j * d:(j + 1) * d] = _as_matrix(map_fn(E), d)
-    return ChoiMatrix(matrix=C, dim=d)
+    return C
 
 
 def is_completely_positive(map_fn: Callable, d: int, tol: float = 1e-10) -> tuple[bool, float]:
     """CP test via the Choi matrix; returns the verdict and the witness eigenvalue."""
-    c = choi_matrix(map_fn, d)
-    m = c.min_eigenvalue()
+    m = float(_min_hermitian_eig(choi_matrix(map_fn, d)))
     return m >= -tol, m
 
 
@@ -242,7 +230,7 @@ def is_conditionally_cp(gen_or_map, tol: float = 1e-10, d: int | None = None) ->
     else:
         if d is None:
             raise ValueError("explicit dimension required for a bare map handle")
-        C = choi_matrix(gen_or_map, d).matrix
+        C = choi_matrix(gen_or_map, d)
     omega = np.zeros(d * d, dtype=complex)
     for i in range(d):
         omega[i * d + i] = 1.0
@@ -328,11 +316,6 @@ def dyson_terms(gen: StandardGenerator, t: float, n_terms: int, method: str = "e
             raise ValueError("quadrature evaluation is limited to n_terms <= 4")
         return _dyson_quadrature(gen, t, n_terms)
     raise ValueError(f"unknown method {method!r}")
-
-
-def dyson_evolve(gen: StandardGenerator, t: float, n_terms: int, method: str = "exact") -> np.ndarray:
-    """Truncated jump expansion of ``exp(t gen)`` as a superoperator matrix."""
-    return sum(dyson_terms(gen, t, n_terms, method=method))
 
 
 def _dyson_block_expm(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:

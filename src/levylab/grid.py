@@ -36,6 +36,12 @@ from . import rng
 
 #: Lattice points on each edge counted as "boundary" by support checks.
 BOUNDARY_WINDOW = 16
+#: Boundary mass above which a shifted or evolved path counts as overflowed.
+OVERFLOW_TOL = 1e-10
+#: Monte Carlo runs abort when more than this fraction of paths overflow.
+OVERFLOW_FRACTION = 0.01
+#: Paths evolved or evaluated per batch (memory control; no effect on results).
+STATE_BATCH = 1024
 #: Probability mass allowed in the boundary window / top momentum band.
 SUPPORT_TOL = 1e-12
 
@@ -352,24 +358,36 @@ def apply_free_evolution(psi: WaveFunction, t: float, check_bandlimit: bool = Tr
     return WaveFunction(psi.grid, np.fft.ifft(hat, norm="ortho"))
 
 
-def expectation(psi: WaveFunction, observable: Observable) -> complex:
-    """``<psi| X |psi>`` in the representation that diagonalizes ``X``.
+def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> np.ndarray:
+    """``<psi_m| X |psi_m>`` for each row ``psi_m`` of ``states`` (position representation).
 
-    Unnormalized states are rescaled with a warning.
+    The states are taken as given: no normalization and no support check.
+    """
+    if isinstance(observable, QTable):
+        return grid.dx * np.abs(states) ** 2 @ observable.array
+    if isinstance(observable, WeylLabel):
+        hat = np.fft.fft(states, axis=1, norm="ortho")
+        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign)
+        return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
+    if isinstance(observable, PTable):
+        hat = np.fft.fft(states, axis=1, norm="ortho")
+        return grid.dx * (np.abs(hat) ** 2) @ observable.array
+    raise TypeError(f"unsupported observable type {type(observable)!r}")
+
+
+def expectation(psi: WaveFunction, observable: Observable) -> complex:
+    """``<psi| X |psi>``: the batch of one of :func:`expectations`.
+
+    Unnormalized states are rescaled with a warning; a Weyl label that
+    shifts (``x != 0``) warns when the state has boundary mass.
     """
     nrm = psi.norm()
     if abs(nrm - 1.0) > 1e-8:
         warnings.warn(f"state norm {nrm:.6g} != 1; rescaled", UnnormalizedStateWarning, stacklevel=2)
         psi = WaveFunction(psi.grid, psi.amplitudes / nrm)
-    if isinstance(observable, QTable):
-        d = np.abs(psi.amplitudes) ** 2
-        return complex(psi.grid.dx * np.sum(observable.array * d))
-    if isinstance(observable, PTable):
-        hat = np.fft.fft(psi.amplitudes, norm="ortho")
-        return complex(psi.grid.dx * np.sum(observable.array * np.abs(hat) ** 2))
-    if isinstance(observable, WeylLabel):
-        return psi.inner(apply_weyl(psi, observable))
-    raise TypeError(f"unsupported observable type {type(observable)!r}")
+    if isinstance(observable, WeylLabel) and observable.x != 0.0:
+        _check_support(psi)
+    return complex(expectations(psi.amplitudes[None, :], psi.grid, observable)[0])
 
 
 def position_expectation(psi: WaveFunction) -> float:

@@ -390,7 +390,7 @@ def _gauge_suite(cfg: RunConfig) -> Result:
              galilei={
                  "x0": Field("float", default=0.0),
                  "v0": Field("float", default=1.0),
-                 "t": Field("float", default=1.0),
+                 "t": Field("float", default=1.0, range="nonnegative"),
                  "n_steps": Field("int", default=64, range="positive"),
                  "free": Field("bool", default=True),
              })
@@ -428,7 +428,7 @@ def _galilei_compare(cfg: RunConfig) -> Result:
              galilei={
                  "x": Field("float", default=1.0),
                  "v": Field("float", default=0.8),
-                 "t": Field("float", default=0.7),
+                 "t": Field("float", default=0.7, range="nonnegative"),
                  "n_steps": Field("int", default=32, range="positive"),
                  "free": Field("bool", default=True),
              })

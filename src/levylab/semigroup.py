@@ -30,25 +30,25 @@ import numpy as np
 from .errors import SupportOverflowError
 from .grid import (
     BOUNDARY_WINDOW,
+    OVERFLOW_FRACTION,
+    OVERFLOW_TOL,
+    STATE_BATCH,
     GridSpec,
     Observable,
     PTable,
     QTable,
     WaveFunction,
     WeylLabel,
+    apply_position_phase,
     displace,
     expectation,
+    expectations,
+    gaussian_state,
     phase_tables,
 )
-from .levy import LevyTriplet1D, _blocked_values, convolve_classical, sample_ensemble
+from .levy import LevyTriplet1D, _blocked_values, _density_integral, convolve_classical, sample_ensemble
 from .montecarlo import MCConfig, MCResult, mc_stats
 
-#: Paths evolved or evaluated per batch (memory control; no effect on results).
-STATE_BATCH = 1024
-#: Boundary mass above which a shifted path counts as overflowed.
-OVERFLOW_TOL = 1e-10
-#: Run aborts when more than this fraction of paths overflow.
-OVERFLOW_FRACTION = 0.01
 #: ``|psi|^2`` mass the classical oracle may leave out of its weighted sum.
 ORACLE_TOL = 2e-30
 
@@ -76,12 +76,6 @@ def _support_bounds(dens: np.ndarray, tol: float) -> tuple[int, int]:
     return min(lo, dens.size - 1), max(hi, 0)
 
 
-def _support_interval(psi: WaveFunction, tol: float = OVERFLOW_TOL) -> tuple[float, float]:
-    """Smallest lattice interval outside which the state carries mass < tol."""
-    lo, hi = _support_bounds(np.abs(psi.amplitudes) ** 2 * psi.grid.dx, tol)
-    return float(psi.grid.x[lo]), float(psi.grid.x[hi])
-
-
 def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     """Fraction of the shifts ``xi`` that push the support of ``psi`` into the boundary window.
 
@@ -90,11 +84,11 @@ def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     :class:`SupportOverflowError` when the fraction exceeds
     ``OVERFLOW_FRACTION``.
     """
-    grid = psi.grid
-    lo_x, hi_x = _support_interval(psi)
-    margin = BOUNDARY_WINDOW * grid.dx
-    allowed_lo = (grid.x[0] + margin) - lo_x
-    allowed_hi = (grid.x[-1] - margin) - hi_x
+    dx, x = psi.grid.dx, psi.grid.x
+    lo, hi = _support_bounds(np.abs(psi.amplitudes) ** 2 * dx, OVERFLOW_TOL)
+    margin = BOUNDARY_WINDOW * dx
+    allowed_lo = (x[0] + margin) - x[lo]
+    allowed_hi = (x[-1] - margin) - x[hi]
     overflowed = int(np.count_nonzero((xi < allowed_lo) | (xi > allowed_hi)))
     if overflowed > OVERFLOW_FRACTION * xi.size:
         raise SupportOverflowError(
@@ -216,17 +210,7 @@ def mc_heisenberg_expectation(
     (zero stderr, ``exact=True``).  Antithetic pairing is applied when the
     increment law is symmetric (or as forced by the config).
     """
-    psi = psi.unit()
-    if isinstance(observable, PTable):
-        return MCResult(
-            estimate=expectation(psi, observable),
-            stderr=0.0,
-            n_paths=0,
-            seed=mc.seed,
-            exact=True,
-        )
-    batch = mc_heisenberg_batch(spec, psi, [observable], t, mc)
-    return batch[0]
+    return mc_heisenberg_batch(spec, psi, [observable], t, mc)[0]
 
 
 def mc_heisenberg_batch(
@@ -289,8 +273,6 @@ def classical_generator_apply(
         out += r * (float(f(x + y)) - fx - comp)
     spec = triplet.jumps.density
     if spec is not None:
-        from .levy import _density_integral
-
         h = triplet.h
         out += float(np.real(_density_integral(
             spec,
@@ -404,31 +386,16 @@ def momentum_covariance_check(
     on both sides; the defect is pure round-off because the phase picked up
     by commuting the boost through each shift cancels in the sandwich.
     """
-    from .grid import apply_position_phase
-
-    psi = psi if psi is not None else gaussian_default(spec.grid)
+    psi = psi if psi is not None else gaussian_state(spec.grid)
     xi = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
     boosted = apply_position_phase(psi, y)
     vals_a = np.empty(mc.n_paths, dtype=complex)
     vals_b = np.empty(mc.n_paths, dtype=complex)
     for sl, states in _shifted_batches(psi, xi, kick=y):
-        vals_a[sl] = _observable_values(states, spec.grid, observable)
+        vals_a[sl] = expectations(states, spec.grid, observable)
     for sl, states in _shifted_batches(boosted, xi):
-        vals_b[sl] = _observable_values(states, spec.grid, observable)
+        vals_b[sl] = expectations(states, spec.grid, observable)
     return float(np.abs(np.mean(vals_a) - np.mean(vals_b)))
-
-
-def _observable_values(states: np.ndarray, grid: GridSpec, observable: Observable) -> np.ndarray:
-    if isinstance(observable, QTable):
-        return grid.dx * np.abs(states) ** 2 @ observable.array
-    if isinstance(observable, WeylLabel):
-        hat = np.fft.fft(states, axis=1, norm="ortho")
-        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign)
-        return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
-    if isinstance(observable, PTable):
-        hat = np.fft.fft(states, axis=1, norm="ortho")
-        return grid.dx * (np.abs(hat) ** 2) @ observable.array
-    raise TypeError(f"unsupported observable {type(observable)!r}")
 
 
 def semigroup_two_stage(
@@ -454,9 +421,3 @@ def semigroup_two_stage(
     est, se = mc_stats(_shift_values(psi, [observable], xi)[0])
     two = MCResult(est, se, mc.n_paths, mc.seed, overflow_fraction=overflow)
     return one, two
-
-
-def gaussian_default(grid: GridSpec) -> WaveFunction:
-    from .grid import gaussian_state
-
-    return gaussian_state(grid, 0.0, 1.0, 0.0)

@@ -114,6 +114,8 @@ x = 2
         ("levy_sample_mixed.cfg", "n_steps", "0", "[sample] n_steps: must be positive"),
         ("generator_check.cfg", "func", "nope", "[genchk]: unknown func 'nope'"),
         ("mc_semigroup_mixed.cfg", "scale", "abc", "[observable] scale: cannot parse as float"),
+        ("galilei_gauss.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
+        ("covariance_check.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         with pytest.raises(ConfigError) as exc:
@@ -288,7 +290,7 @@ count = 5
         # and one Choi assembly by map calls per time, the conditional CP test
         # through apply_generator, and a separate t = 1 exponential for the
         # identity check (the times here leave t = 1 out)
-        from levylab.generators import (apply_generator, choi_matrix, exact_evolve,
+        from levylab.generators import (apply_generator, exact_evolve, is_completely_positive,
                                         is_conditionally_cp, random_standard_generator, unvec, vec)
         from levylab.runner import _fmt
 
@@ -315,7 +317,7 @@ times = 0, 0.1, 2.5
             worst = 0.0
             for t in (0.0, 0.1, 2.5):
                 E = exact_evolve(g, t)
-                worst = min(worst, choi_matrix(lambda X: unvec(E @ vec(X)), d).min_eigenvalue())
+                worst = min(worst, is_completely_positive(lambda X: unvec(E @ vec(X)), d)[1])
             preserves = None  # the identity check is made for unital generators only
             if g.unital:
                 E = exact_evolve(g, 1.0)
@@ -490,6 +492,8 @@ n_steps = 8
         ("dyson", "dyson.cfg", "n_terms", "-1"),
         ("levy-sample", "levy_sample_mixed.cfg", "n_steps", "-3"),
         ("generator-check", "generator_check.cfg", "func", "nope"),
+        ("galilei-compare", "galilei_gauss.cfg", "t", "-1"),
+        ("covariance-check", "covariance_check.cfg", "t", "-1"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,

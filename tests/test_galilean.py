@@ -16,6 +16,7 @@ from levylab.galilean import (
     weyl_symbol_rate,
 )
 from levylab.grid import (
+    STATE_BATCH,
     WaveFunction,
     WeylLabel,
     apply_free_evolution,
@@ -202,6 +203,15 @@ class TestCovariance:
         gen = GalileanGenerator(FULL)
         defect = galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi512, MCConfig(256, 5), n_steps=8)
         assert defect < 1e-10
+
+    def test_thread_count_does_not_change_defect(self):
+        # three chunks, run concurrently at threads = 2; with two, a reduction out of
+        # chunk order would go unseen, since a two-term float sum commutes
+        psi = gaussian_state(default_grid(128, 16.0))
+        gen = GalileanGenerator(FULL)
+        defects = [galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, MCConfig(8 * STATE_BATCH + 100, 5, threads=k),
+                                             n_steps=4) for k in (1, 2)]
+        assert defects[0] == defects[1]
 
 
 class TestOneDimensionalReduction:

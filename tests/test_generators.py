@@ -20,7 +20,6 @@ from levylab.generators import (
     choi_of_superop,
     covariance_defect,
     cp_part_superop,
-    dyson_evolve,
     dyson_terms,
     exact_evolve,
     gauge_group_law_check,
@@ -91,17 +90,17 @@ class TestApplyGenerator:
 class TestChoi:
     def test_identity_map(self):
         c = choi_matrix(lambda X: X, 2)
-        eigs = np.sort(np.linalg.eigvalsh(c.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(c))
         assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_transpose_map(self):
         c = choi_matrix(lambda X: X.T, 2)
-        eigs = np.sort(np.linalg.eigvalsh(c.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(c))
         assert np.allclose(eigs, [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_zero_map(self):
         c = choi_matrix(lambda X: np.zeros_like(X), 3)
-        assert not c.matrix.any()
+        assert not c.any()
 
     def test_nonlinear_map_rejected(self):
         with pytest.raises(ValueError, match="not linear"):
@@ -149,7 +148,7 @@ class TestSuperopAndChoi:
         S[gen.random(S.shape) < 0.2] = 0.0  # exact zeros, as in structured superoperators
         batch = choi_of_superop(S, d)
         for k in range(2):
-            oracle = choi_matrix(lambda X: unvec(S[k] @ vec(X)), d).matrix
+            oracle = choi_matrix(lambda X: unvec(S[k] @ vec(X)), d)
             assert same_bits(choi_of_superop(S[k], d), oracle)
             assert same_bits(batch[k], oracle)
 
@@ -229,24 +228,24 @@ class TestEvolution:
 class TestDyson:
     def test_zero_terms_is_relaxing_semigroup(self):
         g = damped_qubit()
-        term0 = dyson_evolve(g, 1.3, 0)
+        term0 = sum(dyson_terms(g, 1.3, 0))
         E = np.asarray(exact_evolve_relax(g, 1.3))
         assert np.abs(term0 - E).max() < 1e-12
 
     def test_time_zero_identity(self):
         g = damped_qubit()
-        assert np.abs(dyson_evolve(g, 0.0, 5) - np.eye(4)).max() < 1e-12
+        assert np.abs(sum(dyson_terms(g, 0.0, 5)) - np.eye(4)).max() < 1e-12
 
     def test_twelve_terms_hit_exact(self):
         g = damped_qubit()
-        err = np.abs(dyson_evolve(g, 1.0, 12) - exact_evolve(g, 1.0)).max()
+        err = np.abs(sum(dyson_terms(g, 1.0, 12)) - exact_evolve(g, 1.0)).max()
         assert err < 1e-6
 
     def test_terms_are_cp(self):
         g = damped_qubit()
         for term in dyson_terms(g, 1.0, 6):
-            c = choi_matrix(lambda X: unvec(term @ vec(X)), 2)
-            assert c.min_eigenvalue() > -1e-10
+            _, min_eig = is_completely_positive(lambda X: unvec(term @ vec(X)), 2)
+            assert min_eig > -1e-10
 
     def test_factorial_decay_of_term_ratios(self):
         g = damped_qubit()
@@ -267,7 +266,7 @@ class TestDyson:
 
     def test_negative_terms_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            dyson_evolve(damped_qubit(), 1.0, -1)
+            dyson_terms(damped_qubit(), 1.0, -1)
 
 
 def exact_evolve_relax(g: StandardGenerator, t: float) -> np.ndarray:

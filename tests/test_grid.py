@@ -1,6 +1,7 @@
 """Lattice quantum system: unitaries, exchange relation, expectations."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from levylab.grid import (
     default_grid,
     displace,
     expectation,
+    expectations,
     gaussian_state,
     is_commensurate,
     momentum_expectation,
@@ -194,6 +196,28 @@ class TestExpectation:
         with pytest.warns(UnnormalizedStateWarning):
             val = expectation(doubled, one)
         assert val == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: QTable.from_function(g, np.cos),
+        lambda g: PTable.from_function(g, np.tanh),
+        lambda g: WeylLabel(0.7, -0.4, half_phase_sign=-1),
+        lambda g: WeylLabel(-1.3, 0.9, half_phase_sign=1),
+    ])
+    def test_batch_matches_single_state(self, make):
+        grid = default_grid(256)
+        states = [gaussian_state(grid, c, w, p) for c, w, p in [(0.0, 1.0, 0.0), (-3.0, 1.5, 1.2), (2.5, 0.8, -0.7)]]
+        observable = make(grid)
+        batch = expectations(np.array([s.amplitudes for s in states]), grid, observable)
+        for value, psi in zip(batch, states):
+            assert abs(value - expectation(psi, observable)) <= 1e-14
+
+    def test_shifting_weyl_label_warns_on_boundary_mass(self, grid):
+        edge = gaussian_state(grid, grid.x_min + 1.0, 1.0)
+        with pytest.warns(BoundarySupportWarning):
+            expectation(edge, WeylLabel(0.5, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expectation(edge, WeylLabel(0.0, 0.3))  # a pure kick does not shift
 
 
 class TestDisplacementKernel:

@@ -17,6 +17,7 @@ from levylab.montecarlo import MCConfig
 from levylab.semigroup import NoiseSemigroupSpec, semigroup_two_stage
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _modules():
@@ -113,8 +114,9 @@ class TestKeys:
             return (isinstance(expr, ast.Name) and expr.id == "seed") or (
                 isinstance(expr, ast.Attribute) and expr.attr == "seed")
 
+        scripts = {f"scripts/{path.name}": ast.parse(path.read_text()) for path in sorted(SCRIPTS.glob("*.py"))}
         found = []
-        for name, tree in _modules().items():
+        for name, tree in {**_modules(), **scripts}.items():
             if name == "rng.py":
                 continue
             for node in ast.walk(tree):

@@ -9,7 +9,17 @@ from levylab import grid as grid_module
 from levylab import rng
 from levylab import semigroup as semigroup_module
 from levylab.errors import SupportOverflowError
-from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, displace, expectation, gaussian_state
+from levylab.grid import (
+    GridSpec,
+    PTable,
+    QTable,
+    WaveFunction,
+    WeylLabel,
+    displace,
+    expectation,
+    expectations,
+    gaussian_state,
+)
 from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
 from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
@@ -23,7 +33,6 @@ from levylab.semigroup import (
     mc_heisenberg_expectation,
     momentum_covariance_check,
     semigroup_two_stage,
-    _observable_values,
     _shift_values,
     _support_bounds,
 )
@@ -141,7 +150,7 @@ class TestShiftEstimator:
         if antithetic:
             xi = np.concatenate([xi, -xi])
         hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
-        oracle = _observable_values(displace(hat, grid, xi), grid, observable)
+        oracle = expectations(displace(hat, grid, xi), grid, observable)
         values = _shift_values(psi, [observable], xi)[0]
         # both routes round the arguments of their phases: xi p, and for a
         # Weyl label x p and v q; a phase is off by about eps |argument|, and
