@@ -98,9 +98,14 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
 
 
 def _is_multiple(value: float, unit: float) -> bool:
-    """``value`` is an integer multiple of ``unit`` to relative precision 1e-9."""
-    steps = round(value / unit)
-    return abs(steps * unit - value) <= 1e-9 * max(abs(value), 1.0)
+    """``value`` is an integer multiple of ``unit`` to relative precision 1e-9.
+
+    A non-finite quotient (a NaN or infinite ``value``) is no multiple.
+    """
+    steps = value / unit
+    if not np.isfinite(steps):
+        return False
+    return abs(round(steps) * unit - value) <= 1e-9 * max(abs(value), 1.0)
 
 
 _RUN_FIELDS = {

@@ -17,10 +17,6 @@ class NumericalFailure(RuntimeError):
 class SupportOverflowError(RuntimeError):
     """Too many Monte Carlo paths pushed probability mass into the grid boundary."""
 
-    def __init__(self, message, fraction=None):
-        super().__init__(message)
-        self.fraction = fraction
-
 
 class ConfigError(ValueError):
     """Invalid run configuration. Collects every problem found, not just the first."""

@@ -40,6 +40,8 @@ N_SHELLS = 12
 SHELL_NODES = 161
 #: Dyadic points entering the log-log fit (the asymptotic tail).
 FIT_POINTS = 7
+#: Right end of the range on which drifts are evaluated (no extrapolation).
+X_MAX = 1e6
 
 DIVERGENT_SLOPE = 0.2
 CONVERGENT_SLOPE = 0.05
@@ -62,20 +64,19 @@ BRIDGE_CUT = 37.0
 class DriftSpec:
     """Half-line diffusion: left endpoint, drift callable, reference point.
 
-    ``drift`` must be defined on ``(l, x_max)``; the classifier never
+    ``drift`` must be defined on ``(l, X_MAX)``; the classifier never
     evaluates it outside that range (no extrapolation is attempted).
     """
 
     l: float
     drift: Callable[[np.ndarray], np.ndarray]
     x0: float
-    x_max: float = 1e6
 
     def __post_init__(self):
         if not self.x0 > self.l:
             raise ValueError(f"x0 = {self.x0} must lie strictly right of l = {self.l}")
-        if not self.x_max > self.x0:
-            raise ValueError("x_max must exceed x0")
+        if not X_MAX > self.x0:
+            raise ValueError(f"x0 must be below X_MAX = {X_MAX:g}")
 
 
 @dataclass
@@ -118,24 +119,24 @@ def _log_abs_scale(spec: DriftSpec, nodes: np.ndarray) -> np.ndarray:
     return -B + np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
 
 
-def _shell_ladder(d0: float, d1: float, n_shells: int, nodes_per_shell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dyadic shell edges from distance ``d0`` to ``d1`` with dense geometric nodes.
+def _shell_ladder(d0: float, d1: float) -> tuple[np.ndarray, np.ndarray]:
+    """``N_SHELLS`` dyadic shell edges from distance ``d0`` to ``d1`` with dense geometric nodes.
 
-    Edge ``k`` sits at node index ``k * (nodes_per_shell - 1)``.
+    Edge ``k`` sits at node index ``k * (SHELL_NODES - 1)``.
     """
-    edges = np.geomspace(d0, d1, n_shells + 1)
+    edges = np.geomspace(d0, d1, N_SHELLS + 1)
     nodes = [np.array([edges[0]])]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(np.geomspace(lo, hi, nodes_per_shell)[1:])
+        nodes.append(np.geomspace(lo, hi, SHELL_NODES)[1:])
     return edges, np.concatenate(nodes)
 
 
-def _log_shell_integrals(log_f: np.ndarray, nodes_x: np.ndarray, n_shells: int) -> np.ndarray:
+def _log_shell_integrals(log_f: np.ndarray, nodes_x: np.ndarray) -> np.ndarray:
     """Log of cumulative integrals of |F| from the reference point out to each edge."""
     seg = np.logaddexp(log_f[1:], log_f[:-1]) + np.log(np.abs(np.diff(nodes_x)) / 2.0)
     cum = np.logaddexp.accumulate(seg)
     stride = SHELL_NODES - 1
-    return np.array([cum[k * stride - 1] for k in range(1, n_shells + 1)])
+    return np.array([cum[k * stride - 1] for k in range(1, N_SHELLS + 1)])
 
 
 def _fit_loglog(log_scale: np.ndarray, log_integral: np.ndarray) -> tuple[float, float]:
@@ -165,15 +166,15 @@ def _classify(slope: float, r2: float, log_j: np.ndarray) -> str:
     return "inconclusive"
 
 
-def _endpoint_scan(spec: DriftSpec, n_shells: int, left: bool) -> dict:
+def _endpoint_scan(spec: DriftSpec, left: bool) -> dict:
     span = spec.x0 - spec.l
     if left:
-        edges, dist = _shell_ladder(span, span * 0.5**n_shells, n_shells, SHELL_NODES)
+        edges, dist = _shell_ladder(span, span * 0.5**N_SHELLS)
     else:
-        d_hi = min(spec.x_max - spec.l, span * 2.0**n_shells)
-        edges, dist = _shell_ladder(span, d_hi, n_shells, SHELL_NODES)
+        d_hi = min(X_MAX - spec.l, span * 2.0**N_SHELLS)
+        edges, dist = _shell_ladder(span, d_hi)
     nodes_x = spec.l + dist
-    log_j = _log_shell_integrals(_log_abs_scale(spec, nodes_x), nodes_x, n_shells)
+    log_j = _log_shell_integrals(_log_abs_scale(spec, nodes_x), nodes_x)
     slope, r2 = _fit_loglog(np.log(edges[1:]), log_j)
     verdict = _classify(slope, r2, log_j)
     return {
@@ -185,15 +186,15 @@ def _endpoint_scan(spec: DriftSpec, n_shells: int, left: bool) -> dict:
     }
 
 
-def feller_test(spec: DriftSpec, n_shells: int = N_SHELLS) -> BoundaryReport:
+def feller_test(spec: DriftSpec) -> BoundaryReport:
     """Classify both endpoints of ``(l, infinity)`` for the diffusion.
 
     Divergence of the neighbourhood integrals of ``|F|`` means the endpoint
     cannot absorb; convergence means it does; a trend inside the declared
     noise band stays inconclusive.
     """
-    left = _endpoint_scan(spec, n_shells, left=True)
-    right = _endpoint_scan(spec, n_shells, left=False)
+    left = _endpoint_scan(spec, left=True)
+    right = _endpoint_scan(spec, left=False)
     return BoundaryReport(
         left=left["verdict"],
         right=right["verdict"],
@@ -214,7 +215,6 @@ class SurvivalCurve:
     stderr: np.ndarray
     n_paths: int
     seed: int
-    dt: float
 
     @property
     def final(self) -> float:
@@ -306,7 +306,6 @@ def _simulate(
         stderr=se,
         n_paths=mc.n_paths,
         seed=mc.seed,
-        dt=dt,
     )
 
 
@@ -352,20 +351,17 @@ class TraceDecayReport:
     The minimal evolution loses normalization exactly as fast as paths are
     absorbed, so its survival curve is the trace curve of the evolved state
     concentrated at ``x_start``.  ``witness=True`` when the curves separate
-    beyond ``max(5 joint stderr, separation_floor)`` somewhere; the floor
-    (0.02) keeps discretization bias near a non-absorbing boundary from
-    faking a witness.
+    beyond ``max(5 joint stderr, 0.02)`` somewhere; the floor keeps
+    discretization bias near a non-absorbing boundary from faking a witness.
     """
 
     times: np.ndarray
     minimal: np.ndarray
     minimal_stderr: np.ndarray
     reflecting: np.ndarray
-    reflecting_stderr: np.ndarray
     max_separation: float
     max_separation_sigmas: float
     witness: bool
-    separation_floor: float = 0.02
 
 
 def trace_decay_link(
@@ -391,7 +387,6 @@ def trace_decay_link(
         minimal=minimal.survival,
         minimal_stderr=minimal.stderr,
         reflecting=reflecting.survival,
-        reflecting_stderr=reflecting.stderr,
         max_separation=float(sep[k]),
         max_separation_sigmas=float(sigmas[k]) if np.isfinite(sigmas[k]) else float("inf"),
         witness=witness,

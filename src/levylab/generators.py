@@ -29,6 +29,8 @@ from . import rng
 
 _HERM_TOL = 1e-12
 _DISS_TOL = 1e-10
+#: Tolerance on the smallest Choi eigenvalue in the (conditional) CP tests.
+CP_TOL = 1e-10
 
 
 def _as_matrix(m, d=None) -> np.ndarray:
@@ -46,7 +48,6 @@ class StandardGenerator:
 
     jump_ops: tuple
     K: np.ndarray
-    hamiltonian: np.ndarray
     unital: bool
 
     @classmethod
@@ -58,7 +59,7 @@ class StandardGenerator:
             raise ValueError("hamiltonian must be Hermitian")
         ops = tuple(_as_matrix(L, d) for L in jump_ops)
         K = 1j * H + 0.5 * sum((L.conj().T @ L for L in ops), np.zeros((d, d), dtype=complex))
-        return cls(jump_ops=ops, K=K, hamiltonian=H, unital=True)
+        return cls(jump_ops=ops, K=K, unital=True)
 
     @classmethod
     def raw_build(cls, K, jump_ops: Sequence) -> "StandardGenerator":
@@ -75,8 +76,7 @@ class StandardGenerator:
                 f"dissipativity violated: sum L^dag L - K - K^dag has eigenvalue {-eigs.min():.3e} > 0"
             )
         unital = bool(np.abs(slack).max() <= _DISS_TOL * scale)
-        H = (K - K.conj().T) / 2j
-        return cls(jump_ops=ops, K=K, hamiltonian=H, unital=unital)
+        return cls(jump_ops=ops, K=K, unital=unital)
 
     @property
     def dim(self) -> int:
@@ -209,18 +209,18 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarra
     return C
 
 
-def is_completely_positive(map_fn: Callable, d: int, tol: float = 1e-10) -> tuple[bool, float]:
+def is_completely_positive(map_fn: Callable, d: int) -> tuple[bool, float]:
     """CP test via the Choi matrix; returns the verdict and the witness eigenvalue."""
     m = float(_min_hermitian_eig(choi_matrix(map_fn, d)))
-    return m >= -tol, m
+    return m >= -CP_TOL, m
 
 
-def is_conditionally_cp(gen_or_map, tol: float = 1e-10, d: int | None = None) -> bool:
+def is_conditionally_cp(gen_or_map, d: int | None = None) -> bool:
     """Conditional complete positivity: Choi positivity off the entangled vector.
 
     Accepts a :class:`StandardGenerator` (Choi matrix from its superoperator
     matrix, after a linearity spot check of :func:`apply_generator`) or a map
-    handle with explicit ``d``.  The tolerance is scaled by the map's magnitude.
+    handle with explicit ``d``.  ``CP_TOL`` is scaled by the map's magnitude.
     """
     if isinstance(gen_or_map, StandardGenerator):
         g = gen_or_map
@@ -238,7 +238,7 @@ def is_conditionally_cp(gen_or_map, tol: float = 1e-10, d: int | None = None) ->
     compressed = P @ C @ P
     scale = max(1.0, float(np.abs(C).max()))
     m = float(_min_hermitian_eig(compressed))
-    return m >= -tol * scale
+    return m >= -CP_TOL * scale
 
 
 # --------------------------------------------------------------------------
@@ -374,57 +374,45 @@ def check_duality(gen: StandardGenerator, rho, X, t: float = 0.0) -> float:
     return float(abs(lhs - rhs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeElement:
     """Redundancy transformation ``(D, a, b)`` between standard representations.
 
     ``D`` (unitary on the multiplicity space), ``a`` (vector there), and a
     real phase rate ``b``; acts as ``L' = D L + a I`` componentwise and
-    ``K' = K + a^dag (D L) + (|a|^2/2 - i b) I``.
+    ``K' = K + a^dag (D L) + (|a|^2/2 - i b) I``.  ``D`` and ``a`` are kept
+    as read-only complex arrays (copies of what was passed).
     """
 
-    D: tuple
-    a: tuple
+    D: np.ndarray
+    a: np.ndarray
     b: float
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=complex)
-        a = np.asarray(self.a, dtype=complex)
+        D = np.array(self.D, dtype=complex)
+        a = np.array(self.a, dtype=complex)
         m = a.size
         if D.shape != (m, m):
             raise ValueError(f"D shape {D.shape} incompatible with a of length {m}")
         if np.abs(D @ D.conj().T - np.eye(m)).max() > _HERM_TOL * 10 * max(1.0, m):
             raise ValueError("D must be unitary")
-        object.__setattr__(self, "D", tuple(tuple(row) for row in D))
-        object.__setattr__(self, "a", tuple(a))
-
-    @property
-    def D_matrix(self) -> np.ndarray:
-        return np.asarray(self.D, dtype=complex)
-
-    @property
-    def a_vector(self) -> np.ndarray:
-        return np.asarray(self.a, dtype=complex)
+        for name, value in (("D", D), ("a", a)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
-        return len(self.a)
-
-    @classmethod
-    def identity(cls, m: int) -> "GaugeElement":
-        return cls(D=tuple(map(tuple, np.eye(m, dtype=complex))), a=(0.0,) * m, b=0.0)
+        return self.a.size
 
 
 def gauge_product(g1: GaugeElement, g2: GaugeElement) -> GaugeElement:
     """Group law matching sequential action: applying g2 then g1 equals g1*g2."""
     if g1.m != g2.m:
         raise ValueError("gauge elements act on different multiplicity spaces")
-    D1, D2 = g1.D_matrix, g2.D_matrix
-    a1, a2 = g1.a_vector, g2.a_vector
-    D = D1 @ D2
-    a = D1 @ a2 + a1
+    D1, D2 = g1.D, g2.D
+    a1, a2 = g1.a, g2.a
     b = g1.b + g2.b - float(np.imag(np.vdot(a1, D1 @ a2)))
-    return GaugeElement(D=tuple(map(tuple, D)), a=tuple(a), b=b)
+    return GaugeElement(D=D1 @ D2, a=D1 @ a2 + a1, b=b)
 
 
 def apply_gauge(gen: StandardGenerator, g: GaugeElement) -> StandardGenerator:
@@ -433,7 +421,7 @@ def apply_gauge(gen: StandardGenerator, g: GaugeElement) -> StandardGenerator:
         raise ValueError(f"gauge element has m={g.m} but generator has {gen.n_jumps} jump operators")
     d = gen.dim
     eye = np.eye(d, dtype=complex)
-    D, a = g.D_matrix, g.a_vector
+    D, a = g.D, g.a
     rotated = [sum(D[k, j] * gen.jump_ops[j] for j in range(g.m)) for k in range(g.m)]
     new_ops = tuple(rotated[k] + a[k] * eye for k in range(g.m))
     cross = sum(np.conj(a[k]) * rotated[k] for k in range(g.m))

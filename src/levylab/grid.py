@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
+from .errors import SupportOverflowError
 
 #: Lattice points on each edge counted as "boundary" by support checks.
 BOUNDARY_WINDOW = 16
@@ -92,10 +93,6 @@ class GridSpec:
     def dp(self) -> float:
         return 2.0 * np.pi / (self.n_points * self.dx)
 
-    @property
-    def length(self) -> float:
-        return self.n_points * self.dx
-
 
 def default_grid(n_points: int = 1024, half_width: float = 40.0) -> GridSpec:
     """The workhorse grid: ``x in [-half_width, half_width)``."""
@@ -130,20 +127,33 @@ class WaveFunction:
         """This state if its norm is 1 to within 1e-12, else its normalization."""
         return self.normalized() if abs(self.norm() - 1.0) > 1e-12 else self
 
-    def inner(self, other: "WaveFunction") -> complex:
-        return complex(self.grid.dx * np.vdot(self.amplitudes, other.amplitudes))
+    def boundary_mass(self) -> float:
+        return float(boundary_masses(self.amplitudes[None, :], self.grid)[0])
 
-    def boundary_mass(self, window: int = BOUNDARY_WINDOW) -> float:
-        d = np.abs(self.amplitudes) ** 2
-        return float(self.grid.dx * (d[:window].sum() + d[-window:].sum()))
-
-    def momentum_tail_mass(self, fraction: float = 0.125) -> float:
-        """Mass carried by the top ``fraction`` of the momentum band."""
+    def momentum_tail_mass(self) -> float:
+        """Mass carried by the top eighth of the momentum band."""
         hat = np.fft.fft(self.amplitudes, norm="ortho")
-        cut = (1.0 - fraction) * np.abs(self.grid.p).max()
+        cut = 0.875 * np.abs(self.grid.p).max()
         sel = np.abs(self.grid.p) >= cut
         total = np.sum(np.abs(hat) ** 2)
         return float(np.sum(np.abs(hat[sel]) ** 2) / total) if total > 0 else 0.0
+
+
+def boundary_masses(states: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Mass in the ``BOUNDARY_WINDOW`` points at each edge, per row of ``states``."""
+    dens = np.abs(states) ** 2
+    return grid.dx * (dens[:, :BOUNDARY_WINDOW].sum(1) + dens[:, -BOUNDARY_WINDOW:].sum(1))
+
+
+def overflow_fraction(overflowed: int, total: int, what: str) -> float:
+    """Share ``overflowed / total`` of overflowed paths, at most ``OVERFLOW_FRACTION``.
+
+    Above it the run aborts with :class:`SupportOverflowError`, whose
+    message reads ``"<overflowed>/<total> <what>"``.
+    """
+    if overflowed > OVERFLOW_FRACTION * total:
+        raise SupportOverflowError(f"{overflowed}/{total} {what}")
+    return overflowed / total
 
 
 def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0, momentum: float = 0.0) -> WaveFunction:
@@ -419,17 +429,17 @@ def _default_battery(grid: GridSpec) -> list[WaveFunction]:
     return states
 
 
-def is_commensurate(grid: GridSpec, x: float, y: float, rtol: float = 1e-9) -> bool:
-    """True when ``x`` is a multiple of ``dx`` and ``y`` of the momentum spacing."""
+def is_commensurate(grid: GridSpec, x: float, y: float) -> bool:
+    """True when ``x`` is a multiple of ``dx`` and ``y`` of the momentum spacing, to relative 1e-9."""
     def _multiple(val, unit):
         if val == 0.0:
             return True
         k = val / unit
-        return abs(k - round(k)) <= rtol * max(1.0, abs(k))
+        return abs(k - round(k)) <= 1e-9 * max(1.0, abs(k))
     return _multiple(x, grid.dx) and _multiple(y, grid.dp)
 
 
-def ccr_defect(grid: GridSpec, x: float, y: float, states: list[WaveFunction] | None = None) -> float:
+def ccr_defect(grid: GridSpec, x: float, y: float) -> float:
     """Largest norm defect of the exchange relation over a battery of states.
 
     Returns ``max over psi`` of ``|| (shift(x) phase(y) - exp(-i x y)
@@ -443,10 +453,9 @@ def ccr_defect(grid: GridSpec, x: float, y: float, states: list[WaveFunction] | 
             IncommensurateShiftWarning,
             stacklevel=2,
         )
-    battery = states if states is not None else _default_battery(grid)
     phase = np.exp(-1j * x * y)
     worst = 0.0
-    for psi in battery:
+    for psi in _default_battery(grid):
         lhs = apply_shift(apply_position_phase(psi, y), x, check_support=False)
         rhs = apply_position_phase(apply_shift(psi, x, check_support=False), y)
         diff = lhs.amplitudes - phase * rhs.amplitudes

@@ -39,6 +39,8 @@ from .errors import NumericalFailure
 from .montecarlo import MCConfig, mc_stats, run_chunks
 
 _PSD_TOL = 1e-12
+#: Nodes of each inverse-CDF table that samples a jump density.
+INV_CDF_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class DensitySpec:
     eps: float
     support: tuple[float, float]
     gaussian_correction: bool = True
-    inv_cdf_nodes: int = 512
 
     def __post_init__(self):
         lo, hi = self.support
@@ -201,15 +202,6 @@ class LevyTriplet2D:
     def alpha_matrix(self) -> np.ndarray:
         return np.asarray(self.alpha, dtype=float)
 
-    @property
-    def is_symmetric(self) -> bool:
-        if self.beta_p != 0.0 or self.beta_q != 0.0:
-            return False
-        bag = {}
-        for loc, r in self.jumps.atoms:
-            bag[loc] = bag.get(loc, 0.0) + r
-        return all(abs(bag.get((-x, -v), 0.0) - r) <= 1e-15 * max(1.0, r) for (x, v), r in bag.items())
-
 
 @dataclass
 class PathSample:
@@ -224,16 +216,6 @@ class PathSample:
     values: np.ndarray
     jump_log: tuple
     seed: int
-
-    def validate(self, h: float) -> None:
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        if np.any(np.atleast_1d(self.values[0]) != 0.0):
-            raise ValueError("path must start at the origin")
-        for _, mag in self.jump_log:
-            norm = np.hypot(*mag) if isinstance(mag, tuple) else abs(mag)
-            if norm <= h:
-                raise ValueError("jump_log may only contain jumps larger than h")
 
 
 # --------------------------------------------------------------------------
@@ -302,39 +284,27 @@ def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
     return complex(eta)
 
 
-def with_truncation(triplet: LevyTriplet1D | LevyTriplet2D, new_h: float):
-    """Re-express the same law with truncation radius ``new_h``.
+def with_truncation(triplet: LevyTriplet1D, new_h: float) -> LevyTriplet1D:
+    """Re-express the same 1-D law with truncation radius ``new_h``.
 
     The drift absorbs the change of compensator so the characteristic
     exponent is unchanged.
     """
     if not new_h > 0:
         raise ValueError("new_h must be positive")
-    if isinstance(triplet, LevyTriplet1D):
-        locs, rates = triplet.jumps.atom_arrays(triplet.dim)
-        shift = 0.0
-        if locs.size:
-            delta = (np.abs(locs) <= new_h).astype(float) - (np.abs(locs) <= triplet.h).astype(float)
-            shift += float(np.sum(rates * locs * delta))
-        if triplet.jumps.density is not None:
-            h_old, h_new = triplet.h, new_h
-            shift += float(np.real(_density_integral(
-                triplet.jumps.density,
-                lambda y: y * ((np.abs(y) <= h_new).astype(float) - (np.abs(y) <= h_old).astype(float)),
-                "compensator shift",
-            )))
-        return LevyTriplet1D(beta=triplet.beta + shift, alpha=triplet.alpha, jumps=triplet.jumps, h=new_h)
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
-    norms = np.hypot(locs[:, 0], locs[:, 1])
-    delta = (norms <= new_h).astype(float) - (norms <= triplet.h).astype(float)
-    shift = (rates * delta) @ locs
-    return LevyTriplet2D(
-        beta_p=triplet.beta_p + float(shift[0]),
-        beta_q=triplet.beta_q + float(shift[1]),
-        alpha=triplet.alpha,
-        jumps=triplet.jumps,
-        h=new_h,
-    )
+    shift = 0.0
+    if locs.size:
+        delta = (np.abs(locs) <= new_h).astype(float) - (np.abs(locs) <= triplet.h).astype(float)
+        shift += float(np.sum(rates * locs * delta))
+    if triplet.jumps.density is not None:
+        h_old, h_new = triplet.h, new_h
+        shift += float(np.real(_density_integral(
+            triplet.jumps.density,
+            lambda y: y * ((np.abs(y) <= h_new).astype(float) - (np.abs(y) <= h_old).astype(float)),
+            "compensator shift",
+        )))
+    return LevyTriplet1D(beta=triplet.beta + shift, alpha=triplet.alpha, jumps=triplet.jumps, h=new_h)
 
 
 # --------------------------------------------------------------------------
@@ -422,9 +392,9 @@ def _density_tables(spec: DensitySpec, h: float):
     for a, b in spec.sides:
         # geometric spacing toward the origin-side endpoint
         if a > 0:
-            nodes = np.geomspace(a, b, spec.inv_cdf_nodes)
+            nodes = np.geomspace(a, b, INV_CDF_NODES)
         else:
-            nodes = -np.geomspace(-b, -a, spec.inv_cdf_nodes)[::-1]
+            nodes = -np.geomspace(-b, -a, INV_CDF_NODES)[::-1]
         pdf = spec.density(nodes)
         if np.any(pdf < 0) or not np.all(np.isfinite(pdf)):
             raise NumericalFailure("density is negative or non-finite on its sampling range", {})
@@ -543,9 +513,7 @@ def sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, time_grid: Sequenc
     mags = [tuple(map(float, m)) if m.ndim else float(m) for _, ms in big for m in ms]
     order = np.argsort(times, kind="stable")
     jump_log = tuple((float(times[i]), mags[i]) for i in order)
-    sample = PathSample(times=grid, values=values, jump_log=jump_log, seed=seed)
-    sample.validate(triplet.h)
-    return sample
+    return PathSample(times=grid, values=values, jump_log=jump_log, seed=seed)
 
 
 def _chol_psd(a: np.ndarray) -> np.ndarray:

@@ -240,16 +240,15 @@ def _char_check(cfg: RunConfig) -> Result:
              observable=_OBSERVABLE_FIELDS,
              semigroup={"t": Field("list_float", default=[1.0], range="nonnegative")})
 def _mc_semigroup(cfg: RunConfig) -> Result:
-    from .semigroup import NoiseSemigroupSpec, mc_heisenberg_expectation
+    from .semigroup import mc_heisenberg_expectation
 
-    spec = NoiseSemigroupSpec(cfg.params["triplet"], cfg.params["grid"])
     psi = cfg.params["state"]
     obs = cfg.params["observable"]
     rows = []
     overflow = 0.0
     for t in cfg.params["semigroup"]["t"]:
         print(f"mc-semigroup: t = {t}", file=sys.stderr, flush=True)
-        res = mc_heisenberg_expectation(spec, psi, obs, t, cfg.params["mc"])
+        res = mc_heisenberg_expectation(cfg.params["triplet"], psi, obs, t, cfg.params["mc"])
         overflow = max(overflow, res.overflow_fraction)
         rows.append([t, getattr(obs, "label", "W"), res.estimate.real, res.estimate.imag,
                      res.stderr, res.n_paths, res.seed])
@@ -364,7 +363,7 @@ def _gauge_suite(cfg: RunConfig) -> Result:
     def random_element(stream):
         Q, _ = np.linalg.qr(stream.standard_normal((m, m)) + 1j * stream.standard_normal((m, m)))
         a = stream.standard_normal(m) + 1j * stream.standard_normal(m)
-        return GaugeElement(D=tuple(map(tuple, Q)), a=tuple(a), b=float(stream.standard_normal()))
+        return GaugeElement(D=Q, a=a, b=float(stream.standard_normal()))
 
     for i in range(p["count"]):
         g = random_standard_generator(p["d"], m, cfg.seed, tag="gauge-suite.generator", index=i)
@@ -420,8 +419,10 @@ def _galilei_compare(cfg: RunConfig) -> Result:
         "generator_hash": cfg.text_hash,
         "labels": [p["x0"], p["v0"]],
     }
+    overflow = max(rep.mc_coarse.overflow_fraction, rep.mc_fine.overflow_fraction)
     return Result([Output("galilei_compare", summary)],
-                  {"deviation_coarse": Metric(rep.deviation_coarse, verdict=_verdict(rep.passed, rep.inconclusive))})
+                  {"deviation_coarse": Metric(rep.deviation_coarse, verdict=_verdict(rep.passed, rep.inconclusive)),
+                   "overflow_fraction": Metric(overflow)})
 
 
 @_experiment("covariance-check", triplet2=_TRIPLET2_FIELDS, grid=_GRID_FIELDS, state=_STATE_FIELDS, mc=_MC_FIELDS,

@@ -27,10 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SupportOverflowError
 from .grid import (
     BOUNDARY_WINDOW,
-    OVERFLOW_FRACTION,
     OVERFLOW_TOL,
     STATE_BATCH,
     GridSpec,
@@ -43,7 +41,7 @@ from .grid import (
     displace,
     expectation,
     expectations,
-    gaussian_state,
+    overflow_fraction,
     phase_tables,
 )
 from .levy import LevyTriplet1D, _blocked_values, _density_integral, convolve_classical, sample_ensemble
@@ -51,18 +49,8 @@ from .montecarlo import MCConfig, MCResult, mc_stats
 
 #: ``|psi|^2`` mass the classical oracle may leave out of its weighted sum.
 ORACLE_TOL = 2e-30
-
-
-@dataclass(frozen=True)
-class NoiseSemigroupSpec:
-    """Increment law plus the lattice carrying the quantum system.
-
-    The coupling is fixed: increments act through position shifts
-    ``exp(-i xi P)``.
-    """
-
-    triplet: LevyTriplet1D
-    grid: GridSpec
+#: Step of the central differences in :func:`classical_generator_apply`.
+FD_STEP = 1e-3
 
 
 def _support_bounds(dens: np.ndarray, tol: float) -> tuple[int, int]:
@@ -80,8 +68,8 @@ def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     """Fraction of the shifts ``xi`` that push the support of ``psi`` into the boundary window.
 
     Interval arithmetic on the support, so full wrap-arounds are caught,
-    not just mass straddling the edge.  Aborts with
-    :class:`SupportOverflowError` when the fraction exceeds
+    not just mass straddling the edge.  Aborts through
+    :func:`levylab.grid.overflow_fraction` when the fraction exceeds
     ``OVERFLOW_FRACTION``.
     """
     dx, x = psi.grid.dx, psi.grid.x
@@ -90,15 +78,10 @@ def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     allowed_lo = (x[0] + margin) - x[lo]
     allowed_hi = (x[-1] - margin) - x[hi]
     overflowed = int(np.count_nonzero((xi < allowed_lo) | (xi > allowed_hi)))
-    if overflowed > OVERFLOW_FRACTION * xi.size:
-        raise SupportOverflowError(
-            f"{overflowed}/{xi.size} shifts would push support into the boundary window",
-            fraction=overflowed / xi.size,
-        )
-    return overflowed / xi.size
+    return overflow_fraction(overflowed, xi.size, "shifts would push support into the boundary window")
 
 
-def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None, batch: int = STATE_BATCH):
+def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None):
     """Yield (slice, shifted amplitude block) for exact spectral shifts by xi.
 
     With ``kick`` every shifted state also gets the momentum kick
@@ -109,8 +92,8 @@ def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = Non
     _check_overflow(psi, xi)
     hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
     eta = None if kick is None else [kick]
-    for start in range(0, xi.size, batch):
-        block_xi = xi[start:start + batch]
+    for start in range(0, xi.size, STATE_BATCH):
+        block_xi = xi[start:start + STATE_BATCH]
         yield slice(start, start + block_xi.size), displace(hat, grid, block_xi, eta)
 
 
@@ -198,7 +181,7 @@ def _shift_values(psi: WaveFunction, observables: Sequence[Observable], xi: np.n
 
 
 def mc_heisenberg_expectation(
-    spec: NoiseSemigroupSpec,
+    triplet: LevyTriplet1D,
     psi: WaveFunction,
     observable: Observable,
     t: float,
@@ -210,11 +193,11 @@ def mc_heisenberg_expectation(
     (zero stderr, ``exact=True``).  Antithetic pairing is applied when the
     increment law is symmetric (or as forced by the config).
     """
-    return mc_heisenberg_batch(spec, psi, [observable], t, mc)[0]
+    return mc_heisenberg_batch(triplet, psi, [observable], t, mc)[0]
 
 
 def mc_heisenberg_batch(
-    spec: NoiseSemigroupSpec,
+    triplet: LevyTriplet1D,
     psi: WaveFunction,
     observables: Sequence[Observable],
     t: float,
@@ -226,14 +209,14 @@ def mc_heisenberg_batch(
     individually valid, correlations only matter across observables.
     """
     psi = psi.unit()
-    antithetic = mc.resolve_antithetic(spec.triplet.is_symmetric)
+    antithetic = mc.resolve_antithetic(triplet.is_symmetric)
     results: list[MCResult | None] = [None] * len(observables)
     sampled = [i for i, ob in enumerate(observables) if not isinstance(ob, PTable)]
     for i, ob in enumerate(observables):
         if isinstance(ob, PTable):
             results[i] = MCResult(expectation(psi, ob), 0.0, 0, mc.seed, exact=True)
     if sampled:
-        xi = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
+        xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
         overflow = _check_overflow(psi, xi)
         values = _shift_values(psi, [observables[i] for i in sampled], xi)
         for row, i in enumerate(sampled):
@@ -251,20 +234,19 @@ def classical_generator_apply(
     triplet: LevyTriplet1D,
     f: Callable[[np.ndarray], np.ndarray],
     x: float,
-    fd_step: float = 1e-3,
 ) -> float:
     """Generator of the increment process applied to ``f`` at ``x``:
 
     ``beta f'(x) + (alpha/2) f''(x)
       + sum_atoms rate [f(x+y) - f(x) - y f'(x) (|y| <= h)]``
 
-    Derivatives use central finite differences with step ``fd_step``
+    Derivatives use central finite differences with step ``FD_STEP``
     (second order; exact on quadratics).  Density components contribute
     through quadrature of the same integrand.
     """
     x = float(x)
-    fp = (float(f(x + fd_step)) - float(f(x - fd_step))) / (2.0 * fd_step)
-    fpp = (float(f(x + fd_step)) - 2.0 * float(f(x)) + float(f(x - fd_step))) / fd_step**2
+    fp = (float(f(x + FD_STEP)) - float(f(x - FD_STEP))) / (2.0 * FD_STEP)
+    fpp = (float(f(x + FD_STEP)) - 2.0 * float(f(x)) + float(f(x - FD_STEP))) / FD_STEP**2
     out = triplet.beta * fp + 0.5 * triplet.alpha * fpp
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     fx = float(f(x))
@@ -302,7 +284,6 @@ class GeneratorCheckReport:
     max_deviation: float
     passed: bool
     inconclusive: bool
-    t: float
 
 
 def generator_consistency_check(
@@ -337,7 +318,6 @@ def generator_consistency_check(
         max_deviation=float(deviation.max()),
         passed=passed,
         inconclusive=inconclusive,
-        t=t_small,
     )
 
 
@@ -372,12 +352,12 @@ def classical_fixed_point_oracle(
 # --------------------------------------------------------------------------
 
 def momentum_covariance_check(
-    spec: NoiseSemigroupSpec,
+    triplet: LevyTriplet1D,
+    psi: WaveFunction,
     observable: Observable,
     y: float,
     t: float,
     mc: MCConfig,
-    psi: WaveFunction | None = None,
 ) -> float:
     """Shared-seed defect of covariance under momentum translations.
 
@@ -386,20 +366,19 @@ def momentum_covariance_check(
     on both sides; the defect is pure round-off because the phase picked up
     by commuting the boost through each shift cancels in the sandwich.
     """
-    psi = psi if psi is not None else gaussian_state(spec.grid)
-    xi = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
+    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
     boosted = apply_position_phase(psi, y)
     vals_a = np.empty(mc.n_paths, dtype=complex)
     vals_b = np.empty(mc.n_paths, dtype=complex)
     for sl, states in _shifted_batches(psi, xi, kick=y):
-        vals_a[sl] = expectations(states, spec.grid, observable)
+        vals_a[sl] = expectations(states, psi.grid, observable)
     for sl, states in _shifted_batches(boosted, xi):
-        vals_b[sl] = expectations(states, spec.grid, observable)
+        vals_b[sl] = expectations(states, psi.grid, observable)
     return float(np.abs(np.mean(vals_a) - np.mean(vals_b)))
 
 
 def semigroup_two_stage(
-    spec: NoiseSemigroupSpec,
+    triplet: LevyTriplet1D,
     psi: WaveFunction,
     observable: Observable,
     t: float,
@@ -413,9 +392,9 @@ def semigroup_two_stage(
     Both estimates use the normalized state.
     """
     psi = psi.unit()
-    one = mc_heisenberg_expectation(spec, psi, observable, t + s, mc)
-    xi1 = sample_ensemble(spec.triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
-    xi2 = sample_ensemble(spec.triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
+    one = mc_heisenberg_expectation(triplet, psi, observable, t + s, mc)
+    xi1 = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
+    xi2 = sample_ensemble(triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
     xi = xi1 + xi2
     overflow = _check_overflow(psi, xi)
     est, se = mc_stats(_shift_values(psi, [observable], xi)[0])

@@ -64,7 +64,6 @@ from levylab.levy import (
 )
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import (
-    NoiseSemigroupSpec,
     classical_fixed_point_oracle,
     generator_consistency_check,
     mc_heisenberg_batch,
@@ -148,9 +147,8 @@ def test_criterion_02_quantum_classical_reduction():
     worst = 0.0
     ok = True
     for i, (tname, triplet) in enumerate(triplets.items()):
-        spec = NoiseSemigroupSpec(triplet, grid)
         tables = [QTable.from_function(grid, f, label=n) for n, f in observables.items()]
-        quantum = mc_heisenberg_batch(spec, psi, tables, 1.0, MCConfig(N_LAW, 3000 + i))
+        quantum = mc_heisenberg_batch(triplet, psi, tables, 1.0, MCConfig(N_LAW, 3000 + i))
         for j, (oname, f) in enumerate(observables.items()):
             classical = classical_fixed_point_oracle(f, triplet, 1.0, psi, MCConfig(N_LAW, 4000 + 10 * i + j))
             joint = np.hypot(quantum[j].stderr, classical.stderr)
@@ -238,8 +236,8 @@ def test_criterion_07_gauge_invariance():
         A = stream.standard_normal((m, m)) + 1j * stream.standard_normal((m, m))
         Q, _ = np.linalg.qr(A)
         elem = GaugeElement(
-            D=tuple(map(tuple, Q)),
-            a=tuple(stream.standard_normal(m) + 1j * stream.standard_normal(m)),
+            D=Q,
+            a=stream.standard_normal(m) + 1j * stream.standard_normal(m),
             b=float(stream.standard_normal()),
         )
         transformed = apply_gauge(g, elem)
@@ -253,8 +251,8 @@ def test_criterion_07_gauge_invariance():
         A2 = stream.standard_normal((m, m)) + 1j * stream.standard_normal((m, m))
         Q2, _ = np.linalg.qr(A2)
         elem2 = GaugeElement(
-            D=tuple(map(tuple, Q2)),
-            a=tuple(stream.standard_normal(m) + 1j * stream.standard_normal(m)),
+            D=Q2,
+            a=stream.standard_normal(m) + 1j * stream.standard_normal(m),
             b=float(stream.standard_normal()),
         )
         worst_law = max(worst_law, gauge_group_law_check(elem, elem2, g))

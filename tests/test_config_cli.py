@@ -101,6 +101,8 @@ x = 2
         ("mc_semigroup_mixed.cfg", "t", "-1", "[semigroup] t: must be nonnegative"),
         ("mc_semigroup_mixed.cfg", "t", "0.5, -0.25", "[semigroup] t: must be nonnegative"),
         ("killed_bm.cfg", "dt", "0.003", "[kd] t: must be an integer multiple of dt"),
+        ("killed_bm.cfg", "t", "nan", "[kd] t: must be an integer multiple of dt"),
+        ("killed_bm.cfg", "t", "inf", "[kd] t: must be an integer multiple of dt"),
         ("cp_suite.cfg", "count", "0", "[suite] count: must be positive"),
         ("cp_suite.cfg", "count", "-1", "[suite] count: must be positive"),
         ("cp_suite.cfg", "times", "-1.0", "[suite] times: must be nonnegative"),
@@ -121,6 +123,41 @@ x = 2
         with pytest.raises(ConfigError) as exc:
             parse_config(replace_key((REPO / "configs" / name).read_text(), key, bad))
         assert [e for e in exc.value.errors if e.startswith(message)]
+
+    @pytest.mark.parametrize("name,old,new,message", [
+        (None, "[run]", "x = 1\n[run]", "line 2: entry outside any [section]"),
+        (None, "[triplet]", "[ ]\n[triplet]", "line 6: empty section name"),
+        (None, "[check]", "[run]\n[check]", "line 9: duplicate section [run]"),
+        (None, "[check]", "garbage\n[check]", "line 9: expected 'key = value', got 'garbage'"),
+        (None, "[check]", "= 3\n[check]", "line 9: empty key"),
+        ("galilei_gauss.cfg", "n_steps = 32", "n_steps = 32\nfree = maybe",
+         "[galilei] free: cannot parse as bool: not a boolean: 'maybe'"),
+        ("galilei_gauss.cfg", "alpha = 1.0, 0.3, 0.5", "alpha = 1.0, 0.3",
+         "[triplet2] alpha: expected three entries a_pp, a_pq, a_qq"),
+        ("mc_semigroup_mixed.cfg", "n_paths = 20000", "n_paths = 20000\nantithetic = maybe",
+         "[mc] antithetic: expected auto, true or false"),
+        ("mc_semigroup_mixed.cfg", "kind = qtable", "kind = nope",
+         "[observable]: unknown kind 'nope' (qtable, ptable or weyl)"),
+        ("feller_zero.cfg", "drift = zero", "drift = nope", "[feller] drift: unknown drift 'nope' (zero, bessel3, ou, linear)"),
+        ("feller_zero.cfg", "expect_left = absorbing", "expect_left = maybe", "[feller] expect_left: invalid verdict 'maybe'"),
+    ])
+    def test_error_messages(self, name, old, new, message):
+        # ``name`` None edits MINIMAL_CHAR, whose line numbers the messages cite
+        text = MINIMAL_CHAR if name is None else (REPO / "configs" / name).read_text()
+        assert old in text
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text.replace(old, new, 1))
+        assert message in exc.value.errors
+
+    @pytest.mark.parametrize("word,value", [("yes", True), ("on", True), ("1", True), ("off", False)])
+    def test_boolean_words(self, word, value):
+        text = (REPO / "configs" / "galilei_gauss.cfg").read_text().replace("n_steps = 32", f"n_steps = 32\nfree = {word}")
+        assert parse_config(text).params["galilei"]["free"] is value
+
+    def test_linear_drift(self):
+        text = (REPO / "configs" / "feller_zero.cfg").read_text().replace("drift = zero", "drift = linear\ncoefficient = 0.5")
+        spec = parse_config(text).params["feller"]
+        assert spec.drift(np.array([0.5, 2.0])).tolist() == [0.5, 0.5]
 
     def test_range_boundaries_accepted(self):
         text = (REPO / "configs" / "mc_semigroup_mixed.cfg").read_text()
@@ -412,6 +449,7 @@ n_steps = 8
         assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["deviation_coarse"]["verdict"] == "pass"
+        assert payload["metrics"]["overflow_fraction"] == {"value": 0.0}  # no verdict
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # drift so fast the shifted ensemble leaves the grid: exit 3
@@ -487,6 +525,9 @@ n_steps = 8
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "t", "-1"),
         ("char-check", "char_check_gauss.cfg", "n_samples", "0"),
         ("killed-diffusion", "killed_bm.cfg", "dt", "0.003"),
+        ("killed-diffusion", "killed_bm.cfg", "t", "nan"),
+        ("killed-diffusion", "killed_bm.cfg", "t", "inf"),
+        ("feller-classify", "feller_zero.cfg", "drift", "nope"),
         ("cp-suite", "cp_suite.cfg", "max_jumps", "0"),
         ("dyson", "dyson.cfg", "gamma", "-1"),
         ("dyson", "dyson.cfg", "n_terms", "-1"),
@@ -512,9 +553,11 @@ n_steps = 8
     def test_cli_import_defers_fft_and_quadrature(self):
         # scipy.fft (which pulls in scipy.special), scipy.integrate and
         # scipy.linalg are not needed to start a run; quadrature and the
-        # matrix exponential import their modules on first use
+        # matrix exponential import their modules on first use, and each
+        # kind imports its domain module when it runs
         code = ("import sys, levylab.cli; print(sorted(m for m in "
-                "('scipy.fft', 'scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+                "('scipy.fft', 'scipy.integrate', 'scipy.linalg', 'levylab.generators', "
+                "'levylab.semigroup', 'levylab.galilean', 'levylab.feller') if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from levylab import galilean as galilean_module
+from levylab import rng
 from levylab.galilean import (
     GalileanGenerator,
     _evolve_block,
@@ -16,6 +18,7 @@ from levylab.galilean import (
     weyl_symbol_rate,
 )
 from levylab.grid import (
+    OVERFLOW_FRACTION,
     STATE_BATCH,
     WaveFunction,
     WeylLabel,
@@ -26,9 +29,16 @@ from levylab.grid import (
     momentum_expectation,
     position_expectation,
 )
-from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, char_exponent_2d
+from levylab.levy import (
+    JumpMeasure,
+    LevyTriplet1D,
+    LevyTriplet2D,
+    _sample_increments,
+    char_exponent_1d,
+    char_exponent_2d,
+)
 from levylab.montecarlo import MCConfig
-from levylab.semigroup import NoiseSemigroupSpec, mc_heisenberg_expectation
+from levylab.semigroup import mc_heisenberg_expectation
 
 FULL = LevyTriplet2D(
     beta_p=0.4,
@@ -187,6 +197,20 @@ class TestDilation:
         scheme = scheme_expected_weyl(gen, psi512, x0, v0, t, n)
         assert abs(res.estimate - scheme) <= 4.0 * res.stderr + 1e-10
 
+    def test_overflow_fraction_reported_below_threshold(self):
+        # a rare jump of 9 carries the packet into the window at 12 <= |x| < 16;
+        # with no other noise a path overflows exactly when it jumps
+        psi = gaussian_state(default_grid(128, 16.0))
+        gen = GalileanGenerator(LevyTriplet2D(jumps=JumpMeasure(atoms=[((9.0, 0.0), 0.005)])),
+                                include_free_hamiltonian=False)
+        mc = MCConfig(4000, 23)
+        res = mc_weyl_expectation(gen, psi, WeylLabel(0.0, 0.5), 1.0, 1, mc)
+        assert 0.0 < res.overflow_fraction <= OVERFLOW_FRACTION
+        inc, _ = _sample_increments(gen.triplet2, np.ones(1), mc.n_paths, rng.stream(mc.seed, "dilation", 0))
+        assert res.overflow_fraction == np.count_nonzero(inc[:, 0, 0]) / mc.n_paths
+        quiet = GalileanGenerator(LevyTriplet2D(alpha=((0.5, 0.0), (0.0, 0.0))), include_free_hamiltonian=False)
+        assert mc_weyl_expectation(quiet, psi, WeylLabel(0.0, 0.5), 1.0, 1, mc).overflow_fraction == 0.0
+
 
 class TestCovariance:
     def test_zero_label_zero_defect(self, psi512):
@@ -213,6 +237,25 @@ class TestCovariance:
                                              n_steps=4) for k in (1, 2)]
         assert defects[0] == defects[1]
 
+    def test_paths_evolve_in_state_batches(self, monkeypatch):
+        # memory control: neither dilation function evolves more than
+        # STATE_BATCH paths in one call, and every path is evolved
+        seen = []
+        evolve = galilean_module._evolve_block
+
+        def recording(gen, psi, increments, dt):
+            seen.append(increments.shape[0])
+            return evolve(gen, psi, increments, dt)
+
+        monkeypatch.setattr(galilean_module, "_evolve_block", recording)
+        psi = gaussian_state(default_grid(64, 16.0))
+        gen = GalileanGenerator(GAUSS_PP)
+        mc = MCConfig(2 * STATE_BATCH + 50, 6)
+        galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, mc, n_steps=2)
+        mc_weyl_expectation(gen, psi, WeylLabel(0.4, 0.3), 0.7, 2, mc)
+        assert max(seen) <= STATE_BATCH
+        assert sum(seen) == 3 * mc.n_paths  # both sides of the covariance check, then the estimator
+
 
 class TestOneDimensionalReduction:
     def test_reduction_extracts_first_axis(self):
@@ -232,8 +275,7 @@ class TestOneDimensionalReduction:
         t1 = one_dimensional_reduction(gen)
         label = WeylLabel(0.4, 0.9)
         two_d = mc_weyl_expectation(gen, psi512, label, 1.0, 4, MCConfig(20000, 31))
-        spec = NoiseSemigroupSpec(t1, psi512.grid)
-        one_d = mc_heisenberg_expectation(spec, psi512, label, 1.0, MCConfig(20000, 77))
+        one_d = mc_heisenberg_expectation(t1, psi512, label, 1.0, MCConfig(20000, 77))
         joint = np.hypot(two_d.stderr, one_d.stderr)
         assert abs(two_d.estimate - one_d.estimate) <= 4.0 * joint
         # and both against the 1-D exponent closed form

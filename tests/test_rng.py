@@ -14,7 +14,7 @@ from levylab.feller import trace_decay_link, zero_drift_spec
 from levylab.grid import QTable, default_grid, gaussian_state
 from levylab.levy import JumpMeasure, LevyTriplet1D
 from levylab.montecarlo import MCConfig
-from levylab.semigroup import NoiseSemigroupSpec, semigroup_two_stage
+from levylab.semigroup import semigroup_two_stage
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -156,11 +156,10 @@ class TestIndependentEstimatesUseDisjointKeys:
     N = rng.CHUNK + 10  # two streams per ensemble
 
     def test_two_stage_draws(self, opened):
-        spec = NoiseSemigroupSpec(LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(2.0, 0.4)])),
-                                  default_grid(256))
-        psi = gaussian_state(spec.grid, 0.0, 1.0, 0.0)
-        fq = QTable.from_function(spec.grid, lambda x: np.exp(-0.5 * x**2), "bump")
-        semigroup_two_stage(spec, psi, fq, 0.5, 0.7, MCConfig(self.N, 3, antithetic=False))
+        triplet = LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(2.0, 0.4)]))
+        psi = gaussian_state(default_grid(256), 0.0, 1.0, 0.0)
+        fq = QTable.from_function(psi.grid, lambda x: np.exp(-0.5 * x**2), "bump")
+        semigroup_two_stage(triplet, psi, fq, 0.5, 0.7, MCConfig(self.N, 3, antithetic=False))
         groups = _by_tag(opened)
         assert sorted(groups) == ["increments", "two-stage.first", "two-stage.second"]
         assert all(len(keys) == 2 for keys in groups.values())

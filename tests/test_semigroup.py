@@ -10,6 +10,7 @@ from levylab import rng
 from levylab import semigroup as semigroup_module
 from levylab.errors import SupportOverflowError
 from levylab.grid import (
+    OVERFLOW_FRACTION,
     GridSpec,
     PTable,
     QTable,
@@ -24,8 +25,6 @@ from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_en
 from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
     ORACLE_TOL,
-    OVERFLOW_FRACTION,
-    NoiseSemigroupSpec,
     classical_fixed_point_oracle,
     classical_generator_apply,
     generator_consistency_check,
@@ -41,82 +40,72 @@ GAUSS = LevyTriplet1D(alpha=1.0)
 MIXED = LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(2.0, 0.4)]))
 
 
-@pytest.fixture(scope="module")
-def spec(grid):
-    return NoiseSemigroupSpec(MIXED, grid)
-
-
-@pytest.fixture(scope="module")
-def gauss_spec(grid):
-    return NoiseSemigroupSpec(GAUSS, grid)
-
-
 def bump(x):
     return np.exp(-0.5 * x**2)
 
 
 class TestHeisenbergExpectation:
-    def test_identity_exact_with_zero_variance(self, spec, psi):
-        one = QTable.from_function(spec.grid, lambda x: np.ones_like(x), "one")
-        res = mc_heisenberg_expectation(spec, psi, one, 1.0, MCConfig(4000, 1))
+    def test_identity_exact_with_zero_variance(self, psi):
+        one = QTable.from_function(psi.grid, lambda x: np.ones_like(x), "one")
+        res = mc_heisenberg_expectation(MIXED, psi, one, 1.0, MCConfig(4000, 1))
         assert res.estimate == pytest.approx(1.0, abs=1e-12)
         assert res.stderr < 1e-12
 
-    def test_momentum_observable_exact(self, spec, psi):
-        g = PTable.from_function(spec.grid, np.tanh, "tanh(P)")
-        res = mc_heisenberg_expectation(spec, psi, g, 1.0, MCConfig(100, 2))
+    def test_momentum_observable_exact(self, psi):
+        g = PTable.from_function(psi.grid, np.tanh, "tanh(P)")
+        res = mc_heisenberg_expectation(MIXED, psi, g, 1.0, MCConfig(100, 2))
         assert res.exact and res.stderr == 0.0
         assert res.estimate == pytest.approx(expectation(psi, g), abs=1e-14)
 
-    def test_position_observable_matches_classical_oracle(self, spec, psi):
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        quantum = mc_heisenberg_expectation(spec, psi, fq, 1.0, MCConfig(40000, 3))
-        classical = classical_fixed_point_oracle(bump, spec.triplet, 1.0, psi, MCConfig(40000, 999))
+    def test_position_observable_matches_classical_oracle(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        quantum = mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(40000, 3))
+        classical = classical_fixed_point_oracle(bump, MIXED, 1.0, psi, MCConfig(40000, 999))
         joint = np.hypot(quantum.stderr, classical.stderr)
         assert abs(quantum.estimate - classical.estimate) <= 4.0 * joint
 
-    def test_oracle_sums_over_the_support(self, spec, moving_psi):
+    def test_oracle_sums_over_the_support(self, moving_psi):
         weights = np.abs(moving_psi.normalized().amplitudes) ** 2 * moving_psi.grid.dx
         lo, hi = _support_bounds(weights, ORACLE_TOL)
         assert weights[:lo].sum() < ORACLE_TOL / 2 and weights[hi + 1:].sum() < ORACLE_TOL / 2
         assert hi - lo + 1 < weights.size // 3
         # reference: the weighted sum over the whole lattice
         mc = MCConfig(3000, 5)
-        xi = sample_ensemble(spec.triplet, 1.0, mc.n_paths, mc.seed)
+        xi = sample_ensemble(MIXED, 1.0, mc.n_paths, mc.seed)
         full = bump(moving_psi.grid.x[None, :] + xi[:, None]) @ weights
-        res = classical_fixed_point_oracle(bump, spec.triplet, 1.0, moving_psi, mc)
+        res = classical_fixed_point_oracle(bump, MIXED, 1.0, moving_psi, mc)
         assert res.estimate == pytest.approx(full.mean(), rel=1e-13)
         assert res.stderr == pytest.approx(full.std(ddof=1) / np.sqrt(mc.n_paths), rel=1e-10)
 
-    def test_weyl_observable_closed_form(self, gauss_spec, psi):
+    def test_weyl_observable_closed_form(self, psi):
         # conjugating a displacement by a shift multiplies it by a phase, so
         # the average is exp(t * exponent(v)) times the static expectation
         label = WeylLabel(0.5, 1.2)
-        res = mc_heisenberg_expectation(gauss_spec, psi, label, 1.0, MCConfig(20000, 4))
+        res = mc_heisenberg_expectation(GAUSS, psi, label, 1.0, MCConfig(20000, 4))
         closed = np.exp(char_exponent_1d(GAUSS, label.v)) * expectation(psi, label)
         assert abs(res.estimate - closed) <= 4.0 * res.stderr + 1e-12
 
-    def test_antithetic_used_for_symmetric_law(self, gauss_spec, psi):
-        fq = QTable.from_function(gauss_spec.grid, bump, "bump")
-        res = mc_heisenberg_expectation(gauss_spec, psi, fq, 1.0, MCConfig(2000, 5))
+    def test_antithetic_used_for_symmetric_law(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        res = mc_heisenberg_expectation(GAUSS, psi, fq, 1.0, MCConfig(2000, 5))
         assert res.antithetic
 
-    def test_antithetic_refused_for_asymmetric_law(self, spec, psi):
-        fq = QTable.from_function(spec.grid, bump, "bump")
+    def test_antithetic_refused_for_asymmetric_law(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
         with pytest.raises(ValueError, match="asymmetric"):
-            mc_heisenberg_expectation(spec, psi, fq, 1.0, MCConfig(2000, 5, antithetic=True))
+            mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(2000, 5, antithetic=True))
 
     def test_support_overflow_aborts(self, grid):
         psi = gaussian_state(grid, 30.0, 1.0)
-        fast = NoiseSemigroupSpec(LevyTriplet1D(beta=15.0), grid)
+        fast = LevyTriplet1D(beta=15.0)
         fq = QTable.from_function(grid, bump, "bump")
         with pytest.raises(SupportOverflowError):
             mc_heisenberg_expectation(fast, psi, fq, 1.0, MCConfig(200, 6))
 
-    def test_batch_shares_paths(self, spec, psi):
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        single = mc_heisenberg_expectation(spec, psi, fq, 1.0, MCConfig(2000, 7))
-        batch = mc_heisenberg_batch(spec, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(2000, 7))
+    def test_batch_shares_paths(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        single = mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(2000, 7))
+        batch = mc_heisenberg_batch(MIXED, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(2000, 7))
         assert batch[0].estimate == single.estimate
 
 
@@ -144,9 +133,9 @@ class TestShiftEstimator:
         elif kind == "ptable":
             observable = PTable(tuple(gen.uniform(-1.0, 1.0, n)))
         else:
-            x, v = gen.uniform(-1.0, 1.0, 2) * (grid.length, 0.5 * n * grid.dp)
+            x, v = gen.uniform(-1.0, 1.0, 2) * (n * grid.dx, 0.5 * n * grid.dp)
             observable = WeylLabel(x, v, half_phase_sign=1 if kind == "weyl+" else -1)
-        xi = span * grid.length * gen.uniform(-1.0, 1.0, 16)
+        xi = span * (n * grid.dx) * gen.uniform(-1.0, 1.0, 16)
         if antithetic:
             xi = np.concatenate([xi, -xi])
         hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
@@ -169,43 +158,43 @@ class TestShiftEstimator:
         assert abs(est - ref) <= bound.max()
         assert abs(se - ref_se) <= bound.max()
 
-    def test_estimators_never_shift_states(self, spec, psi, monkeypatch):
+    def test_estimators_never_shift_states(self, psi, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the coefficient estimator must not call grid.displace")
 
         monkeypatch.setattr(grid_module, "displace", forbidden)
         monkeypatch.setattr(semigroup_module, "displace", forbidden)
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        mc_heisenberg_batch(spec, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(256, 16))
-        mc_heisenberg_expectation(spec, psi, WeylLabel(-0.2, 0.9, half_phase_sign=1), 0.5, MCConfig(256, 17))
-        semigroup_two_stage(spec, psi, fq, 0.5, 0.7, MCConfig(256, 18))
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        mc_heisenberg_batch(MIXED, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(256, 16))
+        mc_heisenberg_expectation(MIXED, psi, WeylLabel(-0.2, 0.9, half_phase_sign=1), 0.5, MCConfig(256, 17))
+        semigroup_two_stage(MIXED, psi, fq, 0.5, 0.7, MCConfig(256, 18))
 
     def test_overflow_fraction_reported_below_threshold(self, grid):
         # support near the right edge: a few Gaussian paths reach the window
         psi = gaussian_state(grid, 30.0, 1.0)
-        near = NoiseSemigroupSpec(LevyTriplet1D(alpha=2.0), grid)
+        near = LevyTriplet1D(alpha=2.0)
         fq = QTable.from_function(grid, bump, "bump")
         res = mc_heisenberg_expectation(near, psi, fq, 1.0, MCConfig(20000, 19))
         assert 0.0 < res.overflow_fraction <= OVERFLOW_FRACTION
-        xi = sample_ensemble(near.triplet, 1.0, 20000, 19, antithetic=res.antithetic)
+        xi = sample_ensemble(near, 1.0, 20000, 19, antithetic=res.antithetic)
         assert res.overflow_fraction == semigroup_module._check_overflow(psi, xi)
         centred = mc_heisenberg_expectation(near, gaussian_state(grid), fq, 1.0, MCConfig(2000, 19))
         assert centred.overflow_fraction == 0.0
 
 
 class TestStateEnsemble:
-    def test_ensemble_reproduces_expectation_numerically(self, spec, psi):
+    def test_ensemble_reproduces_expectation_numerically(self, psi):
         # same seed, same streams: the observable on each shifted state must
         # match the coefficient estimator's value for that path, and the
         # averages must agree, both to round-off (asymmetric law, so the
         # estimator uses plain sampling on both sides)
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        xi = sample_ensemble(spec.triplet, 1.0, 512, 15)
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        xi = sample_ensemble(MIXED, 1.0, 512, 15)
         states = np.concatenate([block for _, block in semigroup_module._shifted_batches(psi.unit(), xi)])
-        by_states = spec.grid.dx * np.abs(states) ** 2 @ fq.array
+        by_states = psi.grid.dx * np.abs(states) ** 2 @ fq.array
         per_path = _shift_values(psi, [fq], xi)[0]
         assert np.abs(by_states - per_path).max() <= 1e-14
-        direct = mc_heisenberg_expectation(spec, psi, fq, 1.0, MCConfig(512, 15))
+        direct = mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(512, 15))
         assert abs(np.mean(by_states) - direct.estimate) <= 1e-14
 
 
@@ -251,28 +240,28 @@ class TestGeneratorConsistency:
 
 
 class TestCovarianceAndSemigroup:
-    def test_momentum_covariance_weyl(self, spec):
-        defect = momentum_covariance_check(spec, WeylLabel(0.5, 1.0), y=0.8, t=1.0, mc=MCConfig(1000, 11))
+    def test_momentum_covariance_weyl(self, psi):
+        defect = momentum_covariance_check(MIXED, psi, WeylLabel(0.5, 1.0), y=0.8, t=1.0, mc=MCConfig(1000, 11))
         assert defect < 1e-10
 
-    def test_momentum_covariance_position_table(self, spec):
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        defect = momentum_covariance_check(spec, fq, y=1.3, t=1.0, mc=MCConfig(1000, 12))
+    def test_momentum_covariance_position_table(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        defect = momentum_covariance_check(MIXED, psi, fq, y=1.3, t=1.0, mc=MCConfig(1000, 12))
         assert defect < 1e-10
 
-    def test_zero_boost_no_defect(self, spec):
-        defect = momentum_covariance_check(spec, WeylLabel(0.2, 0.1), y=0.0, t=1.0, mc=MCConfig(500, 13))
+    def test_zero_boost_no_defect(self, psi):
+        defect = momentum_covariance_check(MIXED, psi, WeylLabel(0.2, 0.1), y=0.0, t=1.0, mc=MCConfig(500, 13))
         assert defect < 1e-14
 
-    def test_two_stage_composition(self, spec, psi):
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        one, two = semigroup_two_stage(spec, psi, fq, 0.5, 0.7, MCConfig(40000, 14))
+    def test_two_stage_composition(self, psi):
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        one, two = semigroup_two_stage(MIXED, psi, fq, 0.5, 0.7, MCConfig(40000, 14))
         assert abs(one.estimate - two.estimate) <= 4.0 * np.hypot(one.stderr, two.stderr)
 
-    def test_two_stage_normalizes_the_state(self, spec, psi):
+    def test_two_stage_normalizes_the_state(self, psi):
         # both estimates are expectations in the normalized state; an
         # unnormalized input must not scale the two-stage one by its norm squared
-        fq = QTable.from_function(spec.grid, bump, "bump")
-        doubled = WaveFunction(spec.grid, 2.0 * psi.amplitudes)
-        one, two = semigroup_two_stage(spec, doubled, fq, 0.5, 0.7, MCConfig(4000, 15))
+        fq = QTable.from_function(psi.grid, bump, "bump")
+        doubled = WaveFunction(psi.grid, 2.0 * psi.amplitudes)
+        one, two = semigroup_two_stage(MIXED, doubled, fq, 0.5, 0.7, MCConfig(4000, 15))
         assert abs(one.estimate - two.estimate) <= 5.0 * np.hypot(one.stderr, two.stderr)
