@@ -6,6 +6,8 @@ The format is a deliberately small line-oriented grammar (documented in
 lists of ``location:rate`` jump atoms.  Validation follows the schema each
 kind declares in ``runner.EXPERIMENTS`` and reports every problem found;
 unknown sections or keys are errors, and the seed is always explicit.
+Only the grammar lives here: each section's keys, and the builder of one
+that becomes an object, are declared once in :mod:`levylab.runner`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ import hashlib
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
-from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D
-from .montecarlo import MCConfig
-from .runner import EXPERIMENTS, RANGES, Field, RunConfig
+from .runner import EXPERIMENTS, RANGES, Field, RunConfig, Section
 
 FORMATS = ("csv", "json", "both")
 
@@ -116,13 +115,6 @@ _RUN_FIELDS = {
     "threads": Field("int", default=1, range="positive"),
 }
 
-OBSERVABLE_FUNCS = {
-    "cos": lambda s: (lambda x: np.cos(s * x)),
-    "bump": lambda s: (lambda x: np.exp(-0.5 * (s * x) ** 2)),
-    "step": lambda s: (lambda x: np.tanh(s * x)),
-    "one": lambda s: (lambda x: np.ones_like(np.asarray(x, dtype=float))),
-}
-
 
 def _check_section(
     name: str,
@@ -130,6 +122,7 @@ def _check_section(
     sections: dict[str, dict[str, str]],
     errors: list[str],
 ) -> dict:
+    """The values of ``[name]`` by ``fields``; a value that is missing or fails to parse is ``None``."""
     raw = sections.get(name, {})
     out = {}
     for key, spec in fields.items():
@@ -137,6 +130,7 @@ def _check_section(
             out[key] = _coerce(spec.type, raw[key], f"[{name}] {key}", errors)
         elif spec.required:
             errors.append(f"[{name}]: missing required key {key!r}")
+            out[key] = None
         else:
             out[key] = spec.default
     for key in raw:
@@ -149,34 +143,11 @@ def _check_section(
         if spec.range is not None:
             if not all(map(RANGES[spec.range], value if isinstance(value, list) else [value])):
                 errors.append(f"[{name}] {key}: must be {spec.range}, got {raw.get(key, value)}")
+                continue  # a value out of range is no multiple either; one error says so
         unit = out.get(spec.multiple_of) if spec.multiple_of else None
         if unit is not None and unit > 0 and not _is_multiple(value, unit):
             errors.append(f"[{name}] {key}: must be an integer multiple of {spec.multiple_of} = {unit!r}, got {value!r}")
     return out
-
-
-def _test_function(section: str, params: dict, errors: list[str]):
-    """The function ``func`` at ``scale`` named in ``[section]``; ``None`` after recording an unknown name."""
-    if params["func"] not in OBSERVABLE_FUNCS:
-        errors.append(f"[{section}]: unknown func {params['func']!r} (choose from {sorted(OBSERVABLE_FUNCS)})")
-        return None
-    return OBSERVABLE_FUNCS[params["func"]](params["scale"])
-
-
-def _build_observable(params: dict, grid: GridSpec, errors: list[str]):
-    kind = params["kind"]
-    if kind == "weyl":
-        return WeylLabel(params["x"], params["v"])
-    fn = _test_function("observable", params, errors)
-    if fn is None:
-        return None
-    label = f"{params['func']}({params['scale']:g})"
-    if kind == "qtable":
-        return QTable.from_function(grid, fn, label=f"{label}(Q)")
-    if kind == "ptable":
-        return PTable.from_function(grid, fn, label=f"{label}(P)")
-    errors.append(f"[observable]: unknown kind {kind!r} (qtable, ptable or weyl)")
-    return None
 
 
 def parse_config(text: str, kind_override: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -185,9 +156,10 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
     ``overrides`` (the CLI's ``--seed``, ``--out``, ``--threads``,
     ``--format``) replace keys of ``[run]`` after tokenizing and are
     checked like the file's own entries.  Raises :class:`ConfigError`
-    carrying *all* problems found.  Domain invariants (nonnegative
-    diffusion, valid grids, positive rates) are enforced by constructing
-    the actual objects here.
+    carrying *all* problems found.  Every section is checked first; then
+    each :class:`~levylab.runner.Section` is built in schema order, which
+    enforces the domain invariants (nonnegative diffusion, valid grids,
+    positive rates).
     """
     errors: list[str] = []
     sections = _parse_sections(text, errors)
@@ -205,16 +177,27 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
         errors.append(f"[run]: format must be one of {FORMATS}, got {run.get('format')!r}")
 
     schema = EXPERIMENTS[kind].schema
-    params: dict = {}
-    for section, fields in schema.items():
-        params[section] = _check_section(section, fields, sections, errors)
+    values = {section: _check_section(section, spec.fields if isinstance(spec, Section) else spec, sections, errors)
+              for section, spec in schema.items()}
     for section in sections:
         if section != "run" and section not in schema:
             errors.append(f"unknown section [{section}] for kind {kind!r}")
 
+    # a build whose own values, or a section it needs, failed is skipped: that error is already recorded
+    ready = {name for name, vals in [("run", run), *values.items()] if None not in vals.values()}
     built: dict = {}
-    if isinstance(run.get("seed"), int):
-        try_build(kind, params, built, errors, run)
+    for section, spec in schema.items():
+        if not isinstance(spec, Section):
+            built[section] = values[section]
+        elif ready.issuperset((section, *spec.needs)):
+            try:
+                built[section] = spec.build(values[section], built, run)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
+            except ValueError as exc:
+                errors.append(f"{section}: {exc}")
+        if section not in built:
+            ready.discard(section)
     if errors:
         raise ConfigError(errors)
 
@@ -234,74 +217,6 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
         formats=run["format"],
         threads=run["threads"],
         params=built,
+        values=values,
         text_hash=digest.hexdigest(),
     )
-
-
-def try_build(kind: str, params: dict, built: dict, errors: list[str], run: dict) -> None:
-    """Construct domain objects, folding their invariant errors into the list."""
-
-    def attempt(label, fn):
-        try:
-            built[label] = fn()
-        except ValueError as exc:
-            errors.append(f"{label}: {exc}")
-        except TypeError:
-            pass  # a field failed coercion; that error is already recorded
-
-    if "triplet" in params:
-        p = params["triplet"]
-        attempt("triplet", lambda: LevyTriplet1D(
-            beta=p["beta"], alpha=p["alpha"], jumps=JumpMeasure(atoms=p["atoms"]), h=p["h"]
-        ))
-    if "triplet2" in params:
-        p = params["triplet2"]
-        a = p["alpha"]
-        if len(a) != 3:
-            errors.append("[triplet2] alpha: expected three entries a_pp, a_pq, a_qq")
-        else:
-            attempt("triplet2", lambda: LevyTriplet2D(
-                beta_p=p["beta_p"], beta_q=p["beta_q"],
-                alpha=((a[0], a[1]), (a[1], a[2])),
-                jumps=JumpMeasure(atoms=p["atoms"]), h=p["h"],
-            ))
-    if "grid" in params:
-        p = params["grid"]
-        attempt("grid", lambda: GridSpec(n_points=p["n"], x_min=p["x_min"], dx=p["dx"]))
-    if "state" in params and "grid" in built:
-        p = params["state"]
-        attempt("state", lambda: gaussian_state(built["grid"], p["center"], p["width"], p["momentum"]))
-    if "mc" in params:
-        p = params["mc"]
-        anti = {"auto": "auto", "true": True, "false": False}.get(str(p["antithetic"]).lower())
-        if anti is None:
-            errors.append("[mc] antithetic: expected auto, true or false")
-        else:
-            attempt("mc", lambda: MCConfig(
-                n_paths=p["n_paths"], seed=run["seed"], antithetic=anti, threads=run["threads"]
-            ))
-    if "observable" in params and "grid" in built:
-        attempt("observable", lambda: _build_observable(params["observable"], built["grid"], errors))
-    if "genchk" in params:
-        attempt("genchk_func", lambda: _test_function("genchk", params["genchk"], errors))
-    if "feller" in params:
-        from .feller import CANONICAL_DRIFTS, DriftSpec
-
-        p = params["feller"]
-        built["feller_params"] = p
-        name = p["drift"]
-        if name in CANONICAL_DRIFTS:
-            attempt("feller", lambda: CANONICAL_DRIFTS[name](l=p["l"], x0=p["x0"]))
-        elif name == "linear":
-            c = p["coefficient"]
-            attempt("feller", lambda: DriftSpec(
-                l=p["l"], drift=lambda x: c * np.ones_like(np.asarray(x, dtype=float)), x0=p["x0"]
-            ))
-        else:
-            errors.append(f"[feller] drift: unknown drift {name!r} (zero, bessel3, ou, linear)")
-        for key in ("expect_left", "expect_right"):
-            if key in p and p[key] and p[key] not in ("absorbing", "non-absorbing", "inconclusive"):
-                errors.append(f"[feller] {key}: invalid verdict {p[key]!r}")
-    for section in params:
-        if section not in ("triplet", "triplet2", "grid", "state", "mc", "observable", "feller"):
-            built[section] = params[section]

@@ -213,8 +213,6 @@ class SurvivalCurve:
     times: np.ndarray
     survival: np.ndarray
     stderr: np.ndarray
-    n_paths: int
-    seed: int
 
     @property
     def final(self) -> float:
@@ -300,13 +298,7 @@ def _simulate(
         counts += c
     surv = counts / mc.n_paths
     se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / mc.n_paths)
-    return SurvivalCurve(
-        times=rec_steps * dt,
-        survival=surv,
-        stderr=se,
-        n_paths=mc.n_paths,
-        seed=mc.seed,
-    )
+    return SurvivalCurve(times=rec_steps * dt, survival=surv, stderr=se)
 
 
 def simulate_killed_diffusion(

@@ -2,12 +2,15 @@
 
 Each experiment kind is one entry of :data:`EXPERIMENTS`: the config
 sections it takes and a ``run(cfg)`` that returns a :class:`Result` and
-writes nothing.  :func:`run` then writes a table as ``<name>.csv`` and every
-output as ``<name>.json`` (summary keys, plus ``rows`` as header-keyed dicts
-for a table); ``format`` picks among these, but an output with no table is
-always written as JSON.  Data files are deterministic (identical config +
-seed gives byte-identical files); timestamps live only in ``record.json``,
-beside the config hash, metrics with verdicts and a manifest of hashes.
+writes nothing.  Each section is declared here once: a plain one as a dict
+of :class:`Field`, one that becomes an object as a :class:`Section` with
+its builder, which ``config.parse_config`` runs.  :func:`run` then writes a
+table as ``<name>.csv`` and every output as ``<name>.json`` (summary keys,
+plus ``rows`` as header-keyed dicts for a table); ``format`` picks among
+these, but an output with no table is always written as JSON.  Data files
+are deterministic (identical config + seed gives byte-identical files);
+timestamps live only in ``record.json``, beside the config hash, metrics
+with verdicts and a manifest of hashes.
 
 Exit discipline (used by the CLI): 0 pass, 1 verdict fail, 2 usage or
 config error, 3 numerical failure.
@@ -26,12 +29,18 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, rng
+from .errors import ConfigError
+from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
 from .levy import (
+    JumpMeasure,
+    LevyTriplet1D,
+    LevyTriplet2D,
     char_exponent_1d,
     empirical_char_function,
     sample_ensemble,
     sample_increments,
 )
+from .montecarlo import MCConfig
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -68,45 +77,120 @@ class Field:
     multiple_of: str | None = None
 
 
-_TRIPLET_FIELDS = {
+@dataclass(frozen=True)
+class Section:
+    """A config section that becomes an object: its keys and its builder.
+
+    ``build(values, built, run)`` gets the section's checked values, the
+    sections built before it and the ``[run]`` values; it raises
+    :class:`ConfigError` with finished messages, or ``ValueError`` for a
+    domain invariant.  ``needs`` names the sections it reads (``"run"``
+    included); the build is skipped when any of them, or its own, failed.
+    """
+
+    fields: dict[str, Field]
+    build: Callable[[dict, dict, dict], object]
+    needs: tuple[str, ...] = ()
+
+
+def _build_triplet2(p: dict, built: dict, run: dict) -> LevyTriplet2D:
+    a = p["alpha"]
+    if len(a) != 3:
+        raise ConfigError(["[triplet2] alpha: expected three entries a_pp, a_pq, a_qq"])
+    return LevyTriplet2D(beta_p=p["beta_p"], beta_q=p["beta_q"], alpha=((a[0], a[1]), (a[1], a[2])),
+                         jumps=JumpMeasure(atoms=p["atoms"]), h=p["h"])
+
+
+def _build_mc(p: dict, built: dict, run: dict) -> MCConfig:
+    anti = {"auto": "auto", "true": True, "false": False}.get(p["antithetic"].lower())
+    if anti is None:
+        raise ConfigError(["[mc] antithetic: expected auto, true or false"])
+    return MCConfig(n_paths=p["n_paths"], seed=run["seed"], antithetic=anti, threads=run["threads"])
+
+
+#: Test functions ``func`` of ``[observable]`` and ``[genchk]``, by name, at a ``scale``.
+OBSERVABLE_FUNCS = {
+    "cos": lambda s: (lambda x: np.cos(s * x)),
+    "bump": lambda s: (lambda x: np.exp(-0.5 * (s * x) ** 2)),
+    "step": lambda s: (lambda x: np.tanh(s * x)),
+    "one": lambda s: (lambda x: np.ones_like(np.asarray(x, dtype=float))),
+}
+
+
+def _test_function(section: str, p: dict) -> Callable:
+    """The function ``func`` at ``scale`` named in ``[section]``."""
+    if p["func"] not in OBSERVABLE_FUNCS:
+        raise ConfigError([f"[{section}]: unknown func {p['func']!r} (choose from {sorted(OBSERVABLE_FUNCS)})"])
+    return OBSERVABLE_FUNCS[p["func"]](p["scale"])
+
+
+def _build_observable(p: dict, built: dict, run: dict):
+    if p["kind"] == "weyl":
+        return WeylLabel(p["x"], p["v"])
+    fn = _test_function("observable", p)
+    label = f"{p['func']}({p['scale']:g})"
+    if p["kind"] == "qtable":
+        return QTable.from_function(built["grid"], fn, label=f"{label}(Q)")
+    if p["kind"] == "ptable":
+        return PTable.from_function(built["grid"], fn, label=f"{label}(P)")
+    raise ConfigError([f"[observable]: unknown kind {p['kind']!r} (qtable, ptable or weyl)"])
+
+
+def _build_drift(p: dict, built: dict, run: dict):
+    """The drift named in ``[feller]``, once the name and feller-classify's expected verdicts check out."""
+    from .feller import CANONICAL_DRIFTS, DriftSpec
+
+    bad = [f"[feller] {key}: invalid verdict {p[key]!r}" for key in ("expect_left", "expect_right")
+           if p.get(key, "") not in ("", "absorbing", "non-absorbing", "inconclusive")]
+    if p["drift"] not in (*CANONICAL_DRIFTS, "linear"):
+        bad.insert(0, f"[feller] drift: unknown drift {p['drift']!r} (zero, bessel3, ou, linear)")
+    if bad:
+        raise ConfigError(bad)
+    if p["drift"] == "linear":
+        c = p["coefficient"]
+        return DriftSpec(l=p["l"], drift=lambda x: c * np.ones_like(np.asarray(x, dtype=float)), x0=p["x0"])
+    return CANONICAL_DRIFTS[p["drift"]](l=p["l"], x0=p["x0"])
+
+
+_TRIPLET = Section({
     "beta": Field("float", default=0.0),
     "alpha": Field("float", default=0.0),
     "h": Field("float", default=1.0),
     "atoms": Field("atoms1d", default=()),
-}
+}, lambda p, built, run: LevyTriplet1D(p["beta"], p["alpha"], JumpMeasure(p["atoms"]), p["h"]))
 
-_TRIPLET2_FIELDS = {
+_TRIPLET2 = Section({
     "beta_p": Field("float", default=0.0),
     "beta_q": Field("float", default=0.0),
     "alpha": Field("list_float", default=[0.0, 0.0, 0.0]),
     "h": Field("float", default=1.0),
     "atoms": Field("atoms2d", default=()),
-}
+}, _build_triplet2)
 
-_GRID_FIELDS = {
+_GRID = Section({
     "n": Field("int", default=1024),
     "x_min": Field("float", default=-40.0),
     "dx": Field("float", default=0.078125),
-}
+}, lambda p, built, run: GridSpec(n_points=p["n"], x_min=p["x_min"], dx=p["dx"]))
 
-_STATE_FIELDS = {
+_STATE = Section({
     "center": Field("float", default=0.0),
     "width": Field("float", default=1.0),
     "momentum": Field("float", default=0.0),
-}
+}, lambda p, built, run: gaussian_state(built["grid"], p["center"], p["width"], p["momentum"]), needs=("grid",))
 
-_MC_FIELDS = {
+_MC = Section({
     "n_paths": Field("int", required=True),
     "antithetic": Field("str", default="auto"),
-}
+}, _build_mc, needs=("run",))
 
-_OBSERVABLE_FIELDS = {
+_OBSERVABLE = Section({
     "kind": Field("str", required=True),
     "func": Field("str", default="cos"),
     "scale": Field("float", default=0.7),
     "x": Field("float", default=0.0),
     "v": Field("float", default=0.0),
-}
+}, _build_observable, needs=("grid",))
 
 _DRIFT_FIELDS = {
     "drift": Field("str", required=True),
@@ -114,11 +198,17 @@ _DRIFT_FIELDS = {
     "l": Field("float", default=0.0),
     "x0": Field("float", default=1.0),
 }
+_DRIFT = Section(_DRIFT_FIELDS, _build_drift)
 
 
 @dataclass
 class RunConfig:
-    """Validated experiment description; ``params`` holds constructed objects."""
+    """Validated experiment description.
+
+    ``params`` holds one entry per schema section: the built object of a
+    :class:`Section`, the checked values of a plain section.  ``values``
+    holds every schema section's checked values.
+    """
 
     kind: str
     seed: int
@@ -126,6 +216,7 @@ class RunConfig:
     formats: str
     threads: int
     params: dict
+    values: dict
     text_hash: str
 
 
@@ -165,7 +256,7 @@ class Experiment:
     """One experiment kind: its config sections and the computation."""
 
     kind: str
-    schema: dict[str, dict[str, Field]]
+    schema: dict[str, dict[str, Field] | Section]
     run: Callable[[RunConfig], Result]
 
 
@@ -173,7 +264,7 @@ class Experiment:
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _experiment(kind: str, **schema: dict[str, Field]):
+def _experiment(kind: str, **schema: dict[str, Field] | Section):
     """Register the decorated ``run(cfg) -> Result`` as ``kind`` with config sections ``schema``."""
 
     def register(fn: Callable[[RunConfig], Result]) -> Callable[[RunConfig], Result]:
@@ -191,7 +282,7 @@ def _verdict(passed: bool, inconclusive: bool = False) -> str:
 # Experiments
 # --------------------------------------------------------------------------
 
-@_experiment("levy-sample", triplet=_TRIPLET_FIELDS, sample={
+@_experiment("levy-sample", triplet=_TRIPLET, sample={
     "t_max": Field("float", required=True, range="positive"),
     "n_steps": Field("int", default=100, range="positive"),
 })
@@ -206,7 +297,7 @@ def _levy_sample(cfg: RunConfig) -> Result:
     )
 
 
-@_experiment("char-check", triplet=_TRIPLET_FIELDS, check={
+@_experiment("char-check", triplet=_TRIPLET, check={
     "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
     "args": Field("list_float", required=True),
     "n_samples": Field("int", default=100000, range="positive"),
@@ -236,8 +327,8 @@ def _char_check(cfg: RunConfig) -> Result:
                   {"worst_distance_over_budget": Metric(worst, verdict=_verdict(all_pass))})
 
 
-@_experiment("mc-semigroup", triplet=_TRIPLET_FIELDS, grid=_GRID_FIELDS, state=_STATE_FIELDS, mc=_MC_FIELDS,
-             observable=_OBSERVABLE_FIELDS,
+@_experiment("mc-semigroup", triplet=_TRIPLET, grid=_GRID, state=_STATE, mc=_MC,
+             observable=_OBSERVABLE,
              semigroup={"t": Field("list_float", default=[1.0], range="nonnegative")})
 def _mc_semigroup(cfg: RunConfig) -> Result:
     from .semigroup import mc_heisenberg_expectation
@@ -258,18 +349,18 @@ def _mc_semigroup(cfg: RunConfig) -> Result:
                   {"points": Metric(len(rows)), "overflow_fraction": Metric(overflow)})
 
 
-@_experiment("generator-check", triplet=_TRIPLET_FIELDS, mc=_MC_FIELDS, genchk={
+@_experiment("generator-check", triplet=_TRIPLET, mc=_MC, genchk=Section({
     "t_small": Field("float", default=0.01, range="positive"),
     "points": Field("list_float", default=[-2.0, -1.0, 0.0, 1.0, 2.0]),
     "func": Field("str", default="bump"),
     "scale": Field("float", default=1.0),
-})
+}, lambda p, built, run: {**p, "func": _test_function("genchk", p)}))
 def _generator_check(cfg: RunConfig) -> Result:
     from .semigroup import generator_consistency_check
 
     p = cfg.params["genchk"]
     report = generator_consistency_check(
-        cfg.params["triplet"], cfg.params["genchk_func"], p["t_small"], cfg.params["mc"], np.asarray(p["points"])
+        cfg.params["triplet"], p["func"], p["t_small"], cfg.params["mc"], np.asarray(p["points"])
     )
     summary = {"max_deviation": report.max_deviation, "passed": report.passed, "inconclusive": report.inconclusive}
     rows = list(zip(report.x, report.quotient, report.generator, report.band))
@@ -385,7 +476,7 @@ def _gauge_suite(cfg: RunConfig) -> Result:
     )
 
 
-@_experiment("galilei-compare", triplet2=_TRIPLET2_FIELDS, grid=_GRID_FIELDS, state=_STATE_FIELDS, mc=_MC_FIELDS,
+@_experiment("galilei-compare", triplet2=_TRIPLET2, grid=_GRID, state=_STATE, mc=_MC,
              galilei={
                  "x0": Field("float", default=0.0),
                  "v0": Field("float", default=1.0),
@@ -425,7 +516,7 @@ def _galilei_compare(cfg: RunConfig) -> Result:
                    "overflow_fraction": Metric(overflow)})
 
 
-@_experiment("covariance-check", triplet2=_TRIPLET2_FIELDS, grid=_GRID_FIELDS, state=_STATE_FIELDS, mc=_MC_FIELDS,
+@_experiment("covariance-check", triplet2=_TRIPLET2, grid=_GRID, state=_STATE, mc=_MC,
              galilei={
                  "x": Field("float", default=1.0),
                  "v": Field("float", default=0.8),
@@ -445,16 +536,16 @@ def _covariance_check(cfg: RunConfig) -> Result:
                   {"defect": Metric(defect, verdict=_verdict(defect <= 1e-10))})
 
 
-@_experiment("feller-classify", feller={
+@_experiment("feller-classify", feller=Section({
     **_DRIFT_FIELDS,
     "expect_left": Field("str", default=""),
     "expect_right": Field("str", default=""),
-})
+}, _build_drift))
 def _feller_classify(cfg: RunConfig) -> Result:
     from .feller import feller_test
 
     report = feller_test(cfg.params["feller"])
-    raw = cfg.params["feller_params"]
+    raw = cfg.values["feller"]
     expected = {side: raw[f"expect_{side}"] for side in ("left", "right") if raw[f"expect_{side}"]}
     verdict = None
     if expected:
@@ -466,7 +557,7 @@ def _feller_classify(cfg: RunConfig) -> Result:
                   {"left": Metric(report.left, verdict=verdict), "right": Metric(report.right)})
 
 
-@_experiment("killed-diffusion", feller=_DRIFT_FIELDS, mc=_MC_FIELDS, kd={
+@_experiment("killed-diffusion", feller=_DRIFT, mc=_MC, kd={
     "x_start": Field("float", default=1.0),
     "t": Field("float", default=1.0, range="nonnegative", multiple_of="dt"),
     "dt": Field("float", default=0.001, range="positive"),
@@ -540,15 +631,15 @@ class OutputRecord:
     manifest: dict = field(default_factory=dict)
     verdict: str = "pass"
 
-    def add_metric(self, name: str, value, stderr=None, verdict=None) -> None:
-        entry = {"value": _jsonify(value)}
-        if stderr is not None:
-            entry["stderr"] = float(stderr)
-        if verdict is not None:
-            entry["verdict"] = verdict
-            if verdict == "fail":
+    def add_metric(self, name: str, metric: Metric) -> None:
+        entry = {"value": _jsonify(metric.value)}
+        if metric.stderr is not None:
+            entry["stderr"] = float(metric.stderr)
+        if metric.verdict is not None:
+            entry["verdict"] = metric.verdict
+            if metric.verdict == "fail":
                 self.verdict = "fail"
-            elif verdict == "inconclusive" and self.verdict == "pass":
+            elif metric.verdict == "inconclusive" and self.verdict == "pass":
                 self.verdict = "inconclusive"
         self.metrics[name] = entry
 
@@ -615,5 +706,5 @@ def run(cfg: RunConfig) -> tuple[OutputRecord, Path]:
     for out in result.outputs:
         ws.write(out)
     for name, metric in result.metrics.items():
-        record.add_metric(name, metric.value, metric.stderr, metric.verdict)
+        record.add_metric(name, metric)
     return record, ws.write_record()

@@ -180,6 +180,14 @@ def _shift_values(psi: WaveFunction, observables: Sequence[Observable], xi: np.n
     return values
 
 
+def _shift_estimates(psi: WaveFunction, observables: Sequence[Observable], xi: np.ndarray, mc: MCConfig,
+                     antithetic: bool) -> list[MCResult]:
+    """One estimate per observable from the paths shifted by ``xi``, after the overflow check."""
+    overflow = _check_overflow(psi, xi)
+    return [MCResult(*mc_stats(row, antithetic=antithetic), mc.n_paths, mc.seed, antithetic=antithetic,
+                     overflow_fraction=overflow) for row in _shift_values(psi, observables, xi)]
+
+
 def mc_heisenberg_expectation(
     triplet: LevyTriplet1D,
     psi: WaveFunction,
@@ -217,12 +225,8 @@ def mc_heisenberg_batch(
             results[i] = MCResult(expectation(psi, ob), 0.0, 0, mc.seed, exact=True)
     if sampled:
         xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
-        overflow = _check_overflow(psi, xi)
-        values = _shift_values(psi, [observables[i] for i in sampled], xi)
-        for row, i in enumerate(sampled):
-            est, se = mc_stats(values[row], antithetic=antithetic)
-            results[i] = MCResult(est, se, mc.n_paths, mc.seed, antithetic=antithetic,
-                                  overflow_fraction=overflow)
+        for i, res in zip(sampled, _shift_estimates(psi, [observables[i] for i in sampled], xi, mc, antithetic)):
+            results[i] = res
     return results  # type: ignore[return-value]
 
 
@@ -395,8 +399,4 @@ def semigroup_two_stage(
     one = mc_heisenberg_expectation(triplet, psi, observable, t + s, mc)
     xi1 = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
     xi2 = sample_ensemble(triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
-    xi = xi1 + xi2
-    overflow = _check_overflow(psi, xi)
-    est, se = mc_stats(_shift_values(psi, [observable], xi)[0])
-    two = MCResult(est, se, mc.n_paths, mc.seed, overflow_fraction=overflow)
-    return one, two
+    return one, _shift_estimates(psi, [observable], xi1 + xi2, mc, antithetic=False)[0]

@@ -13,6 +13,10 @@ from levylab import rng
 from levylab.cli import main
 from levylab.config import parse_config
 from levylab.errors import ConfigError
+from levylab.feller import DriftSpec
+from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel
+from levylab.levy import LevyTriplet1D, LevyTriplet2D
+from levylab.montecarlo import MCConfig
 from levylab.runner import EXPERIMENTS, Experiment
 
 MINIMAL_CHAR = """
@@ -101,7 +105,8 @@ x = 2
         ("mc_semigroup_mixed.cfg", "t", "-1", "[semigroup] t: must be nonnegative"),
         ("mc_semigroup_mixed.cfg", "t", "0.5, -0.25", "[semigroup] t: must be nonnegative"),
         ("killed_bm.cfg", "dt", "0.003", "[kd] t: must be an integer multiple of dt"),
-        ("killed_bm.cfg", "t", "nan", "[kd] t: must be an integer multiple of dt"),
+        ("killed_bm.cfg", "t", "nan", "[kd] t: must be nonnegative"),
+        ("killed_bm.cfg", "t", "-inf", "[kd] t: must be nonnegative"),
         ("killed_bm.cfg", "t", "inf", "[kd] t: must be an integer multiple of dt"),
         ("cp_suite.cfg", "count", "0", "[suite] count: must be positive"),
         ("cp_suite.cfg", "count", "-1", "[suite] count: must be positive"),
@@ -123,6 +128,8 @@ x = 2
         with pytest.raises(ConfigError) as exc:
             parse_config(replace_key((REPO / "configs" / name).read_text(), key, bad))
         assert [e for e in exc.value.errors if e.startswith(message)]
+        if message.startswith("[kd] t:"):  # a range error is not followed by a multiple-of error
+            assert len([e for e in exc.value.errors if e.startswith("[kd] t:")]) == 1
 
     @pytest.mark.parametrize("name,old,new,message", [
         (None, "[run]", "x = 1\n[run]", "line 2: entry outside any [section]"),
@@ -184,6 +191,28 @@ def test_one_list_of_kinds():
 
 def test_every_kind_has_a_sample_config():
     assert sorted(parse_config(p.read_text()).kind for p in (REPO / "configs").glob("*.cfg")) == sorted(EXPERIMENTS)
+
+
+#: The object each built section becomes; a plain section stays its checked values.
+BUILT_TYPES = {
+    "triplet": LevyTriplet1D,
+    "triplet2": LevyTriplet2D,
+    "grid": GridSpec,
+    "state": WaveFunction,
+    "mc": MCConfig,
+    "observable": (QTable, PTable, WeylLabel),
+    "feller": DriftSpec,
+}
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_params_hold_one_entry_per_schema_section(path):
+    cfg = parse_config(path.read_text())
+    assert list(cfg.params) == list(EXPERIMENTS[cfg.kind].schema) == list(cfg.values)
+    for section, value in cfg.params.items():
+        assert isinstance(value, BUILT_TYPES.get(section, dict)), section
+    if "genchk" in cfg.params:
+        assert callable(cfg.params["genchk"]["func"])
 
 
 def replace_key(text: str, key: str, value: str) -> str:
