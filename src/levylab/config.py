@@ -107,6 +107,13 @@ def _is_multiple(value: float, unit: float) -> bool:
     return abs(round(steps) * unit - value) <= 1e-9 * max(abs(value), 1.0)
 
 
+def _all_finite(value) -> bool:
+    """No NaN or infinity in a coerced value: a number, a list, or jump atoms."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or bool(np.isfinite(value))
+
+
 _RUN_FIELDS = {
     "kind": Field("str", required=True),
     "seed": Field("int", required=True, range="in [0, 2**64)"),
@@ -122,7 +129,7 @@ def _check_section(
     sections: dict[str, dict[str, str]],
     errors: list[str],
 ) -> dict:
-    """The values of ``[name]`` by ``fields``; a value that is missing or fails to parse is ``None``."""
+    """The values of ``[name]`` by ``fields``; a value that is missing, fails to parse or is not finite is ``None``."""
     raw = sections.get(name, {})
     out = {}
     for key, spec in fields.items():
@@ -147,6 +154,9 @@ def _check_section(
         unit = out.get(spec.multiple_of) if spec.multiple_of else None
         if unit is not None and unit > 0 and not _is_multiple(value, unit):
             errors.append(f"[{name}] {key}: must be an integer multiple of {spec.multiple_of} = {unit!r}, got {value!r}")
+        elif key in raw and not _all_finite(value):  # a default such as ``expect = nan`` means "none"
+            errors.append(f"[{name}] {key}: must be finite, got {raw[key]}")
+            out[key] = None  # no builder sees it
     return out
 
 

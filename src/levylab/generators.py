@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
+from .errors import NumericalFailure
 
 _HERM_TOL = 1e-12
 _DISS_TOL = 1e-10
@@ -231,9 +232,7 @@ def is_conditionally_cp(gen_or_map, d: int | None = None) -> bool:
         if d is None:
             raise ValueError("explicit dimension required for a bare map handle")
         C = choi_matrix(gen_or_map, d)
-    omega = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        omega[i * d + i] = 1.0
+    omega = vec(np.eye(d))  # the maximally entangled vector sum_i |ii>
     P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
     compressed = P @ C @ P
     scale = max(1.0, float(np.abs(C).max()))
@@ -245,17 +244,53 @@ def is_conditionally_cp(gen_or_map, d: int | None = None) -> bool:
 # Evolution: exact exponential and the jump expansion
 # --------------------------------------------------------------------------
 
+#: Numerator coefficients ``b_0..b_13`` of the degree-13 Pade approximant to ``exp``.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+#: Largest 1-norm for which the degree-13 approximant is accurate to double precision.
+_THETA13 = 5.371920351148152
+
+
+def _expm(A) -> np.ndarray:
+    """Matrix exponential of the last two axes, batched over the leading ones.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
+    Algorithm 2.3).  Each slice gets its own scaling ``s_k`` from its 1-norm
+    and is squared ``s_k`` times, so slice ``k`` equals the unbatched call
+    on ``A[k]`` bit for bit.  A NaN or infinite entry raises
+    :class:`NumericalFailure`.
+    """
+    A = np.asarray(A, dtype=complex)
+    if not np.isfinite(A).all():
+        raise NumericalFailure("matrix exponential of a matrix with a NaN or infinite entry")
+    n = A.shape[-1]
+    X = A.reshape((-1, n, n))
+    norms = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    X = X * np.exp2(-s)[:, None, None]
+    b, eye = _PADE13, np.eye(n)
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X2 @ X4
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(s.max(initial=0)):
+        more = s > j
+        R[more] = R[more] @ R[more]
+    return R.reshape(A.shape)
+
+
 def exact_evolve(gen: StandardGenerator, t) -> np.ndarray:
     """``exp(t gen)`` as a superoperator matrix (scaling-and-squaring).
 
     ``t`` may be a sequence of times: the superoperator is built once, one
-    stacked ``expm`` call evaluates every time, and slice ``k`` of the
+    stacked :func:`_expm` call evaluates every time, and slice ``k`` of the
     result equals ``exact_evolve(gen, t[k])`` bit for bit.
     """
-    from scipy.linalg import expm  # deferred: importing the package needs no scipy.linalg
-
     t = np.asarray(t, dtype=float)
-    return expm(t[..., None, None] * superop_matrix(gen))
+    return _expm(t[..., None, None] * superop_matrix(gen))
 
 
 @dataclass(frozen=True)
@@ -293,34 +328,17 @@ def structure_row(gen: StandardGenerator, times: Sequence[float]) -> StructureRo
     return StructureRow(conditionally_cp=ccp, choi_min_eig=worst, preserves_identity=preserves)
 
 
-def dyson_terms(gen: StandardGenerator, t: float, n_terms: int, method: str = "exact") -> list[np.ndarray]:
+def dyson_terms(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
     """Terms of the jump expansion around the relaxing semigroup.
 
     Term 0 is the relaxing semigroup ``exp(-K^dag t) . exp(-K t)``; term n
-    is the time-ordered n-jump integral.  Every term is a CP map.
-
-    ``method="exact"`` evaluates all terms at once through one exponential
-    of the block lower-bidiagonal superoperator (diagonal blocks: relaxing
-    generator; subdiagonal: the CP jump part), which reproduces the nested
-    time-ordered integrals exactly.  ``method="quadrature"`` evaluates the
-    integrals by nested 16-point Gauss-Legendre recursion; cost grows as
-    16^n, so it is restricted to n <= 4 and serves as an independent
-    cross-check of the exact route.
+    is the time-ordered n-jump integral.  Every term is a CP map.  All
+    terms come from one exponential of the block lower-bidiagonal
+    superoperator (diagonal blocks: relaxing generator; subdiagonal: the CP
+    jump part), which reproduces the nested time-ordered integrals exactly.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
-    if method == "exact":
-        return _dyson_block_expm(gen, t, n_terms)
-    if method == "quadrature":
-        if n_terms > 4:
-            raise ValueError("quadrature evaluation is limited to n_terms <= 4")
-        return _dyson_quadrature(gen, t, n_terms)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _dyson_block_expm(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
-    from scipy.linalg import expm  # deferred, as in exact_evolve
-
     d2 = gen.dim**2
     relax_gen = _relaxing_superop(gen)
     phi = cp_part_superop(gen)
@@ -330,33 +348,8 @@ def _dyson_block_expm(gen: StandardGenerator, t: float, n_terms: int) -> list[np
         big[n * d2:(n + 1) * d2, n * d2:(n + 1) * d2] = relax_gen
         if n:
             big[n * d2:(n + 1) * d2, (n - 1) * d2:n * d2] = phi
-    E = expm(t * big)
+    E = _expm(t * big)
     return [E[n * d2:(n + 1) * d2, 0:d2].copy() for n in range(nblk)]
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _dyson_quadrature(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
-    phi = cp_part_superop(gen)
-    w, v = np.linalg.eig(gen.K)
-    vinv = np.linalg.inv(v)
-
-    def relax(s: float) -> np.ndarray:
-        E = (v * np.exp(-w * s)) @ vinv
-        return _kron(E.T, E.conj().T)
-
-    def term(n: int, upto: float) -> np.ndarray:
-        if n == 0:
-            return relax(upto)
-        nodes = 0.5 * upto * (_GAUSS_NODES + 1.0)
-        weights = 0.5 * upto * _GAUSS_WEIGHTS
-        acc = np.zeros((gen.dim**2, gen.dim**2), dtype=complex)
-        for s, wq in zip(nodes, weights):
-            acc += wq * (relax(upto - s) @ phi @ term(n - 1, s))
-        return acc
-
-    return [term(n, t) for n in range(n_terms + 1)]
 
 
 # --------------------------------------------------------------------------

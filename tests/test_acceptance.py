@@ -279,7 +279,7 @@ def test_criterion_08_galilean_closed_form_vs_langevin_mc():
         closed = sym.multiplier * expectation(psi, WeylLabel(*sym.point))
         bias = {}
         for n_steps in (64, 128):
-            mc = mc_weyl_expectation(gen, psi, WeylLabel(x0, v0), t, n_steps, MCConfig(10_000, 6000))
+            mc = mc_weyl_expectation(gen, psi, WeylLabel(x0, v0), t, n_steps, MCConfig(10_000, 6000, threads=2))
             bias[n_steps] = abs(scheme_expected_weyl(gen, psi, x0, v0, t, n_steps) - closed)
             dist = abs(mc.estimate - closed)
             budget = 4.0 * mc.stderr + bias[n_steps] + 1e-10

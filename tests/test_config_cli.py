@@ -123,6 +123,11 @@ x = 2
         ("mc_semigroup_mixed.cfg", "scale", "abc", "[observable] scale: cannot parse as float"),
         ("galilei_gauss.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
         ("covariance_check.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
+        ("levy_sample_mixed.cfg", "beta", "nan", "[triplet] beta: must be finite, got nan"),
+        ("char_check_gauss.cfg", "alpha", "inf", "[triplet] alpha: must be finite, got inf"),
+        ("dyson.cfg", "t", "nan", "[dyson] t: must be finite, got nan"),
+        ("galilei_gauss.cfg", "alpha", "1.0, nan, 0.5", "[triplet2] alpha: must be finite, got 1.0, nan, 0.5"),
+        ("levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:-inf", "[triplet] atoms: must be finite"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         with pytest.raises(ConfigError) as exc:
@@ -564,6 +569,11 @@ n_steps = 8
         ("generator-check", "generator_check.cfg", "func", "nope"),
         ("galilei-compare", "galilei_gauss.cfg", "t", "-1"),
         ("covariance-check", "covariance_check.cfg", "t", "-1"),
+        ("levy-sample", "levy_sample_mixed.cfg", "beta", "nan"),
+        ("char-check", "char_check_gauss.cfg", "alpha", "nan"),
+        ("dyson", "dyson.cfg", "t", "nan"),
+        ("galilei-compare", "galilei_gauss.cfg", "alpha", "1.0, inf, 0.5"),
+        ("levy-sample", "levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:nan"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,
@@ -591,3 +601,14 @@ n_steps = 8
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_structure_kinds_never_import_scipy_linalg(self, tmp_path):
+        # the matrix exponential of cp-suite and dyson is the package's own
+        runs = [[kind, "--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(tmp_path / name)]
+                for kind, name in (("cp-suite", "cp_suite"), ("dyson", "dyson"))]
+        code = (f"import sys\nfrom levylab.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0\n"
+                "print('scipy.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"

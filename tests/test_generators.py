@@ -9,9 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from levylab import rng
+from levylab.errors import NumericalFailure
 from levylab.generators import (
+    _THETA13,
     GaugeElement,
     StandardGenerator,
+    _expm,
     apply_gauge,
     apply_generator,
     apply_preadjoint,
@@ -225,6 +228,48 @@ class TestEvolution:
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
 
 
+def scipy_expm_error(A: np.ndarray) -> float:
+    """Largest entry of ``_expm(A) - scipy.linalg.expm(A)`` relative to ``max |expm(A)|``, worst slice."""
+    from scipy.linalg import expm
+
+    ref = expm(A)
+    return float(np.max(np.abs(_expm(A) - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))))
+
+
+class TestExpm:
+    """The package's exponential against ``scipy.linalg.expm`` as the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_matches_scipy_on_cp_suite_battery(self, seed):
+        # the cp-suite draws at max_dim 6 and max_jumps 3, stacked over the times
+        times = np.array([0.0, 0.1, 1.0, 10.0, 100.0])
+        shapes = rng.stream(seed, "cp-suite.shapes")
+        worst = 0.0
+        for i in range(100):
+            d, m, unital = int(shapes.integers(2, 7)), int(shapes.integers(1, 4)), bool(shapes.integers(0, 2))
+            g = random_standard_generator(d, m, seed, unital=unital, tag="cp-suite.generator", index=i)
+            worst = max(worst, scipy_expm_error(times[:, None, None] * superop_matrix(g)))
+        assert worst <= 1e-12
+
+    def test_special_matrices(self):
+        assert scipy_expm_error(np.zeros((3, 3))) <= 1e-12
+        assert _expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        jordan = np.diag(np.ones(4), 1)  # nilpotent: exp is the truncated series
+        series = sum(np.linalg.matrix_power(jordan, k) / np.prod(np.arange(1.0, k + 1)) for k in range(5))
+        assert np.abs(_expm(jordan) - series).max() <= 1e-15
+        assert scipy_expm_error(jordan) <= 1e-12
+        at_theta = np.array([[0.5, 0.0], [-0.5, 0.25j]]) * _THETA13  # 1-norm exactly theta13: s = 0
+        assert np.abs(at_theta).sum(axis=0).max() == _THETA13
+        assert scipy_expm_error(at_theta) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        A = np.zeros((2, 3, 3))
+        A[1, 0, 2] = bad
+        with pytest.raises(NumericalFailure):
+            _expm(A)
+
+
 class TestDyson:
     def test_zero_terms_is_relaxing_semigroup(self):
         g = damped_qubit()
@@ -259,8 +304,8 @@ class TestDyson:
 
     def test_quadrature_cross_check(self):
         g = damped_qubit()
-        exact = dyson_terms(g, 0.8, 3, method="exact")
-        quad = dyson_terms(g, 0.8, 3, method="quadrature")
+        exact = dyson_terms(g, 0.8, 3)
+        quad = dyson_quadrature(g, 0.8, 3)
         worst = max(np.abs(a - b).max() for a, b in zip(exact, quad))
         assert worst < 1e-10
 
@@ -274,6 +319,36 @@ def exact_evolve_relax(g: StandardGenerator, t: float) -> np.ndarray:
 
     E = expm(-g.K * t)
     return np.kron(E.T, E.conj().T)
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def dyson_quadrature(g: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
+    """Reference: the jump expansion by nested 16-point Gauss-Legendre recursion.
+
+    Independent of the block exponential of :func:`dyson_terms`; its cost
+    grows as 16^n, so keep ``n_terms`` at 4 or below.
+    """
+    phi = cp_part_superop(g)
+    w, v = np.linalg.eig(g.K)
+    vinv = np.linalg.inv(v)
+
+    def relax(s: float) -> np.ndarray:
+        E = (v * np.exp(-w * s)) @ vinv
+        return np.kron(E.T, E.conj().T)
+
+    def term(n: int, upto: float) -> np.ndarray:
+        if n == 0:
+            return relax(upto)
+        nodes = 0.5 * upto * (GAUSS_NODES + 1.0)
+        weights = 0.5 * upto * GAUSS_WEIGHTS
+        acc = np.zeros((g.dim**2, g.dim**2), dtype=complex)
+        for s, wq in zip(nodes, weights):
+            acc += wq * (relax(upto - s) @ phi @ term(n - 1, s))
+        return acc
+
+    return [term(n, t) for n in range(n_terms + 1)]
 
 
 class TestDuality:
