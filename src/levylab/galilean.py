@@ -148,24 +148,24 @@ def _evolve_block(
     from the step's increments, half free flow; with the free term disabled
     it is the bare kick.  ``increments`` has shape (paths, steps, 2).
     Adjacent free half-steps are merged into the kick's momentum pass, so
-    every step costs one FFT round trip.
+    every step costs one FFT round trip, in the one returned buffer.
     """
     grid = psi.grid
-    n_steps = increments.shape[1]
+    paths, n_steps = increments.shape[:2]
     include = gen.include_free_hamiltonian
     free_half = np.exp(-0.25j * dt * grid.p**2) if include else None
     free_full = free_half * free_half if include else None
-    states_p = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
+    states = np.empty((paths, grid.n_points), dtype=complex)
+    hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
     for step in range(n_steps):
         free = free_half if step == 0 else free_full
-        states_x = displace(states_p, grid, increments[:, step, 0], increments[:, step, 1], momentum_factor=free)
-        if step < n_steps - 1:
-            states_p = np.fft.fft(states_x, axis=1, norm="ortho")
+        displace(hat, grid, increments[:, step, 0], increments[:, step, 1], momentum_factor=free, out=states)
+        if step < n_steps - 1 or include:
+            hat = np.fft.fft(states, axis=1, norm="ortho", out=states)
     if include:
-        states_p = np.fft.fft(states_x, axis=1, norm="ortho")
-        states_p *= free_half[None, :]
-        states_x = np.fft.ifft(states_p, axis=1, norm="ortho")
-    return states_x
+        states *= free_half
+        np.fft.ifft(states, axis=1, norm="ortho", out=states)
+    return states
 
 
 def mc_weyl_expectation(
@@ -356,8 +356,9 @@ def galilean_covariance_check(
             bsl = slice(bstart, bstart + STATE_BATCH)
             # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B
             # measures X on the evolution of the boosted state, same increments.
-            evolved = np.fft.fft(_evolve_block(gen, psi, inc[bsl], dt_fine), axis=1, norm="ortho")
-            conj_states = displace(evolved, psi.grid, [x], [v])
+            evolved = _evolve_block(gen, psi, inc[bsl], dt_fine)
+            np.fft.fft(evolved, axis=1, norm="ortho", out=evolved)
+            conj_states = displace(evolved, psi.grid, [x], [v], out=evolved)
             states_b = _evolve_block(gen, boosted, inc[bsl], dt_fine)
             for k, ob in enumerate(battery):
                 vals_a[k, bsl] = expectations(conj_states, psi.grid, ob)

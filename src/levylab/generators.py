@@ -258,8 +258,8 @@ def _expm(A) -> np.ndarray:
     Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
     Algorithm 2.3).  Each slice gets its own scaling ``s_k`` from its 1-norm
     and is squared ``s_k`` times, so slice ``k`` equals the unbatched call
-    on ``A[k]`` bit for bit.  A NaN or infinite entry raises
-    :class:`NumericalFailure`.
+    on ``A[k]`` bit for bit; a zero slice gives exactly the identity.  A
+    NaN or infinite entry raises :class:`NumericalFailure`.
     """
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
@@ -276,6 +276,7 @@ def _expm(A) -> np.ndarray:
     U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
     V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
     R = np.linalg.solve(V - U, V + U)
+    R[norms == 0] = eye  # the solve rounds b_0 I / b_0 I through 1 / b_0
     for j in range(s.max(initial=0)):
         more = s > j
         R[more] = R[more] @ R[more]

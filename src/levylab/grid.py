@@ -21,7 +21,8 @@ Operator conventions, fixed by testable identities rather than typography:
 Every shift, kick and Weyl displacement in the package goes through one
 batched kernel, :func:`displace`; the single-state unitaries are its batch
 of one.  Its lattice phases ``exp(i c q_k)`` are never formed as a full
-``paths x N`` exponential: see :func:`_apply_lattice_phase`.
+``paths x N`` exponential (see :func:`_apply_lattice_phase`), and with
+``out`` it writes every pass into the caller's buffer, the input included.
 """
 
 from __future__ import annotations
@@ -127,22 +128,11 @@ class WaveFunction:
         """This state if its norm is 1 to within 1e-12, else its normalization."""
         return self.normalized() if abs(self.norm() - 1.0) > 1e-12 else self
 
-    def boundary_mass(self) -> float:
-        return float(boundary_masses(self.amplitudes[None, :], self.grid)[0])
-
-    def momentum_tail_mass(self) -> float:
-        """Mass carried by the top eighth of the momentum band."""
-        hat = np.fft.fft(self.amplitudes, norm="ortho")
-        cut = 0.875 * np.abs(self.grid.p).max()
-        sel = np.abs(self.grid.p) >= cut
-        total = np.sum(np.abs(hat) ** 2)
-        return float(np.sum(np.abs(hat[sel]) ** 2) / total) if total > 0 else 0.0
-
 
 def boundary_masses(states: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Mass in the ``BOUNDARY_WINDOW`` points at each edge, per row of ``states``."""
-    dens = np.abs(states) ** 2
-    return grid.dx * (dens[:, :BOUNDARY_WINDOW].sum(1) + dens[:, -BOUNDARY_WINDOW:].sum(1))
+    """Mass in the ``BOUNDARY_WINDOW`` points at each edge, per row of ``states``, squaring only those columns."""
+    left, right = np.abs(states[:, :BOUNDARY_WINDOW]) ** 2, np.abs(states[:, -BOUNDARY_WINDOW:]) ** 2
+    return grid.dx * (left.sum(1) + right.sum(1))
 
 
 def overflow_fraction(overflowed: int, total: int, what: str) -> float:
@@ -228,7 +218,7 @@ Observable = QTable | PTable | WeylLabel
 # --------------------------------------------------------------------------
 
 def _check_support(psi: WaveFunction) -> None:
-    mass = psi.boundary_mass()
+    mass = float(boundary_masses(psi.amplitudes[None, :], psi.grid)[0])
     if mass > SUPPORT_TOL:
         warnings.warn(
             f"state has boundary mass {mass:.3e} > {SUPPORT_TOL:.0e}; shifts wrap around",
@@ -271,13 +261,15 @@ def _apply_lattice_phase(
     coef: np.ndarray,
     momentum: bool,
     scale: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``block[m, k] * scale[m] * exp(i coef[m] q_k)`` as a new array.
+    """``block[m, k] * scale[m] * exp(i coef[m] q_k)``, written into ``out``.
 
     ``q`` is the momentum lattice in FFT order (``momentum=True``) or the
     position lattice.  ``block`` and ``coef`` broadcast against each other
     along the first axis.  The phase comes from :func:`phase_tables` and is
-    applied table by table, in place on the output.
+    applied table by table into ``out``: a ``(rows, N)`` complex array,
+    ``block`` itself for an in-place pass, or a new array when None.
     """
     n = grid.n_points
     if momentum:
@@ -286,9 +278,10 @@ def _apply_lattice_phase(
         t1, t2 = phase_tables(coef, n, grid.dx, origin=grid.x_min, scale=scale)
     b = t2.shape[1]
     rows = max(block.shape[0], t1.shape[0])
-    out = np.multiply(block.reshape(block.shape[0], n // b, b), t1[:, :, None])
-    out *= t2[:, None, :]
-    return out.reshape(rows, n)
+    out = np.empty((rows, n), dtype=complex) if out is None else out
+    cells = np.multiply(block.reshape(block.shape[0], n // b, b), t1[:, :, None], out=out.reshape(rows, n // b, b))
+    cells *= t2[:, None, :]
+    return out
 
 
 def displace(
@@ -298,6 +291,7 @@ def displace(
     eta: np.ndarray | None = None,
     half_phase_sign: int = -1,
     momentum_factor: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched Weyl displacement ``exp(i (eta_m Q - xi_m P))``, one FFT round trip.
 
@@ -308,10 +302,11 @@ def displace(
     :class:`WeylLabel`.  Without ``eta`` this is the pure shift
     ``exp(-i xi P)``.  ``momentum_factor`` (length ``N``, FFT order) is a
     momentum-diagonal unitary, such as a free-flow step, applied in the same
-    pass before the shift.
+    pass before the shift.  Every pass writes into ``out``, which may be
+    ``hat`` itself (see :func:`_apply_lattice_phase`).
     """
     xi = np.asarray(xi, dtype=float)
-    states = _apply_lattice_phase(hat, grid, -xi, momentum=True)
+    states = _apply_lattice_phase(hat, grid, -xi, momentum=True, out=out)
     if momentum_factor is not None:
         states *= momentum_factor
     states = np.fft.ifft(states, axis=1, norm="ortho", out=states)
@@ -319,7 +314,7 @@ def displace(
         return states
     eta = np.asarray(eta, dtype=float)
     central = np.exp(0.5j * half_phase_sign * xi * eta)
-    return _apply_lattice_phase(states, grid, eta, momentum=False, scale=central)
+    return _apply_lattice_phase(states, grid, eta, momentum=False, scale=central, out=states)
 
 
 def apply_position_phase(psi: WaveFunction, y: float) -> WaveFunction:
@@ -352,18 +347,18 @@ def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) 
 
 
 def apply_free_evolution(psi: WaveFunction, t: float, check_bandlimit: bool = True) -> WaveFunction:
-    """Free kinetic evolution ``exp(-i t P^2 / 2)`` via momentum phases."""
+    """Free kinetic evolution ``exp(-i t P^2 / 2)``; ``check_bandlimit`` warns on mass in the band's top eighth."""
     if t == 0.0:
         return WaveFunction(psi.grid, psi.amplitudes.copy())
-    if check_bandlimit:
-        tail = psi.momentum_tail_mass()
-        if tail > SUPPORT_TOL:
-            warnings.warn(
-                f"state has momentum tail mass {tail:.3e} > {SUPPORT_TOL:.0e}; free evolution may alias",
-                BandLimitWarning,
-                stacklevel=2,
-            )
     hat = np.fft.fft(psi.amplitudes, norm="ortho")
+    dens, p = np.abs(hat) ** 2, np.abs(psi.grid.p)
+    tail = dens[p >= 0.875 * p.max()].sum() / dens.sum() if dens.sum() > 0 else 0.0
+    if check_bandlimit and tail > SUPPORT_TOL:
+        warnings.warn(
+            f"state has momentum tail mass {tail:.3e} > {SUPPORT_TOL:.0e}; free evolution may alias",
+            BandLimitWarning,
+            stacklevel=2,
+        )
     hat *= np.exp(-0.5j * t * psi.grid.p**2)
     return WaveFunction(psi.grid, np.fft.ifft(hat, norm="ortho"))
 
@@ -377,7 +372,7 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
         return grid.dx * np.abs(states) ** 2 @ observable.array
     if isinstance(observable, WeylLabel):
         hat = np.fft.fft(states, axis=1, norm="ortho")
-        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign)
+        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign, out=hat)
         return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")

@@ -1,5 +1,7 @@
 """Covariant dynamics: symbol calculus, dilation, covariance identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from levylab.grid import (
     apply_free_evolution,
     default_grid,
     expectation,
+    expectations,
     gaussian_state,
     momentum_expectation,
     position_expectation,
@@ -210,6 +213,32 @@ class TestDilation:
         assert res.overflow_fraction == np.count_nonzero(inc[:, 0, 0]) / mc.n_paths
         quiet = GalileanGenerator(LevyTriplet2D(alpha=((0.5, 0.0), (0.0, 0.0))), include_free_hamiltonian=False)
         assert mc_weyl_expectation(quiet, psi, WeylLabel(0.0, 0.5), 1.0, 1, mc).overflow_fraction == 0.0
+
+    def test_thread_count_does_not_change_estimate(self):
+        # two chunks, each evolved in its worker's own buffers
+        psi = gaussian_state(default_grid(128, 16.0))
+        gen = GalileanGenerator(FULL)
+        configs = [MCConfig(4 * STATE_BATCH + 100, 8, threads=k) for k in (1, 2)]
+        runs = [mc_weyl_expectation(gen, psi, WeylLabel(0.4, -0.3), 0.7, 4, mc) for mc in configs]
+        assert runs[0].estimate == runs[1].estimate and runs[0].stderr == runs[1].stderr
+
+    def test_peak_memory_in_blocks(self, psi512):
+        # one paths x N buffer per evolved block; with a new array per pass the peaks were 4.23 and 3.07 blocks
+        paths, steps = 256, 8
+        block = paths * psi512.grid.n_points * 16
+        inc, _ = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))
+        tracemalloc.start()
+        try:
+            states = _evolve_block(GalileanGenerator(FULL), psi512, inc, 0.05)
+            evolve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            expectations(states, psi512.grid, WeylLabel(0.4, -0.3))
+            reduce_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert evolve_peak <= 1.5 * block
+        assert reduce_peak <= 2.5 * block
 
 
 class TestCovariance:

@@ -252,7 +252,10 @@ class TestExpm:
         assert worst <= 1e-12
 
     def test_special_matrices(self):
-        assert scipy_expm_error(np.zeros((3, 3))) <= 1e-12
+        assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+        beside = 3.0 * np.array([[0.5, 0.2j, 0.0], [-0.5, 0.25j, 0.1], [0.0, 0.3, -1.0]]) * _THETA13  # s = 2
+        mixed = _expm(np.stack([np.zeros((3, 3)), beside]))
+        assert np.array_equal(mixed[0], np.eye(3)) and np.array_equal(mixed[1], _expm(beside))
         assert _expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
         jordan = np.diag(np.ones(4), 1)  # nilpotent: exp is the truncated series
         series = sum(np.linalg.matrix_power(jordan, k) / np.prod(np.arange(1.0, k + 1)) for k in range(5))

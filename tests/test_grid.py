@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levylab.grid import (
+    BOUNDARY_WINDOW,
     BandLimitWarning,
     BoundarySupportWarning,
     GridSpec,
@@ -25,6 +26,7 @@ from levylab.grid import (
     apply_position_phase,
     apply_shift,
     apply_weyl,
+    boundary_masses,
     ccr_defect,
     default_grid,
     displace,
@@ -254,6 +256,32 @@ class TestDisplacementKernel:
             direct = np.fft.ifft(hat * np.exp(-1j * w.x * grid.p), norm="ortho")
             direct *= np.exp(-0.5j * w.v * w.x) * np.exp(1j * w.v * grid.x)
             assert np.abs(row - direct).max() <= 1e-12
+
+    @pytest.mark.parametrize("rows, labels", [(1, 5), (5, 5), (5, 1)])
+    @pytest.mark.parametrize("kick", [False, True])
+    @pytest.mark.parametrize("free", [False, True])
+    def test_out_buffer_and_in_place_are_bit_identical(self, rows, labels, kick, free):
+        # the dilation runs every step in one buffer; that must not move a bit
+        grid = default_grid(64, 16.0)
+        gen = np.random.default_rng(3)
+        hat = gen.standard_normal((rows, 64)) + 1j * gen.standard_normal((rows, 64))
+        xi, eta = gen.uniform(-2.0, 2.0, labels), gen.uniform(-2.0, 2.0, labels) if kick else None
+        factor = np.exp(-0.3j * grid.p**2) if free else None
+        fresh = displace(hat, grid, xi, eta, momentum_factor=factor)
+        buf = np.empty(fresh.shape, dtype=complex)
+        assert displace(hat, grid, xi, eta, momentum_factor=factor, out=buf) is buf
+        assert np.array_equal(buf, fresh)
+        in_place = np.broadcast_to(hat, fresh.shape).copy()
+        displace(in_place, grid, xi, eta, momentum_factor=factor, out=in_place)
+        assert np.array_equal(in_place, fresh)
+
+    def test_boundary_masses_square_only_edges(self):
+        grid = default_grid(128, 16.0)
+        gen = np.random.default_rng(4)
+        states = gen.standard_normal((7, 128)) + 1j * gen.standard_normal((7, 128))
+        dens = np.abs(states) ** 2
+        full = grid.dx * (dens[:, :BOUNDARY_WINDOW].sum(1) + dens[:, -BOUNDARY_WINDOW:].sum(1))
+        assert np.array_equal(boundary_masses(states, grid), full)
 
     def test_only_grid_builds_outer_product_phases(self):
         # every shift and kick goes through grid.displace; a full paths x N
