@@ -37,18 +37,8 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalFailure
-from .grid import (
-    OVERFLOW_TOL,
-    STATE_BATCH,
-    WaveFunction,
-    WeylLabel,
-    apply_weyl,
-    boundary_masses,
-    displace,
-    expectation,
-    expectations,
-    overflow_fraction,
-)
+from .grid import (OVERFLOW_TOL, STATE_BATCH, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace,
+                   expectation, expectations, overflow_fraction)
 from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _sample_increments, char_exponent_2d
 from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
 

@@ -88,12 +88,25 @@ class StandardGenerator:
         return len(self.jump_ops)
 
 
-def apply_generator(gen: StandardGenerator, X) -> np.ndarray:
-    """``sum_k L_k^dag X L_k - K^dag X - X K``."""
-    X = _as_matrix(X, gen.dim)
-    out = -(gen.K.conj().T @ X) - X @ gen.K
-    for L in gen.jump_ops:
-        out += L.conj().T @ X @ L
+def _parts(gens) -> tuple[np.ndarray, np.ndarray]:
+    """``K`` and the ``(m, d, d)`` jump stack; a sequence of generators of one shape adds a leading axis."""
+    one = isinstance(gens, StandardGenerator)
+    gens = [gens] if one else list(gens)
+    if len({(g.dim, g.n_jumps) for g in gens}) != 1:
+        raise ValueError("expected generators of one shape (dim, n_jumps)")
+    d, m = gens[0].dim, gens[0].n_jumps
+    K = np.array([g.K for g in gens])
+    ops = np.array([g.jump_ops for g in gens], dtype=complex).reshape(len(gens), m, d, d)
+    return (K[0], ops[0]) if one else (K, ops)
+
+
+def apply_generator(gen, X) -> np.ndarray:
+    """``sum_k L_k^dag X L_k - K^dag X - X K``, stacked for a sequence of generators of one shape."""
+    K, ops = _parts(gen)
+    X = _as_matrix(X, K.shape[-1])
+    out = -(K.conj().swapaxes(-1, -2) @ X) - X @ K
+    for L in np.moveaxis(ops, -3, 0):
+        out += L.conj().swapaxes(-1, -2) @ X @ L
     return out
 
 
@@ -132,28 +145,28 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (n * p, m * q))
 
 
-def _relaxing_superop(gen: StandardGenerator) -> np.ndarray:
+def _relaxing_superop(K: np.ndarray) -> np.ndarray:
     """``-(I kron K^dag) - (K^T kron I)``: the generator without its jumps."""
-    eye = np.eye(gen.dim, dtype=complex)
-    return -_kron(eye, gen.K.conj().T) - _kron(gen.K.T, eye)
+    eye = np.eye(K.shape[-1], dtype=complex)
+    return -_kron(eye, K.conj().swapaxes(-1, -2)) - _kron(K.swapaxes(-1, -2), eye)
 
 
-def _jump_superops(gen: StandardGenerator) -> np.ndarray:
-    """``L^T kron L^dag`` for each jump operator, stacked along axis 0."""
-    ops = np.array(gen.jump_ops, dtype=complex).reshape(-1, gen.dim, gen.dim)
-    return _kron(ops.swapaxes(1, 2), ops.conj().swapaxes(1, 2))
+def _jump_superops(ops: np.ndarray) -> np.ndarray:
+    """``L^T kron L^dag`` for each jump operator of the ``(..., m, d, d)`` stack."""
+    return _kron(ops.swapaxes(-1, -2), ops.conj().swapaxes(-1, -2))
 
 
-def superop_matrix(gen: StandardGenerator) -> np.ndarray:
-    """Superoperator matrix of the generator's observable-picture action."""
-    mat = _relaxing_superop(gen)
-    for term in _jump_superops(gen):
+def superop_matrix(gen) -> np.ndarray:
+    """Superoperator matrix of the generator's observable-picture action; stacked for a sequence of one shape."""
+    K, ops = _parts(gen)
+    mat = _relaxing_superop(K)
+    for term in np.moveaxis(_jump_superops(ops), -3, 0):
         mat += term
     return mat
 
 
 def cp_part_superop(gen: StandardGenerator) -> np.ndarray:
-    return _jump_superops(gen).sum(axis=0)
+    return _jump_superops(_parts(gen)[1]).sum(axis=0)
 
 
 def choi_of_superop(S: np.ndarray, d: int) -> np.ndarray:
@@ -185,12 +198,12 @@ def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
-    """Spot-check linearity on a random pair; raises on violation."""
+    """Spot-check linearity on a random pair, per map of a stacked output; raises on violation."""
     A, B = _linear_probe(d)
-    lhs = map_fn(1.5 * A + 2j * B)
+    lhs = np.asarray(map_fn(1.5 * A + 2j * B))
     rhs = 1.5 * np.asarray(map_fn(A)) + 2j * np.asarray(map_fn(B))
-    scale = max(1.0, float(np.abs(lhs).max()))
-    if np.abs(lhs - rhs).max() > 1e-9 * scale:
+    scale = np.fmax(1.0, np.abs(lhs).max(axis=(-2, -1)))
+    if (np.abs(lhs - rhs).max(axis=(-2, -1)) > 1e-9 * scale).any():
         raise ValueError("map is not linear (spot check failed)")
 
 
@@ -216,28 +229,27 @@ def is_completely_positive(map_fn: Callable, d: int) -> tuple[bool, float]:
     return m >= -CP_TOL, m
 
 
-def is_conditionally_cp(gen_or_map, d: int | None = None) -> bool:
+def is_conditionally_cp(gen_or_map, d: int | None = None):
     """Conditional complete positivity: Choi positivity off the entangled vector.
 
     Accepts a :class:`StandardGenerator` (Choi matrix from its superoperator
-    matrix, after a linearity spot check of :func:`apply_generator`) or a map
-    handle with explicit ``d``.  ``CP_TOL`` is scaled by the map's magnitude.
+    matrix, after a linearity spot check of :func:`apply_generator`), a
+    sequence of them of one shape (an array of verdicts from stacked checks),
+    or a map handle with explicit ``d``.  ``CP_TOL`` is scaled by each map's magnitude.
     """
-    if isinstance(gen_or_map, StandardGenerator):
-        g = gen_or_map
-        d = g.dim
-        _check_linear(lambda X: apply_generator(g, X), d)
-        C = choi_of_superop(superop_matrix(g), d)
-    else:
+    if callable(gen_or_map):
         if d is None:
             raise ValueError("explicit dimension required for a bare map handle")
         C = choi_matrix(gen_or_map, d)
+    else:
+        d = _parts(gen_or_map)[0].shape[-1]
+        _check_linear(lambda X: apply_generator(gen_or_map, X), d)
+        C = choi_of_superop(superop_matrix(gen_or_map), d)
     omega = vec(np.eye(d))  # the maximally entangled vector sum_i |ii>
     P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
-    compressed = P @ C @ P
-    scale = max(1.0, float(np.abs(C).max()))
-    m = float(_min_hermitian_eig(compressed))
-    return m >= -CP_TOL * scale
+    scale = np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
+    ok = _min_hermitian_eig(P @ C @ P) >= -CP_TOL * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 # --------------------------------------------------------------------------
@@ -283,15 +295,17 @@ def _expm(A) -> np.ndarray:
     return R.reshape(A.shape)
 
 
-def exact_evolve(gen: StandardGenerator, t) -> np.ndarray:
+def exact_evolve(gen, t) -> np.ndarray:
     """``exp(t gen)`` as a superoperator matrix (scaling-and-squaring).
 
-    ``t`` may be a sequence of times: the superoperator is built once, one
-    stacked :func:`_expm` call evaluates every time, and slice ``k`` of the
-    result equals ``exact_evolve(gen, t[k])`` bit for bit.
+    ``t`` may be a sequence of times and ``gen`` a sequence of generators of
+    one shape: the superoperators are built once, one stacked :func:`_expm`
+    call evaluates every pair, and slice ``[j, k]`` of the result equals
+    ``exact_evolve(gen[j], t[k])`` bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    return _expm(t[..., None, None] * superop_matrix(gen))
+    S = superop_matrix(gen)
+    return _expm(t[..., None, None] * S.reshape(S.shape[:-2] + (1,) * t.ndim + S.shape[-2:]))
 
 
 @dataclass(frozen=True)
@@ -307,26 +321,36 @@ class StructureRow:
         return self.conditionally_cp and self.choi_min_eig >= -1e-8 and self.preserves_identity is not False
 
 
-def structure_row(gen: StandardGenerator, times: Sequence[float]) -> StructureRow:
-    """Conditional CP of ``gen`` and complete positivity of ``exp(t gen)`` at each time.
+#: Bytes of one batch's stacked exponential in :func:`structure_rows` (memory only; no effect on rows).
+EXPM_BATCH_BYTES = 64 * 1024
 
-    One stacked exponential covers the times (plus ``t = 1`` for the
-    identity check of a unital generator, unless it is among them) and one
-    stacked ``eigvalsh`` the Choi matrices.
+
+def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) -> list[StructureRow]:
+    """Conditional CP of each generator and complete positivity of ``exp(t gen)`` at each time.
+
+    Generators of one ``(dim, n_jumps)`` go in batches of at most ``EXPM_BATCH_BYTES`` of
+    exponentials (``len(ts) * d**4 * 16`` bytes each, ``ts`` the times plus ``t = 1`` for the
+    identity check): one stacked conditional CP test, one exponential over generators and ``ts``,
+    and one Choi ``eigvalsh`` per batch.  Each row equals a one-generator batch bit for bit.
     """
-    d = gen.dim
-    ccp = is_conditionally_cp(gen)
-    ts = [float(t) for t in times]
-    if gen.unital and 1.0 not in ts:
-        ts.append(1.0)
-    E = exact_evolve(gen, ts)
-    eigs = _min_hermitian_eig(choi_of_superop(E[:len(times)], d))
-    worst = min([0.0, *map(float, eigs)])
-    preserves = None
-    if gen.unital:
-        E1 = E[ts.index(1.0)]
-        preserves = bool(np.abs(unvec(E1 @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
-    return StructureRow(conditionally_cp=ccp, choi_min_eig=worst, preserves_identity=preserves)
+    times = [float(t) for t in times]
+    ts = times if 1.0 in times else times + [1.0]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, g in enumerate(gens):
+        groups.setdefault((g.dim, g.n_jumps), []).append(i)
+    rows: list = [None] * len(gens)
+    for (d, _), members in groups.items():
+        omega, per = vec(np.eye(d)), max(1, EXPM_BATCH_BYTES // (len(ts) * d**4 * 16))
+        for idx in (members[lo:lo + per] for lo in range(0, len(members), per)):
+            batch = [gens[i] for i in idx]
+            ccp = is_conditionally_cp(batch)
+            E = exact_evolve(batch, ts)
+            eigs = _min_hermitian_eig(choi_of_superop(E[:, :len(times)], d))
+            defect = np.abs(E[:, ts.index(1.0)] @ omega - omega).max(axis=-1)
+            for k, g in enumerate(batch):
+                preserves = bool(defect[k] <= 1e-10) if g.unital else None
+                rows[idx[k]] = StructureRow(bool(ccp[k]), min([0.0, *map(float, eigs[k])]), preserves)
+    return rows
 
 
 def dyson_terms(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarray]:
@@ -341,7 +365,7 @@ def dyson_terms(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarr
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
     d2 = gen.dim**2
-    relax_gen = _relaxing_superop(gen)
+    relax_gen = _relaxing_superop(gen.K)
     phi = cp_part_superop(gen)
     nblk = n_terms + 1
     big = np.zeros((nblk * d2, nblk * d2), dtype=complex)
@@ -456,15 +480,11 @@ def random_standard_generator(
     gen = rng.stream(seed, tag, index)
     A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     H = 0.5 * (A + A.conj().T)
-    ops = []
-    for _ in range(m):
-        L = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0 * d)
-        ops.append(L)
-    if unital:
-        return StandardGenerator.unital_build(H, ops)
+    ops = [(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0 * d) for _ in range(m)]
     base = StandardGenerator.unital_build(H, ops)
-    slack = 0.1 + 0.4 * gen.random()
-    return StandardGenerator.raw_build(base.K + slack * np.eye(d), ops)
+    if unital:
+        return base
+    return StandardGenerator.raw_build(base.K + (0.1 + 0.4 * gen.random()) * np.eye(d), ops)
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

@@ -44,6 +44,8 @@ OVERFLOW_TOL = 1e-10
 OVERFLOW_FRACTION = 0.01
 #: Paths evolved or evaluated per batch (memory control; no effect on results).
 STATE_BATCH = 1024
+#: Rows conjugated per block in a Weyl reduction (memory control; no effect on results).
+REDUCE_ROWS = 64
 #: Probability mass allowed in the boundary window / top momentum band.
 SUPPORT_TOL = 1e-12
 
@@ -373,7 +375,11 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
     if isinstance(observable, WeylLabel):
         hat = np.fft.fft(states, axis=1, norm="ortho")
         moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign, out=hat)
-        return grid.dx * np.einsum("ij,ij->i", states.conj(), moved)
+        values = np.empty(len(states), dtype=complex)
+        for lo in range(0, len(states), REDUCE_ROWS):
+            rows = slice(lo, lo + REDUCE_ROWS)
+            np.einsum("ij,ij->i", states[rows].conj(), moved[rows], out=values[rows])
+        return grid.dx * values
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")
         return grid.dx * (np.abs(hat) ** 2) @ observable.array

@@ -31,15 +31,8 @@ import numpy as np
 from . import __version__, rng
 from .errors import ConfigError
 from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
-from .levy import (
-    JumpMeasure,
-    LevyTriplet1D,
-    LevyTriplet2D,
-    char_exponent_1d,
-    empirical_char_function,
-    sample_ensemble,
-    sample_increments,
-)
+from .levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, empirical_char_function,
+                   sample_ensemble, sample_increments)
 from .montecarlo import MCConfig
 
 EXIT_PASS = 0
@@ -377,20 +370,17 @@ def _generator_check(cfg: RunConfig) -> Result:
     "times": Field("list_float", default=[0.1, 1.0, 10.0], range="nonnegative"),
 })
 def _cp_suite(cfg: RunConfig) -> Result:
-    from .generators import is_completely_positive, random_standard_generator, structure_row
+    from .generators import is_completely_positive, random_standard_generator, structure_rows
 
     p = cfg.params["suite"]
     shapes = rng.stream(cfg.seed, "cp-suite.shapes")
-    rows = []
-    all_pass = True
-    for i in range(p["count"]):
-        d = int(shapes.integers(2, p["max_dim"] + 1))
-        m = int(shapes.integers(1, p["max_jumps"] + 1))
-        unital = bool(shapes.integers(0, 2))
-        g = random_standard_generator(d, m, cfg.seed, unital=unital, tag="cp-suite.generator", index=i)
-        row = structure_row(g, p["times"])
-        all_pass &= row.passed
-        rows.append([i, d, m, unital, row.conditionally_cp, row.choi_min_eig, row.preserves_identity, row.passed])
+    draws = [(int(shapes.integers(2, p["max_dim"] + 1)), int(shapes.integers(1, p["max_jumps"] + 1)),
+              bool(shapes.integers(0, 2))) for _ in range(p["count"])]
+    gens = [random_standard_generator(d, m, cfg.seed, unital=unital, tag="cp-suite.generator", index=i)
+            for i, (d, m, unital) in enumerate(draws)]
+    rows = [[i, *draw, r.conditionally_cp, r.choi_min_eig, r.preserves_identity, r.passed]
+            for i, (draw, r) in enumerate(zip(draws, structure_rows(gens, p["times"])))]
+    all_pass = all(r[-1] for r in rows)
     cp_ok, witness = is_completely_positive(lambda X: X.T, 2)
     transpose_ok = (not cp_ok) and abs(witness + 1.0) <= 1e-10
     all_pass &= transpose_ok
@@ -436,14 +426,8 @@ def _dyson(cfg: RunConfig) -> Result:
     "m": Field("int", default=3, range="positive"),
 })
 def _gauge_suite(cfg: RunConfig) -> Result:
-    from .generators import (
-        GaugeElement,
-        apply_gauge,
-        apply_generator,
-        gauge_group_law_check,
-        hermitian_basis,
-        random_standard_generator,
-    )
+    from .generators import (GaugeElement, apply_gauge, apply_generator, gauge_group_law_check, hermitian_basis,
+                             random_standard_generator)
 
     p = cfg.params["suite"]
     rows = []

@@ -223,7 +223,8 @@ class TestDilation:
         assert runs[0].estimate == runs[1].estimate and runs[0].stderr == runs[1].stderr
 
     def test_peak_memory_in_blocks(self, psi512):
-        # one paths x N buffer per evolved block; with a new array per pass the peaks were 4.23 and 3.07 blocks
+        # one paths x N buffer per evolved block, and a Weyl reduction that conjugates the states in
+        # row blocks; with a new array per pass the peaks were 4.23 and 3.07 blocks
         paths, steps = 256, 8
         block = paths * psi512.grid.n_points * 16
         inc, _ = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))
@@ -238,7 +239,7 @@ class TestDilation:
         finally:
             tracemalloc.stop()
         assert evolve_peak <= 1.5 * block
-        assert reduce_peak <= 2.5 * block
+        assert reduce_peak <= 1.5 * block
 
 
 class TestCovariance:

@@ -1,6 +1,7 @@
 """Finite-dimensional generator structure: CP tests, expansion, gauge freedom."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from levylab import rng
+from levylab import generators, rng
 from levylab.errors import NumericalFailure
 from levylab.generators import (
     _THETA13,
     GaugeElement,
     StandardGenerator,
+    StructureRow,
     _expm,
+    _min_hermitian_eig,
     apply_gauge,
     apply_generator,
     apply_preadjoint,
@@ -31,6 +34,7 @@ from levylab.generators import (
     is_completely_positive,
     is_conditionally_cp,
     random_standard_generator,
+    structure_rows,
     superop_matrix,
     unvec,
     vec,
@@ -271,6 +275,99 @@ class TestExpm:
         A[1, 0, 2] = bad
         with pytest.raises(NumericalFailure):
             _expm(A)
+
+
+def structure_row(gen: StandardGenerator, times) -> StructureRow:
+    """Reference: one generator's row, computed alone (the per-generator loop ``structure_rows`` replaced)."""
+    d = gen.dim
+    ccp = is_conditionally_cp(gen)
+    ts = [float(t) for t in times]
+    if gen.unital and 1.0 not in ts:
+        ts.append(1.0)
+    E = exact_evolve(gen, ts)
+    eigs = _min_hermitian_eig(choi_of_superop(E[:len(times)], d))
+    worst = min([0.0, *map(float, eigs)])
+    preserves = None
+    if gen.unital:
+        E1 = E[ts.index(1.0)]
+        preserves = bool(np.abs(unvec(E1 @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
+    return StructureRow(conditionally_cp=ccp, choi_min_eig=worst, preserves_identity=preserves)
+
+
+def suite_generators(seed: int, count: int, max_dim: int, max_jumps: int = 3) -> list[StandardGenerator]:
+    """The generators a ``cp-suite`` run draws."""
+    shapes = rng.stream(seed, "cp-suite.shapes")
+    gens = []
+    for i in range(count):
+        d, m = int(shapes.integers(2, max_dim + 1)), int(shapes.integers(1, max_jumps + 1))
+        unital = bool(shapes.integers(0, 2))
+        gens.append(random_standard_generator(d, m, seed, unital=unital, tag="cp-suite.generator", index=i))
+    return gens
+
+
+def same_row(a: StructureRow, b: StructureRow) -> bool:
+    return (a.conditionally_cp is b.conditionally_cp and a.preserves_identity is b.preserves_identity
+            and np.float64(a.choi_min_eig).tobytes() == np.float64(b.choi_min_eig).tobytes())
+
+
+class TestStructureRows:
+    # exp(t gen) is CP for t >= 0, so its Choi eigenvalue is 0 or round-off there; a negative
+    # time gives each generator its own negative eigenvalue, so a row mixed up with another shows
+    @pytest.mark.parametrize("times", [(0.1, 1.0, 10.0), (0.0, 0.1, 2.5), (1.0,), (0.5,), (0.0,), (-0.5, 0.0, 2.0)])
+    def test_rows_equal_one_generator_oracle(self, times):
+        gens = suite_generators(11, 60, 6)
+        assert {g.dim for g in gens} == {2, 3, 4, 5, 6} and {g.unital for g in gens} == {True, False}
+        rows = structure_rows(gens, times)
+        assert len(rows) == len(gens)
+        for g, row in zip(gens, rows):
+            assert same_row(row, structure_row(g, times))
+            assert (row.preserves_identity is None) == (not g.unital)
+        if min(times) < 0:
+            assert len({row.choi_min_eig for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    def test_rows_do_not_depend_on_budget(self, monkeypatch, budget):
+        # one generator per batch, and whole (dim, n_jumps) groups in one batch
+        gens = suite_generators(5, 40, 6)
+        times = (-0.3, 0.0, 2.0)
+        reference = structure_rows(gens, times)
+        monkeypatch.setattr(generators, "EXPM_BATCH_BYTES", budget)
+        assert all(same_row(a, b) for a, b in zip(structure_rows(gens, times), reference))
+
+    def test_stacked_calls_equal_single_calls(self):
+        times = [0.0, 0.1, 1.0, 10.0]
+        for d, m in ((2, 1), (3, 3), (6, 2)):
+            gens = [random_standard_generator(d, m, seed=60 + k, unital=bool(k % 2)) for k in range(4)]
+            S = superop_matrix(gens)
+            E = exact_evolve(gens, times)
+            assert S.shape == (4, d * d, d * d) and E.shape == (4, len(times), d * d, d * d)
+            assert exact_evolve(gens, 0.5).shape == (4, d * d, d * d)
+            ccp = is_conditionally_cp(gens)
+            for j, g in enumerate(gens):
+                assert same_bits(S[j], superop_matrix(g))
+                assert same_bits(E[j], exact_evolve(g, times))
+                assert ccp[j] == is_conditionally_cp(g)
+                X = np.arange(d * d).reshape(d, d) * (0.5 + 1j)
+                assert same_bits(apply_generator(gens, X)[j], apply_generator(g, X))
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            superop_matrix([random_standard_generator(2, 1, seed=1), random_standard_generator(3, 1, seed=1)])
+        with pytest.raises(ValueError, match="one shape"):
+            is_conditionally_cp([random_standard_generator(2, 1, seed=1), random_standard_generator(2, 2, seed=1)])
+
+    def test_peak_memory_of_structure_suite(self):
+        # the 400 draws of the structure-suite benchmark; batching whole groups peaked at
+        # 23.1 MiB and a 256 KiB budget at 2.8 MiB
+        gens = suite_generators(1, 400, 6)
+        tracemalloc.start()
+        try:
+            rows = structure_rows(gens, (0.1, 1.0, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.passed for row in rows)
+        assert peak <= 1.5 * 2**20
 
 
 class TestDyson:
