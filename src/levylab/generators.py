@@ -100,13 +100,12 @@ def _parts(gens) -> tuple[np.ndarray, np.ndarray]:
     return (K[0], ops[0]) if one else (K, ops)
 
 
-def apply_generator(gen, X) -> np.ndarray:
-    """``sum_k L_k^dag X L_k - K^dag X - X K``, stacked for a sequence of generators of one shape."""
-    K, ops = _parts(gen)
-    X = _as_matrix(X, K.shape[-1])
-    out = -(K.conj().swapaxes(-1, -2) @ X) - X @ K
-    for L in np.moveaxis(ops, -3, 0):
-        out += L.conj().swapaxes(-1, -2) @ X @ L
+def apply_generator(gen: StandardGenerator, X) -> np.ndarray:
+    """``sum_k L_k^dag X L_k - K^dag X - X K``."""
+    X = _as_matrix(X, gen.dim)
+    out = -(gen.K.conj().T @ X) - X @ gen.K
+    for L in gen.jump_ops:
+        out += L.conj().T @ X @ L
     return out
 
 
@@ -198,12 +197,11 @@ def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
-    """Spot-check linearity on a random pair, per map of a stacked output; raises on violation."""
+    """Spot-check linearity on a random pair; raises on violation."""
     A, B = _linear_probe(d)
     lhs = np.asarray(map_fn(1.5 * A + 2j * B))
     rhs = 1.5 * np.asarray(map_fn(A)) + 2j * np.asarray(map_fn(B))
-    scale = np.fmax(1.0, np.abs(lhs).max(axis=(-2, -1)))
-    if (np.abs(lhs - rhs).max(axis=(-2, -1)) > 1e-9 * scale).any():
+    if np.abs(lhs - rhs).max() > 1e-9 * max(1.0, np.abs(lhs).max()):
         raise ValueError("map is not linear (spot check failed)")
 
 
@@ -223,32 +221,29 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarra
     return C
 
 
+def _within_cp_tol(witness, C: np.ndarray) -> np.ndarray:
+    """The one CP verdict rule: ``witness >= -CP_TOL * max(1, max|C|)`` for each Choi matrix ``C``."""
+    return witness >= -CP_TOL * np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
+
+
 def is_completely_positive(map_fn: Callable, d: int) -> tuple[bool, float]:
     """CP test via the Choi matrix; returns the verdict and the witness eigenvalue."""
-    m = float(_min_hermitian_eig(choi_matrix(map_fn, d)))
-    return m >= -CP_TOL, m
+    C = choi_matrix(map_fn, d)
+    m = float(_min_hermitian_eig(C))
+    return bool(_within_cp_tol(m, C)), m
 
 
-def is_conditionally_cp(gen_or_map, d: int | None = None):
-    """Conditional complete positivity: Choi positivity off the entangled vector.
+def is_conditionally_cp(C: np.ndarray):
+    """Conditional complete positivity of the map with Choi matrix ``C`` (``d^2 x d^2``, or a stack).
 
-    Accepts a :class:`StandardGenerator` (Choi matrix from its superoperator
-    matrix, after a linearity spot check of :func:`apply_generator`), a
-    sequence of them of one shape (an array of verdicts from stacked checks),
-    or a map handle with explicit ``d``.  ``CP_TOL`` is scaled by each map's magnitude.
+    Choi positivity off the maximally entangled vector; a bool, or an array
+    of verdicts for a stack.
     """
-    if callable(gen_or_map):
-        if d is None:
-            raise ValueError("explicit dimension required for a bare map handle")
-        C = choi_matrix(gen_or_map, d)
-    else:
-        d = _parts(gen_or_map)[0].shape[-1]
-        _check_linear(lambda X: apply_generator(gen_or_map, X), d)
-        C = choi_of_superop(superop_matrix(gen_or_map), d)
+    C = np.asarray(C, dtype=complex)
+    d = int(round(np.sqrt(C.shape[-1])))
     omega = vec(np.eye(d))  # the maximally entangled vector sum_i |ii>
     P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
-    scale = np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
-    ok = _min_hermitian_eig(P @ C @ P) >= -CP_TOL * scale
+    ok = _within_cp_tol(_min_hermitian_eig(P @ C @ P), C)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -271,7 +266,7 @@ def _expm(A) -> np.ndarray:
     Algorithm 2.3).  Each slice gets its own scaling ``s_k`` from its 1-norm
     and is squared ``s_k`` times, so slice ``k`` equals the unbatched call
     on ``A[k]`` bit for bit; a zero slice gives exactly the identity.  A
-    NaN or infinite entry raises :class:`NumericalFailure`.
+    NaN or infinite entry, or a squaring that overflows, raises :class:`NumericalFailure`.
     """
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
@@ -289,22 +284,24 @@ def _expm(A) -> np.ndarray:
     V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
     R = np.linalg.solve(V - U, V + U)
     R[norms == 0] = eye  # the solve rounds b_0 I / b_0 I through 1 / b_0
-    for j in range(s.max(initial=0)):
-        more = s > j
-        R[more] = R[more] @ R[more]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(s.max(initial=0)):
+            more = s > j
+            R[more] = R[more] @ R[more]
+    if not np.isfinite(R).all():
+        raise NumericalFailure("matrix exponential overflowed")
     return R.reshape(A.shape)
 
 
-def exact_evolve(gen, t) -> np.ndarray:
-    """``exp(t gen)`` as a superoperator matrix (scaling-and-squaring).
+def exact_evolve(S: np.ndarray, t) -> np.ndarray:
+    """``exp(t S)`` for a superoperator matrix ``S`` (scaling-and-squaring).
 
-    ``t`` may be a sequence of times and ``gen`` a sequence of generators of
-    one shape: the superoperators are built once, one stacked :func:`_expm`
-    call evaluates every pair, and slice ``[j, k]`` of the result equals
-    ``exact_evolve(gen[j], t[k])`` bit for bit.
+    ``S`` may be a stack of superoperators and ``t`` a sequence of times: one
+    stacked :func:`_expm` call evaluates every pair, and slice ``[j, k]`` of
+    the result equals ``exact_evolve(S[j], t[k])`` bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    S = superop_matrix(gen)
+    S = np.asarray(S)
     return _expm(t[..., None, None] * S.reshape(S.shape[:-2] + (1,) * t.ndim + S.shape[-2:]))
 
 
@@ -330,8 +327,9 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
 
     Generators of one ``(dim, n_jumps)`` go in batches of at most ``EXPM_BATCH_BYTES`` of
     exponentials (``len(ts) * d**4 * 16`` bytes each, ``ts`` the times plus ``t = 1`` for the
-    identity check): one stacked conditional CP test, one exponential over generators and ``ts``,
-    and one Choi ``eigvalsh`` per batch.  Each row equals a one-generator batch bit for bit.
+    identity check): one stacked superoperator, from which one conditional CP test, one
+    exponential over generators and ``ts``, and one Choi ``eigvalsh``.  Each row equals a
+    one-generator batch bit for bit.
     """
     times = [float(t) for t in times]
     ts = times if 1.0 in times else times + [1.0]
@@ -343,8 +341,9 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
         omega, per = vec(np.eye(d)), max(1, EXPM_BATCH_BYTES // (len(ts) * d**4 * 16))
         for idx in (members[lo:lo + per] for lo in range(0, len(members), per)):
             batch = [gens[i] for i in idx]
-            ccp = is_conditionally_cp(batch)
-            E = exact_evolve(batch, ts)
+            S = superop_matrix(batch)
+            ccp = is_conditionally_cp(choi_of_superop(S, d))
+            E = exact_evolve(S, ts)
             eigs = _min_hermitian_eig(choi_of_superop(E[:, :len(times)], d))
             defect = np.abs(E[:, ts.index(1.0)] @ omega - omega).max(axis=-1)
             for k, g in enumerate(batch):
@@ -386,7 +385,7 @@ def check_duality(gen: StandardGenerator, rho, X, t: float = 0.0) -> float:
     rho = _as_matrix(rho, gen.dim)
     X = _as_matrix(X, gen.dim)
     if t != 0.0:
-        X = unvec(exact_evolve(gen, t) @ vec(X))
+        X = unvec(exact_evolve(superop_matrix(gen), t) @ vec(X))
     lhs = np.trace(apply_preadjoint(gen, rho) @ X)
     rhs = np.trace(rho @ apply_generator(gen, X))
     return float(abs(lhs - rhs))

@@ -399,14 +399,14 @@ def _cp_suite(cfg: RunConfig) -> Result:
     "n_terms": Field("int", default=12, range="nonnegative"),
 })
 def _dyson(cfg: RunConfig) -> Result:
-    from .generators import StandardGenerator, dyson_terms, exact_evolve
+    from .generators import StandardGenerator, dyson_terms, exact_evolve, superop_matrix
 
     p = cfg.params["dyson"]
     sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     H = 0.5 * p["drive"] * np.array([[0.0, 1.0], [1.0, 0.0]]) + 0.5 * p["detuning"] * np.diag([1.0, -1.0])
     gen = StandardGenerator.unital_build(H, [np.sqrt(p["gamma"]) * sigma_minus])
     terms = dyson_terms(gen, p["t"], p["n_terms"])
-    exact = exact_evolve(gen, p["t"])
+    exact = exact_evolve(superop_matrix(gen), p["t"])
     partial = np.zeros_like(exact)
     rows = []
     for n, term in enumerate(terms):

@@ -40,6 +40,7 @@ from levylab.generators import (
     is_completely_positive,
     random_standard_generator,
     structure_rows,
+    superop_matrix,
 )
 from levylab.grid import (
     GridSpec,
@@ -213,7 +214,7 @@ def test_criterion_06_dyson_convergence():
     g = StandardGenerator.unital_build(H, [sigma_minus])
     t = 1.0
     terms = dyson_terms(g, t, 12)
-    err = np.abs(sum(terms) - exact_evolve(g, t)).max()
+    err = np.abs(sum(terms) - exact_evolve(superop_matrix(g), t)).max()
     norms = [np.linalg.norm(T, 2) for T in terms]
     phi_norm = np.linalg.norm(cp_part_superop(g), 2)
     ratios_ok = all(

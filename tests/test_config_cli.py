@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,11 +360,13 @@ count = 5
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
         # and one Choi assembly by map calls per time, the conditional CP test
-        # through apply_generator, and a separate t = 1 exponential for the
-        # identity check (the times here leave t = 1 out); at dimensions up to
-        # 6 the byte budget splits the (dim, jumps) groups into batches
-        from levylab.generators import (apply_generator, exact_evolve, is_completely_positive,
-                                        is_conditionally_cp, random_standard_generator, unvec, vec)
+        # on the Choi matrix assembled from apply_generator, and a separate
+        # t = 1 exponential for the identity check (the times here leave t = 1
+        # out); at dimensions up to 6 the byte budget splits the (dim, jumps)
+        # groups into batches
+        from levylab.generators import (apply_generator, choi_matrix, exact_evolve, is_completely_positive,
+                                        is_conditionally_cp, random_standard_generator, superop_matrix,
+                                        unvec, vec)
         from levylab.runner import _fmt
 
         cfg = write_config(tmp_path, """
@@ -385,14 +388,14 @@ times = 0, 0.1, 2.5
             m = int(gen0.integers(1, 4))
             unital = bool(gen0.integers(0, 2))
             g = random_standard_generator(d, m, 3, unital=unital, tag="cp-suite.generator", index=i)
-            ccp = is_conditionally_cp(lambda X: apply_generator(g, X), d=d)
+            ccp = is_conditionally_cp(choi_matrix(lambda X: apply_generator(g, X), d))
             worst = 0.0
             for t in (0.0, 0.1, 2.5):
-                E = exact_evolve(g, t)
+                E = exact_evolve(superop_matrix(g), t)
                 worst = min(worst, is_completely_positive(lambda X: unvec(E @ vec(X)), d)[1])
             preserves = None  # the identity check is made for unital generators only
             if g.unital:
-                E = exact_evolve(g, 1.0)
+                E = exact_evolve(superop_matrix(g), 1.0)
                 preserves = bool(np.abs(unvec(E @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
             ok = ccp and worst >= -1e-8 and preserves is not False
             lines.append(",".join(_fmt(c) for c in [i, d, m, unital, ccp, worst, preserves, ok]))
@@ -403,11 +406,12 @@ times = 0, 0.1, 2.5
         assert {r[1] for r in rows} == {"2", "3", "4", "5", "6"}
 
     def test_cp_suite_calls_module_entry_points(self, tmp_path, monkeypatch):
-        # the benchmark's traced runs wrap these module attributes and need a span from each,
-        # so the suite must reach them by module-global lookup
+        # the benchmark's traced structure-suite runs wrap these module attributes and need a
+        # span from each, so the suite must reach them by module-global lookup
         from levylab import generators
 
-        calls = {"exact_evolve": 0, "is_conditionally_cp": 0}
+        calls = dict.fromkeys(("exact_evolve", "is_conditionally_cp", "choi_matrix", "is_completely_positive",
+                               "random_standard_generator"), 0)
         for name in calls:
             def counted(*args, _fn=getattr(generators, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -530,6 +534,20 @@ func = bump
 t = 1.0
 """)
         assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind, seed, body", [
+        *(("cp-suite", seed, "[suite]\ncount = 6\nmax_dim = 4\ntimes = 1e300\n") for seed in (2, 4, 5)),
+        ("dyson", 1, "[dyson]\ngamma = 1e300\n"),
+    ])
+    def test_overflowing_exponential_is_numerical_failure(self, tmp_path, capsys, kind, seed, body):
+        # finite input whose exponential overflows in the squaring: exit 3, not a config error
+        # from the eigensolver or SVD that the non-finite result used to reach, and no warning
+        cfg = write_config(tmp_path, f"[run]\nkind = {kind}\nseed = {seed}\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "numerical failure: matrix exponential overflowed\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unmapped_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
         # a run that raises leaves no output directory: it is created only after the run returns

@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from levylab import generators, rng
 from levylab.errors import NumericalFailure
 from levylab.generators import (
     _THETA13,
+    CP_TOL,
     GaugeElement,
     StandardGenerator,
     StructureRow,
@@ -129,6 +131,20 @@ class TestChoi:
         ok, witness = is_completely_positive(lambda X: X.T, 2)
         assert not ok and witness == pytest.approx(-1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_large_kraus_maps_are_cp(self, scale):
+        # CP by construction; the witness is round-off of the map's size (down to -1.7e-8 here),
+        # so the tolerance scales with max|C| in both CP tests, not only in the conditional one
+        witnesses = []
+        for seed in range(50):
+            gen = rng.stream(seed, "test.scaled-kraus")
+            ops = [gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)) for _ in range(2)]
+            fn = lambda X: scale * sum(L.conj().T @ X @ L for L in ops)
+            ok, witness = is_completely_positive(fn, 4)
+            assert ok and is_conditionally_cp(choi_matrix(fn, 4))
+            witnesses.append(witness)
+        assert min(witnesses) < -CP_TOL  # the absolute rule would have rejected these
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape and identical IEEE bit patterns, signed zeros included."""
@@ -173,11 +189,12 @@ class TestSuperopAndChoi:
         times = [0.0, 0.1, 1.0, 2.5, 10.0]
         for d, unital in ((2, True), (3, False), (5, True)):
             g = random_standard_generator(d, 2, seed=40 + d, unital=unital)
-            stacked = exact_evolve(g, times)
+            S = superop_matrix(g)
+            stacked = exact_evolve(S, times)
             assert stacked.shape == (len(times), d * d, d * d)
             for k, t in enumerate(times):
-                assert same_bits(stacked[k], exact_evolve(g, t))
-            assert exact_evolve(g, []).shape == (0, d * d, d * d)
+                assert same_bits(stacked[k], exact_evolve(S, t))
+            assert exact_evolve(S, []).shape == (0, d * d, d * d)
 
     def test_no_module_calls_np_kron(self):
         # every Kronecker product in the package goes through the one broadcast
@@ -193,41 +210,45 @@ class TestSuperopAndChoi:
         assert offenders == []
 
 
+def generator_choi(g: StandardGenerator) -> np.ndarray:
+    return choi_of_superop(superop_matrix(g), g.dim)
+
+
 class TestConditionalCP:
     def test_standard_generators_pass(self):
         for i in range(5):
             g = random_standard_generator(3, 2, seed=100 + i)
-            assert is_conditionally_cp(g)
+            assert is_conditionally_cp(generator_choi(g)) is True
 
     def test_hamiltonian_only_passes(self):
         g = StandardGenerator.unital_build(SIGMA_Z, [])
-        assert is_conditionally_cp(g)
+        assert is_conditionally_cp(generator_choi(g))
 
     def test_transpose_fails(self):
-        assert not is_conditionally_cp(lambda X: X.T, d=2)
+        assert is_conditionally_cp(choi_matrix(lambda X: X.T, 2)) is False
 
 
 class TestEvolution:
     def test_time_zero_identity(self):
         g = damped_qubit()
-        assert np.abs(exact_evolve(g, 0.0) - np.eye(4)).max() < 1e-14
+        assert np.abs(exact_evolve(superop_matrix(g), 0.0) - np.eye(4)).max() < 1e-14
 
     def test_unital_preserves_identity(self):
         g = damped_qubit()
-        E = exact_evolve(g, 2.0)
+        E = exact_evolve(superop_matrix(g), 2.0)
         assert np.abs(unvec(E @ vec(np.eye(2))) - np.eye(2)).max() < 1e-10
 
     def test_semigroup_law(self):
-        g = damped_qubit()
+        S = superop_matrix(damped_qubit())
         E = exact_evolve
-        assert np.abs(E(g, 0.7) @ E(g, 0.5) - E(g, 1.2)).max() < 1e-9
+        assert np.abs(E(S, 0.7) @ E(S, 0.5) - E(S, 1.2)).max() < 1e-9
 
     def test_nonunital_contracts_identity(self):
         g = random_standard_generator(3, 2, seed=7, unital=False)
         rho = np.eye(3) / 3.0
         values = []
         for t in (0.0, 0.3, 1.0, 3.0):
-            Et = exact_evolve(g, t)
+            Et = exact_evolve(superop_matrix(g), t)
             values.append(np.trace(rho @ unvec(Et @ vec(np.eye(3)))).real)
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
 
@@ -276,15 +297,26 @@ class TestExpm:
         with pytest.raises(NumericalFailure):
             _expm(A)
 
+    def test_overflow_in_squaring_raises(self):
+        # exp(800) is beyond double range: the squaring overflows from a finite input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="overflowed"):
+                _expm(np.array([[800.0]]))
+            with pytest.raises(NumericalFailure, match="overflowed"):
+                _expm(np.stack([np.zeros((2, 2)), np.diag([1.0, 800.0])]))
+        assert _expm(np.array([[700.0]]))[0, 0] == pytest.approx(np.exp(700.0), rel=1e-12)
+
 
 def structure_row(gen: StandardGenerator, times) -> StructureRow:
     """Reference: one generator's row, computed alone (the per-generator loop ``structure_rows`` replaced)."""
     d = gen.dim
-    ccp = is_conditionally_cp(gen)
+    S = superop_matrix(gen)
+    ccp = is_conditionally_cp(choi_of_superop(S, d))
     ts = [float(t) for t in times]
     if gen.unital and 1.0 not in ts:
         ts.append(1.0)
-    E = exact_evolve(gen, ts)
+    E = exact_evolve(S, ts)
     eigs = _min_hermitian_eig(choi_of_superop(E[:len(times)], d))
     worst = min([0.0, *map(float, eigs)])
     preserves = None
@@ -339,22 +371,43 @@ class TestStructureRows:
         for d, m in ((2, 1), (3, 3), (6, 2)):
             gens = [random_standard_generator(d, m, seed=60 + k, unital=bool(k % 2)) for k in range(4)]
             S = superop_matrix(gens)
-            E = exact_evolve(gens, times)
+            E = exact_evolve(S, times)
             assert S.shape == (4, d * d, d * d) and E.shape == (4, len(times), d * d, d * d)
-            assert exact_evolve(gens, 0.5).shape == (4, d * d, d * d)
-            ccp = is_conditionally_cp(gens)
+            assert exact_evolve(S, 0.5).shape == (4, d * d, d * d)
+            ccp = is_conditionally_cp(choi_of_superop(S, d))
+            assert ccp.shape == (4,)
             for j, g in enumerate(gens):
                 assert same_bits(S[j], superop_matrix(g))
-                assert same_bits(E[j], exact_evolve(g, times))
-                assert ccp[j] == is_conditionally_cp(g)
-                X = np.arange(d * d).reshape(d, d) * (0.5 + 1j)
-                assert same_bits(apply_generator(gens, X)[j], apply_generator(g, X))
+                assert same_bits(E[j], exact_evolve(superop_matrix(g), times))
+                assert ccp[j] == is_conditionally_cp(generator_choi(g))
+
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    def test_one_superoperator_per_batch(self, monkeypatch, budget):
+        # each batch builds its superoperators once and shares them between the conditional
+        # CP test and the exponential; the generator's map itself is never called
+        def forbidden(*args, **kwargs):
+            raise AssertionError("structure_rows must not call apply_generator")
+
+        calls = []
+
+        def counted(gens, _fn=superop_matrix):
+            calls.append(len(gens))
+            return _fn(gens)
+
+        gens = suite_generators(3, 30, 6)
+        monkeypatch.setattr(generators, "apply_generator", forbidden)
+        monkeypatch.setattr(generators, "superop_matrix", counted)
+        monkeypatch.setattr(generators, "EXPM_BATCH_BYTES", budget)
+        structure_rows(gens, (0.1, 1.0))
+        shapes = {(g.dim, g.n_jumps) for g in gens}
+        assert len(shapes) > 1 and sum(calls) == len(gens)
+        assert len(calls) == (len(gens) if budget == 1 else len(shapes))
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):
             superop_matrix([random_standard_generator(2, 1, seed=1), random_standard_generator(3, 1, seed=1)])
         with pytest.raises(ValueError, match="one shape"):
-            is_conditionally_cp([random_standard_generator(2, 1, seed=1), random_standard_generator(2, 2, seed=1)])
+            superop_matrix([random_standard_generator(2, 1, seed=1), random_standard_generator(2, 2, seed=1)])
 
     def test_peak_memory_of_structure_suite(self):
         # the 400 draws of the structure-suite benchmark; batching whole groups peaked at
@@ -383,7 +436,7 @@ class TestDyson:
 
     def test_twelve_terms_hit_exact(self):
         g = damped_qubit()
-        err = np.abs(sum(dyson_terms(g, 1.0, 12)) - exact_evolve(g, 1.0)).max()
+        err = np.abs(sum(dyson_terms(g, 1.0, 12)) - exact_evolve(superop_matrix(g), 1.0)).max()
         assert err < 1e-6
 
     def test_terms_are_cp(self):
@@ -532,20 +585,20 @@ class TestGauge:
 class TestCovariance:
     def test_identity_conjugation(self):
         g = damped_qubit()
-        E = exact_evolve(g, 1.0)
+        E = exact_evolve(superop_matrix(g), 1.0)
         fn = lambda X: unvec(E @ vec(X))
         assert covariance_defect(fn, np.eye(2), hermitian_basis(2)) == 0.0
 
     def test_commuting_generator_is_covariant(self):
         V = np.diag(np.exp(1j * np.array([0.3, -1.1])))
         g = StandardGenerator.unital_build(SIGMA_Z, [np.diag([0.5, -0.2]).astype(complex)])
-        E = exact_evolve(g, 1.0)
+        E = exact_evolve(superop_matrix(g), 1.0)
         fn = lambda X: unvec(E @ vec(X))
         assert covariance_defect(fn, V, hermitian_basis(2)) < 1e-10
 
     def test_generic_generator_breaks_covariance(self):
         V = np.diag(np.exp(1j * np.array([0.3, -1.1])))
         g = damped_qubit()
-        E = exact_evolve(g, 1.0)
+        E = exact_evolve(superop_matrix(g), 1.0)
         fn = lambda X: unvec(E @ vec(X))
         assert covariance_defect(fn, V, hermitian_basis(2)) > 0.01
