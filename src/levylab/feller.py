@@ -336,55 +336,6 @@ def simulate_reflecting_diffusion(
     return _simulate(spec, x_start, t, dt, mc, mode="reflect", record_times=record_times)
 
 
-@dataclass
-class TraceDecayReport:
-    """Minimal (absorbing) versus reflecting survival curves and the witness verdict.
-
-    The minimal evolution loses normalization exactly as fast as paths are
-    absorbed, so its survival curve is the trace curve of the evolved state
-    concentrated at ``x_start``.  ``witness=True`` when the curves separate
-    beyond ``max(5 joint stderr, 0.02)`` somewhere; the floor keeps
-    discretization bias near a non-absorbing boundary from faking a witness.
-    """
-
-    times: np.ndarray
-    minimal: np.ndarray
-    minimal_stderr: np.ndarray
-    reflecting: np.ndarray
-    max_separation: float
-    max_separation_sigmas: float
-    witness: bool
-
-
-def trace_decay_link(
-    spec: DriftSpec,
-    x_start: float,
-    t_grid: np.ndarray,
-    mc: MCConfig,
-    dt: float = 1e-3,
-) -> TraceDecayReport:
-    t_grid = np.asarray(t_grid, dtype=float)
-    t_max = float(t_grid.max())
-    minimal = simulate_killed_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
-    reflecting = simulate_reflecting_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
-    sep = reflecting.survival - minimal.survival
-    joint = np.sqrt(minimal.stderr**2 + reflecting.stderr**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigmas = np.where(joint > 0, sep / joint, np.inf * np.sign(sep))
-    floor = 0.02
-    k = int(np.argmax(sep))
-    witness = bool(sep[k] > max(5.0 * joint[k], floor))
-    return TraceDecayReport(
-        times=minimal.times,
-        minimal=minimal.survival,
-        minimal_stderr=minimal.stderr,
-        reflecting=reflecting.survival,
-        max_separation=float(sep[k]),
-        max_separation_sigmas=float(sigmas[k]) if np.isfinite(sigmas[k]) else float("inf"),
-        witness=witness,
-    )
-
-
 # --------------------------------------------------------------------------
 # Canonical drifts
 # --------------------------------------------------------------------------

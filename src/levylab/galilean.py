@@ -39,7 +39,7 @@ from . import rng
 from .errors import NumericalFailure
 from .grid import (OVERFLOW_TOL, STATE_BATCH, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace,
                    expectation, expectations, overflow_fraction)
-from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _sample_increments, char_exponent_2d
+from .levy import LevyTriplet2D, _sample_increments, char_exponent_2d
 from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
 
 _SIMPSON_TOL = 1e-10
@@ -361,21 +361,3 @@ def galilean_covariance_check(
         sum_a += part_a
         sum_b += part_b
     return float(np.abs((sum_a - sum_b) / mc.n_paths).max())
-
-
-def one_dimensional_reduction(gen: GalileanGenerator) -> LevyTriplet1D | None:
-    """The 1-D increment law this generator reduces to, when it does.
-
-    Requires no free term, no second-component drift/diffusion and jumps on
-    the first axis only; returns None otherwise.
-    """
-    t = gen.triplet2
-    a = t.alpha_matrix
-    if gen.include_free_hamiltonian or t.beta_q != 0.0 or a[0, 1] != 0.0 or a[1, 1] != 0.0:
-        return None
-    atoms = []
-    for (xa, va), r in t.jumps.atoms:
-        if va != 0.0:
-            return None
-        atoms.append((xa, r))
-    return LevyTriplet1D(beta=t.beta_p, alpha=a[0, 0], jumps=JumpMeasure(atoms=tuple(atoms)), h=t.h)

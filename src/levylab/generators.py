@@ -109,26 +109,12 @@ def apply_generator(gen: StandardGenerator, X) -> np.ndarray:
     return out
 
 
-def apply_preadjoint(gen: StandardGenerator, rho) -> np.ndarray:
-    """Trace-picture adjoint: ``sum_k L_k rho L_k^dag - K rho - rho K^dag``."""
-    rho = _as_matrix(rho, gen.dim)
-    out = -(gen.K @ rho) - rho @ gen.K.conj().T
-    for L in gen.jump_ops:
-        out += L @ rho @ L.conj().T
-    return out
-
-
 # --------------------------------------------------------------------------
 # Superoperator and Choi machinery
 # --------------------------------------------------------------------------
 
 def vec(X: np.ndarray) -> np.ndarray:
     return np.asarray(X, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(x.size)))
-    return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -266,15 +252,19 @@ def _expm(A) -> np.ndarray:
     Algorithm 2.3).  Each slice gets its own scaling ``s_k`` from its 1-norm
     and is squared ``s_k`` times, so slice ``k`` equals the unbatched call
     on ``A[k]`` bit for bit; a zero slice gives exactly the identity.  A
-    NaN or infinite entry, or a squaring that overflows, raises :class:`NumericalFailure`.
+    NaN or infinite entry, a squaring that overflows, or a scaling by
+    ``2**-s`` with ``s >= 53`` raises :class:`NumericalFailure`: there
+    ``2**s`` times the unit round-off ``2**-53`` is at least 1, so the
+    squarings keep no digit of the result.
     """
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
         raise NumericalFailure("matrix exponential of a matrix with a NaN or infinite entry")
     n = A.shape[-1]
     X = A.reshape((-1, n, n))
-    norms = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
-    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    with np.errstate(over="ignore"):  # a 1-norm past the float range is scaled as the largest float
+        norms = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.ceil(np.log2(np.clip(norms / _THETA13, 1.0, np.finfo(float).max))).astype(int)
     X = X * np.exp2(-s)[:, None, None]
     b, eye = _PADE13, np.eye(n)
     X2 = X @ X
@@ -290,6 +280,8 @@ def _expm(A) -> np.ndarray:
             R[more] = R[more] @ R[more]
     if not np.isfinite(R).all():
         raise NumericalFailure("matrix exponential overflowed")
+    if s.max(initial=0) >= 53:
+        raise NumericalFailure(f"matrix exponential scaled by 2**-{s.max()}: its squarings keep no digit")
     return R.reshape(A.shape)
 
 
@@ -302,7 +294,9 @@ def exact_evolve(S: np.ndarray, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     S = np.asarray(S)
-    return _expm(t[..., None, None] * S.reshape(S.shape[:-2] + (1,) * t.ndim + S.shape[-2:]))
+    with np.errstate(over="ignore"):  # an infinite product is reported by _expm's finiteness check
+        tS = t[..., None, None] * S.reshape(S.shape[:-2] + (1,) * t.ndim + S.shape[-2:])
+    return _expm(tS)
 
 
 @dataclass(frozen=True)
@@ -372,23 +366,13 @@ def dyson_terms(gen: StandardGenerator, t: float, n_terms: int) -> list[np.ndarr
         big[n * d2:(n + 1) * d2, n * d2:(n + 1) * d2] = relax_gen
         if n:
             big[n * d2:(n + 1) * d2, (n - 1) * d2:n * d2] = phi
-    E = _expm(t * big)
+    E = exact_evolve(big, t)
     return [E[n * d2:(n + 1) * d2, 0:d2].copy() for n in range(nblk)]
 
 
 # --------------------------------------------------------------------------
-# Duality, gauge freedom, covariance
+# Gauge freedom
 # --------------------------------------------------------------------------
-
-def check_duality(gen: StandardGenerator, rho, X, t: float = 0.0) -> float:
-    """Defect of ``Tr(gen_*[rho] X_t) = Tr(rho gen[X_t])`` with ``X_t = exp(t gen)[X]``."""
-    rho = _as_matrix(rho, gen.dim)
-    X = _as_matrix(X, gen.dim)
-    if t != 0.0:
-        X = unvec(exact_evolve(superop_matrix(gen), t) @ vec(X))
-    lhs = np.trace(apply_preadjoint(gen, rho) @ X)
-    rhs = np.trace(rho @ apply_generator(gen, X))
-    return float(abs(lhs - rhs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,18 +438,6 @@ def gauge_group_law_check(g1: GaugeElement, g2: GaugeElement, gen: StandardGener
     for L1, L2 in zip(seq.jump_ops, prod.jump_ops):
         defect = max(defect, float(np.abs(L1 - L2).max()))
     return defect
-
-
-def covariance_defect(map_fn: Callable, V, sample_xs: Sequence) -> float:
-    """``max over X`` of ``|| M[V^dag X V] - V^dag M[X] V ||`` (spectral norm)."""
-    V = _as_matrix(V)
-    worst = 0.0
-    for X in sample_xs:
-        X = _as_matrix(X, V.shape[0])
-        lhs = np.asarray(map_fn(V.conj().T @ X @ V))
-        rhs = V.conj().T @ np.asarray(map_fn(X)) @ V
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Position acts by multiplication with the lattice ``x_k = x_min + k dx``;
 momentum is realized spectrally on the FFT lattice ``p_j``, which makes the
-shift group and free evolution exact on band-limited states.  All aliasing
-and boundary risks are surfaced through explicit support and band-limit
-checks (warnings), never hidden.
+shift group and free evolution exact on band-limited states.  Boundary
+risks are surfaced through explicit support checks (warnings), never
+hidden.
 
 Operator conventions, fixed by testable identities rather than typography:
 
@@ -19,8 +19,8 @@ Operator conventions, fixed by testable identities rather than typography:
     conventions above.  Displacements: Q -> Q + x, P -> P + v.
 
 Every shift, kick and Weyl displacement in the package goes through one
-batched kernel, :func:`displace`; the single-state unitaries are its batch
-of one.  Its lattice phases ``exp(i c q_k)`` are never formed as a full
+batched kernel, :func:`displace`; the single-state :func:`apply_weyl` is
+its batch of one.  Its lattice phases ``exp(i c q_k)`` are never formed as a full
 ``paths x N`` exponential (see :func:`_apply_lattice_phase`), and with
 ``out`` it writes every pass into the caller's buffer, the input included.
 """
@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng
 from .errors import SupportOverflowError
 
 #: Lattice points on each edge counted as "boundary" by support checks.
@@ -52,14 +51,6 @@ SUPPORT_TOL = 1e-12
 
 class BoundarySupportWarning(UserWarning):
     """State carries non-negligible mass near the periodic boundary."""
-
-
-class BandLimitWarning(UserWarning):
-    """State carries non-negligible mass at the extreme momenta."""
-
-
-class IncommensurateShiftWarning(UserWarning):
-    """Shift/phase pair is not grid-commensurate; finite-size defect expected."""
 
 
 class UnnormalizedStateWarning(UserWarning):
@@ -95,11 +86,6 @@ class GridSpec:
     @property
     def dp(self) -> float:
         return 2.0 * np.pi / (self.n_points * self.dx)
-
-
-def default_grid(n_points: int = 1024, half_width: float = 40.0) -> GridSpec:
-    """The workhorse grid: ``x in [-half_width, half_width)``."""
-    return GridSpec(n_points=n_points, x_min=-half_width, dx=2.0 * half_width / n_points)
 
 
 @dataclass
@@ -319,26 +305,6 @@ def displace(
     return _apply_lattice_phase(states, grid, eta, momentum=False, scale=central, out=states)
 
 
-def apply_position_phase(psi: WaveFunction, y: float) -> WaveFunction:
-    """``exp(i y Q)``: pointwise phase; exactly norm-preserving."""
-    out = _apply_lattice_phase(psi.amplitudes[None, :], psi.grid, np.array([y]), momentum=False)
-    return WaveFunction(psi.grid, out[0])
-
-
-def apply_shift(psi: WaveFunction, x: float, check_support: bool = True) -> WaveFunction:
-    """``exp(-i x P)``: spectral shift moving the state right by ``x``.
-
-    Exact circular index shift when ``x`` is a multiple of ``dx``; for
-    band-limited states exact interpolation otherwise.
-    """
-    if x == 0.0:
-        return WaveFunction(psi.grid, psi.amplitudes.copy())
-    if check_support:
-        _check_support(psi)
-    hat = np.fft.fft(psi.amplitudes, norm="ortho")
-    return WaveFunction(psi.grid, displace(hat[None, :], psi.grid, [x])[0])
-
-
 def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) -> WaveFunction:
     """``exp(i (v Q - x P))`` with the documented central phase."""
     if check_support and label.x != 0.0:
@@ -346,23 +312,6 @@ def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) 
     hat = np.fft.fft(psi.amplitudes, norm="ortho")
     out = displace(hat[None, :], psi.grid, [label.x], [label.v], label.half_phase_sign)
     return WaveFunction(psi.grid, out[0])
-
-
-def apply_free_evolution(psi: WaveFunction, t: float, check_bandlimit: bool = True) -> WaveFunction:
-    """Free kinetic evolution ``exp(-i t P^2 / 2)``; ``check_bandlimit`` warns on mass in the band's top eighth."""
-    if t == 0.0:
-        return WaveFunction(psi.grid, psi.amplitudes.copy())
-    hat = np.fft.fft(psi.amplitudes, norm="ortho")
-    dens, p = np.abs(hat) ** 2, np.abs(psi.grid.p)
-    tail = dens[p >= 0.875 * p.max()].sum() / dens.sum() if dens.sum() > 0 else 0.0
-    if check_bandlimit and tail > SUPPORT_TOL:
-        warnings.warn(
-            f"state has momentum tail mass {tail:.3e} > {SUPPORT_TOL:.0e}; free evolution may alias",
-            BandLimitWarning,
-            stacklevel=2,
-        )
-    hat *= np.exp(-0.5j * t * psi.grid.p**2)
-    return WaveFunction(psi.grid, np.fft.ifft(hat, norm="ortho"))
 
 
 def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> np.ndarray:
@@ -399,66 +348,3 @@ def expectation(psi: WaveFunction, observable: Observable) -> complex:
     if isinstance(observable, WeylLabel) and observable.x != 0.0:
         _check_support(psi)
     return complex(expectations(psi.amplitudes[None, :], psi.grid, observable)[0])
-
-
-def position_expectation(psi: WaveFunction) -> float:
-    return float(np.real(expectation(psi, QTable(values=tuple(psi.grid.x), label="Q"))))
-
-
-def momentum_expectation(psi: WaveFunction) -> float:
-    return float(np.real(expectation(psi, PTable(values=tuple(psi.grid.p), label="P"))))
-
-
-# --------------------------------------------------------------------------
-# Exchange-relation diagnostic
-# --------------------------------------------------------------------------
-
-def _default_battery(grid: GridSpec) -> list[WaveFunction]:
-    states = [
-        gaussian_state(grid, 0.0, 1.0, 0.0),
-        gaussian_state(grid, -3.0, 2.0, 1.5),
-        gaussian_state(grid, 4.0, 0.7, -2.0),
-    ]
-    gen = rng.stream(0, "ccr-battery")
-    hat = np.zeros(grid.n_points, dtype=complex)
-    band = grid.n_points // 8
-    coeffs = gen.standard_normal(2 * band) + 1j * gen.standard_normal(2 * band)
-    hat[:band] = coeffs[:band]
-    hat[-band:] = coeffs[band:]
-    psi = WaveFunction(grid, np.fft.ifft(hat, norm="ortho"))
-    states.append(psi.normalized())
-    return states
-
-
-def is_commensurate(grid: GridSpec, x: float, y: float) -> bool:
-    """True when ``x`` is a multiple of ``dx`` and ``y`` of the momentum spacing, to relative 1e-9."""
-    def _multiple(val, unit):
-        if val == 0.0:
-            return True
-        k = val / unit
-        return abs(k - round(k)) <= 1e-9 * max(1.0, abs(k))
-    return _multiple(x, grid.dx) and _multiple(y, grid.dp)
-
-
-def ccr_defect(grid: GridSpec, x: float, y: float) -> float:
-    """Largest norm defect of the exchange relation over a battery of states.
-
-    Returns ``max over psi`` of ``|| (shift(x) phase(y) - exp(-i x y)
-    phase(y) shift(x)) psi ||``.  For grid-commensurate pairs this is pure
-    round-off; incommensurate pairs are computed anyway but flagged with a
-    warning, since a finite lattice cannot represent them exactly.
-    """
-    if not is_commensurate(grid, x, y):
-        warnings.warn(
-            f"(x={x}, y={y}) is not grid-commensurate; defect reflects lattice artifacts",
-            IncommensurateShiftWarning,
-            stacklevel=2,
-        )
-    phase = np.exp(-1j * x * y)
-    worst = 0.0
-    for psi in _default_battery(grid):
-        lhs = apply_shift(apply_position_phase(psi, y), x, check_support=False)
-        rhs = apply_position_phase(apply_shift(psi, x, check_support=False), y)
-        diff = lhs.amplitudes - phase * rhs.amplitudes
-        worst = max(worst, float(np.sqrt(grid.dx * np.sum(np.abs(diff) ** 2))))
-    return worst

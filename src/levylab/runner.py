@@ -395,7 +395,7 @@ def _cp_suite(cfg: RunConfig) -> Result:
     "gamma": Field("float", default=1.0, range="nonnegative"),
     "drive": Field("float", default=0.5),
     "detuning": Field("float", default=0.25),
-    "t": Field("float", default=1.0),
+    "t": Field("float", default=1.0, range="nonnegative"),
     "n_terms": Field("int", default=12, range="nonnegative"),
 })
 def _dyson(cfg: RunConfig) -> Result:

@@ -10,9 +10,7 @@ One path's value ``<S_xi psi, X S_xi psi>`` is a trigonometric polynomial
 in ``xi`` whose coefficients depend only on the state and the observable.
 The expectation estimators build those coefficients once (one correlation
 FFT) and evaluate every path from the factorized phase tables of
-:func:`levylab.grid.phase_tables`; no shifted state is ever formed.  The
-covariance diagnostic, which needs the states, shifts them through
-:func:`levylab.grid.displace`.
+:func:`levylab.grid.phase_tables`; no shifted state is ever formed.
 
 On observables ``f(Q)`` the evolution reduces to classical smoothing of
 ``f`` by the increment law, which is the oracle all quantum estimates here
@@ -37,18 +35,13 @@ from .grid import (
     QTable,
     WaveFunction,
     WeylLabel,
-    apply_position_phase,
-    displace,
     expectation,
-    expectations,
     overflow_fraction,
     phase_tables,
 )
-from .levy import LevyTriplet1D, _blocked_values, _density_integral, convolve_classical, sample_ensemble
+from .levy import LevyTriplet1D, _density_integral, convolve_classical, sample_ensemble
 from .montecarlo import MCConfig, MCResult, mc_stats
 
-#: ``|psi|^2`` mass the classical oracle may leave out of its weighted sum.
-ORACLE_TOL = 2e-30
 #: Step of the central differences in :func:`classical_generator_apply`.
 FD_STEP = 1e-3
 
@@ -79,22 +72,6 @@ def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     allowed_hi = (x[-1] - margin) - x[hi]
     overflowed = int(np.count_nonzero((xi < allowed_lo) | (xi > allowed_hi)))
     return overflow_fraction(overflowed, xi.size, "shifts would push support into the boundary window")
-
-
-def _shifted_batches(psi: WaveFunction, xi: np.ndarray, kick: float | None = None):
-    """Yield (slice, shifted amplitude block) for exact spectral shifts by xi.
-
-    With ``kick`` every shifted state also gets the momentum kick
-    ``exp(i kick Q)`` (and the Weyl central phase, a per-path constant).
-    Runs :func:`_check_overflow` first.
-    """
-    grid = psi.grid
-    _check_overflow(psi, xi)
-    hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
-    eta = None if kick is None else [kick]
-    for start in range(0, xi.size, STATE_BATCH):
-        block_xi = xi[start:start + STATE_BATCH]
-        yield slice(start, start + block_xi.size), displace(hat, grid, block_xi, eta)
 
 
 def _circulant_diagonal(observable: Observable, grid: GridSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -231,7 +208,7 @@ def mc_heisenberg_batch(
 
 
 # --------------------------------------------------------------------------
-# Classical reduction: generator and fixed-point oracle
+# Classical reduction: generator and its finite-time check
 # --------------------------------------------------------------------------
 
 def classical_generator_apply(
@@ -323,80 +300,3 @@ def generator_consistency_check(
         passed=passed,
         inconclusive=inconclusive,
     )
-
-
-def classical_fixed_point_oracle(
-    f: Callable[[np.ndarray], np.ndarray],
-    triplet: LevyTriplet1D,
-    t: float,
-    psi: WaveFunction,
-    mc: MCConfig,
-) -> MCResult:
-    """Classical estimate of the evolved expectation, weighted by ``|psi|^2``.
-
-    Samples the increment law directly (no quantum machinery), aggregating
-    ``integral |psi(x)|^2 f(x + xi) dx`` per sample so the stderr is honest
-    for the weighted quantity.  The integral runs over the support of
-    ``psi`` only: the lattice points left out carry less than
-    ``ORACLE_TOL`` of its mass.
-    """
-    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
-    weights = np.abs(psi.normalized().amplitudes) ** 2 * psi.grid.dx
-    lo, hi = _support_bounds(weights, ORACLE_TOL)
-    weights = weights[lo:hi + 1]
-    vals = np.empty(mc.n_paths)
-    for start, block in _blocked_values(f, psi.grid.x[lo:hi + 1], xi):
-        vals[start:start + block.shape[0]] = block @ weights
-    est, se = mc_stats(vals.astype(complex))
-    return MCResult(est, se, mc.n_paths, mc.seed)
-
-
-# --------------------------------------------------------------------------
-# Covariance and the semigroup law
-# --------------------------------------------------------------------------
-
-def momentum_covariance_check(
-    triplet: LevyTriplet1D,
-    psi: WaveFunction,
-    observable: Observable,
-    y: float,
-    t: float,
-    mc: MCConfig,
-) -> float:
-    """Shared-seed defect of covariance under momentum translations.
-
-    Compares evolving ``exp(-iyQ) X exp(iyQ)``-conjugated observables
-    against boosting the state before evolving, with identical increments
-    on both sides; the defect is pure round-off because the phase picked up
-    by commuting the boost through each shift cancels in the sandwich.
-    """
-    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
-    boosted = apply_position_phase(psi, y)
-    vals_a = np.empty(mc.n_paths, dtype=complex)
-    vals_b = np.empty(mc.n_paths, dtype=complex)
-    for sl, states in _shifted_batches(psi, xi, kick=y):
-        vals_a[sl] = expectations(states, psi.grid, observable)
-    for sl, states in _shifted_batches(boosted, xi):
-        vals_b[sl] = expectations(states, psi.grid, observable)
-    return float(np.abs(np.mean(vals_a) - np.mean(vals_b)))
-
-
-def semigroup_two_stage(
-    triplet: LevyTriplet1D,
-    psi: WaveFunction,
-    observable: Observable,
-    t: float,
-    s: float,
-    mc: MCConfig,
-) -> tuple[MCResult, MCResult]:
-    """One-shot estimate at ``t+s`` versus composition of independent stages.
-
-    Composition is realized through the additivity of shifts: independent
-    increments for the two stages are summed before the single shift.
-    Both estimates use the normalized state.
-    """
-    psi = psi.unit()
-    one = mc_heisenberg_expectation(triplet, psi, observable, t + s, mc)
-    xi1 = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
-    xi2 = sample_ensemble(triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
-    return one, _shift_estimates(psi, [observable], xi1 + xi2, mc, antithetic=False)[0]

@@ -2,7 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from levylab.grid import default_grid, gaussian_state
+from levylab.grid import gaussian_state
+from oracles import default_grid
 
 hypothesis.settings.register_profile(
     "numerics", max_examples=25, deadline=None, derandomize=True

@@ -17,7 +17,6 @@ from levylab.feller import (
     feller_test,
     ou_drift_spec,
     simulate_killed_diffusion,
-    trace_decay_link,
     zero_drift_spec,
 )
 from levylab.galilean import (
@@ -47,12 +46,8 @@ from levylab.grid import (
     QTable,
     WeylLabel,
     apply_weyl,
-    ccr_defect,
-    default_grid,
     expectation,
     gaussian_state,
-    momentum_expectation,
-    position_expectation,
 )
 from levylab.levy import (
     JumpMeasure,
@@ -65,9 +60,16 @@ from levylab.levy import (
 )
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import (
-    classical_fixed_point_oracle,
     generator_consistency_check,
     mc_heisenberg_batch,
+)
+from oracles import (
+    ccr_defect,
+    classical_fixed_point_oracle,
+    default_grid,
+    momentum_expectation,
+    position_expectation,
+    trace_decay_link,
 )
 
 # ---------------------------------------------------------------------------

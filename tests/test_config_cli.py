@@ -126,7 +126,8 @@ x = 2
         ("covariance_check.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
         ("levy_sample_mixed.cfg", "beta", "nan", "[triplet] beta: must be finite, got nan"),
         ("char_check_gauss.cfg", "alpha", "inf", "[triplet] alpha: must be finite, got inf"),
-        ("dyson.cfg", "t", "nan", "[dyson] t: must be finite, got nan"),
+        ("dyson.cfg", "t", "nan", "[dyson] t: must be nonnegative, got nan"),
+        ("dyson.cfg", "t", "-5.0", "[dyson] t: must be nonnegative"),
         ("galilei_gauss.cfg", "alpha", "1.0, nan, 0.5", "[triplet2] alpha: must be finite, got 1.0, nan, 0.5"),
         ("levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:-inf", "[triplet] atoms: must be finite"),
     ])
@@ -366,7 +367,8 @@ count = 5
         # groups into batches
         from levylab.generators import (apply_generator, choi_matrix, exact_evolve, is_completely_positive,
                                         is_conditionally_cp, random_standard_generator, superop_matrix,
-                                        unvec, vec)
+                                        vec)
+        from oracles import unvec
         from levylab.runner import _fmt
 
         cfg = write_config(tmp_path, """
@@ -536,7 +538,7 @@ t = 1.0
         assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("kind, seed, body", [
-        *(("cp-suite", seed, "[suite]\ncount = 6\nmax_dim = 4\ntimes = 1e300\n") for seed in (2, 4, 5)),
+        *(("cp-suite", seed, "[suite]\ncount = 6\nmax_dim = 4\ntimes = 1e300\n") for seed in (2, 5)),
         ("dyson", 1, "[dyson]\ngamma = 1e300\n"),
     ])
     def test_overflowing_exponential_is_numerical_failure(self, tmp_path, capsys, kind, seed, body):
@@ -547,6 +549,28 @@ t = 1.0
             warnings.simplefilter("error")
             assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == "numerical failure: matrix exponential overflowed\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, seed, body, message", [
+        # t times the generator overflows before the exponential starts
+        ("cp-suite", 2, "[suite]\ntimes = 1e308\n", "of a matrix with a NaN or infinite entry"),
+        ("dyson", 1, "[dyson]\ngamma = 10.0\nt = 1e308\n", "of a matrix with a NaN or infinite entry"),
+        # scaled by 2**-1022 and squared 1022 times, the unital map collapses to zero, as
+        # do the Dyson terms, so the two used to agree and pass
+        ("dyson", 1, "[dyson]\nt = 1e308\n", "scaled by 2**-1022: its squarings keep no digit"),
+        # a 1-norm past the float range used to cast to a negative s, and pass too
+        ("dyson", 1, "[dyson]\ndrive = 1.9\nt = 1e308\n", "scaled by 2**-1024: its squarings keep no digit"),
+        # the first batch, a lone non-unital generator, overflows nothing; a later one would
+        ("cp-suite", 4, "[suite]\ncount = 6\nmax_dim = 4\ntimes = 1e300\n",
+         "scaled by 2**-998: its squarings keep no digit"),
+    ])
+    def test_meaningless_exponential_is_numerical_failure(self, tmp_path, capsys, kind, seed, body, message):
+        # one stderr line, no numpy warning before it, no output directory
+        cfg = write_config(tmp_path, f"[run]\nkind = {kind}\nseed = {seed}\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"numerical failure: matrix exponential {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_unmapped_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
@@ -614,6 +638,7 @@ n_steps = 8
         ("levy-sample", "levy_sample_mixed.cfg", "beta", "nan"),
         ("char-check", "char_check_gauss.cfg", "alpha", "nan"),
         ("dyson", "dyson.cfg", "t", "nan"),
+        ("dyson", "dyson.cfg", "t", "-5.0"),
         ("galilei-compare", "galilei_gauss.cfg", "alpha", "1.0, inf, 0.5"),
         ("levy-sample", "levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:nan"),
     ])

@@ -20,10 +20,10 @@ from levylab.feller import (
     ou_drift_spec,
     simulate_killed_diffusion,
     simulate_reflecting_diffusion,
-    trace_decay_link,
     zero_drift_spec,
 )
 from levylab.montecarlo import MCConfig, run_chunks
+from oracles import trace_decay_link
 
 
 class TestClassification:

@@ -15,7 +15,6 @@ from levylab.galilean import (
     galilean_covariance_check,
     mc_vs_closed_form,
     mc_weyl_expectation,
-    one_dimensional_reduction,
     scheme_expected_weyl,
     weyl_symbol_rate,
 )
@@ -24,13 +23,9 @@ from levylab.grid import (
     STATE_BATCH,
     WaveFunction,
     WeylLabel,
-    apply_free_evolution,
-    default_grid,
     expectation,
     expectations,
     gaussian_state,
-    momentum_expectation,
-    position_expectation,
 )
 from levylab.levy import (
     JumpMeasure,
@@ -42,6 +37,13 @@ from levylab.levy import (
 )
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import mc_heisenberg_expectation
+from oracles import (
+    apply_free_evolution,
+    default_grid,
+    momentum_expectation,
+    one_dimensional_reduction,
+    position_expectation,
+)
 
 FULL = LevyTriplet2D(
     beta_p=0.4,

@@ -22,11 +22,8 @@ from levylab.generators import (
     _min_hermitian_eig,
     apply_gauge,
     apply_generator,
-    apply_preadjoint,
-    check_duality,
     choi_matrix,
     choi_of_superop,
-    covariance_defect,
     cp_part_superop,
     dyson_terms,
     exact_evolve,
@@ -38,9 +35,9 @@ from levylab.generators import (
     random_standard_generator,
     structure_rows,
     superop_matrix,
-    unvec,
     vec,
 )
+from oracles import apply_preadjoint, check_duality, covariance_defect, unvec
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -305,7 +302,18 @@ class TestExpm:
                 _expm(np.array([[800.0]]))
             with pytest.raises(NumericalFailure, match="overflowed"):
                 _expm(np.stack([np.zeros((2, 2)), np.diag([1.0, 800.0])]))
+            with pytest.raises(NumericalFailure, match="overflowed"):  # a 1-norm past the float range
+                _expm(np.array([[-1e308, 1e308], [1e308, -1e308]]))
         assert _expm(np.array([[700.0]]))[0, 0] == pytest.approx(np.exp(700.0), rel=1e-12)
+
+    def test_scaling_past_precision_raises(self):
+        # at s >= 53 squarings 2**s times the unit round-off 2**-53 reach 1; exp(-A) underflows
+        # without overflowing, so only the scaling rule can refuse it
+        with pytest.raises(NumericalFailure, match="2\\*\\*-53: its squarings keep no digit"):
+            _expm(np.array([[-_THETA13 * 2.0**53]]))
+        with pytest.raises(NumericalFailure, match="keep no digit"):
+            _expm(np.stack([np.zeros((1, 1)), np.array([[-1e17]])]))
+        assert np.isfinite(_expm(np.array([[-_THETA13 * 2.0**52]]))).all()  # s = 52 still passes
 
 
 def structure_row(gen: StandardGenerator, times) -> StructureRow:

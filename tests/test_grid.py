@@ -12,27 +12,29 @@ from scipy.integrate import quad
 
 from levylab.grid import (
     BOUNDARY_WINDOW,
-    BandLimitWarning,
     BoundarySupportWarning,
     GridSpec,
-    IncommensurateShiftWarning,
     PTable,
     QTable,
     UnnormalizedStateWarning,
     WaveFunction,
     WeylLabel,
     _apply_lattice_phase,
-    apply_free_evolution,
-    apply_position_phase,
-    apply_shift,
     apply_weyl,
     boundary_masses,
-    ccr_defect,
-    default_grid,
     displace,
     expectation,
     expectations,
     gaussian_state,
+)
+from oracles import (
+    BandLimitWarning,
+    IncommensurateShiftWarning,
+    apply_free_evolution,
+    apply_position_phase,
+    apply_shift,
+    ccr_defect,
+    default_grid,
     is_commensurate,
     momentum_expectation,
     position_expectation,

@@ -21,10 +21,9 @@ from levylab.levy import (
     noise_covariance_2d,
     sample_ensemble,
     sample_increments,
-    validate_levy_condition,
-    with_truncation,
 )
 from levylab.montecarlo import MCConfig
+from oracles import validate_levy_condition, with_truncation
 
 GAUSS = LevyTriplet1D(alpha=1.0)
 DRIFT = LevyTriplet1D(beta=1.0)

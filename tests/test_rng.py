@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 
 from levylab import rng
 from levylab.cli import main
-from levylab.feller import trace_decay_link, zero_drift_spec
-from levylab.grid import QTable, default_grid, gaussian_state
+from levylab.feller import zero_drift_spec
+from levylab.grid import QTable, gaussian_state
 from levylab.levy import JumpMeasure, LevyTriplet1D
 from levylab.montecarlo import MCConfig
-from levylab.semigroup import semigroup_two_stage
+from oracles import default_grid, semigroup_two_stage, trace_decay_link
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _modules():
-    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    """The package modules and the tests' oracles, which draw from the package's streams."""
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    return {**modules, "tests/oracles.py": ast.parse(ORACLES.read_text())}
 
 
 def _assigned(tree) -> dict[str, list[ast.expr]]:
@@ -48,7 +50,10 @@ def _literals(node, assigned, where) -> set[str]:
 
 
 def _tags() -> set[str]:
-    """Every purpose tag in ``src/``: arguments of ``stream`` calls and ``tag=`` values and defaults."""
+    """Every purpose tag in ``src/`` and ``tests/oracles.py``.
+
+    That is, arguments of ``stream`` calls and ``tag=`` values and defaults.
+    """
     tags = set()
     for name, tree in _modules().items():
         assigned = _assigned(tree)
@@ -114,9 +119,8 @@ class TestKeys:
             return (isinstance(expr, ast.Name) and expr.id == "seed") or (
                 isinstance(expr, ast.Attribute) and expr.attr == "seed")
 
-        scripts = {f"scripts/{path.name}": ast.parse(path.read_text()) for path in sorted(SCRIPTS.glob("*.py"))}
         found = []
-        for name, tree in {**_modules(), **scripts}.items():
+        for name, tree in _modules().items():
             if name == "rng.py":
                 continue
             for node in ast.walk(tree):

@@ -24,16 +24,19 @@ from levylab.grid import (
 from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
 from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
-    ORACLE_TOL,
-    classical_fixed_point_oracle,
     classical_generator_apply,
     generator_consistency_check,
     mc_heisenberg_batch,
     mc_heisenberg_expectation,
-    momentum_covariance_check,
-    semigroup_two_stage,
     _shift_values,
     _support_bounds,
+)
+import oracles
+from oracles import (
+    ORACLE_TOL,
+    classical_fixed_point_oracle,
+    momentum_covariance_check,
+    semigroup_two_stage,
 )
 
 GAUSS = LevyTriplet1D(alpha=1.0)
@@ -163,7 +166,7 @@ class TestShiftEstimator:
             raise AssertionError("the coefficient estimator must not call grid.displace")
 
         monkeypatch.setattr(grid_module, "displace", forbidden)
-        monkeypatch.setattr(semigroup_module, "displace", forbidden)
+        monkeypatch.setattr(oracles, "displace", forbidden)
         fq = QTable.from_function(psi.grid, bump, "bump")
         mc_heisenberg_batch(MIXED, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(256, 16))
         mc_heisenberg_expectation(MIXED, psi, WeylLabel(-0.2, 0.9, half_phase_sign=1), 0.5, MCConfig(256, 17))
@@ -190,7 +193,7 @@ class TestStateEnsemble:
         # estimator uses plain sampling on both sides)
         fq = QTable.from_function(psi.grid, bump, "bump")
         xi = sample_ensemble(MIXED, 1.0, 512, 15)
-        states = np.concatenate([block for _, block in semigroup_module._shifted_batches(psi.unit(), xi)])
+        states = np.concatenate([block for _, block in oracles._shifted_batches(psi.unit(), xi)])
         by_states = psi.grid.dx * np.abs(states) ** 2 @ fq.array
         per_path = _shift_values(psi, [fq], xi)[0]
         assert np.abs(by_states - per_path).max() <= 1e-14
