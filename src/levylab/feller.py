@@ -242,8 +242,6 @@ def _simulate(
     dt: float,
     mc: MCConfig,
     mode: str,
-    bridge: bool = True,
-    record_times: np.ndarray | None = None,
 ) -> SurvivalCurve:
     if not x_start > spec.l:
         raise ValueError("x_start must lie right of the boundary")
@@ -252,8 +250,7 @@ def _simulate(
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError("t must be an integer multiple of dt")
-    rec = np.asarray(record_times, dtype=float) if record_times is not None else np.linspace(0.0, t, min(n_steps, 200) + 1)
-    rec_steps = np.unique(np.clip(np.round(rec / dt).astype(int), 0, n_steps))
+    rec_steps = np.unique(np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int))
     drift0 = float(np.max(np.abs(np.atleast_1d(spec.drift(np.array([x_start]))))))
     if drift0 * dt > 0.1 * max(1.0, abs(x_start - spec.l)):
         warnings.warn(
@@ -269,7 +266,7 @@ def _simulate(
 
     def worker(idx, start, stop):
         normals = rng.stream(mc.seed, normals_tag, idx)
-        uniforms = None if reflect or not bridge else rng.stream(mc.seed, "feller.kill.bridge", idx)
+        uniforms = None if reflect else rng.stream(mc.seed, "feller.kill.bridge", idx)
         xa = np.full(stop - start, float(x_start))  # live positions, in path order
         alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
         rec_pos = 0
@@ -284,12 +281,9 @@ def _simulate(
             if reflect:
                 xa = l + np.abs(xb - l)
                 continue
-            if uniforms is None:
-                kill = np.flatnonzero(xb <= l)
-            else:
-                near, arg = _bridge_candidates(xa, xb, l, dt)
-                with np.errstate(over="ignore"):
-                    kill = near[uniforms.random(near.size) < np.exp(arg)]
+            near, arg = _bridge_candidates(xa, xb, l, dt)
+            with np.errstate(over="ignore"):
+                kill = near[uniforms.random(near.size) < np.exp(arg)]
             xa = np.delete(xb, kill) if kill.size else xb
         return alive_counts
 
@@ -307,16 +301,13 @@ def simulate_killed_diffusion(
     t: float,
     dt: float,
     mc: MCConfig,
-    bridge: bool = True,
-    record_times: np.ndarray | None = None,
 ) -> SurvivalCurve:
     """Euler-Maruyama paths killed at ``l``, with Brownian-bridge correction.
 
-    Returns the survival curve on a time grid (absorbed fraction is its
-    complement).  ``bridge=False`` disables the crossing correction and
-    draws no uniforms; both variants read the same normals stream.
+    Returns the survival curve on a time grid of at most 201 points (the
+    absorbed fraction is its complement).
     """
-    return _simulate(spec, x_start, t, dt, mc, mode="kill", bridge=bridge, record_times=record_times)
+    return _simulate(spec, x_start, t, dt, mc, mode="kill")
 
 
 def simulate_reflecting_diffusion(
@@ -325,7 +316,6 @@ def simulate_reflecting_diffusion(
     t: float,
     dt: float,
     mc: MCConfig,
-    record_times: np.ndarray | None = None,
 ) -> SurvivalCurve:
     """Same scheme with per-step reflection ``x -> l + |x - l|``; nothing is killed.
 
@@ -333,7 +323,7 @@ def simulate_reflecting_diffusion(
     Its normals come from streams of their own, so under one seed it is
     independent of the killed run.
     """
-    return _simulate(spec, x_start, t, dt, mc, mode="reflect", record_times=record_times)
+    return _simulate(spec, x_start, t, dt, mc, mode="reflect")
 
 
 # --------------------------------------------------------------------------

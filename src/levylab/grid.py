@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -181,19 +181,16 @@ class PTable:
 class WeylLabel:
     """Phase-space displacement label for ``W = exp(i (v Q - x P))``.
 
-    ``half_phase_sign`` is the sign ``s`` in the factorization
-    ``W = exp(i s v x / 2) position_phase(v) shift(x)``; the default ``-1``
-    is what [Q, P] = i forces for this operator ordering.
+    Factorized as ``W = exp(-i v x / 2) position_phase(v) shift(x)``: the
+    central phase sign ``-1`` is what [Q, P] = i forces for this operator
+    ordering.
     """
 
     x: float
     v: float
-    half_phase_sign: int = -1
-    label: str = "W(x,v)"
+    label: ClassVar[str] = "W(x,v)"
 
     def __post_init__(self):
-        if self.half_phase_sign not in (-1, 1):
-            raise ValueError("half_phase_sign must be +1 or -1")
         if not (np.isfinite(self.x) and np.isfinite(self.v)):
             raise ValueError("Weyl label entries must be finite")
 
@@ -277,7 +274,6 @@ def displace(
     grid: GridSpec,
     xi: np.ndarray,
     eta: np.ndarray | None = None,
-    half_phase_sign: int = -1,
     momentum_factor: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -286,7 +282,7 @@ def displace(
     ``hat`` holds states in the momentum representation (orthonormal FFT),
     one per row; a single row is shared by every label, and a single label
     by every row.  Returns the displaced states in the position
-    representation, with the central phase ``exp(i s xi eta / 2)`` of
+    representation, with the central phase ``exp(-i xi eta / 2)`` of
     :class:`WeylLabel`.  Without ``eta`` this is the pure shift
     ``exp(-i xi P)``.  ``momentum_factor`` (length ``N``, FFT order) is a
     momentum-diagonal unitary, such as a free-flow step, applied in the same
@@ -301,16 +297,16 @@ def displace(
     if eta is None:
         return states
     eta = np.asarray(eta, dtype=float)
-    central = np.exp(0.5j * half_phase_sign * xi * eta)
+    central = np.exp(-0.5j * xi * eta)
     return _apply_lattice_phase(states, grid, eta, momentum=False, scale=central, out=states)
 
 
-def apply_weyl(psi: WaveFunction, label: WeylLabel, check_support: bool = True) -> WaveFunction:
-    """``exp(i (v Q - x P))`` with the documented central phase."""
-    if check_support and label.x != 0.0:
+def apply_weyl(psi: WaveFunction, label: WeylLabel) -> WaveFunction:
+    """``exp(i (v Q - x P))`` with the documented central phase; warns when it shifts a state with boundary mass."""
+    if label.x != 0.0:
         _check_support(psi)
     hat = np.fft.fft(psi.amplitudes, norm="ortho")
-    out = displace(hat[None, :], psi.grid, [label.x], [label.v], label.half_phase_sign)
+    out = displace(hat[None, :], psi.grid, [label.x], [label.v])
     return WaveFunction(psi.grid, out[0])
 
 
@@ -323,7 +319,7 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
         return grid.dx * np.abs(states) ** 2 @ observable.array
     if isinstance(observable, WeylLabel):
         hat = np.fft.fft(states, axis=1, norm="ortho")
-        moved = displace(hat, grid, [observable.x], [observable.v], observable.half_phase_sign, out=hat)
+        moved = displace(hat, grid, [observable.x], [observable.v], out=hat)
         values = np.empty(len(states), dtype=complex)
         for lo in range(0, len(states), REDUCE_ROWS):
             rows = slice(lo, lo + REDUCE_ROWS)

@@ -44,10 +44,10 @@ class MCConfig:
 class MCResult:
     """Estimate with standard error and the provenance needed to reproduce it.
 
-    ``exact=True`` marks values computed without sampling (conserved
-    observables); their stderr is identically zero.  ``overflow_fraction``
-    is the share of paths whose support reached the lattice boundary
-    window, reported even when it is below the abort threshold.
+    A value computed without sampling (a conserved observable) has
+    ``n_paths = 0`` and stderr identically zero.  ``overflow_fraction`` is
+    the share of paths whose support reached the lattice boundary window,
+    reported even when it is below the abort threshold.
     """
 
     estimate: complex
@@ -55,7 +55,6 @@ class MCResult:
     n_paths: int
     seed: int
     antithetic: bool = False
-    exact: bool = False
     overflow_fraction: float = 0.0
 
 

@@ -95,7 +95,7 @@ def _build_triplet2(p: dict, built: dict, run: dict) -> LevyTriplet2D:
 
 
 def _build_mc(p: dict, built: dict, run: dict) -> MCConfig:
-    anti = {"auto": "auto", "true": True, "false": False}.get(p["antithetic"].lower())
+    anti = {"auto": "auto", "true": True, "false": False}.get(p.get("antithetic", "auto").lower())
     if anti is None:
         raise ConfigError(["[mc] antithetic: expected auto, true or false"])
     return MCConfig(n_paths=p["n_paths"], seed=run["seed"], antithetic=anti, threads=run["threads"])
@@ -172,10 +172,9 @@ _STATE = Section({
     "momentum": Field("float", default=0.0),
 }, lambda p, built, run: gaussian_state(built["grid"], p["center"], p["width"], p["momentum"]), needs=("grid",))
 
-_MC = Section({
-    "n_paths": Field("int", required=True),
-    "antithetic": Field("str", default="auto"),
-}, _build_mc, needs=("run",))
+_MC = Section({"n_paths": Field("int", required=True)}, _build_mc, needs=("run",))
+#: mc-semigroup's ``[mc]``: its estimator is the only reader of antithetic pairing.
+_MC_ANTITHETIC = Section({**_MC.fields, "antithetic": Field("str", default="auto")}, _build_mc, needs=("run",))
 
 _OBSERVABLE = Section({
     "kind": Field("str", required=True),
@@ -320,7 +319,7 @@ def _char_check(cfg: RunConfig) -> Result:
                   {"worst_distance_over_budget": Metric(worst, verdict=_verdict(all_pass))})
 
 
-@_experiment("mc-semigroup", triplet=_TRIPLET, grid=_GRID, state=_STATE, mc=_MC,
+@_experiment("mc-semigroup", triplet=_TRIPLET, grid=_GRID, state=_STATE, mc=_MC_ANTITHETIC,
              observable=_OBSERVABLE,
              semigroup={"t": Field("list_float", default=[1.0], range="nonnegative")})
 def _mc_semigroup(cfg: RunConfig) -> Result:
@@ -334,7 +333,7 @@ def _mc_semigroup(cfg: RunConfig) -> Result:
         print(f"mc-semigroup: t = {t}", file=sys.stderr, flush=True)
         res = mc_heisenberg_expectation(cfg.params["triplet"], psi, obs, t, cfg.params["mc"])
         overflow = max(overflow, res.overflow_fraction)
-        rows.append([t, getattr(obs, "label", "W"), res.estimate.real, res.estimate.imag,
+        rows.append([t, obs.label, res.estimate.real, res.estimate.imag,
                      res.stderr, res.n_paths, res.seed])
     header = ("t", "observable", "estimate_re", "estimate_im", "stderr", "n_paths", "seed")
     # overflow_fraction: largest share of paths reaching the boundary window, below the abort threshold

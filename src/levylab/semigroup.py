@@ -21,7 +21,7 @@ are returned exactly, with no Monte Carlo error attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,13 +85,13 @@ def _circulant_diagonal(observable: Observable, grid: GridSpec) -> tuple[np.ndar
     if isinstance(observable, PTable):
         return None, observable.array
     if isinstance(observable, WeylLabel):
-        central = np.exp(0.5j * observable.half_phase_sign * observable.x * observable.v)
+        central = np.exp(-0.5j * observable.x * observable.v)
         c = np.fft.ifft(np.exp(1j * observable.v * grid.x))
         return c, central * np.exp(-1j * observable.x * grid.p)
     raise TypeError(f"unsupported observable {type(observable)!r}")
 
 
-def _lag_coefficients(psi: WaveFunction, observables: Sequence[Observable]) -> np.ndarray:
+def _lag_coefficients(psi: WaveFunction, observable: Observable) -> np.ndarray:
     """Coefficients of the path value as a polynomial in ``z = exp(-i xi dp)``.
 
     One path's value is ``sum_{|d| < N} dx C_d z^d`` with
@@ -100,8 +100,8 @@ def _lag_coefficients(psi: WaveFunction, observables: Sequence[Observable]) -> n
     :func:`_circulant_diagonal`).  The sum over ``m`` is one zero-padded
     correlation FFT on ``2N`` points.  Since ``conj(z^d) = z^-d``, the value
     is ``P(z) + conj(R(z))`` with two polynomials of degree below ``N``:
-    row ``d`` holds ``dx C_d`` in column ``i`` (``P`` of observable ``i``)
-    and ``conj(dx C_-d)`` in column ``K + i`` (``R``, zero at ``d = 0``).
+    row ``d`` holds ``dx C_d`` in column 0 (``P``) and ``conj(dx C_-d)`` in
+    column 1 (``R``, zero at ``d = 0``).
     """
     grid = psi.grid
     n = grid.n_points
@@ -109,60 +109,54 @@ def _lag_coefficients(psi: WaveFunction, observables: Sequence[Observable]) -> n
     pad = np.zeros(2 * n, dtype=complex)
     pad[:n] = np.fft.fftshift(hat)
     spec_a = np.fft.fft(pad)
-    k = len(observables)
-    coef = np.zeros((n, 2 * k), dtype=complex)
-    for i, ob in enumerate(observables):
-        c, w = _circulant_diagonal(ob, grid)
-        if w is None:
-            cross = spec_a * spec_a.conj()
-        else:
-            pad[:n] = np.fft.fftshift(w * hat)
-            cross = np.fft.fft(pad) * spec_a.conj()
-        corr = grid.dx * np.fft.ifft(cross)  # lag d at index d mod 2N
-        if c is None:
-            coef[0, i] = corr[0]
-            continue
-        coef[:, i] = c * corr[:n]
-        coef[1:, k + i] = np.conj(c[:0:-1] * corr[:n:-1])
+    coef = np.zeros((n, 2), dtype=complex)
+    c, w = _circulant_diagonal(observable, grid)
+    if w is None:
+        cross = spec_a * spec_a.conj()
+    else:
+        pad[:n] = np.fft.fftshift(w * hat)
+        cross = np.fft.fft(pad) * spec_a.conj()
+    corr = grid.dx * np.fft.ifft(cross)  # lag d at index d mod 2N
+    if c is None:
+        coef[0, 0] = corr[0]
+        return coef
+    coef[:, 0] = c * corr[:n]
+    coef[1:, 1] = np.conj(c[:0:-1] * corr[:n:-1])
     return coef
 
 
-def _shift_values(psi: WaveFunction, observables: Sequence[Observable], xi: np.ndarray) -> np.ndarray:
-    """Values ``<S_xi psi, X S_xi psi>`` per observable (rows) and path (columns).
+def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> np.ndarray:
+    """Values ``<S_xi psi, X S_xi psi>``, one per path.
 
     Evaluates the polynomials of :func:`_lag_coefficients` with the phase
     tables of :func:`levylab.grid.phase_tables` on the ``N`` lags: per block
     of paths one matrix product ``T2 @ C`` followed by a row-wise
     contraction with ``T1``.  Values of Hermitian observables are real.
     """
-    grid = psi.grid
-    n = grid.n_points
-    k = len(observables)
-    coef = _lag_coefficients(psi, observables)
-    out = np.empty((xi.size, k), dtype=complex)
+    n = psi.grid.n_points
+    coef = _lag_coefficients(psi, observable)
+    values = np.empty(xi.size, dtype=complex)
     cmat = None
     for start in range(0, xi.size, STATE_BATCH):
         block = xi[start:start + STATE_BATCH]
-        t1, t2 = phase_tables(-block, n, grid.dp)
+        t1, t2 = phase_tables(-block, n, psi.grid.dp)
         b = t2.shape[1]
         if cmat is None:  # coef[B j + r, col] -> cmat[r, (j, col)]
-            cmat = coef.reshape(n // b, b, 2 * k).transpose(1, 0, 2).reshape(b, -1)
-        part = (t2 @ cmat).reshape(block.size, n // b, 2 * k)
+            cmat = coef.reshape(n // b, b, 2).transpose(1, 0, 2).reshape(b, -1)
+        part = (t2 @ cmat).reshape(block.size, n // b, 2)
         both = np.einsum("mjc,mj->mc", part, t1)
-        out[start:start + block.size] = both[:, :k] + both[:, k:].conj()
-    values = out.T
-    for row, ob in zip(values, observables):
-        if not isinstance(ob, WeylLabel):
-            row.imag = 0.0
+        values[start:start + block.size] = both[:, 0] + both[:, 1].conj()
+    if not isinstance(observable, WeylLabel):
+        values.imag = 0.0
     return values
 
 
-def _shift_estimates(psi: WaveFunction, observables: Sequence[Observable], xi: np.ndarray, mc: MCConfig,
-                     antithetic: bool) -> list[MCResult]:
-    """One estimate per observable from the paths shifted by ``xi``, after the overflow check."""
+def _shift_estimate(psi: WaveFunction, observable: Observable, xi: np.ndarray, mc: MCConfig,
+                    antithetic: bool) -> MCResult:
+    """The estimate from the paths shifted by ``xi``, after the overflow check."""
     overflow = _check_overflow(psi, xi)
-    return [MCResult(*mc_stats(row, antithetic=antithetic), mc.n_paths, mc.seed, antithetic=antithetic,
-                     overflow_fraction=overflow) for row in _shift_values(psi, observables, xi)]
+    return MCResult(*mc_stats(_shift_values(psi, observable, xi), antithetic=antithetic), mc.n_paths, mc.seed,
+                    antithetic=antithetic, overflow_fraction=overflow)
 
 
 def mc_heisenberg_expectation(
@@ -175,36 +169,15 @@ def mc_heisenberg_expectation(
     """Monte Carlo estimate of the evolved Heisenberg expectation at time ``t``.
 
     ``g(P)`` observables commute with the coupling and are returned exactly
-    (zero stderr, ``exact=True``).  Antithetic pairing is applied when the
+    (zero stderr, no paths).  Antithetic pairing is applied when the
     increment law is symmetric (or as forced by the config).
-    """
-    return mc_heisenberg_batch(triplet, psi, [observable], t, mc)[0]
-
-
-def mc_heisenberg_batch(
-    triplet: LevyTriplet1D,
-    psi: WaveFunction,
-    observables: Sequence[Observable],
-    t: float,
-    mc: MCConfig,
-) -> list[MCResult]:
-    """Shared-path estimates for several observables at once.
-
-    All sampled observables see the same increment ensemble; estimates are
-    individually valid, correlations only matter across observables.
     """
     psi = psi.unit()
     antithetic = mc.resolve_antithetic(triplet.is_symmetric)
-    results: list[MCResult | None] = [None] * len(observables)
-    sampled = [i for i, ob in enumerate(observables) if not isinstance(ob, PTable)]
-    for i, ob in enumerate(observables):
-        if isinstance(ob, PTable):
-            results[i] = MCResult(expectation(psi, ob), 0.0, 0, mc.seed, exact=True)
-    if sampled:
-        xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
-        for i, res in zip(sampled, _shift_estimates(psi, [observables[i] for i in sampled], xi, mc, antithetic)):
-            results[i] = res
-    return results  # type: ignore[return-value]
+    if isinstance(observable, PTable):
+        return MCResult(expectation(psi, observable), 0.0, 0, mc.seed)
+    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, antithetic=antithetic, threads=mc.threads)
+    return _shift_estimate(psi, observable, xi, mc, antithetic)
 
 
 # --------------------------------------------------------------------------
@@ -272,11 +245,11 @@ def generator_consistency_check(
     f: Callable[[np.ndarray], np.ndarray],
     t_small: float,
     mc: MCConfig,
-    x_points: np.ndarray | None = None,
+    x_points: np.ndarray,
 ) -> GeneratorCheckReport:
     if t_small <= 0:
         raise ValueError("t_small must be positive")
-    x = np.asarray(x_points if x_points is not None else np.linspace(-2.0, 2.0, 9), dtype=float)
+    x = np.asarray(x_points, dtype=float)
     fx = np.asarray(f(x), dtype=float)
     conv_t = convolve_classical(f, triplet, t_small, mc, x)
     conv_h = convolve_classical(f, triplet, 0.5 * t_small, mc, x, tag="generator-check.half-step")

@@ -26,7 +26,7 @@ from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable
 from levylab.levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, _blocked_values, _density_integral, _quad_part,
                           sample_ensemble)
 from levylab.montecarlo import MCConfig, MCResult, mc_stats
-from levylab.semigroup import _check_overflow, _shift_estimates, _support_bounds, mc_heisenberg_expectation
+from levylab.semigroup import _check_overflow, _shift_estimate, _support_bounds, mc_heisenberg_expectation
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def semigroup_two_stage(
     one = mc_heisenberg_expectation(triplet, psi, observable, t + s, mc)
     xi1 = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
     xi2 = sample_ensemble(triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")
-    return one, _shift_estimates(psi, [observable], xi1 + xi2, mc, antithetic=False)[0]
+    return one, _shift_estimate(psi, observable, xi1 + xi2, mc, antithetic=False)
 
 
 # --------------------------------------------------------------------------
@@ -432,20 +432,25 @@ def trace_decay_link(
 ) -> TraceDecayReport:
     t_grid = np.asarray(t_grid, dtype=float)
     t_max = float(t_grid.max())
-    minimal = simulate_killed_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
-    reflecting = simulate_reflecting_diffusion(spec, x_start, t_max, dt, mc, record_times=t_grid)
-    sep = reflecting.survival - minimal.survival
-    joint = np.sqrt(minimal.stderr**2 + reflecting.stderr**2)
+    minimal = simulate_killed_diffusion(spec, x_start, t_max, dt, mc)
+    reflecting = simulate_reflecting_diffusion(spec, x_start, t_max, dt, mc)
+    # the rows of the curves' own time grid at the steps of t_grid
+    steps, wanted = np.round(minimal.times / dt).astype(int), np.unique(np.round(t_grid / dt).astype(int))
+    rows = np.minimum(np.searchsorted(steps, wanted), steps.size - 1)
+    if not np.array_equal(steps[rows], wanted):
+        raise ValueError(f"t_grid has times off the survival curves' grid at dt = {dt}")
+    sep = reflecting.survival[rows] - minimal.survival[rows]
+    joint = np.sqrt(minimal.stderr[rows]**2 + reflecting.stderr[rows]**2)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(joint > 0, sep / joint, np.inf * np.sign(sep))
     floor = 0.02
     k = int(np.argmax(sep))
     witness = bool(sep[k] > max(5.0 * joint[k], floor))
     return TraceDecayReport(
-        times=minimal.times,
-        minimal=minimal.survival,
-        minimal_stderr=minimal.stderr,
-        reflecting=reflecting.survival,
+        times=minimal.times[rows],
+        minimal=minimal.survival[rows],
+        minimal_stderr=minimal.stderr[rows],
+        reflecting=reflecting.survival[rows],
         max_separation=float(sep[k]),
         max_separation_sigmas=float(sigmas[k]) if np.isfinite(sigmas[k]) else float("inf"),
         witness=witness,

@@ -59,10 +59,7 @@ from levylab.levy import (
     sample_ensemble,
 )
 from levylab.montecarlo import MCConfig
-from levylab.semigroup import (
-    generator_consistency_check,
-    mc_heisenberg_batch,
-)
+from levylab.semigroup import generator_consistency_check, mc_heisenberg_expectation
 from oracles import (
     ccr_defect,
     classical_fixed_point_oracle,
@@ -151,7 +148,7 @@ def test_criterion_02_quantum_classical_reduction():
     ok = True
     for i, (tname, triplet) in enumerate(triplets.items()):
         tables = [QTable.from_function(grid, f, label=n) for n, f in observables.items()]
-        quantum = mc_heisenberg_batch(triplet, psi, tables, 1.0, MCConfig(N_LAW, 3000 + i))
+        quantum = [mc_heisenberg_expectation(triplet, psi, table, 1.0, MCConfig(N_LAW, 3000 + i)) for table in tables]
         for j, (oname, f) in enumerate(observables.items()):
             classical = classical_fixed_point_oracle(f, triplet, 1.0, psi, MCConfig(N_LAW, 4000 + 10 * i + j))
             joint = np.hypot(quantum[j].stderr, classical.stderr)
@@ -172,7 +169,7 @@ def test_criterion_03_generator_recovery():
     details = []
     ok = True
     for name, (triplet, n_paths) in cases.items():
-        rep = generator_consistency_check(triplet, f, 0.01, MCConfig(n_paths, 500))
+        rep = generator_consistency_check(triplet, f, 0.01, MCConfig(n_paths, 500), np.linspace(-2.0, 2.0, 9))
         ok &= rep.passed and not rep.inconclusive
         details.append(f"{name} max dev {rep.max_deviation:.2e}")
     report(3, "generator recovery", ok, "; ".join(details))
@@ -317,11 +314,11 @@ def test_criterion_10_feller_explosion():
     rep_ou = feller_test(ou_drift_spec())
     ok &= rep_ou.right == "non-absorbing"
     details.append(f"ou: inf {rep_ou.right}")
-    curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(N_LAW, 99))
+    curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(N_LAW, 99, threads=2))
     target = erf(1.0 / np.sqrt(2.0))
     ok &= abs(curve.final - target) <= 0.01
     details.append(f"survival {curve.final:.4f} vs {target:.4f}")
-    witness = trace_decay_link(zero_drift_spec(), 1.0, np.array([0.25, 0.5, 0.75, 1.0]), MCConfig(20000, 101), dt=1e-3)
+    witness = trace_decay_link(zero_drift_spec(), 1.0, np.array([0.25, 0.5, 0.75, 1.0]), MCConfig(20000, 101, threads=2), dt=1e-3)
     ok &= witness.witness and witness.max_separation_sigmas > 5.0
     details.append(f"non-uniqueness separation {witness.max_separation_sigmas:.0f} sigma")
     report(10, "Feller / explosion", ok, "; ".join(details))

@@ -150,6 +150,7 @@ x = 2
          "[triplet2] alpha: expected three entries a_pp, a_pq, a_qq"),
         ("mc_semigroup_mixed.cfg", "n_paths = 20000", "n_paths = 20000\nantithetic = maybe",
          "[mc] antithetic: expected auto, true or false"),
+        ("killed_bm.cfg", "n_paths = 100000", "n_paths = 100000\nantithetic = true", "[mc]: unknown key 'antithetic'"),
         ("mc_semigroup_mixed.cfg", "kind = qtable", "kind = nope",
          "[observable]: unknown kind 'nope' (qtable, ptable or weyl)"),
         ("feller_zero.cfg", "drift = zero", "drift = nope", "[feller] drift: unknown drift 'nope' (zero, bessel3, ou, linear)"),

@@ -59,21 +59,24 @@ class TestKilledDiffusion:
         assert curve.survival[0] == 1.0
 
     def test_absorption_matches_reflection_principle(self):
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(100000, 17))
+        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(100000, 17, threads=2))
         assert abs(curve.final - erf(1.0 / np.sqrt(2.0))) < 0.01
 
     def test_survival_monotone_in_time(self):
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(20000, 18))
+        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(20000, 18, threads=2))
         assert np.all(np.diff(curve.survival) <= 1e-12)
 
     def test_bessel3_rarely_absorbs(self):
-        curve = simulate_killed_diffusion(bessel3_drift_spec(), 1.0, 1.0, 2.5e-4, MCConfig(20000, 19))
+        curve = simulate_killed_diffusion(bessel3_drift_spec(), 1.0, 1.0, 2.5e-4, MCConfig(20000, 19, threads=2))
         assert curve.final > 0.99
 
     def test_bridge_correction_shrinks_step_bias(self):
         spec = zero_drift_spec()
         def final(dt, bridge):
-            return simulate_killed_diffusion(spec, 1.0, 1.0, dt, MCConfig(50000, 5), bridge=bridge).final
+            mc = MCConfig(50000, 5, threads=2)
+            if bridge:
+                return simulate_killed_diffusion(spec, 1.0, 1.0, dt, mc).final
+            return _reference_survival(spec, 1.0, 1.0, dt, mc, "kill", bridge=False)[-1]
         corrected = abs(final(4e-3, True) - final(1e-3, True))
         uncorrected = abs(final(4e-3, False) - final(1e-3, False))
         assert corrected < uncorrected
@@ -92,18 +95,18 @@ class TestKilledDiffusion:
         assert np.all(curve.survival == 1.0)
 
 
-def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_times=None):
+def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True):
     """Survival curve from a per-step alive-mask loop on the worker's draw order.
 
     Per chunk and step: one normal per live path from the mode's normals
     stream, then, with the bridge on in kill mode, one uniform per live path
     whose bridge exponent (Gobet's, both factors as ``max(., 0)``) is above
     ``-BRIDGE_CUT``, from the bridge stream; both in path order, and nothing
-    once every path is dead.
+    once every path is dead.  ``bridge=False`` kills only paths whose
+    endpoint crossed: the uncorrected Euler scheme, on the same normals.
     """
     n_steps = int(round(t / dt))
-    rec = np.asarray(record_times, dtype=float) if record_times is not None else np.linspace(0.0, t, min(n_steps, 200) + 1)
-    rec_steps = np.unique(np.clip(np.round(rec / dt).astype(int), 0, n_steps))
+    rec_steps = np.unique(np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int))
     sqdt, l = np.sqrt(dt), spec.l
     normals_tag = "feller.reflect.normals" if mode == "reflect" else "feller.kill.normals"
 
@@ -142,49 +145,41 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True, record_time
     return sum(run_chunks(worker, mc.n_paths, threads=mc.threads)) / mc.n_paths
 
 
-def _simulate_both(spec, x_start, n_steps, dt, mc, variant, record_times=None):
-    mode, bridge = variant
+def _simulate_both(spec, x_start, n_steps, dt, mc, mode):
     t = n_steps * dt
+    sim = simulate_reflecting_diffusion if mode == "reflect" else simulate_killed_diffusion
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # coarse-step warning at small x_start
-        if mode == "reflect":
-            curve = simulate_reflecting_diffusion(spec, x_start, t, dt, mc, record_times=record_times)
-        else:
-            curve = simulate_killed_diffusion(spec, x_start, t, dt, mc, bridge=bridge, record_times=record_times)
-    return curve, _reference_survival(spec, x_start, t, dt, mc, mode, bridge, record_times)
+        curve = sim(spec, x_start, t, dt, mc)
+    return curve, _reference_survival(spec, x_start, t, dt, mc, mode)
 
 
 class TestCompactedWorker:
     """The compacted live-set worker reproduces an alive-mask loop bit for bit."""
 
-    VARIANTS = [("kill", True), ("kill", False), ("reflect", True)]
-
     @given(
         st.sampled_from(sorted(CANONICAL_DRIFTS)),
-        st.sampled_from(VARIANTS),
+        st.sampled_from(["kill", "reflect"]),
         st.sampled_from([0.05, 0.3, 1.0]),
         st.integers(0, 12),
         st.sampled_from([2.5e-4, 1e-3, 4e-3, 1e-2]),
         st.one_of(st.integers(1, 400), st.integers(rng.CHUNK + 1, rng.CHUNK + 64)),
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 2]),
-        st.booleans(),
     )
-    @example("zero", ("kill", True), 1.0, 12, 4e-3, rng.CHUNK + 17, 5, 2, True)
-    @example("ou", ("reflect", True), 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1, False)
-    @example("bessel3", ("kill", False), 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2, False)
-    def test_survival_matches_mask_loop(self, drift, variant, x_start, n_steps, dt, n_paths, seed, threads, explicit):
-        record = np.array([0.0, 0.5, 1.0]) * n_steps * dt if explicit else None
+    @example("zero", "kill", 1.0, 12, 4e-3, rng.CHUNK + 17, 5, 2)
+    @example("ou", "reflect", 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1)
+    @example("bessel3", "kill", 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2)
+    def test_survival_matches_mask_loop(self, drift, mode, x_start, n_steps, dt, n_paths, seed, threads):
         curve, ref = _simulate_both(CANONICAL_DRIFTS[drift](), x_start, n_steps, dt,
-                                    MCConfig(n_paths, seed, threads=threads), variant, record)
+                                    MCConfig(n_paths, seed, threads=threads), mode)
         assert np.array_equal(curve.survival, ref)
 
-    @pytest.mark.parametrize("variant", [("kill", True), ("kill", False)])
-    def test_all_dead_before_t(self, variant):
+    def test_all_dead_before_t(self):
         # a drift of -5 toward the boundary kills every path well before t
         # (a driftless path from 0.01 survives to t = 1 with probability 0.008)
         spec = DriftSpec(l=0.0, drift=lambda x: -5.0 * np.ones_like(np.asarray(x, dtype=float)), x0=1.0)
-        curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15), variant)
+        curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15), "kill")
         assert curve.survival[-2] == 0.0  # every path died before t; later steps draw nothing
         assert np.array_equal(curve.survival, ref)
 
@@ -207,8 +202,8 @@ class TestCompactedWorker:
         with np.errstate(over="ignore"):
             assert np.array_equal(np.minimum(np.exp(arg), 1.0), np.exp(gobet[near]))
 
-    @pytest.mark.parametrize("variant", [("kill", True), ("kill", False), ("reflect", True)])
-    def test_bridge_stream_read_only_by_the_bridge(self, monkeypatch, variant):
+    @pytest.mark.parametrize("mode", ["kill", "reflect"])
+    def test_bridge_stream_read_only_by_the_bridge(self, monkeypatch, mode):
         opened = []
         original = rng.stream
 
@@ -218,22 +213,17 @@ class TestCompactedWorker:
             return gen
 
         monkeypatch.setattr(rng, "stream", recording)
-        mode, bridge = variant
-        mc = MCConfig(rng.CHUNK + 50, 23)
-        if mode == "reflect":
-            simulate_reflecting_diffusion(zero_drift_spec(), 0.2, 0.5, 1e-2, mc)
-        else:
-            simulate_killed_diffusion(zero_drift_spec(), 0.2, 0.5, 1e-2, mc, bridge=bridge)
+        sim = simulate_reflecting_diffusion if mode == "reflect" else simulate_killed_diffusion
+        sim(zero_drift_spec(), 0.2, 0.5, 1e-2, MCConfig(rng.CHUNK + 50, 23))
         # an untouched stream still yields what a fresh one yields first
         advanced = {tag for tag, gen, fresh in opened
                     if gen.bit_generator.random_raw() != fresh.bit_generator.random_raw()}
-        assert advanced == ({"feller.kill.normals", "feller.kill.bridge"} if bridge and mode == "kill"
-                            else {f"feller.{mode}.normals"})
+        assert advanced == ({"feller.kill.normals", "feller.kill.bridge"} if mode == "kill"
+                            else {"feller.reflect.normals"})
 
-    @pytest.mark.parametrize("bridge", [True, False])
-    def test_thread_count_does_not_change_curves(self, bridge):
+    def test_thread_count_does_not_change_curves(self):
         curves = [simulate_killed_diffusion(zero_drift_spec(), 0.5, 0.5, 1e-2,
-                                            MCConfig(2 * rng.CHUNK + 100, 29, threads=threads), bridge=bridge)
+                                            MCConfig(2 * rng.CHUNK + 100, 29, threads=threads))
                   for threads in (1, 2, 4)]
         assert all(np.array_equal(curves[0].survival, curve.survival) for curve in curves[1:])
 
@@ -241,7 +231,7 @@ class TestCompactedWorker:
     def test_killed_bm_matches_erf_on_fresh_seeds(self, seed):
         # driftless paths with the bridge correction are killed with the exact
         # probability, so the Euler step adds no bias to erf(1/sqrt 2)
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 4e-3, MCConfig(50000, seed))
+        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 4e-3, MCConfig(50000, seed, threads=2))
         assert abs(curve.final - erf(1.0 / np.sqrt(2.0))) <= 5.0 * curve.final_stderr
 
 
@@ -255,7 +245,7 @@ class TestVerdictAgreement:
             (bessel3_drift_spec, 2.5e-4, False),
         ):
             verdict = feller_test(mk()).left
-            final = simulate_killed_diffusion(mk(), 1.0, 1.0, dt, MCConfig(20000, 55)).final
+            final = simulate_killed_diffusion(mk(), 1.0, 1.0, dt, MCConfig(20000, 55, threads=2)).final
             if absorbs:
                 assert verdict == "absorbing" and final < 0.9
             else:
@@ -266,13 +256,13 @@ class TestTraceDecayLink:
     T_GRID = np.array([0.25, 0.5, 0.75, 1.0])
 
     def test_absorbing_boundary_witnesses_non_uniqueness(self):
-        report = trace_decay_link(zero_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 31), dt=1e-3)
+        report = trace_decay_link(zero_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 31, threads=2), dt=1e-3)
         assert report.witness
         assert report.max_separation_sigmas > 5.0
         assert np.all(np.diff(report.minimal) <= 1e-12)
 
     def test_non_absorbing_boundary_no_witness(self):
-        report = trace_decay_link(bessel3_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 32), dt=2.5e-4)
+        report = trace_decay_link(bessel3_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 32, threads=2), dt=2.5e-4)
         assert not report.witness
 
     def test_time_zero_curves_agree(self):

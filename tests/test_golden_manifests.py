@@ -1,0 +1,23 @@
+"""Every sample config still gives the recorded bytes, at every seed and thread count.
+
+The expected hashes are test data, written by ``tests/make_golden_manifests.py``.
+"""
+
+import json
+
+import pytest
+
+from make_golden_manifests import MANIFESTS, MULTI_CHUNK, SEEDS, run_case
+
+GOLDEN = json.loads(MANIFESTS.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sample_config_reproduces_golden_manifest(name):
+    assert sorted(GOLDEN[name]) == sorted(str(seed) for seed in SEEDS)
+    for seed in SEEDS:
+        # compared as JSON text, so a NaN metric equals itself
+        want = json.dumps(GOLDEN[name][str(seed)], sort_keys=True)
+        for threads in (1, 2) if name in MULTI_CHUNK else (1,):
+            got = json.dumps(run_case(name, seed, threads), sort_keys=True)
+            assert got == want, f"{name} at seed {seed}, threads {threads}"

@@ -26,7 +26,6 @@ from levylab.montecarlo import MCConfig, mc_stats
 from levylab.semigroup import (
     classical_generator_apply,
     generator_consistency_check,
-    mc_heisenberg_batch,
     mc_heisenberg_expectation,
     _shift_values,
     _support_bounds,
@@ -57,7 +56,7 @@ class TestHeisenbergExpectation:
     def test_momentum_observable_exact(self, psi):
         g = PTable.from_function(psi.grid, np.tanh, "tanh(P)")
         res = mc_heisenberg_expectation(MIXED, psi, g, 1.0, MCConfig(100, 2))
-        assert res.exact and res.stderr == 0.0
+        assert res.n_paths == 0 and res.stderr == 0.0  # no path was sampled
         assert res.estimate == pytest.approx(expectation(psi, g), abs=1e-14)
 
     def test_position_observable_matches_classical_oracle(self, psi):
@@ -105,22 +104,16 @@ class TestHeisenbergExpectation:
         with pytest.raises(SupportOverflowError):
             mc_heisenberg_expectation(fast, psi, fq, 1.0, MCConfig(200, 6))
 
-    def test_batch_shares_paths(self, psi):
-        fq = QTable.from_function(psi.grid, bump, "bump")
-        single = mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(2000, 7))
-        batch = mc_heisenberg_batch(MIXED, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(2000, 7))
-        assert batch[0].estimate == single.estimate
-
 
 class TestShiftEstimator:
     @given(
         st.integers(1, 12),
-        st.sampled_from(["qtable", "ptable", "weyl", "weyl+"]),
+        st.sampled_from(["qtable", "ptable", "weyl"]),
         st.floats(0.0, 1.0),
         st.booleans(),
         st.integers(0, 2**31 - 1),
     )
-    @example(1, "weyl+", 1.0, True, 1)    # N = 2
+    @example(1, "weyl", 1.0, True, 1)     # N = 2
     @example(3, "qtable", 1.0, False, 2)  # N = 8
     @example(12, "weyl", 1.0, True, 3)    # N = 4096
     @example(12, "qtable", 1.0, False, 4)
@@ -137,13 +130,13 @@ class TestShiftEstimator:
             observable = PTable(tuple(gen.uniform(-1.0, 1.0, n)))
         else:
             x, v = gen.uniform(-1.0, 1.0, 2) * (n * grid.dx, 0.5 * n * grid.dp)
-            observable = WeylLabel(x, v, half_phase_sign=1 if kind == "weyl+" else -1)
+            observable = WeylLabel(x, v)
         xi = span * (n * grid.dx) * gen.uniform(-1.0, 1.0, 16)
         if antithetic:
             xi = np.concatenate([xi, -xi])
         hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
         oracle = expectations(displace(hat, grid, xi), grid, observable)
-        values = _shift_values(psi, [observable], xi)[0]
+        values = _shift_values(psi, observable, xi)
         # both routes round the arguments of their phases: xi p, and for a
         # Weyl label x p and v q; a phase is off by about eps |argument|, and
         # the value by that times the operator norm (measured: at most 3.4
@@ -168,8 +161,9 @@ class TestShiftEstimator:
         monkeypatch.setattr(grid_module, "displace", forbidden)
         monkeypatch.setattr(oracles, "displace", forbidden)
         fq = QTable.from_function(psi.grid, bump, "bump")
-        mc_heisenberg_batch(MIXED, psi, [fq, WeylLabel(0.3, 0.4)], 1.0, MCConfig(256, 16))
-        mc_heisenberg_expectation(MIXED, psi, WeylLabel(-0.2, 0.9, half_phase_sign=1), 0.5, MCConfig(256, 17))
+        mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(256, 16))
+        mc_heisenberg_expectation(MIXED, psi, WeylLabel(0.3, 0.4), 1.0, MCConfig(256, 16))
+        mc_heisenberg_expectation(MIXED, psi, WeylLabel(-0.2, 0.9), 0.5, MCConfig(256, 17))
         semigroup_two_stage(MIXED, psi, fq, 0.5, 0.7, MCConfig(256, 18))
 
     def test_overflow_fraction_reported_below_threshold(self, grid):
@@ -195,7 +189,7 @@ class TestStateEnsemble:
         xi = sample_ensemble(MIXED, 1.0, 512, 15)
         states = np.concatenate([block for _, block in oracles._shifted_batches(psi.unit(), xi)])
         by_states = psi.grid.dx * np.abs(states) ** 2 @ fq.array
-        per_path = _shift_values(psi, [fq], xi)[0]
+        per_path = _shift_values(psi, fq, xi)
         assert np.abs(by_states - per_path).max() <= 1e-14
         direct = mc_heisenberg_expectation(MIXED, psi, fq, 1.0, MCConfig(512, 15))
         assert abs(np.mean(by_states) - direct.estimate) <= 1e-14
@@ -234,11 +228,11 @@ class TestGeneratorConsistency:
         ids=["drift", "diffusion", "jump"],
     )
     def test_three_noise_types(self, triplet, n_paths):
-        report = generator_consistency_check(triplet, bump, 0.01, MCConfig(n_paths, 77))
+        report = generator_consistency_check(triplet, bump, 0.01, MCConfig(n_paths, 77), np.linspace(-2.0, 2.0, 9))
         assert report.passed and not report.inconclusive
 
     def test_noise_dominated_run_is_inconclusive(self):
-        report = generator_consistency_check(GAUSS, bump, 0.01, MCConfig(50, 78))
+        report = generator_consistency_check(GAUSS, bump, 0.01, MCConfig(50, 78), np.linspace(-2.0, 2.0, 9))
         assert report.inconclusive and not report.passed
 
 

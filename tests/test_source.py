@@ -33,6 +33,20 @@ def test_package_within_line_budget():
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
 
 
+def _relative_imports(tree, modules: set[str]) -> dict[str, str]:
+    """Each name a module binds by a relative import, anywhere in it, as ``module.name`` or a package module."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module:
+                    target = f"{node.module}.{alias.name}"
+                else:  # ``from . import x``: a package module, or a name of ``__init__``
+                    target = alias.name if alias.name in modules else f"__init__.{alias.name}"
+                imported[alias.asname or alias.name] = target
+    return imported
+
+
 def _definitions() -> dict[str, tuple[ast.stmt, set[str]]]:
     """Each top-level definition of ``src/levylab`` as ``module.name``: its node and the package names it refers to.
 
@@ -44,15 +58,7 @@ def _definitions() -> dict[str, tuple[ast.stmt, set[str]]]:
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         mod, tree = path.stem, ast.parse(path.read_text())
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    if node.module:
-                        target = f"{node.module}.{alias.name}"
-                    else:  # ``from . import x``: a package module, or a name of ``__init__``
-                        target = alias.name if alias.name in modules else f"__init__.{alias.name}"
-                    imported[alias.asname or alias.name] = target
+        imported = _relative_imports(tree, modules)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -94,3 +100,126 @@ def test_every_definition_is_reached_from_the_cli():
             todo.extend(defs[name][1])
     unreached = sorted(set(defs) - reached)
     assert not unreached, f"src/levylab defines names no CLI path reaches: {unreached}"
+
+
+#: Options no call in ``src/`` passes, each with the reason it stays.
+UNSET_OPTIONS = {
+    "cli.main(argv)": "the console entry point calls main() to parse sys.argv; tests pass an argv",
+    "runner.OutputRecord.finished": "an accumulator: write_record stamps it when the run ends",
+    "runner.OutputRecord.metrics": "an accumulator: add_metric fills it",
+    "runner.OutputRecord.manifest": "an accumulator: the workspace adds each file it writes",
+    "runner.OutputRecord.verdict": "an accumulator: add_metric lowers it from pass",
+    "levy.JumpMeasure.density": "density laws have no config key yet; ROADMAP item 4 decides their fate",
+    "levy.DensitySpec.gaussian_correction": "a field of a density law, as JumpMeasure.density",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _signatures() -> dict[str, tuple[list[str], dict[str, str]]]:
+    """Every callable of ``src/levylab``: the names positional arguments bind to, and its options.
+
+    A function or method is ``module.name`` or ``module.Class.name`` (its
+    ``self``/``cls`` dropped); a class is ``module.Class``, taking its
+    ``__init__`` parameters or its dataclass fields (``ClassVar`` excluded).
+    An option is a defaulted parameter or field other than ``out``, named
+    ``module.func(param)`` or ``module.Class.field``.
+    """
+    sigs = {}
+
+    def function(key, node, method):
+        a = node.args
+        pos = a.posonlyargs + a.args
+        defaulted = pos[len(pos) - len(a.defaults):] + [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        params = [arg.arg for arg in pos[1 if method and not static else 0:]]
+        return params, {arg.arg: f"{key}({arg.arg})" for arg in defaulted if arg.arg != "out"}
+
+    for path in sorted(SRC.glob("*.py")):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        methods = set()
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    methods.add(node)
+                    sigs[f"{mod}.{cls.name}.{node.name}"] = function(f"{mod}.{cls.name}.{node.name}", node, True)
+            if f"{mod}.{cls.name}.__init__" in sigs:
+                sigs[f"{mod}.{cls.name}"] = sigs[f"{mod}.{cls.name}.__init__"]
+            elif _is_dataclass(cls):
+                fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and "ClassVar" not in ast.unparse(n.annotation)]
+                sigs[f"{mod}.{cls.name}"] = ([f.target.id for f in fields], {
+                    f.target.id: f"{mod}.{cls.name}.{f.target.id}" for f in fields if f.value is not None})
+        for node in ast.walk(tree):  # nested functions too, by their bare name
+            if isinstance(node, ast.FunctionDef) and node not in methods:
+                sigs[f"{mod}.{node.name}"] = function(f"{mod}.{node.name}", node, False)
+    return sigs
+
+
+def _callees(call: ast.Call, resolve, aliases: dict, cls: str | None, sigs: dict) -> set[str]:
+    """The callables ``call`` may reach: by name or alias, ``cls``, a module or class attribute, a dict of callables."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return {cls} if func.id == "cls" and cls else aliases.get(resolve(func.id), {resolve(func.id)})
+    if isinstance(func, ast.Attribute):
+        owner = resolve(func.value.id) if isinstance(func.value, ast.Name) else None
+        if f"{owner}.{func.attr}" in sigs:
+            return {f"{owner}.{func.attr}"}
+        # a method called on an instance: every method of that name
+        return {key for key in sigs if key.count(".") == 2 and key.endswith(f".{func.attr}")}
+    if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+        return aliases.get(resolve(func.value.id), set())
+    return set()
+
+
+def _options_set_in_src(sigs: dict) -> set[str]:
+    """Options some call in ``src/levylab`` passes, by position or by keyword.
+
+    An alias maps a name to the callables it may hold: a top-level dict of
+    callables (``CANONICAL_DRIFTS[...](...)``) or, inside a function,
+    ``sim = A if ... else B``.
+    """
+    modules = {path.stem for path in SRC.glob("*.py")}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    imports = {mod: _relative_imports(tree, modules) for mod, tree in trees.items()}
+    dicts = {f"{mod}.{t.id}": {imports[mod].get(v.id, f"{mod}.{v.id}") for v in node.value.values
+                               if isinstance(v, ast.Name)}
+             for mod, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+             for t in node.targets if isinstance(t, ast.Name)}
+    passed = set()
+    for mod, tree in trees.items():
+        def resolve(name, mod=mod):
+            return imports[mod].get(name, f"{mod}.{name}")
+
+        def visit(node, cls, aliases):
+            if isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                aliases = dict(aliases)
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.IfExp)
+                    and all(isinstance(v, ast.Name) for v in (node.value.body, node.value.orelse))):
+                aliases[resolve(node.targets[0].id)] = {resolve(v.id) for v in (node.value.body, node.value.orelse)}
+            if isinstance(node, ast.Call):
+                for key in _callees(node, resolve, aliases, cls, sigs) & set(sigs):
+                    params, options = sigs[key]
+                    starred = any(isinstance(a, ast.Starred) for a in node.args)
+                    bound = set(params if starred else params[:len(node.args)])
+                    bound |= {kw.arg for kw in node.keywords} if all(kw.arg for kw in node.keywords) else set(params)
+                    passed.update(options[p] for p in bound if p in options)
+            for child in ast.iter_child_nodes(node):
+                visit(child, cls, aliases)
+
+        visit(tree, None, dicts)
+    return passed
+
+
+def test_every_option_is_set_by_a_cli_path():
+    # an option no call in src/ passes takes one value on every CLI path: a
+    # test-only knob, which belongs in the test that wants it
+    sigs = _signatures()
+    options = {option for _, opts in sigs.values() for option in opts.values()}
+    assert set(UNSET_OPTIONS) <= options, sorted(set(UNSET_OPTIONS) - options)
+    unset = sorted(options - _options_set_in_src(sigs) - set(UNSET_OPTIONS))
+    assert not unset, f"options no call in src/levylab sets: {unset}"
