@@ -37,12 +37,16 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalFailure
-from .grid import (OVERFLOW_TOL, STATE_BATCH, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace,
-                   expectation, expectations, overflow_fraction)
+from .grid import (OVERFLOW_TOL, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace, expectation,
+                   expectations, overflow_fraction, tile_rows)
 from .levy import LevyTriplet2D, _sample_increments, char_exponent_2d
 from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
 
 _SIMPSON_TOL = 1e-10
+
+# Paths per derived "dilation" stream.  Fixed constant: the chunk partition is
+# part of the reproducibility contract.
+DILATION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,7 @@ def mc_weyl_expectation(
     dt_fine = np.full(fine, t / fine)
     values = np.empty(mc.n_paths, dtype=complex)
     grid = psi.grid
+    tile = tile_rows(grid.n_points)
     overflowed = 0
 
     def worker(idx, start, stop):
@@ -189,14 +194,14 @@ def mc_weyl_expectation(
             inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
         block_vals = np.empty(stop - start, dtype=complex)
         block_overflow = 0
-        for bstart in range(0, stop - start, STATE_BATCH):
-            bsl = slice(bstart, min(bstart + STATE_BATCH, stop - start))
+        for bstart in range(0, stop - start, tile):
+            bsl = slice(bstart, bstart + tile)
             states = _evolve_block(gen, psi, inc[bsl], t / n_steps)
             block_overflow += int(np.count_nonzero(boundary_masses(states, grid) > OVERFLOW_TOL))
             block_vals[bsl] = expectations(states, grid, label)
         return start, stop, block_vals, block_overflow
 
-    for start, stop, vals, ov in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=4 * STATE_BATCH):
+    for start, stop, vals, ov in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=DILATION_CHUNK):
         values[start:stop] = vals
         overflowed += ov
     overflow = overflow_fraction(overflowed, mc.n_paths, f"dilation paths exceeded boundary mass {OVERFLOW_TOL:.0e}")
@@ -330,20 +335,22 @@ def galilean_covariance_check(
     boosting the state by ``W(x - v t, v)``; with identical noise on both
     sides the defect is round-off (commuting the displacement through free
     flow transports its label, through kicks it only collects a central
-    phase that cancels in the sandwich).  Paths are evolved ``STATE_BATCH``
-    at a time; each chunk's per-path values are summed once.
+    phase that cancels in the sandwich).  Paths are evolved one
+    :func:`levylab.grid.tile_rows` tile at a time; each chunk's per-path
+    values are summed once.
     """
     psi = psi.unit()
     battery = (WeylLabel(0.4, 0.0), WeylLabel(0.0, 0.6), WeylLabel(-0.5, 0.8))
     boosted = apply_weyl(psi, WeylLabel(x - v * t, v))
     dt_fine = t / n_steps
+    tile = tile_rows(psi.grid.n_points)
 
     def worker(idx, start, stop):
         inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, "dilation", idx))
         vals_a = np.empty((len(battery), stop - start), dtype=complex)
         vals_b = np.empty_like(vals_a)
-        for bstart in range(0, stop - start, STATE_BATCH):
-            bsl = slice(bstart, bstart + STATE_BATCH)
+        for bstart in range(0, stop - start, tile):
+            bsl = slice(bstart, bstart + tile)
             # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B
             # measures X on the evolution of the boosted state, same increments.
             evolved = _evolve_block(gen, psi, inc[bsl], dt_fine)
@@ -357,7 +364,7 @@ def galilean_covariance_check(
 
     sum_a = np.zeros(len(battery), dtype=complex)
     sum_b = np.zeros(len(battery), dtype=complex)
-    for part_a, part_b in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=4 * STATE_BATCH):
+    for part_a, part_b in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=DILATION_CHUNK):
         sum_a += part_a
         sum_b += part_b
     return float(np.abs((sum_a - sum_b) / mc.n_paths).max())

@@ -41,10 +41,13 @@ BOUNDARY_WINDOW = 16
 OVERFLOW_TOL = 1e-10
 #: Monte Carlo runs abort when more than this fraction of paths overflow.
 OVERFLOW_FRACTION = 0.01
-#: Paths evolved or evaluated per batch (memory control; no effect on results).
+#: Paths per block of the random-shift estimator ``semigroup._shift_values``.
+#: Its ``T2 @ C`` product is a BLAS call whose bits may depend on the block's
+#: row count, so this is not a free memory knob: keep it fixed.
 STATE_BATCH = 1024
-#: Rows conjugated per block in a Weyl reduction (memory control; no effect on results).
-REDUCE_ROWS = 64
+#: Bytes of complex states held per tile when paths are evolved or a Weyl
+#: expectation is reduced (memory control; no effect on results).
+STATE_TILE_BYTES = 1 << 20
 #: Probability mass allowed in the boundary window / top momentum band.
 SUPPORT_TOL = 1e-12
 
@@ -115,6 +118,11 @@ class WaveFunction:
     def unit(self) -> "WaveFunction":
         """This state if its norm is 1 to within 1e-12, else its normalization."""
         return self.normalized() if abs(self.norm() - 1.0) > 1e-12 else self
+
+
+def tile_rows(n_points: int) -> int:
+    """Rows of ``n_points`` complex amplitudes that fit in ``STATE_TILE_BYTES``, at least one."""
+    return max(1, STATE_TILE_BYTES // (16 * n_points))
 
 
 def boundary_masses(states: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -318,12 +326,13 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
     if isinstance(observable, QTable):
         return grid.dx * np.abs(states) ** 2 @ observable.array
     if isinstance(observable, WeylLabel):
-        hat = np.fft.fft(states, axis=1, norm="ortho")
-        moved = displace(hat, grid, [observable.x], [observable.v], out=hat)
         values = np.empty(len(states), dtype=complex)
-        for lo in range(0, len(states), REDUCE_ROWS):
-            rows = slice(lo, lo + REDUCE_ROWS)
-            np.einsum("ij,ij->i", states[rows].conj(), moved[rows], out=values[rows])
+        tile = tile_rows(grid.n_points)
+        for lo in range(0, len(states), tile):
+            rows = slice(lo, lo + tile)
+            hat = np.fft.fft(states[rows], axis=1, norm="ortho")
+            moved = displace(hat, grid, [observable.x], [observable.v], out=hat)
+            np.einsum("ij,ij->i", states[rows].conj(), moved, out=values[rows])
         return grid.dx * values
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")

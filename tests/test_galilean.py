@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from levylab import galilean as galilean_module
+from levylab import grid as grid_module
 from levylab import rng
 from levylab.galilean import (
+    DILATION_CHUNK,
     GalileanGenerator,
     _evolve_block,
     WeylSymbolState,
@@ -20,12 +22,13 @@ from levylab.galilean import (
 )
 from levylab.grid import (
     OVERFLOW_FRACTION,
-    STATE_BATCH,
+    STATE_TILE_BYTES,
     WaveFunction,
     WeylLabel,
     expectation,
     expectations,
     gaussian_state,
+    tile_rows,
 )
 from levylab.levy import (
     JumpMeasure,
@@ -220,19 +223,21 @@ class TestDilation:
         # two chunks, each evolved in its worker's own buffers
         psi = gaussian_state(default_grid(128, 16.0))
         gen = GalileanGenerator(FULL)
-        configs = [MCConfig(4 * STATE_BATCH + 100, 8, threads=k) for k in (1, 2)]
+        configs = [MCConfig(DILATION_CHUNK + 100, 8, threads=k) for k in (1, 2)]
         runs = [mc_weyl_expectation(gen, psi, WeylLabel(0.4, -0.3), 0.7, 4, mc) for mc in configs]
         assert runs[0].estimate == runs[1].estimate and runs[0].stderr == runs[1].stderr
 
     def test_peak_memory_in_blocks(self, psi512):
-        # one paths x N buffer per evolved block, and a Weyl reduction that conjugates the states in
-        # row blocks; with a new array per pass the peaks were 4.23 and 3.07 blocks
+        # one paths x N buffer per evolved block, and a Weyl reduction that transforms, displaces
+        # and conjugates the states one tile of rows at a time; with a new array per pass the
+        # evolve peak was 4.23 blocks, and the whole-block reduction peaked at about 10 tiles
         paths, steps = 256, 8
         block = paths * psi512.grid.n_points * 16
         inc, _ = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))
+        states = np.tile(psi512.amplitudes, (4 * paths, 1))  # 1024 rows: 8 tiles at N = 512
         tracemalloc.start()
         try:
-            states = _evolve_block(GalileanGenerator(FULL), psi512, inc, 0.05)
+            _evolve_block(GalileanGenerator(FULL), psi512, inc, 0.05)
             evolve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -241,7 +246,24 @@ class TestDilation:
         finally:
             tracemalloc.stop()
         assert evolve_peak <= 1.5 * block
-        assert reduce_peak <= 1.5 * block
+        assert reduce_peak <= 2.5 * STATE_TILE_BYTES
+
+    def test_estimator_peak_memory_does_not_grow_with_paths(self, psi512):
+        # paths are evolved and reduced one tile at a time: apart from the increments and the
+        # values, which grow with the paths, the peak is a few tiles at any path count (3.0
+        # tiles at both sizes; the whole-chunk buffers peaked at 16.5 and 17.2)
+        gen = GalileanGenerator(LevyTriplet2D(beta_p=0.4, beta_q=-0.7, alpha=((1.0, 0.3), (0.3, 0.5))))
+        steps, peaks = 8, []
+        for paths in (1024, 4096):
+            tracemalloc.start()
+            try:
+                mc_weyl_expectation(gen, psi512, WeylLabel(0.4, -0.3), 0.4, steps, MCConfig(paths, 3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append((peak - paths * steps * 2 * 8 - paths * 16) / STATE_TILE_BYTES)
+        assert max(peaks) <= 3.5
+        assert abs(peaks[1] - peaks[0]) <= 0.125
 
 
 class TestCovariance:
@@ -265,13 +287,13 @@ class TestCovariance:
         # chunk order would go unseen, since a two-term float sum commutes
         psi = gaussian_state(default_grid(128, 16.0))
         gen = GalileanGenerator(FULL)
-        defects = [galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, MCConfig(8 * STATE_BATCH + 100, 5, threads=k),
+        defects = [galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, MCConfig(2 * DILATION_CHUNK + 100, 5, threads=k),
                                              n_steps=4) for k in (1, 2)]
         assert defects[0] == defects[1]
 
     def test_paths_evolve_in_state_batches(self, monkeypatch):
-        # memory control: neither dilation function evolves more than
-        # STATE_BATCH paths in one call, and every path is evolved
+        # memory control: neither dilation function evolves more than one
+        # tile of paths in one call, and every path is evolved
         seen = []
         evolve = galilean_module._evolve_block
 
@@ -282,11 +304,27 @@ class TestCovariance:
         monkeypatch.setattr(galilean_module, "_evolve_block", recording)
         psi = gaussian_state(default_grid(64, 16.0))
         gen = GalileanGenerator(GAUSS_PP)
-        mc = MCConfig(2 * STATE_BATCH + 50, 6)
+        mc = MCConfig(2 * tile_rows(64) + 50, 6)
         galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, mc, n_steps=2)
         mc_weyl_expectation(gen, psi, WeylLabel(0.4, 0.3), 0.7, 2, mc)
-        assert max(seen) <= STATE_BATCH
+        assert max(seen) <= tile_rows(64)
         assert sum(seen) == 3 * mc.n_paths  # both sides of the covariance check, then the estimator
+
+
+def test_tile_budget_does_not_change_results(monkeypatch):
+    # the tile size is memory control only: one row per tile and every path in one
+    # tile give the same bits, over two stream chunks of DILATION_CHUNK paths
+    psi = gaussian_state(default_grid(128, 16.0))
+    gen = GalileanGenerator(FULL)
+    mc = MCConfig(DILATION_CHUNK + 100, 8)
+    runs = []
+    for budget, rows in ((16 * psi.grid.n_points, 1), (1 << 30, 1 << 19)):
+        monkeypatch.setattr(grid_module, "STATE_TILE_BYTES", budget)
+        assert tile_rows(psi.grid.n_points) == rows
+        res = mc_weyl_expectation(gen, psi, WeylLabel(0.4, -0.3), 0.7, 2, mc)
+        defect = galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi, mc, n_steps=2)
+        runs.append((res.estimate, res.stderr, res.overflow_fraction, defect))
+    assert runs[0] == runs[1]
 
 
 class TestOneDimensionalReduction:

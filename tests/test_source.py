@@ -223,3 +223,33 @@ def test_every_option_is_set_by_a_cli_path():
     assert set(UNSET_OPTIONS) <= options, sorted(set(UNSET_OPTIONS) - options)
     unset = sorted(options - _options_set_in_src(sigs) - set(UNSET_OPTIONS))
     assert not unset, f"options no call in src/levylab sets: {unset}"
+
+
+def _integer_constants(tree) -> set[str]:
+    """Module-level names bound once, by a plain assignment, to an integer literal."""
+    bound = [t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)]
+    return {node.targets[0].id for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            and bound.count(node.targets[0].id) == 1}
+
+
+def test_stream_partitions_are_fixed_constants():
+    # the chunk size of run_chunks picks the random streams, so it must be a
+    # named integer literal, never an expression in a memory knob
+    calls = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = _integer_constants(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "run_chunks"
+                                                    or getattr(node.func, "attr", None) == "run_chunks")):
+                continue
+            calls += 1
+            where = f"{path.name}:{node.lineno}"
+            assert len(node.args) <= 3 and all(kw.arg for kw in node.keywords), f"{where}: chunk passed by position"
+            chunk = [kw.value for kw in node.keywords if kw.arg == "chunk"]
+            assert not chunk or (isinstance(chunk[0], ast.Name) and chunk[0].id in constants), (
+                f"{where}: chunk={ast.unparse(chunk[0])} is not a module-level integer literal")
+    assert calls >= 4
