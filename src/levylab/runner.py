@@ -490,7 +490,6 @@ def _galilei_compare(cfg: RunConfig) -> Result:
         "order_estimate": rep.order_estimate,
         "passed": rep.passed,
         "inconclusive": rep.inconclusive,
-        "generator_hash": cfg.text_hash,
         "labels": [p["x0"], p["v0"]],
     }
     overflow = max(rep.mc_coarse.overflow_fraction, rep.mc_fine.overflow_fraction)
