@@ -230,7 +230,7 @@ class TestDilation:
     def test_peak_memory_in_blocks(self, psi512):
         # one paths x N buffer per evolved block, and a Weyl reduction that transforms, displaces
         # and conjugates the states one tile of rows at a time; with a new array per pass the
-        # evolve peak was 4.23 blocks, and the whole-block reduction peaked at about 10 tiles
+        # evolve peak was 4.23 blocks, and a whole-block reduction of these rows peaked at 8.6 tiles
         paths, steps = 256, 8
         block = paths * psi512.grid.n_points * 16
         inc, _ = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))

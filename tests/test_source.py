@@ -248,7 +248,8 @@ def test_stream_partitions_are_fixed_constants():
                 continue
             calls += 1
             where = f"{path.name}:{node.lineno}"
-            assert len(node.args) <= 3 and all(kw.arg for kw in node.keywords), f"{where}: chunk passed by position"
+            assert len(node.args) <= 3 and all(kw.arg for kw in node.keywords), (
+                f"{where}: chunk passed by position or **kwargs")
             chunk = [kw.value for kw in node.keywords if kw.arg == "chunk"]
             assert not chunk or (isinstance(chunk[0], ast.Name) and chunk[0].id in constants), (
                 f"{where}: chunk={ast.unparse(chunk[0])} is not a module-level integer literal")
