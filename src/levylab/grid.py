@@ -236,16 +236,45 @@ def phase_tables(
     and, with ``wrap``, the fftfreq wrap ``k -> k - n`` for ``k >= n/2``) and
     ``T2[m, r]`` (``M x B``): the phase at ``k`` is ``T1[m, k // B] *
     T2[m, k % B]``.  No ``M x n`` exponential is formed.
+
+    Each table is built by doubling (see :func:`_doubled`): one ``np.exp``
+    call gives every row its columns 0 and 1 of both tables and one factor
+    per doubling width, about ``log2 n`` exponentials a row.  Every row goes
+    through the same operations whatever ``M``, so a row is bit for bit the
+    row computed alone.
     """
     b = 1 << ((n.bit_length() - 1) // 2)
-    coarse = b * np.arange(n // b)
+    first = b * np.arange(2)
+    steps = b << np.arange(1, (n // b).bit_length() - 1)  # B w for the widths w of T1
     if wrap:
-        coarse[coarse >= n // 2] -= n
-    t1 = np.exp(1j * np.outer(coef, origin + unit * coarse))
+        first[first >= n // 2] -= n
+        steps[-1:] *= -1  # the upper half of j is k - n: j -> j - n/B
+    cols = np.arange(min(b, 2))
+    widths = 1 << np.arange(1, b.bit_length() - 1)
+    args = np.concatenate([origin + unit * first, unit * steps, unit * cols, unit * widths])
+    head1, factors1, head2, factors2 = np.split(np.exp(1j * np.outer(coef, args)),
+                                                np.cumsum([2, steps.size, cols.size]), axis=1)
     if scale is not None:
-        t1 = t1 * scale[:, None]
-    t2 = np.exp(1j * np.outer(coef, unit * np.arange(b)))
-    return t1, t2
+        head1 = head1 * scale[:, None]
+    return _doubled(head1, factors1, n // b), _doubled(head2, factors2, b)
+
+
+def _doubled(head: np.ndarray, factors: np.ndarray, width: int) -> np.ndarray:
+    """A ``rows x width`` table from its first columns ``head`` and one factor per width ``w = 2, 4, .. width/2``.
+
+    Columns ``w .. 2w-1`` are columns ``0 .. w-1`` times ``factors[:, log2 w - 1]``,
+    one row-wise multiply per width.  Columns 0 and 1 come from their own
+    exponentials, never from a width-1 multiply: a ``(rows, 1)`` multiply
+    runs numpy's strided loop down the rows, which rounds differently from
+    a row alone.  Each factor is its own exponential, not a square of the
+    last one, which would break the error bound of :func:`phase_tables`.
+    """
+    table = np.empty((head.shape[0], width), dtype=complex)
+    table[:, :head.shape[1]] = head
+    for k in range(factors.shape[1]):
+        w = 2 << k
+        np.multiply(table[:, :w], factors[:, k, None], out=table[:, w:2 * w])
+    return table
 
 
 def _apply_lattice_phase(
@@ -331,9 +360,9 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
         for lo in range(0, len(states), tile):
             rows = slice(lo, lo + tile)
             hat = np.fft.fft(states[rows], axis=1, norm="ortho")
-            moved = displace(hat, grid, [observable.x], [observable.v], out=hat)
-            np.einsum("ij,ij->i", states[rows].conj(), moved, out=values[rows])
-        return grid.dx * values
+            moved = np.conjugate(displace(hat, grid, [observable.x], [observable.v], out=hat), out=hat)
+            np.einsum("ij,ij->i", states[rows], moved, out=values[rows])
+        return grid.dx * np.conjugate(values, out=values)
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")
         return grid.dx * (np.abs(hat) ** 2) @ observable.array

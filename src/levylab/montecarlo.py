@@ -54,7 +54,6 @@ class MCResult:
     stderr: float
     n_paths: int
     seed: int
-    antithetic: bool = False
     overflow_fraction: float = 0.0
 
 

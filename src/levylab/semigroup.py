@@ -131,23 +131,29 @@ def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> 
     Evaluates the polynomials of :func:`_lag_coefficients` with the phase
     tables of :func:`levylab.grid.phase_tables` on the ``N`` lags: per block
     of paths one matrix product ``T2 @ C`` followed by a row-wise
-    contraction with ``T1``.  Values of Hermitian observables are real.
+    contraction with ``T1``.  A Hermitian observable has ``C_-d =
+    conj(C_d)``, so ``R = P`` above lag 0 and its real value is ``2 Re P(z)
+    - P_0``: only a Weyl label needs the column of ``R``.
     """
     n = psi.grid.n_points
     coef = _lag_coefficients(psi, observable)
-    values = np.empty(xi.size, dtype=complex)
+    weyl = isinstance(observable, WeylLabel)
+    if not weyl:
+        coef = coef[:, :1]
+    values = np.empty(xi.size, dtype=complex if weyl else float)
     cmat = None
     for start in range(0, xi.size, STATE_BATCH):
         block = xi[start:start + STATE_BATCH]
         t1, t2 = phase_tables(-block, n, psi.grid.dp)
         b = t2.shape[1]
         if cmat is None:  # coef[B j + r, col] -> cmat[r, (j, col)]
-            cmat = coef.reshape(n // b, b, 2).transpose(1, 0, 2).reshape(b, -1)
-        part = (t2 @ cmat).reshape(block.size, n // b, 2)
+            cmat = coef.reshape(n // b, b, -1).transpose(1, 0, 2).reshape(b, -1)
+        part = (t2 @ cmat).reshape(block.size, n // b, -1)
         both = np.einsum("mjc,mj->mc", part, t1)
-        values[start:start + block.size] = both[:, 0] + both[:, 1].conj()
-    if not isinstance(observable, WeylLabel):
-        values.imag = 0.0
+        if weyl:
+            values[start:start + block.size] = both[:, 0] + both[:, 1].conj()
+        else:
+            values[start:start + block.size] = 2.0 * both[:, 0].real - coef[0, 0].real
     return values
 
 
@@ -156,7 +162,7 @@ def _shift_estimate(psi: WaveFunction, observable: Observable, xi: np.ndarray, m
     """The estimate from the paths shifted by ``xi``, after the overflow check."""
     overflow = _check_overflow(psi, xi)
     return MCResult(*mc_stats(_shift_values(psi, observable, xi), antithetic=antithetic), mc.n_paths, mc.seed,
-                    antithetic=antithetic, overflow_fraction=overflow)
+                    overflow_fraction=overflow)
 
 
 def mc_heisenberg_expectation(

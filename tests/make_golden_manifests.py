@@ -8,7 +8,9 @@ its verdict.  ``tests/test_golden_manifests.py`` reruns every case and
 compares, the multi-chunk kinds at ``--threads`` 1 and 2.
 
 Regenerate only for an intended change of results, and name every moved
-hash in ``CHANGES.md``::
+hash in ``CHANGES.md``; before writing, the script prints every
+``(config, seed, file or metric)`` entry that differs from the file it
+replaces::
 
     PYTHONPATH=src python tests/make_golden_manifests.py
 """
@@ -74,6 +76,29 @@ def build() -> dict:
             for path in sorted((REPO / "configs").glob("*.cfg"))}
 
 
+def _entries(case: dict) -> dict:
+    """One case as ``{data file or metric: value}``, with its exit code and verdict."""
+    return {"exit": case.get("exit"), "verdict": case.get("verdict"), **case.get("manifest", {}),
+            **case.get("metrics", {})}
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """``config seed entry: old -> new`` for every data file, metric, exit code or verdict that differs."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        for seed in sorted(old.get(name, {}).keys() | new.get(name, {}).keys(), key=int):
+            was, now = (_entries(cases.get(name, {}).get(seed, {})) for cases in (old, new))
+            for entry in sorted(was.keys() | now.keys()):
+                a, b = json.dumps(was.get(entry)), json.dumps(now.get(entry))  # JSON text: NaN equals itself
+                if a != b:
+                    lines.append(f"{name} {seed} {entry}: {a} -> {b}")
+    return lines
+
+
 if __name__ == "__main__":
-    MANIFESTS.write_text(json.dumps(build(), sort_keys=True, indent=1) + "\n")
+    built = build()
+    old = json.loads(MANIFESTS.read_text()) if MANIFESTS.exists() else {}
+    for line in moved(old, built):
+        print(line)
+    MANIFESTS.write_text(json.dumps(built, sort_keys=True, indent=1) + "\n")
     print(f"wrote {MANIFESTS}")

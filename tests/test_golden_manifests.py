@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from make_golden_manifests import MANIFESTS, MULTI_CHUNK, SEEDS, run_case
+from make_golden_manifests import MANIFESTS, MULTI_CHUNK, SEEDS, moved, run_case
 
 GOLDEN = json.loads(MANIFESTS.read_text())
 
@@ -21,3 +21,18 @@ def test_sample_config_reproduces_golden_manifest(name):
         for threads in (1, 2) if name in MULTI_CHUNK else (1,):
             got = json.dumps(run_case(name, seed, threads), sort_keys=True)
             assert got == want, f"{name} at seed {seed}, threads {threads}"
+
+
+def test_moved_names_every_changed_entry():
+    new = json.loads(json.dumps(GOLDEN))
+    assert moved(GOLDEN, new) == []
+    case = new["dyson.cfg"]["7"]
+    name = sorted(case["manifest"])[0]
+    case["manifest"][name] = "0" * 64
+    case["verdict"] = "fail"
+    del new["feller_zero.cfg"]["13"]
+    lines = moved(GOLDEN, new)
+    assert f"dyson.cfg 7 {name}: \"{GOLDEN['dyson.cfg']['7']['manifest'][name]}\" -> \"{'0' * 64}\"" in lines
+    assert 'dyson.cfg 7 verdict: "pass" -> "fail"' in lines
+    assert "feller_zero.cfg 13 exit: 0 -> null" in lines
+    assert all(line.startswith(("dyson.cfg 7 ", "feller_zero.cfg 13 ")) for line in lines)

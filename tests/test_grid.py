@@ -26,6 +26,7 @@ from levylab.grid import (
     expectation,
     expectations,
     gaussian_state,
+    phase_tables,
 )
 from oracles import (
     BandLimitWarning,
@@ -245,6 +246,24 @@ class TestDisplacementKernel:
         # about eps * |coef * q|, which is 1e-12 at |coef * q| ~ 1100
         bound = 4.0 * np.finfo(float).eps * max(1.0, np.abs(np.outer(coef, lattice)).max())
         assert np.abs(table - direct).max() <= bound
+
+    @pytest.mark.parametrize("log_n", range(1, 13))
+    @pytest.mark.parametrize("momentum", [False, True])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_phase_table_rows_do_not_depend_on_row_count(self, log_n, momentum, scaled):
+        # the tables are built by doubling, one row-wise multiply per width; a row's bits
+        # must not depend on how many rows share the call (the tile rule of the dilation)
+        n = 2**log_n
+        grid = GridSpec(n_points=n, x_min=-33.0, dx=80.0 / n)
+        gen = np.random.default_rng(log_n)
+        coef = gen.uniform(-3.0, 3.0, 1024) * (n * grid.dx if momentum else n * grid.dp)
+        scale = np.exp(1j * gen.uniform(-3.0, 3.0, 1024)) if scaled else None
+        unit, origin = (grid.dp, 0.0) if momentum else (grid.dx, grid.x_min)
+        t1, t2 = phase_tables(coef, n, unit, origin=origin, wrap=momentum, scale=scale)
+        for m in range(coef.size):
+            one = phase_tables(coef[m:m + 1], n, unit, origin=origin, wrap=momentum,
+                               scale=None if scale is None else scale[m:m + 1])
+            assert np.array_equal(one[0][0], t1[m]) and np.array_equal(one[1][0], t2[m]), m
 
     def test_batch_rows_match_single_state_weyl(self, moving_psi):
         grid = moving_psi.grid

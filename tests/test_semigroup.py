@@ -89,8 +89,11 @@ class TestHeisenbergExpectation:
 
     def test_antithetic_used_for_symmetric_law(self, psi):
         fq = QTable.from_function(psi.grid, bump, "bump")
-        res = mc_heisenberg_expectation(GAUSS, psi, fq, 1.0, MCConfig(2000, 5))
-        assert res.antithetic
+        mc = MCConfig(2000, 5)
+        assert mc.resolve_antithetic(GAUSS.is_symmetric)
+        res = mc_heisenberg_expectation(GAUSS, psi, fq, 1.0, mc)
+        xi = sample_ensemble(GAUSS, 1.0, mc.n_paths, mc.seed, antithetic=True)
+        assert (res.estimate, res.stderr) == mc_stats(_shift_values(psi.unit(), fq, xi), antithetic=True)
 
     def test_antithetic_refused_for_asymmetric_law(self, psi):
         fq = QTable.from_function(psi.grid, bump, "bump")
@@ -171,9 +174,10 @@ class TestShiftEstimator:
         psi = gaussian_state(grid, 30.0, 1.0)
         near = LevyTriplet1D(alpha=2.0)
         fq = QTable.from_function(grid, bump, "bump")
-        res = mc_heisenberg_expectation(near, psi, fq, 1.0, MCConfig(20000, 19))
+        mc = MCConfig(20000, 19)
+        res = mc_heisenberg_expectation(near, psi, fq, 1.0, mc)
         assert 0.0 < res.overflow_fraction <= OVERFLOW_FRACTION
-        xi = sample_ensemble(near, 1.0, 20000, 19, antithetic=res.antithetic)
+        xi = sample_ensemble(near, 1.0, mc.n_paths, mc.seed, antithetic=mc.resolve_antithetic(near.is_symmetric))
         assert res.overflow_fraction == semigroup_module._check_overflow(psi, xi)
         centred = mc_heisenberg_expectation(near, gaussian_state(grid), fq, 1.0, MCConfig(2000, 19))
         assert centred.overflow_fraction == 0.0
