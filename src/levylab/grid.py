@@ -27,6 +27,7 @@ its batch of one.  Its lattice phases ``exp(i c q_k)`` are never formed as a ful
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -243,6 +244,22 @@ def phase_tables(
     through the same operations whatever ``M``, so a row is bit for bit the
     row computed alone.
     """
+    args, b, i, j = _phase_args(n, unit, origin, wrap)
+    phases = np.exp(1j * np.outer(coef, args))
+    head1, factors1, head2, factors2 = phases[:, :2], phases[:, 2:i], phases[:, i:j], phases[:, j:]
+    if scale is not None:
+        head1 = head1 * scale[:, None]
+    return _doubled(head1, factors1, n // b), _doubled(head2, factors2, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndarray, int, int, int]:
+    """The lattice arguments of :func:`phase_tables`, built once per key, read-only.
+
+    Returns the vector ``args`` (the heads of ``T1``, its doubling steps,
+    the heads of ``T2``, its doubling widths, each times ``unit``), ``B``,
+    and where the ``T2`` heads and widths start in ``args``.
+    """
     b = 1 << ((n.bit_length() - 1) // 2)
     first = b * np.arange(2)
     steps = b << np.arange(1, (n // b).bit_length() - 1)  # B w for the widths w of T1
@@ -252,11 +269,8 @@ def phase_tables(
     cols = np.arange(min(b, 2))
     widths = 1 << np.arange(1, b.bit_length() - 1)
     args = np.concatenate([origin + unit * first, unit * steps, unit * cols, unit * widths])
-    head1, factors1, head2, factors2 = np.split(np.exp(1j * np.outer(coef, args)),
-                                                np.cumsum([2, steps.size, cols.size]), axis=1)
-    if scale is not None:
-        head1 = head1 * scale[:, None]
-    return _doubled(head1, factors1, n // b), _doubled(head2, factors2, b)
+    args.setflags(write=False)
+    return args, b, 2 + steps.size, 2 + steps.size + cols.size
 
 
 def _doubled(head: np.ndarray, factors: np.ndarray, width: int) -> np.ndarray:
@@ -357,11 +371,12 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
     if isinstance(observable, WeylLabel):
         values = np.empty(len(states), dtype=complex)
         tile = tile_rows(grid.n_points)
+        buf = np.empty((min(tile, len(states)), grid.n_points), dtype=complex)  # one FFT tile, reused
         for lo in range(0, len(states), tile):
-            rows = slice(lo, lo + tile)
-            hat = np.fft.fft(states[rows], axis=1, norm="ortho")
+            rows = states[lo:lo + tile]
+            hat = np.fft.fft(rows, axis=1, norm="ortho", out=buf[:len(rows)])
             moved = np.conjugate(displace(hat, grid, [observable.x], [observable.v], out=hat), out=hat)
-            np.einsum("ij,ij->i", states[rows], moved, out=values[rows])
+            np.einsum("ij,ij->i", rows, moved, out=values[lo:lo + tile])
         return grid.dx * np.conjugate(values, out=values)
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")

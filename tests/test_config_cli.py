@@ -670,6 +670,42 @@ n_steps = 8
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_set_up_is_frozen_once_per_process(self, tmp_path):
+        # objects alive when a config has parsed go to the permanent GC generation on the
+        # first main() only; a config error returns before it
+        cfg = write_config(tmp_path, MINIMAL_CHAR)
+        runs = [["char-check", "--config", cfg, "--out", str(tmp_path / name)] for name in ("a", "b")]
+        code = ("import gc, sys\nfrom levylab.cli import main\n"
+                "assert main(['char-check', '--config', '/nonexistent.cfg']) == 2\n"
+                "counts = [gc.get_freeze_count()]\n"
+                f"for argv in {runs!r}:\n    assert main(argv) == 0\n    counts.append(gc.get_freeze_count())\n"
+                "print(counts, file=sys.stderr)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, first, second = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert before == 0 and first > 0 and second == first
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_blas_thread_default(self, threads):
+        # importing the package first sets one BLAS/OpenMP thread unless the caller chose;
+        # the golden hashes of a BLAS-bound and a dense-algebra kind hold either way
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        code = ("import json, os\n"
+                "from make_golden_manifests import MANIFESTS, SEEDS, run_case\n"
+                "golden = json.loads(MANIFESTS.read_text())\n"
+                "for name in ('mc_semigroup_mixed.cfg', 'cp_suite.cfg'):\n"
+                "    for seed in SEEDS:\n"
+                "        got = json.dumps(run_case(name, seed), sort_keys=True)\n"
+                "        assert got == json.dumps(golden[name][str(seed)], sort_keys=True), (name, seed)\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [threads or "1"] * 2
+
     def test_structure_kinds_never_import_scipy_linalg(self, tmp_path):
         # the matrix exponential of cp-suite and dyson is the package's own
         runs = [[kind, "--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(tmp_path / name)]
