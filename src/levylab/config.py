@@ -79,7 +79,7 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
         if kind == "str":
             return raw
         if kind == "list_float":
-            return [float(p) for p in raw.split(",") if p.strip()]
+            return [float(p) for p in raw.split(",")]  # an empty entry, so an empty list, is an error
         if kind in ("atoms1d", "atoms2d"):
             atoms = []
             for part in filter(None, (part.strip() for part in raw.split(";"))):
@@ -150,7 +150,8 @@ def _check_section(
         if spec.range is not None:
             if not all(map(RANGES[spec.range], value if isinstance(value, list) else [value])):
                 errors.append(f"[{name}] {key}: must be {spec.range}, got {raw.get(key, value)}")
-                continue  # a value out of range is no multiple either; one error says so
+                out[key] = None  # no builder sees it, and it is no multiple either: one error says so
+                continue
         unit = out.get(spec.multiple_of) if spec.multiple_of else None
         if unit is not None and unit > 0 and not _is_multiple(value, unit):
             errors.append(f"[{name}] {key}: must be an integer multiple of {spec.multiple_of} = {unit!r}, got {value!r}")

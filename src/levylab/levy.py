@@ -7,14 +7,11 @@ larger jumps enter uncompensated.  ``h`` is arbitrary but fixed; changing it
 must be accompanied by the drift adjustment that leaves the exponent
 invariant (the tests' ``oracles.with_truncation`` performs it).
 
-Jump measures are finite atomic lists by default; an infinite-activity
-density is supported through an explicit truncation-at-``eps`` scheme: jumps
-below ``eps`` are dropped, their compensating drift is kept exactly, and an
-optional Gaussian with the matched variance replaces their fluctuation.
+Jump measures are finite lists of atoms, the only laws the config grammar
+can express.
 
 Increment sampling is exact per time step (no Euler sub-stepping): Gaussian
-part from the normal law, each atom from its Poisson count, density jumps
-from an inverse-CDF table above the ``eps`` cutoff.
+part from the normal law, each atom from its Poisson count.
 
 Conventions:
   * 1-D exponent: ``E exp(i lam xi_t) = exp(t * char_exponent_1d(lam))``.
@@ -27,70 +24,26 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from . import rng
-from .errors import NumericalFailure
 from .montecarlo import MCConfig, mc_stats, run_chunks
 
 _PSD_TOL = 1e-12
-#: Nodes of each inverse-CDF table that samples a jump density.
-INV_CDF_NODES = 512
-
-
-@dataclass(frozen=True)
-class DensitySpec:
-    """Jump density with a small-jump cutoff.
-
-    ``density`` is the Levy density on ``support`` minus the origin;
-    ``eps`` is the sampling cutoff (jumps below it are folded into drift
-    and, when ``gaussian_correction`` is set, a matched-variance Gaussian).
-    """
-
-    density: Callable[[np.ndarray], np.ndarray]
-    eps: float
-    support: tuple[float, float]
-    gaussian_correction: bool = True
-
-    def __post_init__(self):
-        lo, hi = self.support
-        problems = []
-        if not self.eps > 0:
-            problems.append("density spec: eps must be positive")
-        if not lo < hi:
-            problems.append("density spec: support must be a nonempty interval")
-        if lo >= 0 and hi <= 0:
-            problems.append("density spec: support must touch one side of the origin")
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @property
-    def sides(self) -> list[tuple[float, float]]:
-        """Sampling intervals (above the cutoff) on each side of the origin."""
-        lo, hi = self.support
-        out = []
-        if lo < -self.eps:
-            out.append((lo, -self.eps))
-        if hi > self.eps:
-            out.append((self.eps, hi))
-        return out
 
 
 @dataclass(frozen=True)
 class JumpMeasure:
-    """Finite atomic jump measure plus an optional density component.
+    """Finite atomic jump measure.
 
     Atoms are ``(location, rate)`` pairs; locations are nonzero floats in
     1-D or nonzero ``(x, v)`` pairs in 2-D, rates are per unit time.
     """
 
     atoms: tuple = ()
-    density: DensitySpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple((self._norm_loc(loc), float(r)) for loc, r in self.atoms))
@@ -113,8 +66,6 @@ class JumpMeasure:
                 problems.append("jump atom at the origin is not allowed")
             if not rate > 0:
                 problems.append(f"jump atom {loc!r}: rate must be strictly positive, got {rate}")
-        if self.density is not None and dim != 1:
-            problems.append("density components are supported in 1-D only")
         return problems
 
     def atom_arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +103,9 @@ class LevyTriplet1D:
         """True when the law of the increment is symmetric under negation.
 
         Requires zero drift and an atom list closed under ``y -> -y`` with
-        equal rates; densities are never auto-detected as symmetric.
+        equal rates.
         """
-        if self.beta != 0.0 or self.jumps.density is not None:
+        if self.beta != 0.0:
             return False
         bag = {}
         for y, r in self.jumps.atoms:
@@ -222,37 +173,6 @@ class PathSample:
 # Characteristic exponents
 # --------------------------------------------------------------------------
 
-def _quad_part(fn, lo, hi, points, what):
-    """Adaptive quadrature of a real integrand; loud failure on divergence."""
-    from scipy import integrate  # deferred: only density laws need quadrature
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, points=points, limit=300)
-    bad = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if bad or not np.isfinite(val):
-        raise NumericalFailure(
-            f"quadrature failed for {what} on [{lo}, {hi}]",
-            {"value": val, "abserr": err, "warnings": bad},
-        )
-    return val
-
-
-def _density_integral(spec: DensitySpec, integrand, what: str) -> complex:
-    """Integrate ``integrand(y) * density(y)`` over the support minus {0}."""
-    lo, hi = spec.support
-    total = 0.0 + 0.0j
-    for a, b in ((lo, 0.0), (0.0, hi)):
-        if a >= b:
-            continue
-        pts = sorted({p for p in (-spec.eps, spec.eps) if a < p < b})
-        fn = lambda y: integrand(y) * spec.density(y)
-        re = _quad_part(lambda y: np.real(fn(y)), a, b, pts or None, what)
-        im = _quad_part(lambda y: np.imag(fn(y)), a, b, pts or None, what)
-        total += re + 1j * im
-    return total
-
-
 def char_exponent_1d(triplet: LevyTriplet1D, lam: float) -> complex:
     """Characteristic exponent: ``E exp(i lam xi_t) = exp(t * eta(lam))``."""
     lam = float(lam)
@@ -261,13 +181,6 @@ def char_exponent_1d(triplet: LevyTriplet1D, lam: float) -> complex:
     if locs.size:
         comp = (np.abs(locs) <= triplet.h).astype(float)
         eta += complex(np.sum(rates * (np.exp(1j * locs * lam) - 1.0 - 1j * locs * lam * comp)))
-    if triplet.jumps.density is not None:
-        h = triplet.h
-        eta += _density_integral(
-            triplet.jumps.density,
-            lambda y: np.exp(1j * y * lam) - 1.0 - 1j * y * lam * (np.abs(y) <= h),
-            "characteristic exponent (density part)",
-        )
     return complex(eta)
 
 
@@ -282,57 +195,6 @@ def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
     comp = (np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h).astype(float)
     eta += complex(np.sum(rates * (np.exp(1j * phase) - 1.0 - 1j * phase * comp)))
     return complex(eta)
-
-
-# --------------------------------------------------------------------------
-# Density sampling tables
-# --------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=32)
-def _density_tables(spec: DensitySpec, h: float):
-    """Inverse-CDF tables and compensation constants for the eps-cutoff scheme."""
-    sides = []
-    for a, b in spec.sides:
-        # geometric spacing toward the origin-side endpoint
-        if a > 0:
-            nodes = np.geomspace(a, b, INV_CDF_NODES)
-        else:
-            nodes = -np.geomspace(-b, -a, INV_CDF_NODES)[::-1]
-        pdf = spec.density(nodes)
-        if np.any(pdf < 0) or not np.all(np.isfinite(pdf)):
-            raise NumericalFailure("density is negative or non-finite on its sampling range", {})
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(nodes))])
-        rate = cdf[-1]
-        if rate > 0:
-            sides.append({"nodes": nodes, "cdf": cdf / rate, "rate": rate})
-    total_rate = sum(s["rate"] for s in sides)
-    lo, hi = spec.support
-    comp_drift = 0.0  # mean of kept-but-compensated jumps (eps < |y| <= h)
-    for sgn in (-1.0, 1.0):
-        a, b = sorted((sgn * spec.eps, sgn * h))
-        a, b = max(a, lo), min(b, hi)
-        if a < b:
-            comp_drift += _quad_part(lambda y: y * spec.density(y), a, b, None, "compensating drift")
-    var_eps = 0.0  # variance rate of the dropped sub-eps jumps
-    for a, b in ((max(lo, -spec.eps), 0.0), (0.0, min(hi, spec.eps))):
-        if a < b:
-            var_eps += _quad_part(lambda y: y * y * spec.density(y), a, b, None, "matched variance")
-    return {"sides": sides, "total_rate": total_rate, "comp_drift": comp_drift, "var_eps": var_eps}
-
-
-def _sample_density_magnitudes(tables, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` jump magnitudes from the truncated normalized density."""
-    if count == 0:
-        return np.zeros(0)
-    weights = np.array([s["rate"] for s in tables["sides"]])
-    weights = weights / weights.sum()
-    sides = gen.choice(len(weights), size=count, p=weights) if len(weights) > 1 else np.zeros(count, dtype=int)
-    u = gen.random(count)
-    out = np.empty(count)
-    for i, s in enumerate(tables["sides"]):
-        mask = sides == i
-        out[mask] = np.interp(u[mask], s["cdf"], s["nodes"])
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +219,7 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
     ``(n_paths, n_steps, 2)`` in 2-D, and the jumps larger than ``h`` as a
     list of ``(counts, magnitudes)`` pairs: ``counts[path, step]`` jumps per
     cell, ``magnitudes`` in cell order.  The whole block is drawn in a fixed
-    order: the Gaussian part, each atom's Poisson counts, then the density
-    counts, magnitudes and matched-variance correction.
+    order: the Gaussian part, then each atom's Poisson counts.
     """
     shape = (n_paths, dt.size)
     two_d = isinstance(triplet, LevyTriplet2D)
@@ -382,20 +243,6 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
             out -= rates[j] * locs[j] * step_dt
         else:
             big.append((counts, np.broadcast_to(locs[j], (int(counts.sum()),) + locs[j].shape)))
-    spec = triplet.jumps.density
-    if spec is not None:
-        tables = _density_tables(spec, triplet.h)
-        counts = gen.poisson(tables["total_rate"] * dt, size=shape)
-        total = int(counts.sum())
-        if total:
-            mags = _sample_density_magnitudes(tables, total, gen)
-            owner = np.repeat(np.arange(counts.size), counts.ravel())
-            out += np.bincount(owner, weights=mags, minlength=counts.size).reshape(shape)
-            large = np.abs(mags) > triplet.h
-            big.append((np.bincount(owner[large], minlength=counts.size).reshape(shape), mags[large]))
-        out -= tables["comp_drift"] * dt
-        if spec.gaussian_correction and tables["var_eps"] > 0:
-            out += np.sqrt(tables["var_eps"] * dt) * gen.standard_normal(shape)
     return out, big
 
 

@@ -168,7 +168,7 @@ _GRID = Section({
 
 _STATE = Section({
     "center": Field("float", default=0.0),
-    "width": Field("float", default=1.0),
+    "width": Field("float", default=1.0, range="positive"),
     "momentum": Field("float", default=0.0),
 }, lambda p, built, run: gaussian_state(built["grid"], p["center"], p["width"], p["momentum"]), needs=("grid",))
 

@@ -39,7 +39,7 @@ from .grid import (
     overflow_fraction,
     phase_tables,
 )
-from .levy import LevyTriplet1D, _density_integral, convolve_classical, sample_ensemble
+from .levy import LevyTriplet1D, convolve_classical, sample_ensemble
 from .montecarlo import MCConfig, MCResult, mc_stats
 
 #: Step of the central differences in :func:`classical_generator_apply`.
@@ -201,8 +201,7 @@ def classical_generator_apply(
       + sum_atoms rate [f(x+y) - f(x) - y f'(x) (|y| <= h)]``
 
     Derivatives use central finite differences with step ``FD_STEP``
-    (second order; exact on quadratics).  Density components contribute
-    through quadrature of the same integrand.
+    (second order; exact on quadratics).
     """
     x = float(x)
     fp = (float(f(x + FD_STEP)) - float(f(x - FD_STEP))) / (2.0 * FD_STEP)
@@ -213,14 +212,6 @@ def classical_generator_apply(
     for y, r in zip(locs, rates):
         comp = fp * y if abs(y) <= triplet.h else 0.0
         out += r * (float(f(x + y)) - fx - comp)
-    spec = triplet.jumps.density
-    if spec is not None:
-        h = triplet.h
-        out += float(np.real(_density_integral(
-            spec,
-            lambda y: f(x + y) - fx - y * fp * (np.abs(y) <= h),
-            "classical generator (density part)",
-        )))
     return float(out)
 
 

@@ -12,7 +12,7 @@ module for them together with ``src/``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,8 +23,7 @@ from levylab.galilean import GalileanGenerator
 from levylab.generators import StandardGenerator, _as_matrix, apply_generator, exact_evolve, superop_matrix, vec
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
-from levylab.levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, _blocked_values, _density_integral, _quad_part,
-                          sample_ensemble)
+from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _blocked_values, sample_ensemble
 from levylab.montecarlo import MCConfig, MCResult, mc_stats
 from levylab.semigroup import _check_overflow, _shift_estimate, _support_bounds, mc_heisenberg_expectation
 
@@ -155,17 +154,8 @@ def with_truncation(triplet: LevyTriplet1D, new_h: float) -> LevyTriplet1D:
     if not new_h > 0:
         raise ValueError("new_h must be positive")
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
-    shift = 0.0
-    if locs.size:
-        delta = (np.abs(locs) <= new_h).astype(float) - (np.abs(locs) <= triplet.h).astype(float)
-        shift += float(np.sum(rates * locs * delta))
-    if triplet.jumps.density is not None:
-        h_old, h_new = triplet.h, new_h
-        shift += float(np.real(_density_integral(
-            triplet.jumps.density,
-            lambda y: y * ((np.abs(y) <= h_new).astype(float) - (np.abs(y) <= h_old).astype(float)),
-            "compensator shift",
-        )))
+    delta = (np.abs(locs) <= new_h).astype(float) - (np.abs(locs) <= triplet.h).astype(float)
+    shift = float(np.sum(rates * locs * delta))
     return LevyTriplet1D(beta=triplet.beta + shift, alpha=triplet.alpha, jumps=triplet.jumps, h=new_h)
 
 
@@ -175,68 +165,18 @@ class LevyConditionReport:
 
     value: float
     passed: bool
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _refinement_verdict(partials: np.ndarray) -> tuple[bool, dict]:
-    """Divergence detection from a refinement sequence of truncated integrals.
-
-    ``partials[k]`` is the integral with inner cutoff ``eps_k = h 2^{-k}``.
-    Convergent sequences have geometrically vanishing increments; increments
-    that stall or grow signal divergence.
-    """
-    diffs = np.diff(partials)
-    scale = max(abs(partials[-1]), 1.0)
-    tail = diffs[-4:]
-    if np.all(np.abs(tail) <= 1e-12 * scale):
-        return True, {"partials": partials, "ratio": 0.0}
-    ratios = np.abs(tail[1:]) / np.maximum(np.abs(tail[:-1]), 1e-300)
-    q = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300)))))
-    converged = q < 0.7
-    return converged, {"partials": partials, "ratio": q}
 
 
 def validate_levy_condition(triplet: LevyTriplet1D | LevyTriplet2D) -> LevyConditionReport:
     """Evaluate ``integral of (|y|^2 inside h) + (1 outside h)`` against the measure.
 
     Finite atomic measures always pass (finite sum, reported exactly).
-    Density components are probed by refining the inner cutoff toward the
-    origin; a non-vanishing trend of increments fails the test with the
-    refinement trace attached.
     """
     two_d = isinstance(triplet, LevyTriplet2D)
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     norms = np.hypot(locs[:, 0], locs[:, 1]) if two_d else np.abs(locs)
     value = float(np.sum(rates * np.where(norms <= triplet.h, norms**2, 1.0)))
-    diagnostics: dict = {"atomic_value": value}
-    passed = True
-    spec = triplet.jumps.density
-    if spec is not None:
-        h = triplet.h
-        lo, hi = spec.support
-        ks = np.arange(1, 15)
-        partials = []
-        outer = 0.0
-        for a, b in ((lo, min(-h, 0.0)), (max(h, 0.0), hi)):
-            if a < b:
-                outer += _quad_part(lambda y: spec.density(y), a, b, None, "tail mass")
-        for k in ks:
-            eps_k = h * 2.0 ** (-float(k))
-            inner = 0.0
-            for sgn in (-1.0, 1.0):
-                a, b = sorted((sgn * eps_k, sgn * h))
-                a = max(a, lo)
-                b = min(b, hi)
-                if a < b:
-                    inner += _quad_part(lambda y: y * y * spec.density(y), a, b, None, "small-jump variance")
-            partials.append(outer + inner)
-        partials = np.array(partials)
-        converged, diag = _refinement_verdict(partials)
-        diagnostics["density_refinement"] = diag
-        passed = converged
-        value = float(partials[-1]) if converged else float("inf")
-        value += diagnostics["atomic_value"] if converged else 0.0
-    return LevyConditionReport(value=value, passed=passed, diagnostics=diagnostics)
+    return LevyConditionReport(value=value, passed=True)
 
 
 # --------------------------------------------------------------------------

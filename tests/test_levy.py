@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from levylab import rng
-from levylab.errors import NumericalFailure
 from levylab.levy import (
     _sample_increments,
-    DensitySpec,
     JumpMeasure,
     LevyTriplet1D,
     LevyTriplet2D,
@@ -113,18 +111,6 @@ class TestLevyCondition:
         report = validate_levy_condition(LevyTriplet1D())
         assert report.passed and report.value == 0.0
 
-    def test_cubic_singularity_fails(self):
-        bad = DensitySpec(density=lambda y: np.abs(y) ** -3.0, eps=0.05, support=(-1.0, 1.0))
-        report = validate_levy_condition(LevyTriplet1D(jumps=JumpMeasure(density=bad)))
-        assert not report.passed
-        assert "density_refinement" in report.diagnostics
-
-    def test_integrable_density_value(self):
-        ok = DensitySpec(density=lambda y: np.abs(y) ** -1.5, eps=0.05, support=(-1.0, 1.0))
-        report = validate_levy_condition(LevyTriplet1D(jumps=JumpMeasure(density=ok)))
-        assert report.passed
-        assert report.value == pytest.approx(4.0 / 3.0, rel=1e-4)
-
     def test_two_dimensional_atoms(self):
         # the single atom lies outside the unit ball, so it contributes its rate
         report = validate_levy_condition(TestCharExponent2D.T2)
@@ -199,21 +185,13 @@ class TestSampling:
         assert stats.ks_2samp(direct, shifted).pvalue >= 0.01
 
 
-_SPECS = (
-    DensitySpec(density=lambda y: np.abs(y) ** -1.5, eps=0.02, support=(-1.0, 1.0)),
-    DensitySpec(density=lambda y: np.exp(-y) * y ** -1.2, eps=0.05, support=(0.0, 4.0), gaussian_correction=False),
-)
 _loc = st.floats(0.05, 3.0).flatmap(lambda a: st.sampled_from((a, -a)))
 _rate = st.floats(0.05, 4.0)
 _laws_1d = st.builds(
     LevyTriplet1D,
     beta=st.floats(-1.0, 1.0),
     alpha=st.sampled_from((0.0, 0.4, 1.0)),
-    jumps=st.builds(
-        JumpMeasure,
-        atoms=st.lists(st.tuples(_loc, _rate), max_size=3),
-        density=st.none() | st.sampled_from(_SPECS),
-    ),
+    jumps=st.builds(JumpMeasure, atoms=st.lists(st.tuples(_loc, _rate), max_size=3)),
     h=st.sampled_from((0.5, 1.0)),
 )
 _laws_2d = st.builds(
@@ -240,8 +218,8 @@ class TestUnifiedSampler:
 
     @pytest.mark.parametrize("two_d", [False, True])
     def test_non_uniform_steps_match_exponent(self, two_d):
-        # 1-D: atom plus density (with matched-variance correction); 2-D: a big
-        # atom. Every step and the summed path are checked at 4 stderr.
+        # one atom above h and one below it in each dimension; every step and
+        # the summed path are checked at 4 stderr
         dt = np.array([0.05, 0.4, 0.15, 0.25, 0.15])
         if two_d:
             triplet = LevyTriplet2D(beta_p=0.4, beta_q=-0.7, alpha=((1.0, 0.3), (0.3, 0.8)),
@@ -251,7 +229,7 @@ class TestUnifiedSampler:
             plain = lambda a: (a[0], -a[1])
         else:
             triplet = LevyTriplet1D(beta=0.2, alpha=0.1, h=0.5,
-                                    jumps=JumpMeasure(atoms=[(0.3, 1.0)], density=_SPECS[0]))
+                                    jumps=JumpMeasure(atoms=[(0.3, 1.0), (0.8, 0.7)]))
             args = [0.6, 1.1, -1.8]
             eta = lambda a: char_exponent_1d(triplet, a)
             plain = lambda a: a
@@ -263,31 +241,6 @@ class TestUnifiedSampler:
         for xs, t, a in checks:
             emp, se = empirical_char_function(xs, plain(a))
             assert abs(emp - np.exp(t * eta(a))) <= 4.0 * se
-
-
-class TestDensityScheme:
-    DENSITY = DensitySpec(density=lambda y: np.abs(y) ** -1.5, eps=0.02, support=(-1.0, 1.0))
-    TRIPLET = LevyTriplet1D(beta=0.2, jumps=JumpMeasure(density=DENSITY))
-
-    def test_char_function_against_quadrature(self):
-        xs = sample_ensemble(self.TRIPLET, 0.5, 100000, seed=11)
-        for lam in (0.6, 1.1, -1.8):
-            emp, se = empirical_char_function(xs, lam)
-            theo = np.exp(0.5 * char_exponent_1d(self.TRIPLET, lam))
-            assert abs(emp - theo) <= 4.0 * se + 2e-3  # eps-truncation allowance
-
-    def test_divergent_exponent_raises(self):
-        bad = DensitySpec(density=lambda y: np.abs(y) ** -3.0, eps=0.05, support=(-1.0, 1.0))
-        triplet = LevyTriplet1D(jumps=JumpMeasure(density=bad))
-        with pytest.raises(NumericalFailure):
-            char_exponent_1d(triplet, 1.0)
-
-    def test_truncation_shift_with_density(self):
-        moved = with_truncation(self.TRIPLET, 0.5)
-        for lam in (0.4, 1.3):
-            assert char_exponent_1d(moved, lam) == pytest.approx(
-                char_exponent_1d(self.TRIPLET, lam), abs=1e-8
-            )
 
 
 class TestEmpiricalCharFunction:

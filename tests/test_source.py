@@ -28,6 +28,15 @@ def test_config_imports_only_errors_and_runner():
     assert _package_imports(ast.parse((SRC / "config.py").read_text())) == {"errors", "runner"}
 
 
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: the package's numerics are numpy
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])
+            assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name}:{node.lineno} imports scipy"
+
+
 def test_package_within_line_budget():
     total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
@@ -109,8 +118,6 @@ UNSET_OPTIONS = {
     "runner.OutputRecord.metrics": "an accumulator: add_metric fills it",
     "runner.OutputRecord.manifest": "an accumulator: the workspace adds each file it writes",
     "runner.OutputRecord.verdict": "an accumulator: add_metric lowers it from pass",
-    "levy.JumpMeasure.density": "density laws have no config key yet; ROADMAP item 4 decides their fate",
-    "levy.DensitySpec.gaussian_correction": "a field of a density law, as JumpMeasure.density",
 }
 
 
@@ -254,3 +261,12 @@ def test_stream_partitions_are_fixed_constants():
             assert not chunk or (isinstance(chunk[0], ast.Name) and chunk[0].id in constants), (
                 f"{where}: chunk={ast.unparse(chunk[0])} is not a module-level integer literal")
     assert calls >= 4
+
+
+def test_result_constants_are_integer_literals():
+    # each sets bits of some run: STATE_BATCH the row count of the shift
+    # estimator's BLAS product, the other two the stream partition; rng.CHUNK
+    # reaches run_chunks only as a default, which the test above does not see
+    for module, name in (("grid", "STATE_BATCH"), ("galilean", "DILATION_CHUNK"), ("rng", "CHUNK")):
+        assert name in _integer_constants(ast.parse((SRC / f"{module}.py").read_text())), (
+            f"{module}.{name} is not a module-level integer literal")
