@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import FORMATS, parse_config
 from .errors import ConfigError, NumericalFailure, SupportOverflowError
-from .runner import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE, EXPERIMENTS, run
+from .runner import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE, EXIT_PASS, EXIT_VERDICT_FAIL, EXPERIMENTS, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +70,10 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG_ERROR
     print(json.dumps({
         "record": str(path),
-        "verdict": record.verdict,
-        "metrics": record.metrics,
+        "verdict": record["verdict"],
+        "metrics": record["metrics"],
     }, sort_keys=True))
-    return record.exit_code()
+    return EXIT_PASS if record["verdict"] == "pass" else EXIT_VERDICT_FAIL
 
 
 @functools.cache

@@ -4,14 +4,9 @@
 class NumericalFailure(RuntimeError):
     """A quadrature or numerical routine did not converge.
 
-    Raised instead of letting NaN/Inf propagate silently; ``diagnostics``
-    carries whatever the failing routine knew (refinement traces, warning
-    text, partial values).
+    Raised instead of letting NaN/Inf propagate silently; the message names
+    what failed and where.
     """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class SupportOverflowError(RuntimeError):

@@ -112,7 +112,7 @@ def _log_abs_scale(spec: DriftSpec, nodes: np.ndarray) -> np.ndarray:
     """
     b_vals = 2.0 * np.asarray(spec.drift(nodes), dtype=float)
     if not np.all(np.isfinite(b_vals)):
-        raise NumericalFailure("drift not finite on the node ladder", {})
+        raise NumericalFailure("drift not finite on the node ladder")
     steps = np.diff(nodes)
     B = np.concatenate([[0.0], np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * steps)])
     seg = np.logaddexp(B[1:], B[:-1]) + np.log(np.abs(steps) / 2.0)

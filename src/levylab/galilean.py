@@ -20,7 +20,8 @@ the dilation itself (drift-only generators must match the Monte Carlo
 exactly) and is the single place all sign conventions are resolved; see
 ``docs/conventions.md``.
 
-Under the free flow the label is transported, ``x(s) = x0 - v0 s``, and the
+Under the free flow the label is transported, ``x(s) = x0 - v0 s``
+(:func:`transported`; the label stays put when the free term is off), and the
 closed-form evolution multiplies ``W`` by ``exp(integral of the rate along
 the transported label)``.  The Monte Carlo side realizes the time-ordered
 dilation by Strang-split steps: half free flow, exact Weyl kick from the
@@ -80,6 +81,11 @@ def weyl_symbol_rate(gen: GalileanGenerator, x0: float, v0: float) -> complex:
     return char_exponent_2d(gen.triplet2, v0, x0)
 
 
+def transported(gen: GalileanGenerator, x0: float, v0: float, s: float) -> tuple[float, float]:
+    """The label ``(x0, v0)`` after time ``s`` of free flow: ``(x0 - v0 s, v0)``, fixed when the free term is off."""
+    return (x0 - v0 * s, v0) if gen.include_free_hamiltonian else (x0, v0)
+
+
 def _adaptive_simpson(fn, a: float, b: float) -> complex:
     """Adaptive Simpson quadrature for a smooth complex integrand, at most 24 levels deep."""
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
@@ -92,7 +98,7 @@ def _adaptive_simpson(fn, a: float, b: float) -> complex:
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         if depth <= 0:
-            raise NumericalFailure("adaptive Simpson recursion exhausted", {"interval": (a, b)})
+            raise NumericalFailure(f"adaptive Simpson recursion exhausted on [{a!r}, {b!r}]")
         if abs(left + right - whole) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(whole)):
             return left + right + (left + right - whole) / 15.0
         return (
@@ -108,18 +114,14 @@ def _adaptive_simpson(fn, a: float, b: float) -> complex:
 def evolve_weyl_closed_form(gen: GalileanGenerator, x0: float, v0: float, t: float) -> WeylSymbolState:
     """Closed-form image of ``W(x0, v0)`` after time ``t``.
 
-    The label rides the free flow to ``(x0 - v0 t, v0)`` (identity when the
-    free term is off); the multiplier integrates the dissipative rate along
-    the transported label by adaptive Simpson quadrature.
+    The label rides the free flow to :func:`transported` at ``t``; the
+    multiplier integrates the dissipative rate along the transported label
+    by adaptive Simpson quadrature.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if gen.include_free_hamiltonian:
-        point = (x0 - v0 * t, v0)
-        integral = _adaptive_simpson(lambda s: weyl_symbol_rate(gen, x0 - v0 * s, v0), 0.0, t)
-    else:
-        point = (x0, v0)
-        integral = t * weyl_symbol_rate(gen, x0, v0)
+    integral = _adaptive_simpson(lambda s: weyl_symbol_rate(gen, *transported(gen, x0, v0, s)), 0.0, t)
+    point = transported(gen, x0, v0, t)
     multiplier = np.exp(integral)
     if abs(multiplier) > 1.0:  # quadrature round-off can overshoot contractivity
         multiplier = multiplier / abs(multiplier)
@@ -229,14 +231,9 @@ def scheme_expected_weyl(
     psi = psi.unit()
     dt = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt
-    if gen.include_free_hamiltonian:
-        rates = np.array([weyl_symbol_rate(gen, x0 - v0 * s, v0) for s in mids])
-        point = (x0 - v0 * t, v0)
-    else:
-        rates = np.full(n_steps, weyl_symbol_rate(gen, x0, v0))
-        point = (x0, v0)
+    rates = np.array([weyl_symbol_rate(gen, *transported(gen, x0, v0, s)) for s in mids])
     multiplier = np.exp(dt * rates.sum())
-    return complex(multiplier * expectation(psi, WeylLabel(point[0], point[1])))
+    return complex(multiplier * expectation(psi, WeylLabel(*transported(gen, x0, v0, t))))
 
 
 @dataclass
@@ -332,16 +329,16 @@ def galilean_covariance_check(
     """Shared-seed defect of the space-boost covariance identity.
 
     Conjugating the observable by ``W(x, v)`` before evolving must equal
-    boosting the state by ``W(x - v t, v)``; with identical noise on both
-    sides the defect is round-off (commuting the displacement through free
-    flow transports its label, through kicks it only collects a central
-    phase that cancels in the sandwich).  Paths are evolved one
-    :func:`levylab.grid.tile_rows` tile at a time; each chunk's per-path
-    values are summed once.
+    boosting the state by ``W`` at the :func:`transported` label; with
+    identical noise on both sides the defect is round-off (commuting the
+    displacement through free flow transports its label, through kicks it
+    only collects a central phase that cancels in the sandwich).  Paths are
+    evolved one :func:`levylab.grid.tile_rows` tile at a time; each chunk's
+    per-path values are summed once.
     """
     psi = psi.unit()
     battery = (WeylLabel(0.4, 0.0), WeylLabel(0.0, 0.6), WeylLabel(-0.5, 0.8))
-    boosted = apply_weyl(psi, WeylLabel(x - v * t, v))
+    boosted = apply_weyl(psi, WeylLabel(*transported(gen, x, v, t)))
     dt_fine = t / n_steps
     tile = tile_rows(psi.grid.n_points)
 

@@ -346,7 +346,6 @@ def empirical_char_function(samples: np.ndarray, arg) -> tuple[complex, float]:
 class ConvolutionTable:
     """Monte Carlo table of ``x -> E f(x + xi_t)`` with per-point standard errors."""
 
-    x: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
 
@@ -377,7 +376,7 @@ def convolve_classical(
     x_grid = np.asarray(x_grid, dtype=float)
     if t == 0.0:
         vals = np.asarray(f(x_grid), dtype=float)
-        return ConvolutionTable(x=x_grid, values=vals, stderr=np.zeros_like(vals))
+        return ConvolutionTable(values=vals, stderr=np.zeros_like(vals))
     xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag=tag)
     n = xi.shape[0]
     sums = np.zeros(x_grid.size)
@@ -387,4 +386,4 @@ def convolve_classical(
         sq += (block * block).sum(axis=0)
     mean = sums / n
     var = np.maximum(sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
-    return ConvolutionTable(x=x_grid, values=mean, stderr=np.sqrt(var / n))
+    return ConvolutionTable(values=mean, stderr=np.sqrt(var / n))

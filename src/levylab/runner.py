@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -245,9 +245,8 @@ class Result:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment kind: its config sections and the computation."""
+    """One experiment kind, keyed by its name in :data:`EXPERIMENTS`: its config sections and the computation."""
 
-    kind: str
     schema: dict[str, dict[str, Field] | Section]
     run: Callable[[RunConfig], Result]
 
@@ -260,7 +259,7 @@ def _experiment(kind: str, **schema: dict[str, Field] | Section):
     """Register the decorated ``run(cfg) -> Result`` as ``kind`` with config sections ``schema``."""
 
     def register(fn: Callable[[RunConfig], Result]) -> Callable[[RunConfig], Result]:
-        EXPERIMENTS[kind] = Experiment(kind, schema, fn)
+        EXPERIMENTS[kind] = Experiment(schema, fn)
         return fn
 
     return register
@@ -582,6 +581,7 @@ def _fmt(value) -> str:
 
 
 def _jsonify(value):
+    """``value`` as plain JSON data; a non-finite float becomes ``None`` (JSON has no NaN or infinity)."""
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -591,56 +591,29 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
+        return {"re": _jsonify(value.real), "im": _jsonify(value.imag)}
     if isinstance(value, np.ndarray):
         return _jsonify(value.tolist())
     return value
 
 
-@dataclass
-class OutputRecord:
-    """Provenance for one run: hash, version, metrics with verdicts, manifest."""
-
-    config_hash: str
-    kind: str
-    seed: int
-    version: str
-    started: float
-    finished: float = 0.0
-    metrics: dict = field(default_factory=dict)
-    manifest: dict = field(default_factory=dict)
-    verdict: str = "pass"
-
-    def add_metric(self, name: str, metric: Metric) -> None:
-        entry = {"value": _jsonify(metric.value)}
-        if metric.stderr is not None:
-            entry["stderr"] = float(metric.stderr)
-        if metric.verdict is not None:
-            entry["verdict"] = metric.verdict
-            if metric.verdict == "fail":
-                self.verdict = "fail"
-            elif metric.verdict == "inconclusive" and self.verdict == "pass":
-                self.verdict = "inconclusive"
-        self.metrics[name] = entry
-
-    def exit_code(self) -> int:
-        return EXIT_PASS if self.verdict == "pass" else EXIT_VERDICT_FAIL
+def _dumps(payload) -> str:
+    return json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n"
 
 
 class _Workspace:
-    """The output directory of one run; creating it creates the directory."""
+    """The output directory of one run, and the manifest of the data files written to it."""
 
-    def __init__(self, record: OutputRecord, out_dir: str, formats: str):
-        self.record = record
+    def __init__(self, out_dir: str, formats: str):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.formats = formats
+        self.manifest: dict[str, str] = {}
 
     def _register(self, path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.record.manifest[path.name] = digest
+        self.manifest[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def write(self, out: Output) -> None:
         """Write ``out`` by the table -> file rule of the module docstring."""
@@ -660,33 +633,41 @@ class _Workspace:
 
     def write_json(self, name: str, payload) -> None:
         path = self.dir / f"{name}.json"
-        path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n")
+        path.write_text(_dumps(payload))
         self._register(path)
 
-    def write_record(self) -> Path:
-        self.record.finished = time.time()
+    def write_record(self, record: dict) -> Path:
         path = self.dir / "record.json"
-        path.write_text(json.dumps(asdict(self.record), sort_keys=True, indent=1) + "\n")
+        path.write_text(_dumps(record))
         return path
 
 
-def run(cfg: RunConfig) -> tuple[OutputRecord, Path]:
-    """Execute a validated config, then write its outputs; returns the record and its path on disk.
+def run(cfg: RunConfig) -> tuple[dict, Path]:
+    """Execute a validated config, write its outputs, then its record; returns the record and its path on disk.
 
     The output directory is created only after the experiment returns, so a
-    run that raises leaves none behind.
+    run that raises leaves none behind.  The record is built once the data
+    files are written: provenance, each metric with its ``stderr`` and
+    ``verdict`` when set, the manifest of data-file hashes, and the run's
+    verdict, ``fail`` if any metric fails, else ``inconclusive`` if any
+    metric is, else ``pass``.
     """
-    record = OutputRecord(
-        config_hash=cfg.text_hash,
-        kind=cfg.kind,
-        seed=cfg.seed,
-        version=__version__,
-        started=time.time(),
-    )
+    started = time.time()
     result = EXPERIMENTS[cfg.kind].run(cfg)
-    ws = _Workspace(record, cfg.out_dir, cfg.formats)
+    ws = _Workspace(cfg.out_dir, cfg.formats)
     for out in result.outputs:
         ws.write(out)
-    for name, metric in result.metrics.items():
-        record.add_metric(name, metric)
-    return record, ws.write_record()
+    verdicts = {metric.verdict for metric in result.metrics.values()}
+    record = _jsonify({
+        "config_hash": cfg.text_hash,
+        "kind": cfg.kind,
+        "seed": cfg.seed,
+        "version": __version__,
+        "started": started,
+        "finished": time.time(),
+        "metrics": {name: {key: v for key, v in vars(m).items() if key == "value" or v is not None}
+                    for name, m in result.metrics.items()},
+        "manifest": ws.manifest,
+        "verdict": "fail" if "fail" in verdicts else "inconclusive" if "inconclusive" in verdicts else "pass",
+    })
+    return record, ws.write_record(record)

@@ -1,5 +1,6 @@
 """Config grammar, validation discipline, CLI contract."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from levylab.feller import DriftSpec
 from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel
 from levylab.levy import LevyTriplet1D, LevyTriplet2D
 from levylab.montecarlo import MCConfig
-from levylab.runner import EXPERIMENTS, Experiment
+from levylab.runner import EXPERIMENTS, Metric, Output, Result
 
 MINIMAL_CHAR = """
 [run]
@@ -238,6 +239,26 @@ def write_config(tmp_path: Path, text: str) -> str:
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
+
+
+COVARIANCE = """
+[run]
+kind = covariance-check
+seed = 10
+[triplet2]
+alpha = 1.0, 0.0, 0.5
+[grid]
+n = 256
+x_min = -20.0
+dx = 0.15625
+[mc]
+n_paths = 200
+[galilei]
+x = 0.5
+v = 0.6
+t = 0.4
+n_steps = 8
+"""
 
 
 class TestCLI:
@@ -521,6 +542,37 @@ n_steps = 8
         assert payload["metrics"]["deviation_coarse"]["verdict"] == "pass"
         assert payload["metrics"]["overflow_fraction"] == {"value": 0.0}  # no verdict
 
+    def test_free_off_galilei_compare_writes_strict_json(self, tmp_path):
+        # with no free flow the scheme has no bias and order_estimate is NaN, which RFC 8259
+        # JSON cannot hold: every file must parse with NaN and Infinity refused
+        cfg = write_config(tmp_path, """
+[run]
+kind = galilei-compare
+seed = 9
+[triplet2]
+alpha = 1.0, 0.0, 0.0
+[grid]
+n = 256
+x_min = -20.0
+dx = 0.15625
+[mc]
+n_paths = 200
+[galilei]
+t = 0.5
+n_steps = 4
+free = false
+""")
+        out = tmp_path / "o"
+        main(["galilei-compare", "--config", cfg, "--out", str(out)])
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        files = sorted(out.glob("*.json"))
+        assert [p.name for p in files] == ["galilei_compare.json", "record.json"]
+        data = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in files}
+        assert data["galilei_compare.json"]["order_estimate"] is None
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # drift so fast the shifted ensemble leaves the grid: exit 3
         cfg = write_config(tmp_path, """
@@ -579,12 +631,35 @@ t = 1.0
         assert capsys.readouterr().err == f"numerical failure: matrix exponential {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verdicts, code, verdict", [
+        (("pass",), 0, "pass"),
+        (("pass", "inconclusive"), 1, "inconclusive"),
+        (("inconclusive", "fail"), 1, "fail"),
+    ])
+    def test_record_verdict_is_the_worst_metric_verdict(self, tmp_path, capsys, monkeypatch, verdicts, code, verdict):
+        # fail beats inconclusive beats pass; a metric with no verdict takes no part
+        metrics = {f"m{i}": Metric(float(i), verdict=v) for i, v in enumerate(verdicts)}
+
+        def fake(cfg):
+            return Result([Output("fake", {"n": 1})], {**metrics, "plain": Metric(2)})
+
+        monkeypatch.setitem(EXPERIMENTS, "dyson", dataclasses.replace(EXPERIMENTS["dyson"], run=fake))
+        cfg = write_config(tmp_path, "[run]\nkind = dyson\nseed = 3\n")
+        assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        record = json.loads((tmp_path / "o" / "record.json").read_text())
+        assert record["verdict"] == verdict
+        assert sorted(record) == ["config_hash", "finished", "kind", "manifest", "metrics", "seed", "started",
+                                  "verdict", "version"]
+        assert record["metrics"]["plain"] == {"value": 2}
+        assert set(record["manifest"]) == {"fake.json"}
+
     def test_unmapped_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
         # a run that raises leaves no output directory: it is created only after the run returns
         def broken(cfg):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(EXPERIMENTS, "dyson", Experiment("dyson", EXPERIMENTS["dyson"].schema, broken))
+        monkeypatch.setitem(EXPERIMENTS, "dyson", dataclasses.replace(EXPERIMENTS["dyson"], run=broken))
         cfg = write_config(tmp_path, "[run]\nkind = dyson\nseed = 3\n")
         assert main(["dyson", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()
@@ -606,25 +681,14 @@ t = 1.0
         assert not (tmp_path / "o").exists()
 
     def test_covariance_check_runner(self, tmp_path):
-        cfg = write_config(tmp_path, """
-[run]
-kind = covariance-check
-seed = 10
-[triplet2]
-alpha = 1.0, 0.0, 0.5
-[grid]
-n = 256
-x_min = -20.0
-dx = 0.15625
-[mc]
-n_paths = 200
-[galilei]
-x = 0.5
-v = 0.6
-t = 0.4
-n_steps = 8
-""")
+        cfg = write_config(tmp_path, COVARIANCE)
         assert main(["covariance-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_covariance_check_runner_without_free_term(self, tmp_path):
+        # without the free term the boost label does not move; it used to be transported anyway
+        cfg = write_config(tmp_path, COVARIANCE + "free = false\n")
+        assert main(["covariance-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]["defect"]["value"] <= 1e-10
 
     @pytest.mark.parametrize("kind,name,key,bad", [
         ("galilei-compare", "galilei_gauss.cfg", "n_steps", "0"),

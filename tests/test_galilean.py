@@ -284,6 +284,12 @@ class TestCovariance:
         defect = galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi512, MCConfig(256, 5), n_steps=8)
         assert defect < 1e-10
 
+    def test_generic_label_without_free_term(self, psi512):
+        # with no free flow the label does not move, so the boost is W(x, v) itself
+        gen = GalileanGenerator(FULL, include_free_hamiltonian=False)
+        defect = galilean_covariance_check(gen, 1.0, 0.8, 0.7, psi512, MCConfig(256, 5), n_steps=8)
+        assert defect < 1e-10
+
     def test_thread_count_does_not_change_defect(self):
         # three chunks, run concurrently at threads = 2; with two, a reduction out of
         # chunk order would go unseen, since a two-term float sum commutes

@@ -114,10 +114,6 @@ def test_every_definition_is_reached_from_the_cli():
 #: Options no call in ``src/`` passes, each with the reason it stays.
 UNSET_OPTIONS = {
     "cli.main(argv)": "the console entry point calls main() to parse sys.argv; tests pass an argv",
-    "runner.OutputRecord.finished": "an accumulator: write_record stamps it when the run ends",
-    "runner.OutputRecord.metrics": "an accumulator: add_metric fills it",
-    "runner.OutputRecord.manifest": "an accumulator: the workspace adds each file it writes",
-    "runner.OutputRecord.verdict": "an accumulator: add_metric lowers it from pass",
 }
 
 
