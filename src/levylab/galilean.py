@@ -164,6 +164,29 @@ def _evolve_block(
     return states
 
 
+def _dilation_paths(gen: GalileanGenerator, t: float, n_steps: int, aggregate: int, mc: MCConfig, n_points: int,
+                    measure) -> list[list]:
+    """Each chunk's results of ``measure(first_path, increments)`` on its tiles, in order.
+
+    The dilation's noise: chunk ``idx`` of ``DILATION_CHUNK`` paths draws
+    from ``rng.stream(mc.seed, "dilation", idx)`` on ``aggregate * n_steps``
+    equal steps of ``t``, summed in groups of ``aggregate``, and is measured
+    in :func:`levylab.grid.tile_rows` tiles of ``(rows, n_steps, 2)``
+    increments.
+    """
+    fine = n_steps * aggregate
+    dt_fine = np.full(fine, t / fine)
+    tile = tile_rows(n_points)
+
+    def worker(idx, start, stop):
+        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, "dilation", idx))
+        if aggregate > 1:
+            inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
+        return [measure(start + first, inc[first:first + tile]) for first in range(0, stop - start, tile)]
+
+    return run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=DILATION_CHUNK)
+
+
 def mc_weyl_expectation(
     gen: GalileanGenerator,
     psi: WaveFunction,
@@ -183,30 +206,17 @@ def mc_weyl_expectation(
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     psi = psi.unit()
-    fine = n_steps * aggregate
-    dt_fine = np.full(fine, t / fine)
-    values = np.empty(mc.n_paths, dtype=complex)
     grid = psi.grid
-    tile = tile_rows(grid.n_points)
-    overflowed = 0
+    values = np.empty(mc.n_paths, dtype=complex)
 
-    def worker(idx, start, stop):
-        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, "dilation", idx))
-        if aggregate > 1:
-            inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
-        block_vals = np.empty(stop - start, dtype=complex)
-        block_overflow = 0
-        for bstart in range(0, stop - start, tile):
-            bsl = slice(bstart, bstart + tile)
-            states = _evolve_block(gen, psi, inc[bsl], t / n_steps)
-            block_overflow += int(np.count_nonzero(boundary_masses(states, grid) > OVERFLOW_TOL))
-            block_vals[bsl] = expectations(states, grid, label)
-        return start, stop, block_vals, block_overflow
+    def measure(first, inc):
+        states = _evolve_block(gen, psi, inc, t / n_steps)
+        values[first:first + len(inc)] = expectations(states, grid, label)
+        return int(np.count_nonzero(boundary_masses(states, grid) > OVERFLOW_TOL))
 
-    for start, stop, vals, ov in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=DILATION_CHUNK):
-        values[start:stop] = vals
-        overflowed += ov
-    overflow = overflow_fraction(overflowed, mc.n_paths, f"dilation paths exceeded boundary mass {OVERFLOW_TOL:.0e}")
+    chunks = _dilation_paths(gen, t, n_steps, aggregate, mc, grid.n_points, measure)
+    overflow = overflow_fraction(sum(map(sum, chunks)), mc.n_paths,
+                                 f"dilation paths exceeded boundary mass {OVERFLOW_TOL:.0e}")
     est, se = mc_stats(values)
     return MCResult(est, se, mc.n_paths, mc.seed, overflow_fraction=overflow)
 
@@ -332,36 +342,24 @@ def galilean_covariance_check(
     boosting the state by ``W`` at the :func:`transported` label; with
     identical noise on both sides the defect is round-off (commuting the
     displacement through free flow transports its label, through kicks it
-    only collects a central phase that cancels in the sandwich).  Paths are
-    evolved one :func:`levylab.grid.tile_rows` tile at a time; each chunk's
-    per-path values are summed once.
+    only collects a central phase that cancels in the sandwich).  Each
+    chunk's per-path values are summed once.
     """
     psi = psi.unit()
     battery = (WeylLabel(0.4, 0.0), WeylLabel(0.0, 0.6), WeylLabel(-0.5, 0.8))
     boosted = apply_weyl(psi, WeylLabel(*transported(gen, x, v, t)))
-    dt_fine = t / n_steps
-    tile = tile_rows(psi.grid.n_points)
+    dt = t / n_steps
 
-    def worker(idx, start, stop):
-        inc, _ = _sample_increments(gen.triplet2, np.full(n_steps, dt_fine), stop - start, rng.stream(mc.seed, "dilation", idx))
-        vals_a = np.empty((len(battery), stop - start), dtype=complex)
-        vals_b = np.empty_like(vals_a)
-        for bstart in range(0, stop - start, tile):
-            bsl = slice(bstart, bstart + tile)
-            # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B
-            # measures X on the evolution of the boosted state, same increments.
-            evolved = _evolve_block(gen, psi, inc[bsl], dt_fine)
-            np.fft.fft(evolved, axis=1, norm="ortho", out=evolved)
-            conj_states = displace(evolved, psi.grid, [x], [v], out=evolved)
-            states_b = _evolve_block(gen, boosted, inc[bsl], dt_fine)
-            for k, ob in enumerate(battery):
-                vals_a[k, bsl] = expectations(conj_states, psi.grid, ob)
-                vals_b[k, bsl] = expectations(states_b, psi.grid, ob)
-        return vals_a.sum(axis=1), vals_b.sum(axis=1)
+    def measure(first, inc):
+        # side A measures W(x,v)^dag X W(x,v) on evolved psi; side B
+        # measures X on the evolution of the boosted state, same increments.
+        evolved = _evolve_block(gen, psi, inc, dt)
+        np.fft.fft(evolved, axis=1, norm="ortho", out=evolved)
+        conj_states = displace(evolved, psi.grid, [x], [v], out=evolved)
+        states_b = _evolve_block(gen, boosted, inc, dt)
+        return np.array([[expectations(states, psi.grid, ob) for ob in battery] for states in (conj_states, states_b)])
 
-    sum_a = np.zeros(len(battery), dtype=complex)
-    sum_b = np.zeros(len(battery), dtype=complex)
-    for part_a, part_b in run_chunks(worker, mc.n_paths, threads=mc.threads, chunk=DILATION_CHUNK):
-        sum_a += part_a
-        sum_b += part_b
-    return float(np.abs((sum_a - sum_b) / mc.n_paths).max())
+    sums = np.zeros((2, len(battery)), dtype=complex)
+    for tiles in _dilation_paths(gen, t, n_steps, 1, mc, psi.grid.n_points, measure):
+        sums += np.concatenate(tiles, axis=-1).sum(axis=-1)
+    return float(np.abs((sums[0] - sums[1]) / mc.n_paths).max())

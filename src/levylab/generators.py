@@ -100,15 +100,6 @@ def _parts(gens) -> tuple[np.ndarray, np.ndarray]:
     return (K[0], ops[0]) if one else (K, ops)
 
 
-def apply_generator(gen: StandardGenerator, X) -> np.ndarray:
-    """``sum_k L_k^dag X L_k - K^dag X - X K``."""
-    X = _as_matrix(X, gen.dim)
-    out = -(gen.K.conj().T @ X) - X @ gen.K
-    for L in gen.jump_ops:
-        out += L.conj().T @ X @ L
-    return out
-
-
 # --------------------------------------------------------------------------
 # Superoperator and Choi machinery
 # --------------------------------------------------------------------------
@@ -456,22 +447,3 @@ def random_standard_generator(
     if unital:
         return base
     return StandardGenerator.raw_build(base.K + (0.1 + 0.4 * gen.random()) * np.eye(d), ops)
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """A complete operator basis of Hermitian matrices."""
-    out = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        out.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            S = np.zeros((d, d), dtype=complex)
-            S[i, j] = S[j, i] = 1.0
-            out.append(S)
-            A = np.zeros((d, d), dtype=complex)
-            A[i, j] = -1j
-            A[j, i] = 1j
-            out.append(A)
-    return out

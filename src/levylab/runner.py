@@ -292,7 +292,7 @@ def _levy_sample(cfg: RunConfig) -> Result:
     "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
     "args": Field("list_float", required=True),
     "n_samples": Field("int", default=100000, range="positive"),
-    "sigmas": Field("float", default=4.0),
+    "sigmas": Field("float", default=4.0, range="positive"),
 })
 def _char_check(cfg: RunConfig) -> Result:
     p = cfg.params["check"]
@@ -311,7 +311,7 @@ def _char_check(cfg: RunConfig) -> Result:
             budget = p["sigmas"] * se + 1e-12
             ok = dist <= budget
             all_pass &= ok
-            worst = max(worst, dist / budget if budget > 0 else 0.0)
+            worst = max(worst, dist / budget)
             rows.append([t, lam, emp.real, emp.imag, theo.real, theo.imag, se, dist, ok])
     header = ("t", "arg", "emp_re", "emp_im", "theory_re", "theory_im", "stderr", "distance", "pass")
     return Result([Output("char_check", {}, header, rows)],
@@ -424,8 +424,7 @@ def _dyson(cfg: RunConfig) -> Result:
     "m": Field("int", default=3, range="positive"),
 })
 def _gauge_suite(cfg: RunConfig) -> Result:
-    from .generators import (GaugeElement, apply_gauge, apply_generator, gauge_group_law_check, hermitian_basis,
-                             random_standard_generator)
+    from .generators import GaugeElement, apply_gauge, gauge_group_law_check, random_standard_generator, superop_matrix
 
     p = cfg.params["suite"]
     rows = []
@@ -442,11 +441,8 @@ def _gauge_suite(cfg: RunConfig) -> Result:
         g = random_standard_generator(p["d"], m, cfg.seed, tag="gauge-suite.generator", index=i)
         stream = rng.stream(cfg.seed, "gauge-suite.elements", i)
         elem, elem2 = random_element(stream), random_element(stream)
-        transformed = apply_gauge(g, elem)
-        action = max(
-            float(np.abs(apply_generator(transformed, X) - apply_generator(g, X)).max())
-            for X in hermitian_basis(p["d"])
-        )
+        S = superop_matrix([g, apply_gauge(g, elem)])
+        action = float(np.abs(S[1] - S[0]).max())
         law = gauge_group_law_check(elem, elem2, g)
         worst_action = max(worst_action, action)
         worst_law = max(worst_law, law)
@@ -543,7 +539,7 @@ def _feller_classify(cfg: RunConfig) -> Result:
     "t": Field("float", default=1.0, range="nonnegative", multiple_of="dt"),
     "dt": Field("float", default=0.001, range="positive"),
     "expect": Field("float", default=float("nan")),
-    "tol": Field("float", default=0.01),
+    "tol": Field("float", default=0.01, range="nonnegative"),
     "reflecting": Field("bool", default=False),
 })
 def _killed_diffusion(cfg: RunConfig) -> Result:

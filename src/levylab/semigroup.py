@@ -74,16 +74,15 @@ def _check_overflow(psi: WaveFunction, xi: np.ndarray) -> float:
     return overflow_fraction(overflowed, xi.size, "shifts would push support into the boundary window")
 
 
-def _circulant_diagonal(observable: Observable, grid: GridSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _circulant_diagonal(observable: Observable, grid: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """``(c, w)`` with ``X = Circ(c) diag(w)`` in the orthonormal momentum basis.
 
     ``Circ(c)[k, k'] = c[(k' - k) mod N]`` and ``w`` is in FFT order;
-    ``None`` stands for ``c = delta`` and ``w = 1``.
+    ``None`` stands for ``w = 1``.  A ``g(P)`` observable has no case: its
+    expectation is exact (:func:`mc_heisenberg_expectation`).
     """
     if isinstance(observable, QTable):
         return np.fft.ifft(observable.array), None
-    if isinstance(observable, PTable):
-        return None, observable.array
     if isinstance(observable, WeylLabel):
         central = np.exp(-0.5j * observable.x * observable.v)
         c = np.fft.ifft(np.exp(1j * observable.v * grid.x))
@@ -117,9 +116,6 @@ def _lag_coefficients(psi: WaveFunction, observable: Observable) -> np.ndarray:
         pad[:n] = np.fft.fftshift(w * hat)
         cross = np.fft.fft(pad) * spec_a.conj()
     corr = grid.dx * np.fft.ifft(cross)  # lag d at index d mod 2N
-    if c is None:
-        coef[0, 0] = corr[0]
-        return coef
     coef[:, 0] = c * corr[:n]
     coef[1:, 1] = np.conj(c[:0:-1] * corr[:n:-1])
     return coef

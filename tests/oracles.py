@@ -20,7 +20,7 @@ import numpy as np
 from levylab import rng
 from levylab.feller import DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
 from levylab.galilean import GalileanGenerator
-from levylab.generators import StandardGenerator, _as_matrix, apply_generator, exact_evolve, superop_matrix, vec
+from levylab.generators import StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
 from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _blocked_values, sample_ensemble
@@ -277,12 +277,41 @@ def semigroup_two_stage(
 
 
 # --------------------------------------------------------------------------
-# Structure theory: trace-picture adjoint, duality and covariance defects
+# Structure theory: the generator's action, trace-picture adjoint, duality
+# and covariance defects
 # --------------------------------------------------------------------------
 
 def unvec(x: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(x.size)))
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
+
+
+def apply_generator(gen: StandardGenerator, X) -> np.ndarray:
+    """``sum_k L_k^dag X L_k - K^dag X - X K``."""
+    X = _as_matrix(X, gen.dim)
+    out = -(gen.K.conj().T @ X) - X @ gen.K
+    for L in gen.jump_ops:
+        out += L.conj().T @ X @ L
+    return out
+
+
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """A complete operator basis of Hermitian matrices."""
+    out = []
+    for i in range(d):
+        E = np.zeros((d, d), dtype=complex)
+        E[i, i] = 1.0
+        out.append(E)
+    for i in range(d):
+        for j in range(i + 1, d):
+            S = np.zeros((d, d), dtype=complex)
+            S[i, j] = S[j, i] = 1.0
+            out.append(S)
+            A = np.zeros((d, d), dtype=complex)
+            A[i, j] = -1j
+            A[j, i] = 1j
+            out.append(A)
+    return out
 
 
 def apply_preadjoint(gen: StandardGenerator, rho) -> np.ndarray:

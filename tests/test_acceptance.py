@@ -33,9 +33,7 @@ from levylab.generators import (
     exact_evolve,
     gauge_group_law_check,
     apply_gauge,
-    apply_generator,
     GaugeElement,
-    hermitian_basis,
     is_completely_positive,
     random_standard_generator,
     structure_rows,
@@ -61,9 +59,11 @@ from levylab.levy import (
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import generator_consistency_check, mc_heisenberg_expectation
 from oracles import (
+    apply_generator,
     ccr_defect,
     classical_fixed_point_oracle,
     default_grid,
+    hermitian_basis,
     momentum_expectation,
     position_expectation,
     trace_decay_link,

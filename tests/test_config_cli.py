@@ -133,11 +133,16 @@ x = 2
         ("levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:-inf", "[triplet] atoms: must be finite"),
         ("mc_semigroup_mixed.cfg", "width", "0", "[state] width: must be positive, got 0"),
         ("mc_semigroup_mixed.cfg", "width", "-1.5", "[state] width: must be positive"),
+        ("killed_bm.cfg", "tol", "-0.5", "[kd] tol: must be nonnegative"),
+        ("char_check_gauss.cfg", "sigmas", "-1", "[check] sigmas: must be positive"),
+        ("char_check_gauss.cfg", "sigmas", "0", "[check] sigmas: must be positive"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         text = (REPO / "configs" / name).read_text()
         if key == "width":  # no sample config sets a [state] key, so the case adds the section
             text += "\n[state]\nwidth = 1.0\n"
+        if key == "sigmas":  # the sample config leaves it at its default; [check] is its last section
+            text += "\nsigmas = 4.0\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(replace_key(text, key, bad))
         assert [e for e in exc.value.errors if e.startswith(message)]
@@ -385,6 +390,26 @@ count = 5
 """)
         assert main(["gauge-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_gauge_suite_action_check_bites(self, tmp_path, monkeypatch):
+        # a gauge transformation that drops the |a|^2/2 term of K' shifts the action by
+        # |a|^2 X, which the superoperator comparison must see; the group law check is
+        # stubbed out, since it would feed a broken K' back to the dissipativity test
+        from levylab import generators
+
+        apply_gauge = generators.apply_gauge
+
+        def broken(gen, g):
+            out = apply_gauge(gen, g)
+            K = out.K - 0.5 * float(np.vdot(g.a, g.a).real) * np.eye(gen.dim)
+            return generators.StandardGenerator(jump_ops=out.jump_ops, K=K, unital=out.unital)
+
+        monkeypatch.setattr(generators, "apply_gauge", broken)
+        monkeypatch.setattr(generators, "gauge_group_law_check", lambda g1, g2, gen: 0.0)
+        cfg = write_config(tmp_path, "[run]\nkind = gauge-suite\nseed = 5\n[suite]\ncount = 5\n")
+        assert main(["gauge-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        record = json.loads((tmp_path / "o" / "record.json").read_text())
+        assert record["metrics"]["worst_action_defect"]["value"] > 1e-10
+
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
         # and one Choi assembly by map calls per time, the conditional CP test
@@ -392,10 +417,9 @@ count = 5
         # t = 1 exponential for the identity check (the times here leave t = 1
         # out); at dimensions up to 6 the byte budget splits the (dim, jumps)
         # groups into batches
-        from levylab.generators import (apply_generator, choi_matrix, exact_evolve, is_completely_positive,
-                                        is_conditionally_cp, random_standard_generator, superop_matrix,
-                                        vec)
-        from oracles import unvec
+        from levylab.generators import (choi_matrix, exact_evolve, is_completely_positive, is_conditionally_cp,
+                                        random_standard_generator, superop_matrix, vec)
+        from oracles import apply_generator, unvec
         from levylab.runner import _fmt
 
         cfg = write_config(tmp_path, """

@@ -111,7 +111,7 @@ class TestHeisenbergExpectation:
 class TestShiftEstimator:
     @given(
         st.integers(1, 12),
-        st.sampled_from(["qtable", "ptable", "weyl"]),
+        st.sampled_from(["qtable", "weyl"]),
         st.floats(0.0, 1.0),
         st.booleans(),
         st.integers(0, 2**31 - 1),
@@ -129,8 +129,6 @@ class TestShiftEstimator:
         psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
         if kind == "qtable":
             observable = QTable(tuple(gen.uniform(-1.0, 1.0, n)))
-        elif kind == "ptable":
-            observable = PTable(tuple(gen.uniform(-1.0, 1.0, n)))
         else:
             x, v = gen.uniform(-1.0, 1.0, 2) * (n * grid.dx, 0.5 * n * grid.dp)
             observable = WeylLabel(x, v)

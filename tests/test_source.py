@@ -256,7 +256,7 @@ def test_stream_partitions_are_fixed_constants():
             chunk = [kw.value for kw in node.keywords if kw.arg == "chunk"]
             assert not chunk or (isinstance(chunk[0], ast.Name) and chunk[0].id in constants), (
                 f"{where}: chunk={ast.unparse(chunk[0])} is not a module-level integer literal")
-    assert calls >= 4
+    assert calls == 3
 
 
 def test_result_constants_are_integer_literals():
