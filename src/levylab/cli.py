@@ -1,4 +1,4 @@
-"""Command line runner: one subcommand per experiment kind.
+"""Command line runner: ``levylab KIND --config FILE [options]``, one kind per run.
 
 Progress goes to stderr; standard output carries only the final record
 JSON.  Exit codes: 0 pass, 1 verdict fail, 2 usage/config error,
@@ -25,14 +25,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="levylab",
         description="Reproducible experiments on noise-driven quantum dynamical semigroups",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENTS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True, help="path to the run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="override worker thread count")
-        p.add_argument("--format", choices=FORMATS, default=None, help="override output formats")
+    parser.add_argument("kind", choices=list(EXPERIMENTS), help="the experiment kind to run")
+    parser.add_argument("--config", required=True, help="path to the run configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("--threads", type=int, default=None, help="override worker thread count")
+    parser.add_argument("--format", choices=FORMATS, default=None, help="override output formats")
     return parser
 
 

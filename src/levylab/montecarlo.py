@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +89,8 @@ def run_chunks(worker, n_items: int, threads: int = 1, chunk: int = rng.CHUNK) -
     bounds = list(rng.chunk_bounds(n_items, chunk))
     if threads <= 1 or len(bounds) <= 1:
         return [worker(*b) for b in bounds]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only threaded runs pay for it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, *b) for b in bounds]
         return [f.result() for f in futures]

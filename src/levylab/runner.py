@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__, rng
 from .errors import ConfigError
-from .grid import GridSpec, PTable, QTable, WeylLabel, gaussian_state
 from .levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, empirical_char_function,
                    sample_ensemble, sample_increments)
 from .montecarlo import MCConfig
@@ -117,7 +116,21 @@ def _test_function(section: str, p: dict) -> Callable:
     return OBSERVABLE_FUNCS[p["func"]](p["scale"])
 
 
+def _build_grid(p: dict, built: dict, run: dict):
+    from .grid import GridSpec
+
+    return GridSpec(n_points=p["n"], x_min=p["x_min"], dx=p["dx"])
+
+
+def _build_state(p: dict, built: dict, run: dict):
+    from .grid import gaussian_state
+
+    return gaussian_state(built["grid"], p["center"], p["width"], p["momentum"])
+
+
 def _build_observable(p: dict, built: dict, run: dict):
+    from .grid import PTable, QTable, WeylLabel
+
     if p["kind"] == "weyl":
         return WeylLabel(p["x"], p["v"])
     fn = _test_function("observable", p)
@@ -164,13 +177,13 @@ _GRID = Section({
     "n": Field("int", default=1024),
     "x_min": Field("float", default=-40.0),
     "dx": Field("float", default=0.078125),
-}, lambda p, built, run: GridSpec(n_points=p["n"], x_min=p["x_min"], dx=p["dx"]))
+}, _build_grid)
 
 _STATE = Section({
     "center": Field("float", default=0.0),
     "width": Field("float", default=1.0, range="positive"),
     "momentum": Field("float", default=0.0),
-}, lambda p, built, run: gaussian_state(built["grid"], p["center"], p["width"], p["momentum"]), needs=("grid",))
+}, _build_state, needs=("grid",))
 
 _MC = Section({"n_paths": Field("int", required=True)}, _build_mc, needs=("run",))
 #: mc-semigroup's ``[mc]``: its estimator is the only reader of antithetic pairing.
@@ -447,10 +460,10 @@ def _gauge_suite(cfg: RunConfig) -> Result:
         worst_action = max(worst_action, action)
         worst_law = max(worst_law, law)
         rows.append([i, action, law])
-    ok = worst_action <= 1e-10 and worst_law <= 1e-10
     return Result(
         [Output("gauge_suite", {}, ("index", "action_defect", "group_law_defect"), rows)],
-        {"worst_action_defect": Metric(worst_action), "worst_group_law_defect": Metric(worst_law, verdict=_verdict(ok))},
+        {"worst_action_defect": Metric(worst_action, verdict=_verdict(worst_action <= 1e-10)),
+         "worst_group_law_defect": Metric(worst_law, verdict=_verdict(worst_law <= 1e-10))},
     )
 
 

@@ -199,13 +199,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def test_one_list_of_kinds():
-    # the CLI subcommands are the registry's kinds
-    import argparse
-
+    # the CLI's first argument names a kind of the registry
     from levylab.cli import build_parser
 
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(EXPERIMENTS)
+    kind = next(a for a in build_parser()._actions if a.dest == "kind")
+    assert not kind.option_strings and kind.choices == list(EXPERIMENTS)
 
 
 def test_every_kind_has_a_sample_config():
@@ -407,8 +405,10 @@ count = 5
         monkeypatch.setattr(generators, "gauge_group_law_check", lambda g1, g2, gen: 0.0)
         cfg = write_config(tmp_path, "[run]\nkind = gauge-suite\nseed = 5\n[suite]\ncount = 5\n")
         assert main(["gauge-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        record = json.loads((tmp_path / "o" / "record.json").read_text())
-        assert record["metrics"]["worst_action_defect"]["value"] > 1e-10
+        metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
+        assert metrics["worst_action_defect"]["value"] > 1e-10
+        assert metrics["worst_action_defect"]["verdict"] == "fail"
+        assert metrics["worst_group_law_defect"] == {"value": 0.0, "verdict": "pass"}
 
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
@@ -770,6 +770,36 @@ t = 1.0
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_set_up_loads_only_what_the_kind_runs(self, tmp_path):
+        # kinds that use no lattice never load grid or its Monte Carlo users, and a
+        # --threads 1 run never loads the thread pool (nor logging, which it imports);
+        # a threaded run over two chunks does
+        texts = {
+            "cp-suite": "[suite]\ncount = 2\nmax_dim = 2\ntimes = 0.5\n",
+            "killed-diffusion": "[feller]\ndrift = zero\n[mc]\nn_paths = 200\n[kd]\nt = 0.1\ndt = 0.01\n",
+            "mc-semigroup": ("[triplet]\nalpha = 1.0\n[grid]\nn = 256\nx_min = -20.0\ndx = 0.15625\n"
+                             "[mc]\nn_paths = 9000\nantithetic = false\n[observable]\nkind = qtable\n"
+                             "[semigroup]\nt = 0.5\n"),
+        }
+        runs = []
+        for kind, body in texts.items():
+            path = tmp_path / f"{kind}.cfg"
+            path.write_text(f"[run]\nkind = {kind}\nseed = 3\n{body}")
+            threads = "2" if kind == "mc-semigroup" else "1"
+            runs.append([kind, "--config", str(path), "--out", str(tmp_path / kind), "--threads", threads])
+        watched = ("levylab.grid", "levylab.semigroup", "levylab.galilean", "concurrent.futures", "logging")
+        code = ("import json, sys\nfrom levylab.cli import main\nloaded = []\n"
+                f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+                f"    loaded.append([m for m in {watched!r} if m in sys.modules])\n"
+                "print(json.dumps(loaded), file=sys.stderr)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cp_suite, killed, threaded = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert cp_suite == killed == []
+        assert {"levylab.grid", "levylab.semigroup", "concurrent.futures"} <= set(threaded)
+        assert len(list(rng.chunk_bounds(9000))) == 2
 
     def test_set_up_is_frozen_once_per_process(self, tmp_path):
         # objects alive when a config has parsed go to the permanent GC generation on the

@@ -9,13 +9,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
 MAX_LINES = 4000
 
 
-def _package_imports(tree) -> set[str]:
-    """Package modules a module imports, relatively or as ``levylab.<name>``."""
+def _package_imports(nodes) -> set[str]:
+    """Package modules the import statements among ``nodes`` load, relatively or as ``levylab.<name>``.
+
+    ``from . import name`` loads module ``name`` when there is one, else ``__init__``.
+    """
+    modules = {path.stem for path in SRC.glob("*.py")}
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom):
             if node.level:
-                names |= {node.module} if node.module else {alias.name for alias in node.names}
+                names |= {node.module} if node.module else {a.name if a.name in modules else "__init__"
+                                                            for a in node.names}
             elif node.module and node.module.split(".")[0] == "levylab":
                 names |= {node.module.partition(".")[2] or "__init__"}
         elif isinstance(node, ast.Import):
@@ -25,7 +30,16 @@ def _package_imports(tree) -> set[str]:
 
 def test_config_imports_only_errors_and_runner():
     # the grammar knows no domain module; what a section builds is declared in the registry
-    assert _package_imports(ast.parse((SRC / "config.py").read_text())) == {"errors", "runner"}
+    assert _package_imports(ast.walk(ast.parse((SRC / "config.py").read_text()))) == {"errors", "runner"}
+
+
+def test_runner_imports_at_module_level():
+    # every run loads what runner imports at its top; grid and the domain modules
+    # are imported inside the builder or kind that uses them.  levy (and with it
+    # montecarlo) stays: perfbench/selfcheck.py reads levylab.runner.sample_ensemble
+    # as soon as the runner is imported
+    top = ast.parse((SRC / "runner.py").read_text()).body
+    assert _package_imports(top) == {"__init__", "errors", "levy", "montecarlo", "rng"}
 
 
 def test_package_imports_no_scipy():
