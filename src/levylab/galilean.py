@@ -179,7 +179,7 @@ def _dilation_paths(gen: GalileanGenerator, t: float, n_steps: int, aggregate: i
     tile = tile_rows(n_points)
 
     def worker(idx, start, stop):
-        inc, _ = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, "dilation", idx))
+        inc = _sample_increments(gen.triplet2, dt_fine, stop - start, rng.stream(mc.seed, "dilation", idx))
         if aggregate > 1:
             inc = inc.reshape(stop - start, n_steps, aggregate, 2).sum(axis=2)
         return [measure(start + first, inc[first:first + tile]) for first in range(0, stop - start, tile)]

@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -154,21 +154,6 @@ class LevyTriplet2D:
         return np.asarray(self.alpha, dtype=float)
 
 
-@dataclass
-class PathSample:
-    """A sampled path: time grid, process values, and the log of big jumps.
-
-    ``values`` has shape ``(n_times,)`` in 1-D or ``(n_times, 2)`` in 2-D and
-    starts at the origin.  ``jump_log`` records ``(time, magnitude)`` for
-    every jump whose norm exceeds the truncation radius.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    jump_log: tuple
-    seed: int
-
-
 # --------------------------------------------------------------------------
 # Characteristic exponents
 # --------------------------------------------------------------------------
@@ -201,24 +186,12 @@ def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
 # Sampling
 # --------------------------------------------------------------------------
 
-def _validate_grid(time_grid) -> np.ndarray:
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("time grid must be a nonempty 1-D sequence")
-    if grid[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    return grid
-
-
-def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n_paths: int, gen: np.random.Generator):
+def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n_paths: int,
+                       gen: np.random.Generator) -> np.ndarray:
     """Exact increments of ``n_paths`` paths over steps of lengths ``dt``.
 
     Returns the increments, shape ``(n_paths, n_steps)`` in 1-D or
-    ``(n_paths, n_steps, 2)`` in 2-D, and the jumps larger than ``h`` as a
-    list of ``(counts, magnitudes)`` pairs: ``counts[path, step]`` jumps per
-    cell, ``magnitudes`` in cell order.  The whole block is drawn in a fixed
+    ``(n_paths, n_steps, 2)`` in 2-D.  The whole block is drawn in a fixed
     order: the Gaussian part, then each atom's Poisson counts.
     """
     shape = (n_paths, dt.size)
@@ -228,42 +201,18 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
         out = np.full(shape + (2,), np.array([triplet.beta_p, triplet.beta_q]) * dt[:, None])
         chol = _chol_psd(noise_covariance_2d(triplet))
         out += (gen.standard_normal((n_paths * dt.size, 2)) @ chol.T).reshape(out.shape) * np.sqrt(dt)[:, None]
-        norms = np.hypot(*locs.T)
+        small = np.hypot(*locs.T) <= triplet.h
     else:
         out = np.full(shape, triplet.beta * dt)
         if triplet.alpha > 0:
             out += np.sqrt(triplet.alpha * dt) * gen.standard_normal(shape)
-        norms = np.abs(locs)
-    step_dt = dt[:, None] if two_d else dt
-    big = []
+        small = np.abs(locs) <= triplet.h
     for j in range(len(rates)):
         counts = gen.poisson(rates[j] * dt, size=shape)
         out += (counts[..., None] if two_d else counts) * locs[j]
-        if norms[j] <= triplet.h:
-            out -= rates[j] * locs[j] * step_dt
-        else:
-            big.append((counts, np.broadcast_to(locs[j], (int(counts.sum()),) + locs[j].shape)))
-    return out, big
-
-
-def sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, time_grid: Sequence[float], seed: int) -> PathSample:
-    """Sample one path on ``time_grid`` with exact per-step increments.
-
-    Identical ``(triplet, time_grid, seed)`` produce bit-identical output.
-    Jumps larger than ``h`` are recorded in the jump log with a time drawn
-    uniformly inside their step, from the same stream after the increments.
-    """
-    grid = _validate_grid(time_grid)
-    dt = np.diff(grid)
-    gen = rng.stream(seed, "increments")
-    inc, big = _sample_increments(triplet, dt, 1, gen)
-    values = np.concatenate([np.zeros((1,) + inc.shape[2:]), np.cumsum(inc[0], axis=0)])
-    steps = np.concatenate([np.zeros(0, dtype=int)] + [np.repeat(np.arange(dt.size), c[0]) for c, _ in big])
-    times = grid[steps] + dt[steps] * gen.random(steps.size)
-    mags = [tuple(map(float, m)) if m.ndim else float(m) for _, ms in big for m in ms]
-    order = np.argsort(times, kind="stable")
-    jump_log = tuple((float(times[i]), mags[i]) for i in order)
-    return PathSample(times=grid, values=values, jump_log=jump_log, seed=seed)
+        if small[j]:
+            out -= rates[j] * locs[j] * (dt[:, None] if two_d else dt)
+    return out
 
 
 def _chol_psd(a: np.ndarray) -> np.ndarray:
@@ -299,11 +248,9 @@ def sample_ensemble(
 
     Chunked over derived streams so the result is independent of execution
     order; each chunk is one step of :func:`_sample_increments`, drawn from
-    stream ``first_index + chunk`` of ``tag``.  Path 0 of the default streams
-    is the first step of :func:`sample_increments` on the same seed.  With
-    ``antithetic`` the second half mirrors the first (``n_paths`` must be
-    even and the law symmetric, which the caller asserts via
-    :class:`MCConfig`).
+    stream ``first_index + chunk`` of ``tag``.  With ``antithetic`` the
+    second half mirrors the first (``n_paths`` must be even and the law
+    symmetric, which the caller asserts via :class:`MCConfig`).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -316,7 +263,7 @@ def sample_ensemble(
     dt = np.array([t], dtype=float)
 
     def worker(idx, start, stop):
-        inc, _ = _sample_increments(triplet, dt, stop - start, rng.stream(seed, tag, first_index + idx))
+        inc = _sample_increments(triplet, dt, stop - start, rng.stream(seed, tag, first_index + idx))
         return start, stop, inc[:, 0]
 
     for start, stop, vals in run_chunks(worker, n_draw, threads=threads):

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, rng
 from .errors import ConfigError
 from .levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, empirical_char_function,
-                   sample_ensemble, sample_increments)
+                   sample_ensemble)
 from .montecarlo import MCConfig
 
 EXIT_PASS = 0
@@ -286,21 +286,6 @@ def _verdict(passed: bool, inconclusive: bool = False) -> str:
 # Experiments
 # --------------------------------------------------------------------------
 
-@_experiment("levy-sample", triplet=_TRIPLET, sample={
-    "t_max": Field("float", required=True, range="positive"),
-    "n_steps": Field("int", default=100, range="positive"),
-})
-def _levy_sample(cfg: RunConfig) -> Result:
-    p = cfg.params["sample"]
-    grid = np.linspace(0.0, p["t_max"], p["n_steps"] + 1)
-    sample = sample_increments(cfg.params["triplet"], grid, cfg.seed)
-    jumps = [{"time": t, "magnitude": m} for t, m in sample.jump_log]
-    return Result(
-        [Output("path", {"jumps": jumps, "seed": sample.seed}, ("time", "xi"), list(zip(sample.times, sample.values)))],
-        {"n_steps": Metric(p["n_steps"]), "big_jumps": Metric(len(sample.jump_log))},
-    )
-
-
 @_experiment("char-check", triplet=_TRIPLET, check={
     "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
     "args": Field("list_float", required=True),
@@ -391,14 +376,13 @@ def _cp_suite(cfg: RunConfig) -> Result:
             for i, (d, m, unital) in enumerate(draws)]
     rows = [[i, *draw, r.conditionally_cp, r.choi_min_eig, r.preserves_identity, r.passed]
             for i, (draw, r) in enumerate(zip(draws, structure_rows(gens, p["times"])))]
-    all_pass = all(r[-1] for r in rows)
     cp_ok, witness = is_completely_positive(lambda X: X.T, 2)
     transpose_ok = (not cp_ok) and abs(witness + 1.0) <= 1e-10
-    all_pass &= transpose_ok
     header = ("index", "dim", "jumps", "unital", "conditionally_cp", "choi_min_eig", "preserves_identity", "pass")
     return Result(
         [Output("cp_suite", {"transpose_witness": witness, "transpose_rejected": transpose_ok}, header, rows)],
-        {"transpose_witness": Metric(witness), "suite": Metric(p["count"], verdict=_verdict(all_pass))},
+        {"transpose_witness": Metric(witness, verdict=_verdict(transpose_ok)),
+         "suite": Metric(p["count"], verdict=_verdict(all(r[-1] for r in rows)))},
     )
 
 
@@ -502,7 +486,10 @@ def _galilei_compare(cfg: RunConfig) -> Result:
     }
     overflow = max(rep.mc_coarse.overflow_fraction, rep.mc_fine.overflow_fraction)
     return Result([Output("galilei_compare", summary)],
-                  {"deviation_coarse": Metric(rep.deviation_coarse, verdict=_verdict(rep.passed, rep.inconclusive)),
+                  {"deviation_coarse": Metric(rep.deviation_coarse, verdict=_verdict(
+                      rep.deviation_coarse <= rep.band_coarse, rep.inconclusive)),
+                   "deviation_fine": Metric(rep.deviation_fine, verdict=_verdict(
+                       rep.deviation_fine <= rep.band_fine, rep.inconclusive)),
                    "overflow_fraction": Metric(overflow)})
 
 
@@ -536,15 +523,13 @@ def _feller_classify(cfg: RunConfig) -> Result:
 
     report = feller_test(cfg.params["feller"])
     raw = cfg.values["feller"]
-    expected = {side: raw[f"expect_{side}"] for side in ("left", "right") if raw[f"expect_{side}"]}
-    verdict = None
-    if expected:
-        verdict = _verdict(all(getattr(report, side) == want for side, want in expected.items()))
-    elif "inconclusive" in (report.left, report.right):
-        verdict = "inconclusive"
+    verdicts = {side: _verdict(getattr(report, side) == raw[f"expect_{side}"])
+                for side in ("left", "right") if raw[f"expect_{side}"]}
+    if not verdicts and "inconclusive" in (report.left, report.right):
+        verdicts["left"] = "inconclusive"
     summary = {"left": report.left, "right": report.right, "diagnostics": report.diagnostics}
     return Result([Output("boundary", summary)],
-                  {"left": Metric(report.left, verdict=verdict), "right": Metric(report.right)})
+                  {side: Metric(getattr(report, side), verdict=verdicts.get(side)) for side in ("left", "right")})
 
 
 @_experiment("killed-diffusion", feller=_DRIFT, mc=_MC, kd={

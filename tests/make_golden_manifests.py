@@ -49,10 +49,16 @@ MULTI_CHUNK = ("char_check_gauss.cfg", "covariance_check.cfg", "galilei_gauss.cf
 
 
 def config_text(name: str) -> str:
-    """The sample config ``name`` with every key of ``SHRINK[name]`` set to its smaller value."""
+    """The sample config ``name`` with every key of ``SHRINK[name]`` set to its smaller value.
+
+    Each key must match exactly one line, so a renamed key cannot leave a
+    case running at full size.
+    """
     text = (REPO / "configs" / name).read_text()
     for key, value in SHRINK.get(name, {}).items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if count != 1:
+            raise ValueError(f"SHRINK[{name!r}]: key {key!r} matches {count} lines, expected 1")
     return text
 
 

@@ -42,19 +42,6 @@ class TestParsing:
         assert cfg.params["triplet"].alpha == 1.0
         assert cfg.params["triplet"].h == 1.0  # documented default
 
-    def test_defaults_documented_for_levy_sample(self):
-        cfg = parse_config("""
-[run]
-kind = levy-sample
-seed = 1
-[triplet]
-beta = 1.0
-[sample]
-t_max = 2.0
-""")
-        assert cfg.params["triplet"].beta == 1.0
-        assert cfg.params["sample"]["n_steps"] == 100
-
     def test_missing_seed_named(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[run]\nkind = char-check\n[check]\nargs = 1.0\n")
@@ -120,17 +107,16 @@ x = 2
         ("gauge_suite.cfg", "m", "0", "[suite] m: must be positive"),
         ("dyson.cfg", "gamma", "-1", "[dyson] gamma: must be nonnegative"),
         ("dyson.cfg", "n_terms", "-1", "[dyson] n_terms: must be nonnegative"),
-        ("levy_sample_mixed.cfg", "n_steps", "0", "[sample] n_steps: must be positive"),
         ("generator_check.cfg", "func", "nope", "[genchk]: unknown func 'nope'"),
         ("mc_semigroup_mixed.cfg", "scale", "abc", "[observable] scale: cannot parse as float"),
         ("galilei_gauss.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
         ("covariance_check.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
-        ("levy_sample_mixed.cfg", "beta", "nan", "[triplet] beta: must be finite, got nan"),
+        ("mc_semigroup_mixed.cfg", "beta", "nan", "[triplet] beta: must be finite, got nan"),
         ("char_check_gauss.cfg", "alpha", "inf", "[triplet] alpha: must be finite, got inf"),
         ("dyson.cfg", "t", "nan", "[dyson] t: must be nonnegative, got nan"),
         ("dyson.cfg", "t", "-5.0", "[dyson] t: must be nonnegative"),
         ("galilei_gauss.cfg", "alpha", "1.0, nan, 0.5", "[triplet2] alpha: must be finite, got 1.0, nan, 0.5"),
-        ("levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:-inf", "[triplet] atoms: must be finite"),
+        ("mc_semigroup_mixed.cfg", "atoms", "0.5:1.0; -2.0:-inf", "[triplet] atoms: must be finite"),
         ("mc_semigroup_mixed.cfg", "width", "0", "[state] width: must be positive, got 0"),
         ("mc_semigroup_mixed.cfg", "width", "-1.5", "[state] width: must be positive"),
         ("killed_bm.cfg", "tol", "-0.5", "[kd] tol: must be nonnegative"),
@@ -230,6 +216,26 @@ def test_params_hold_one_entry_per_schema_section(path):
         assert isinstance(value, BUILT_TYPES.get(section, dict)), section
     if "genchk" in cfg.params:
         assert callable(cfg.params["genchk"]["func"])
+
+
+GALILEI_SMALL = """
+[run]
+kind = galilei-compare
+seed = 9
+[triplet2]
+alpha = 1.0, 0.0, 0.0
+[grid]
+n = 256
+x_min = -20.0
+dx = 0.15625
+[mc]
+n_paths = 400
+[galilei]
+x0 = 0.0
+v0 = 1.0
+t = 0.5
+n_steps = 8
+"""
 
 
 def replace_key(text: str, key: str, value: str) -> str:
@@ -335,36 +341,6 @@ expect_left = non-absorbing
 """)
         assert main(["feller-classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
-    def test_levy_sample_outputs(self, tmp_path):
-        text = """
-[run]
-kind = levy-sample
-seed = 9
-[triplet]
-beta = 0.2
-atoms = 2.0:1.5
-[sample]
-t_max = 1.0
-n_steps = 20
-"""
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["levy-sample", "--config", cfg, "--out", str(out)]) == 0
-        path_csv = (out / "path.csv").read_text().splitlines()
-        assert path_csv[0] == "time,xi"
-        assert len(path_csv) == 22
-        path = json.loads((out / "path.json").read_text())
-        assert path["seed"] == 9 and len(path["rows"]) == 21
-        assert [f"{r['time']:.17g},{r['xi']:.17g}" for r in path["rows"]] == path_csv[1:]
-        assert all(abs(j["magnitude"]) > 1.0 for j in path["jumps"])
-        record = json.loads((out / "record.json").read_text())
-        assert sorted(record["manifest"]) == ["path.csv", "path.json"]
-        assert not (out / "jumps.json").exists()
-        for fmt, present in (("csv", "path.csv"), ("json", "path.json")):
-            only = tmp_path / fmt
-            assert main(["levy-sample", "--config", cfg, "--out", str(only), "--format", fmt]) == 0
-            assert sorted(p.name for p in only.iterdir()) == sorted([present, "record.json"])
-
     def test_dyson_runner(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 [run]
@@ -409,6 +385,43 @@ count = 5
         assert metrics["worst_action_defect"]["value"] > 1e-10
         assert metrics["worst_action_defect"]["verdict"] == "fail"
         assert metrics["worst_group_law_defect"] == {"value": 0.0, "verdict": "pass"}
+
+    def test_feller_classify_blames_the_side_it_concerns(self, tmp_path):
+        # the left boundary matches its expectation, the swapped right one does not
+        text = (REPO / "configs" / "feller_zero.cfg").read_text()
+        cfg = write_config(tmp_path, replace_key(text, "expect_right", "absorbing"))
+        assert main(["feller-classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
+        assert metrics["left"] == {"value": "absorbing", "verdict": "pass"}
+        assert metrics["right"] == {"value": "non-absorbing", "verdict": "fail"}
+
+    def test_cp_suite_transpose_check_has_its_own_verdict(self, tmp_path, monkeypatch):
+        # a CP test that calls the transpose completely positive fails the witness alone
+        from levylab import generators
+
+        monkeypatch.setattr(generators, "is_completely_positive", lambda map_fn, d: (True, 0.0))
+        cfg = write_config(tmp_path, "[run]\nkind = cp-suite\nseed = 1\n[suite]\ncount = 4\n")
+        assert main(["cp-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
+        assert metrics["transpose_witness"] == {"value": 0.0, "verdict": "fail"}
+        assert metrics["suite"] == {"value": 4, "verdict": "pass"}
+
+    def test_galilei_compare_judges_each_band_on_its_own_metric(self, tmp_path, monkeypatch):
+        # a fine run pushed past its band fails deviation_fine and leaves deviation_coarse passing
+        from levylab import galilean
+
+        compare = galilean.mc_vs_closed_form
+
+        def off_fine(*args):
+            rep = compare(*args)
+            return dataclasses.replace(rep, deviation_fine=2.0 * rep.band_fine, passed=False)
+
+        monkeypatch.setattr(galilean, "mc_vs_closed_form", off_fine)
+        cfg = write_config(tmp_path, GALILEI_SMALL)
+        assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
+        assert metrics["deviation_coarse"]["verdict"] == "pass"
+        assert metrics["deviation_fine"]["verdict"] == "fail"
 
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
@@ -543,27 +556,11 @@ dt = 0.005
         assert lines[0] == "t,survival,stderr"
 
     def test_galilei_compare_runner(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, """
-[run]
-kind = galilei-compare
-seed = 9
-[triplet2]
-alpha = 1.0, 0.0, 0.0
-[grid]
-n = 256
-x_min = -20.0
-dx = 0.15625
-[mc]
-n_paths = 400
-[galilei]
-x0 = 0.0
-v0 = 1.0
-t = 0.5
-n_steps = 8
-""")
+        cfg = write_config(tmp_path, GALILEI_SMALL)
         assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["deviation_coarse"]["verdict"] == "pass"
+        assert payload["metrics"]["deviation_fine"]["verdict"] == "pass"
         assert payload["metrics"]["overflow_fraction"] == {"value": 0.0}  # no verdict
 
     def test_free_off_galilei_compare_writes_strict_json(self, tmp_path):
@@ -725,16 +722,15 @@ t = 1.0
         ("cp-suite", "cp_suite.cfg", "max_jumps", "0"),
         ("dyson", "dyson.cfg", "gamma", "-1"),
         ("dyson", "dyson.cfg", "n_terms", "-1"),
-        ("levy-sample", "levy_sample_mixed.cfg", "n_steps", "-3"),
         ("generator-check", "generator_check.cfg", "func", "nope"),
         ("galilei-compare", "galilei_gauss.cfg", "t", "-1"),
         ("covariance-check", "covariance_check.cfg", "t", "-1"),
-        ("levy-sample", "levy_sample_mixed.cfg", "beta", "nan"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "beta", "nan"),
         ("char-check", "char_check_gauss.cfg", "alpha", "nan"),
         ("dyson", "dyson.cfg", "t", "nan"),
         ("dyson", "dyson.cfg", "t", "-5.0"),
         ("galilei-compare", "galilei_gauss.cfg", "alpha", "1.0, inf, 0.5"),
-        ("levy-sample", "levy_sample_mixed.cfg", "atoms", "0.5:1.0; -2.0:nan"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "atoms", "0.5:1.0; -2.0:nan"),
         # an empty float list used to compare nothing and pass (or die in numpy)
         ("char-check", "char_check_gauss.cfg", "args", ""),
         ("char-check", "char_check_gauss.cfg", "t", "0.5,,1.0"),

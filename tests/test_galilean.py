@@ -214,7 +214,7 @@ class TestDilation:
         mc = MCConfig(4000, 23)
         res = mc_weyl_expectation(gen, psi, WeylLabel(0.0, 0.5), 1.0, 1, mc)
         assert 0.0 < res.overflow_fraction <= OVERFLOW_FRACTION
-        inc, _ = _sample_increments(gen.triplet2, np.ones(1), mc.n_paths, rng.stream(mc.seed, "dilation", 0))
+        inc = _sample_increments(gen.triplet2, np.ones(1), mc.n_paths, rng.stream(mc.seed, "dilation", 0))
         assert res.overflow_fraction == np.count_nonzero(inc[:, 0, 0]) / mc.n_paths
         quiet = GalileanGenerator(LevyTriplet2D(alpha=((0.5, 0.0), (0.0, 0.0))), include_free_hamiltonian=False)
         assert mc_weyl_expectation(quiet, psi, WeylLabel(0.0, 0.5), 1.0, 1, mc).overflow_fraction == 0.0
@@ -234,7 +234,7 @@ class TestDilation:
         # was 4.23 blocks, and a whole-block reduction of these rows peaked at 8.6 tiles
         paths, steps = 256, 8
         block = paths * psi512.grid.n_points * 16
-        inc, _ = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))
+        inc = _sample_increments(FULL, np.full(steps, 0.05), paths, rng.stream(9, "dilation", 0))
         states = np.tile(psi512.amplitudes, (4 * paths, 1))  # 1024 rows: 8 tiles at N = 512
         tracemalloc.start()
         try:

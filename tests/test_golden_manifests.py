@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from make_golden_manifests import MANIFESTS, MULTI_CHUNK, SEEDS, moved, run_case
+from make_golden_manifests import MANIFESTS, MULTI_CHUNK, REPO, SEEDS, SHRINK, config_text, moved, run_case
 
 GOLDEN = json.loads(MANIFESTS.read_text())
 
@@ -36,3 +36,27 @@ def test_moved_names_every_changed_entry():
     assert 'dyson.cfg 7 verdict: "pass" -> "fail"' in lines
     assert "feller_zero.cfg 13 exit: 0 -> null" in lines
     assert all(line.startswith(("dyson.cfg 7 ", "feller_zero.cfg 13 ")) for line in lines)
+
+
+#: Sample configs whose record has no metric verdict yet: mc-semigroup records estimates only.
+NO_VERDICT = ("mc_semigroup_mixed.cfg",)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_sample_config_records_a_verdict(name):
+    for seed, case in GOLDEN[name].items():
+        has_verdict = any("verdict" in metric for metric in case["metrics"].values())
+        assert has_verdict == (name not in NO_VERDICT), f"{name} at seed {seed}"
+
+
+def test_shrink_names_sample_configs():
+    configs = {path.name for path in (REPO / "configs").glob("*.cfg")}
+    assert set(SHRINK) | set(MULTI_CHUNK) <= configs
+    for name in SHRINK:
+        config_text(name)  # raises unless each key matches one line
+
+
+def test_shrink_key_must_match_once(monkeypatch):
+    monkeypatch.setitem(SHRINK, "dyson.cfg", {"n_paths": "10"})
+    with pytest.raises(ValueError, match="matches 0 lines"):
+        config_text("dyson.cfg")

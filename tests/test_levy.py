@@ -18,7 +18,6 @@ from levylab.levy import (
     empirical_char_function,
     noise_covariance_2d,
     sample_ensemble,
-    sample_increments,
 )
 from levylab.montecarlo import MCConfig
 from oracles import validate_levy_condition, with_truncation
@@ -119,21 +118,14 @@ class TestLevyCondition:
 
 class TestSampling:
     def test_drift_only_is_deterministic(self):
-        sample = sample_increments(DRIFT, [0.0, 1.0, 2.0], seed=1)
-        assert np.allclose(sample.values, [0.0, 1.0, 2.0], atol=1e-15)
+        inc = _sample_increments(DRIFT, np.ones(2), 1, rng.stream(1, "increments"))
+        assert np.allclose(np.cumsum(inc[0]), [1.0, 2.0], atol=1e-15)
 
     def test_identical_seeds_bit_identical(self):
-        a = sample_increments(MIXED, np.linspace(0.0, 2.0, 9), seed=7)
-        b = sample_increments(MIXED, np.linspace(0.0, 2.0, 9), seed=7)
-        assert np.array_equal(a.values, b.values)
-        assert a.jump_log == b.jump_log
-
-    @given(st.integers(0, 2**32))
-    def test_path_invariants(self, seed):
-        sample = sample_increments(MIXED, [0.0, 0.5, 1.0], seed=seed)
-        assert sample.values[0] == 0.0
-        for t, mag in sample.jump_log:
-            assert 0.0 < t <= 1.0 and abs(mag) > MIXED.h
+        dt = np.diff(np.linspace(0.0, 2.0, 9))
+        a = _sample_increments(MIXED, dt, 1, rng.stream(7, "increments"))
+        b = _sample_increments(MIXED, dt, 1, rng.stream(7, "increments"))
+        assert np.array_equal(a, b)
 
     def test_gaussian_variance_interval(self):
         # chi-square 99% interval at n = 1e5 is well inside [0.985, 1.015]
@@ -147,18 +139,6 @@ class TestSampling:
         counts = xs / 2.0  # each jump contributes exactly y0 = 2
         mean = counts.mean()
         assert abs(mean - 3.0) <= 3.0 * np.sqrt(3.0 / n)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            sample_increments(GAUSS, [], 1)
-
-    def test_nonincreasing_grid_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sample_increments(GAUSS, [0.0, 1.0, 1.0], 1)
-
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="start at 0"):
-            sample_increments(GAUSS, [0.5, 1.0], 1)
 
     def test_ensemble_chunking_is_order_independent(self):
         full = sample_ensemble(MIXED, 1.0, 10000, seed=11)
@@ -179,7 +159,7 @@ class TestSampling:
         n = 4000
         direct = sample_ensemble(MIXED, 0.7, n, seed=21)
         shifted = np.array([
-            np.diff(sample_increments(MIXED, [0.0, 0.5, 1.2], seed=1000 + i).values)[-1]
+            _sample_increments(MIXED, np.array([0.5, 0.7]), 1, rng.stream(1000 + i, "increments"))[0, -1]
             for i in range(n)
         ])
         assert stats.ks_2samp(direct, shifted).pvalue >= 0.01
@@ -213,7 +193,7 @@ class TestUnifiedSampler:
     @given(_laws_1d | _laws_2d, st.floats(0.01, 5.0), st.integers(0, 2**32))
     def test_single_step_path_is_one_path_ensemble(self, triplet, t, seed):
         # both read stream (seed, "increments", 0): a one-step path draws the ensemble's numbers
-        path = sample_increments(triplet, [0.0, t], seed).values[1]
+        path = _sample_increments(triplet, np.array([t]), 1, rng.stream(seed, "increments"))[0, 0]
         assert np.array_equal(path, sample_ensemble(triplet, t, 1, seed)[0])
 
     @pytest.mark.parametrize("two_d", [False, True])
@@ -233,9 +213,8 @@ class TestUnifiedSampler:
             args = [0.6, 1.1, -1.8]
             eta = lambda a: char_exponent_1d(triplet, a)
             plain = lambda a: a
-        inc, big = _sample_increments(triplet, dt, 100000, rng.stream(3, "increments"))
+        inc = _sample_increments(triplet, dt, 100000, rng.stream(3, "increments"))
         assert inc.shape == (100000, dt.size) + ((2,) if two_d else ())
-        assert len(big) == 1 and big[0][0].shape == (100000, dt.size)
         checks = [(inc.sum(axis=1), dt.sum(), a) for a in args]
         checks += [(inc[:, k], dt[k], args[0]) for k in range(dt.size)]
         for xs, t, a in checks:
