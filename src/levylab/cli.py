@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import FORMATS, parse_config
+from .config import parse_config
 from .errors import ConfigError, NumericalFailure, SupportOverflowError
 from .runner import EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE, EXIT_PASS, EXIT_VERDICT_FAIL, EXPERIMENTS, run
 
@@ -30,7 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--threads", type=int, default=None, help="override worker thread count")
-    parser.add_argument("--format", choices=FORMATS, default=None, help="override output formats")
     return parser
 
 
@@ -49,7 +48,7 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    overrides = {key: value for key in ("seed", "out", "threads", "format")
+    overrides = {key: value for key in ("seed", "out", "threads")
                  if (value := getattr(args, key)) is not None}
     try:
         cfg = parse_config(text, kind_override=args.kind, overrides=overrides)

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ConfigError
 from .runner import EXPERIMENTS, RANGES, Field, RunConfig, Section
 
-FORMATS = ("csv", "json", "both")
-
 
 # --------------------------------------------------------------------------
 # Tokenizer
@@ -118,7 +116,6 @@ _RUN_FIELDS = {
     "kind": Field("str", required=True),
     "seed": Field("int", required=True, range="in [0, 2**64)"),
     "out": Field("str", default="."),
-    "format": Field("str", default="both"),
     "threads": Field("int", default=1, range="positive"),
 }
 
@@ -164,10 +161,10 @@ def _check_section(
 def parse_config(text: str, kind_override: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    ``overrides`` (the CLI's ``--seed``, ``--out``, ``--threads``,
-    ``--format``) replace keys of ``[run]`` after tokenizing and are
-    checked like the file's own entries.  Raises :class:`ConfigError`
-    carrying *all* problems found.  Every section is checked first; then
+    ``overrides`` (the CLI's ``--seed``, ``--out`` and ``--threads``)
+    replace keys of ``[run]`` after tokenizing and are checked like the
+    file's own entries.  Raises :class:`ConfigError` carrying *all*
+    problems found.  Every section is checked first; then
     each :class:`~levylab.runner.Section` is built in schema order, which
     enforces the domain invariants (nonnegative diffusion, valid grids,
     positive rates).
@@ -184,8 +181,6 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
     if kind not in EXPERIMENTS:
         errors.append(f"[run]: unknown kind {kind!r} (choose from {', '.join(EXPERIMENTS)})")
         raise ConfigError(errors)
-    if run.get("format") not in FORMATS:
-        errors.append(f"[run]: format must be one of {FORMATS}, got {run.get('format')!r}")
 
     schema = EXPERIMENTS[kind].schema
     values = {section: _check_section(section, spec.fields if isinstance(spec, Section) else spec, sections, errors)
@@ -213,11 +208,11 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
         raise ConfigError(errors)
 
     # Hash only what determines the numbers: kind, seed, and every parameter
-    # entry. Presentation knobs (out, format, threads) must not change it.
+    # entry. Presentation knobs (out, threads) must not change it.
     canonical = [f"kind={kind}", f"seed={run['seed']}"]
     for section in sorted(sections):
         for key in sorted(sections[section]):
-            if section == "run" and key in ("out", "format", "threads", "kind", "seed"):
+            if section == "run" and key in ("out", "threads", "kind", "seed"):
                 continue
             canonical.append(f"{section}.{key}={sections[section][key]}")
     digest = hashlib.sha256("\n".join(canonical).encode())
@@ -225,7 +220,6 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
         kind=kind,
         seed=run["seed"],
         out_dir=run["out"],
-        formats=run["format"],
         threads=run["threads"],
         params=built,
         values=values,

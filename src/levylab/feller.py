@@ -25,7 +25,7 @@ dynamics exist when the boundary absorbs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,7 +85,7 @@ class BoundaryReport:
 
     left: str
     right: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     VERDICTS = ("non-absorbing", "absorbing", "inconclusive")
 

@@ -41,7 +41,7 @@ from .errors import NumericalFailure
 from .grid import (OVERFLOW_TOL, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace, expectation,
                    expectations, overflow_fraction, tile_rows)
 from .levy import LevyTriplet2D, _sample_increments, char_exponent_2d
-from .montecarlo import MCConfig, MCResult, mc_stats, run_chunks
+from .montecarlo import Gate, MCConfig, MCResult, gate, mc_stats, run_chunks
 
 _SIMPSON_TOL = 1e-10
 
@@ -252,23 +252,22 @@ class DilationCompareReport:
 
     The two Monte Carlo runs (``n_steps`` and ``2 n_steps``) share the same
     fine-grained noise, so their difference isolates the Strang splitting
-    error; ``band`` is ``4 stderr + discretization allowance`` derived from
-    that difference assuming second-order scaling.  ``inconclusive`` is set
-    when the statistical band swamps the effect size.
+    error; each run's ``gate`` judges its deviation from the closed form
+    against ``4 stderr + discretization allowance``, the allowance derived
+    from that difference assuming second-order scaling.  ``inconclusive`` is
+    set when the statistical band swamps the effect size.
     """
 
     closed_value: complex
-    closed_multiplier: complex
-    closed_point: tuple[float, float]
+    closed_symbol: WeylSymbolState
     mc_coarse: MCResult
     mc_fine: MCResult
     split_defect: float
-    band_coarse: float
-    band_fine: float
     deviation_coarse: float
     deviation_fine: float
+    gate_coarse: Gate
+    gate_fine: Gate
     order_estimate: float
-    passed: bool
     inconclusive: bool
 
 
@@ -303,27 +302,21 @@ def mc_vs_closed_form(
     bias_coarse = abs(scheme_expected_weyl(gen, psi, x0, v0, t, n_steps) - closed)
     bias_fine = abs(scheme_expected_weyl(gen, psi, x0, v0, t, 2 * n_steps) - closed)
     order = float(np.log2(bias_coarse / bias_fine)) if bias_fine > 1e-13 else float("nan")
-    split = abs(coarse.estimate - fine.estimate)
-    band_coarse = 4.0 * coarse.stderr + (4.0 / 3.0) * split + 1e-8
-    band_fine = 4.0 * fine.stderr + (1.0 / 3.0) * split + 4.0 * coarse.stderr + 1e-8
-    dev_coarse = abs(coarse.estimate - closed)
-    dev_fine = abs(fine.estimate - closed)
-    inconclusive = bool(4.0 * fine.stderr > max(abs(closed), 0.05))
-    passed = bool(dev_coarse <= band_coarse and dev_fine <= band_fine) and not inconclusive
+    split = float(abs(coarse.estimate - fine.estimate))
+    dev_coarse = float(abs(coarse.estimate - closed))
+    dev_fine = float(abs(fine.estimate - closed))
     return DilationCompareReport(
         closed_value=complex(closed),
-        closed_multiplier=sym.multiplier,
-        closed_point=sym.point,
+        closed_symbol=sym,
         mc_coarse=coarse,
         mc_fine=fine,
-        split_defect=float(split),
-        band_coarse=float(band_coarse),
-        band_fine=float(band_fine),
-        deviation_coarse=float(dev_coarse),
-        deviation_fine=float(dev_fine),
+        split_defect=split,
+        deviation_coarse=dev_coarse,
+        deviation_fine=dev_fine,
+        gate_coarse=gate(dev_coarse, coarse.stderr, 4.0, (4.0 / 3.0) * split, 1e-8),
+        gate_fine=gate(dev_fine, fine.stderr, 4.0, (1.0 / 3.0) * split, 4.0 * coarse.stderr, 1e-8),
         order_estimate=order,
-        passed=passed,
-        inconclusive=inconclusive,
+        inconclusive=bool(4.0 * fine.stderr > max(abs(closed), 0.05)),
     )
 
 

@@ -1,7 +1,8 @@
-"""Monte Carlo configuration, estimator statistics, and chunked execution."""
+"""Monte Carlo configuration, estimator statistics, the acceptance gate, and chunked execution."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,23 @@ def mc_stats(values: np.ndarray, antithetic: bool = False) -> tuple[complex, flo
         return mean, 0.0
     var = np.var(values.real, ddof=1) + np.var(values.imag, ddof=1)
     return mean, float(np.sqrt(var / n))
+
+
+#: What :func:`gate` returns: the acceptance band, whether the deviation lies within it, and ``deviation / stderr``.
+Gate = namedtuple("Gate", "band passed z")
+
+
+def gate(deviation, stderr, k: float, *allowances) -> Gate:
+    """The band ``k * stderr + a1 + a2 + ...``, summed left to right, against ``deviation``, elementwise.
+
+    At a zero ``stderr`` the allowances alone judge, and ``z`` is NaN (zero deviation) or infinite.
+    """
+    band = k * stderr
+    for allowance in allowances:
+        band = band + allowance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.divide(deviation, stderr)
+    return Gate(band, deviation <= band, z)
 
 
 def run_chunks(worker, n_items: int, threads: int = 1, chunk: int = rng.CHUNK) -> list:

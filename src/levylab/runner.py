@@ -6,11 +6,11 @@ writes nothing.  Each section is declared here once: a plain one as a dict
 of :class:`Field`, one that becomes an object as a :class:`Section` with
 its builder, which ``config.parse_config`` runs.  :func:`run` then writes a
 table as ``<name>.csv`` and every output as ``<name>.json`` (summary keys,
-plus ``rows`` as header-keyed dicts for a table); ``format`` picks among
-these, but an output with no table is always written as JSON.  Data files
-are deterministic (identical config + seed gives byte-identical files);
+plus ``rows`` as header-keyed dicts for a table).  Data files are
+deterministic (identical config + seed gives byte-identical files);
 timestamps live only in ``record.json``, beside the config hash, metrics
-with verdicts and a manifest of hashes.
+with verdicts and a manifest of hashes.  Every Monte Carlo verdict comes
+from :func:`levylab.montecarlo.gate`, whose ``z`` its metric records.
 
 Exit discipline (used by the CLI): 0 pass, 1 verdict fail, 2 usage or
 config error, 3 numerical failure.
@@ -32,7 +32,7 @@ from . import __version__, rng
 from .errors import ConfigError
 from .levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, empirical_char_function,
                    sample_ensemble)
-from .montecarlo import MCConfig
+from .montecarlo import MCConfig, gate
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -218,7 +218,6 @@ class RunConfig:
     kind: str
     seed: int
     out_dir: str
-    formats: str
     threads: int
     params: dict
     values: dict
@@ -241,11 +240,12 @@ class Output:
 
 @dataclass
 class Metric:
-    """One ``record.json`` metric; ``verdict`` feeds the run's verdict."""
+    """One ``record.json`` metric; ``verdict`` feeds the run's verdict, ``z`` is that of its Monte Carlo gate."""
 
     value: object
     stderr: float | None = None
     verdict: str | None = None
+    z: float | None = None
 
 
 @dataclass
@@ -295,9 +295,7 @@ def _verdict(passed: bool, inconclusive: bool = False) -> str:
 def _char_check(cfg: RunConfig) -> Result:
     p = cfg.params["check"]
     triplet = cfg.params["triplet"]
-    rows = []
-    worst = 0.0
-    all_pass = True
+    rows, ratios, gates = [], [], []
     chunks = -(-p["n_samples"] // rng.CHUNK)  # streams per time: each time gets its own index range
     for ti, t in enumerate(p["t"]):
         xs = sample_ensemble(triplet, t, p["n_samples"], cfg.seed, threads=cfg.threads,
@@ -306,14 +304,14 @@ def _char_check(cfg: RunConfig) -> Result:
             emp, se = empirical_char_function(xs, lam)
             theo = np.exp(t * char_exponent_1d(triplet, lam))
             dist = abs(emp - theo)
-            budget = p["sigmas"] * se + 1e-12
-            ok = dist <= budget
-            all_pass &= ok
-            worst = max(worst, dist / budget)
-            rows.append([t, lam, emp.real, emp.imag, theo.real, theo.imag, se, dist, ok])
+            gates.append(gate(dist, se, p["sigmas"], 1e-12))
+            ratios.append(dist / gates[-1].band)
+            rows.append([t, lam, emp.real, emp.imag, theo.real, theo.imag, se, dist, gates[-1].passed])
+    worst = int(np.argmax(ratios))
     header = ("t", "arg", "emp_re", "emp_im", "theory_re", "theory_im", "stderr", "distance", "pass")
     return Result([Output("char_check", {}, header, rows)],
-                  {"worst_distance_over_budget": Metric(worst, verdict=_verdict(all_pass))})
+                  {"worst_distance_over_budget": Metric(ratios[worst], z=gates[worst].z,
+                                                        verdict=_verdict(all(g.passed for g in gates)))})
 
 
 @_experiment("mc-semigroup", triplet=_TRIPLET, grid=_GRID, state=_STATE, mc=_MC_ANTITHETIC,
@@ -348,14 +346,16 @@ def _generator_check(cfg: RunConfig) -> Result:
     from .semigroup import generator_consistency_check
 
     p = cfg.params["genchk"]
-    report = generator_consistency_check(
-        cfg.params["triplet"], p["func"], p["t_small"], cfg.params["mc"], np.asarray(p["points"])
-    )
-    summary = {"max_deviation": report.max_deviation, "passed": report.passed, "inconclusive": report.inconclusive}
-    rows = list(zip(report.x, report.quotient, report.generator, report.band))
+    points = np.asarray(p["points"], dtype=float)
+    report = generator_consistency_check(cfg.params["triplet"], p["func"], p["t_small"], cfg.params["mc"], points)
+    worst = int(np.argmax(report.deviation))
+    verdict = _verdict(report.gate.passed.all(), report.inconclusive)
+    summary = {"max_deviation": report.deviation[worst], "passed": verdict == "pass",
+               "inconclusive": report.inconclusive}
+    rows = list(zip(points, report.quotient, report.generator, report.gate.band))
     return Result(
         [Output("generator_check", summary, ("x", "quotient", "generator", "band"), rows)],
-        {"max_deviation": Metric(report.max_deviation, verdict=_verdict(report.passed, report.inconclusive))},
+        {"max_deviation": Metric(report.deviation[worst], z=report.gate.z[worst], verdict=verdict)},
     )
 
 
@@ -468,8 +468,8 @@ def _galilei_compare(cfg: RunConfig) -> Result:
     rep = mc_vs_closed_form(gen, p["x0"], p["v0"], cfg.params["state"], p["t"], p["n_steps"], cfg.params["mc"])
     summary = {
         "closed_value": rep.closed_value,
-        "closed_multiplier": rep.closed_multiplier,
-        "closed_point": list(rep.closed_point),
+        "closed_multiplier": rep.closed_symbol.multiplier,
+        "closed_point": list(rep.closed_symbol.point),
         "mc_coarse": rep.mc_coarse.estimate,
         "mc_fine": rep.mc_fine.estimate,
         "stderr_coarse": rep.mc_coarse.stderr,
@@ -477,19 +477,19 @@ def _galilei_compare(cfg: RunConfig) -> Result:
         "split_defect": rep.split_defect,
         "deviation_coarse": rep.deviation_coarse,
         "deviation_fine": rep.deviation_fine,
-        "band_coarse": rep.band_coarse,
-        "band_fine": rep.band_fine,
+        "band_coarse": rep.gate_coarse.band,
+        "band_fine": rep.gate_fine.band,
         "order_estimate": rep.order_estimate,
-        "passed": rep.passed,
+        "passed": rep.gate_coarse.passed and rep.gate_fine.passed and not rep.inconclusive,
         "inconclusive": rep.inconclusive,
         "labels": [p["x0"], p["v0"]],
     }
     overflow = max(rep.mc_coarse.overflow_fraction, rep.mc_fine.overflow_fraction)
     return Result([Output("galilei_compare", summary)],
-                  {"deviation_coarse": Metric(rep.deviation_coarse, verdict=_verdict(
-                      rep.deviation_coarse <= rep.band_coarse, rep.inconclusive)),
-                   "deviation_fine": Metric(rep.deviation_fine, verdict=_verdict(
-                       rep.deviation_fine <= rep.band_fine, rep.inconclusive)),
+                  {"deviation_coarse": Metric(rep.deviation_coarse, z=rep.gate_coarse.z,
+                                              verdict=_verdict(rep.gate_coarse.passed, rep.inconclusive)),
+                   "deviation_fine": Metric(rep.deviation_fine, z=rep.gate_fine.z,
+                                            verdict=_verdict(rep.gate_fine.passed, rep.inconclusive)),
                    "overflow_fraction": Metric(overflow)})
 
 
@@ -546,12 +546,15 @@ def _killed_diffusion(cfg: RunConfig) -> Result:
     p = cfg.params["kd"]
     sim = simulate_reflecting_diffusion if p["reflecting"] else simulate_killed_diffusion
     curve = sim(cfg.params["feller"], p["x_start"], p["t"], p["dt"], cfg.params["mc"])
-    verdict = None if np.isnan(p["expect"]) else _verdict(abs(curve.final - p["expect"]) <= p["tol"])
+    survival = Metric(curve.final, stderr=curve.final_stderr)
+    if not np.isnan(p["expect"]):
+        g = gate(abs(curve.final - p["expect"]), curve.final_stderr, 0.0, p["tol"])
+        survival.z, survival.verdict = g.z, _verdict(g.passed)
     rows = list(zip(curve.times, curve.survival, curve.stderr))
     return Result(
         [Output("survival", {"final": curve.final, "stderr": curve.final_stderr, "dt": p["dt"]},
                 ("t", "survival", "stderr"), rows)],
-        {"survival": Metric(curve.final, stderr=curve.final_stderr, verdict=verdict)},
+        {"survival": survival},
     )
 
 
@@ -600,10 +603,9 @@ def _dumps(payload) -> str:
 class _Workspace:
     """The output directory of one run, and the manifest of the data files written to it."""
 
-    def __init__(self, out_dir: str, formats: str):
+    def __init__(self, out_dir: str):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.formats = formats
         self.manifest: dict[str, str] = {}
 
     def _register(self, path: Path) -> None:
@@ -611,12 +613,10 @@ class _Workspace:
 
     def write(self, out: Output) -> None:
         """Write ``out`` by the table -> file rule of the module docstring."""
-        if out.header and self.formats != "json":
+        if out.header:
             self.write_csv(out.name, out.header, out.rows)
-        if not out.header:
-            self.write_json(out.name, out.summary)
-        elif self.formats != "csv":
-            self.write_json(out.name, {**out.summary, "rows": [dict(zip(out.header, row)) for row in out.rows]})
+        self.write_json(out.name, {**out.summary, "rows": [dict(zip(out.header, row)) for row in out.rows]}
+                        if out.header else out.summary)
 
     def write_csv(self, name: str, header: tuple[str, ...], rows: list) -> None:
         path = self.dir / f"{name}.csv"
@@ -641,14 +641,14 @@ def run(cfg: RunConfig) -> tuple[dict, Path]:
 
     The output directory is created only after the experiment returns, so a
     run that raises leaves none behind.  The record is built once the data
-    files are written: provenance, each metric with its ``stderr`` and
-    ``verdict`` when set, the manifest of data-file hashes, and the run's
-    verdict, ``fail`` if any metric fails, else ``inconclusive`` if any
-    metric is, else ``pass``.
+    files are written: provenance, each metric with its ``stderr``,
+    ``verdict`` and ``z`` when set (a non-finite ``z`` as ``null``), the
+    manifest of data-file hashes, and the run's verdict, ``fail`` if any
+    metric fails, else ``inconclusive`` if any metric is, else ``pass``.
     """
     started = time.time()
     result = EXPERIMENTS[cfg.kind].run(cfg)
-    ws = _Workspace(cfg.out_dir, cfg.formats)
+    ws = _Workspace(cfg.out_dir)
     for out in result.outputs:
         ws.write(out)
     verdicts = {metric.verdict for metric in result.metrics.values()}

@@ -40,7 +40,7 @@ from .grid import (
     phase_tables,
 )
 from .levy import LevyTriplet1D, convolve_classical, sample_ensemble
-from .montecarlo import MCConfig, MCResult, mc_stats
+from .montecarlo import Gate, MCConfig, MCResult, gate, mc_stats
 
 #: Step of the central differences in :func:`classical_generator_apply`.
 FD_STEP = 1e-3
@@ -213,23 +213,22 @@ def classical_generator_apply(
 
 @dataclass
 class GeneratorCheckReport:
-    """Finite-time quotient of the semigroup against the generator, with bands.
+    """Finite-time quotient of the semigroup against the generator, gated per point.
 
-    ``quotient`` is ``(E f(x + xi_t) - f(x)) / t`` estimated by Monte Carlo;
-    ``band`` is ``4 stderr + 1.5 |O(t) coefficient| t`` with the linear-in-t
-    coefficient estimated by Richardson comparison of the quotients at
-    ``t`` and ``t/2`` (the 1.5 factor absorbs the quadratic residue the
-    two-point estimate cannot see).  ``inconclusive`` is set when the Monte
-    Carlo noise dominates the generator signal; an inconclusive run never
-    counts as a pass.
+    ``quotient`` is ``(E f(x + xi_t) - f(x)) / t`` at each of the caller's
+    points ``x``, estimated by Monte Carlo; ``gate`` judges its deviation
+    from the generator against the band ``4 stderr + 1.5 |O(t) coefficient|
+    t`` with the linear-in-t coefficient estimated by Richardson comparison
+    of the quotients at ``t`` and ``t/2`` (the 1.5 factor absorbs the
+    quadratic residue the two-point estimate cannot see).  ``inconclusive``
+    is set when the Monte Carlo noise dominates the generator signal; an
+    inconclusive run never counts as a pass.
     """
 
-    x: np.ndarray
     quotient: np.ndarray
     generator: np.ndarray
-    band: np.ndarray
-    max_deviation: float
-    passed: bool
+    deviation: np.ndarray
+    gate: Gate
     inconclusive: bool
 
 
@@ -252,17 +251,11 @@ def generator_consistency_check(
     se_h = conv_h.stderr / (0.5 * t_small)
     lf = np.array([classical_generator_apply(triplet, f, xi) for xi in x])
     slope = 2.0 * (q_t - q_h) / t_small  # first-order-in-t coefficient estimate
-    band = 4.0 * (se_t + se_h) + 1.5 * np.abs(slope) * t_small + 1e-12
     deviation = np.abs(q_t - lf)
-    signal = np.max(np.abs(lf))
-    inconclusive = bool(np.median(4.0 * se_t) > 0.5 * max(signal, 1e-12))
-    passed = bool(np.all(deviation <= band)) and not inconclusive
     return GeneratorCheckReport(
-        x=x,
         quotient=q_t,
         generator=lf,
-        band=band,
-        max_deviation=float(deviation.max()),
-        passed=passed,
-        inconclusive=inconclusive,
+        deviation=deviation,
+        gate=gate(deviation, se_t + se_h, 4.0, 1.5 * np.abs(slope) * t_small, 1e-12),
+        inconclusive=bool(np.median(4.0 * se_t) > 0.5 * max(np.max(np.abs(lf)), 1e-12)),
     )

@@ -170,8 +170,8 @@ def test_criterion_03_generator_recovery():
     ok = True
     for name, (triplet, n_paths) in cases.items():
         rep = generator_consistency_check(triplet, f, 0.01, MCConfig(n_paths, 500), np.linspace(-2.0, 2.0, 9))
-        ok &= rep.passed and not rep.inconclusive
-        details.append(f"{name} max dev {rep.max_deviation:.2e}")
+        ok &= bool(rep.gate.passed.all()) and not rep.inconclusive
+        details.append(f"{name} max dev {rep.deviation.max():.2e}")
     report(3, "generator recovery", ok, "; ".join(details))
 
 

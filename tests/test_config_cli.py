@@ -16,9 +16,9 @@ from levylab.cli import main
 from levylab.config import parse_config
 from levylab.errors import ConfigError
 from levylab.feller import DriftSpec
-from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel
-from levylab.levy import LevyTriplet1D, LevyTriplet2D
-from levylab.montecarlo import MCConfig
+from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, expectation
+from levylab.levy import LevyTriplet1D, LevyTriplet2D, char_exponent_1d
+from levylab.montecarlo import MCConfig, gate
 from levylab.runner import EXPERIMENTS, Metric, Output, Result
 
 MINIMAL_CHAR = """
@@ -152,6 +152,7 @@ x = 2
          "[observable]: unknown kind 'nope' (qtable, ptable or weyl)"),
         ("feller_zero.cfg", "drift = zero", "drift = nope", "[feller] drift: unknown drift 'nope' (zero, bessel3, ou, linear)"),
         ("feller_zero.cfg", "expect_left = absorbing", "expect_left = maybe", "[feller] expect_left: invalid verdict 'maybe'"),
+        ("killed_bm.cfg", "seed = 7", "seed = 7\nformat = csv", "[run]: unknown key 'format'"),
     ])
     def test_error_messages(self, name, old, new, message):
         # ``name`` None edits MINIMAL_CHAR, whose line numbers the messages cite
@@ -414,7 +415,9 @@ count = 5
 
         def off_fine(*args):
             rep = compare(*args)
-            return dataclasses.replace(rep, deviation_fine=2.0 * rep.band_fine, passed=False)
+            dev = 2.0 * rep.gate_fine.band
+            pushed = gate(dev, rep.mc_fine.stderr, 0.0, rep.gate_fine.band)
+            return dataclasses.replace(rep, deviation_fine=dev, gate_fine=pushed)
 
         monkeypatch.setattr(galilean, "mc_vs_closed_form", off_fine)
         cfg = write_config(tmp_path, GALILEI_SMALL)
@@ -523,6 +526,44 @@ t = 0.5, 1.0
         assert record["metrics"]["overflow_fraction"] == {"value": 0.0}
         assert set(record["manifest"]) == {"semigroup.csv", "semigroup.json"}
 
+    @pytest.mark.parametrize("observable", ["kind = ptable\nfunc = cos\nscale = 0.7", "kind = weyl\nx = 0.5\nv = 0.3"])
+    def test_mc_semigroup_observable_kinds(self, tmp_path, observable):
+        # g(P) commutes with the shifts, so its rows are exact with no paths; W(x, v) picks up the
+        # factor exp(t eta(v)) of the shift's characteristic function, within 4 stderr
+        text = f"""
+[run]
+kind = mc-semigroup
+seed = 3
+[triplet]
+beta = 0.3
+alpha = 0.5
+atoms = 0.5:1.0; -2.0:0.4
+[grid]
+n = 256
+x_min = -20.0
+dx = 0.15625
+[mc]
+n_paths = 2000
+[observable]
+{observable}
+[semigroup]
+t = 0.25, 1.0
+"""
+        out = tmp_path / "o"
+        assert main(["mc-semigroup", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        rows = json.loads((out / "semigroup.json").read_text())["rows"]
+        params = parse_config(text).params
+        exact = expectation(params["state"].unit(), params["observable"])
+        assert [row["t"] for row in rows] == [0.25, 1.0]
+        for row in rows:
+            estimate = complex(row["estimate_re"], row["estimate_im"])
+            if isinstance(params["observable"], PTable):
+                assert (estimate, row["stderr"], row["n_paths"]) == (exact, 0.0, 0)
+            else:
+                evolved = exact * np.exp(row["t"] * char_exponent_1d(params["triplet"], 0.3))
+                assert row["n_paths"] == 2000 and 0.0 < row["stderr"] < 0.01
+                assert abs(estimate - evolved) <= 4.0 * row["stderr"]
+
     def test_generator_check_runner(self, tmp_path):
         cfg = write_config(tmp_path, """
 [run]
@@ -554,6 +595,43 @@ dt = 0.005
         assert main(["killed-diffusion", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "survival.csv").read_text().splitlines()
         assert lines[0] == "t,survival,stderr"
+
+    def test_killed_diffusion_gate_at_zero_stderr(self, tmp_path, capsys):
+        # far from the boundary for a short time every path survives: survival 1 with stderr 0, so the
+        # tolerance alone judges and z = 0/0 is recorded as null
+        cfg = write_config(tmp_path, """
+[run]
+kind = killed-diffusion
+seed = 8
+[feller]
+drift = zero
+[mc]
+n_paths = 1000
+[kd]
+x_start = 10.0
+t = 0.01
+dt = 0.001
+expect = 1.0
+""")
+        assert main(["killed-diffusion", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        survival = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]["survival"]
+        assert survival == {"value": 1.0, "stderr": 0.0, "verdict": "pass", "z": None}
+
+    @pytest.mark.parametrize("run_line, flags, message", [
+        ("format = csv\n", [], "config error: [run]: unknown key 'format'"),
+        ("", ["--format", "csv"], "unrecognized arguments: --format csv"),
+    ])
+    def test_output_format_is_not_settable(self, tmp_path, capsys, run_line, flags, message):
+        # every run writes a table as CSV and every output as JSON: neither the config nor the CLI chooses
+        cfg = write_config(tmp_path, MINIMAL_CHAR.replace("seed = 42\n", "seed = 42\n" + run_line))
+        try:
+            code = main(["char-check", "--config", cfg, "--out", str(tmp_path / "o"), *flags])
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_galilei_compare_runner(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GALILEI_SMALL)

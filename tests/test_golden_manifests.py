@@ -49,6 +49,24 @@ def test_every_sample_config_records_a_verdict(name):
         assert has_verdict == (name not in NO_VERDICT), f"{name} at seed {seed}"
 
 
+#: Sample configs whose verdicts come from Monte Carlo gates, and the metrics those gates judge.
+GATED = {
+    "char_check_gauss.cfg": {"worst_distance_over_budget"},
+    "galilei_gauss.cfg": {"deviation_coarse", "deviation_fine"},
+    "generator_check.cfg": {"max_deviation"},
+    "killed_bm.cfg": {"survival"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_gated_verdict_records_z(name):
+    # a stderr-band verdict carries the z of its gate; no other metric has one
+    for seed, case in GOLDEN[name].items():
+        with_z = {metric for metric, entry in case["metrics"].items() if "z" in entry}
+        assert with_z == GATED.get(name, set()), f"{name} at seed {seed}"
+        assert all("verdict" in case["metrics"][metric] for metric in with_z), f"{name} at seed {seed}"
+
+
 def test_shrink_names_sample_configs():
     configs = {path.name for path in (REPO / "configs").glob("*.cfg")}
     assert set(SHRINK) | set(MULTI_CHUNK) <= configs

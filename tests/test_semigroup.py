@@ -23,6 +23,7 @@ from levylab.grid import (
 )
 from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
 from levylab.montecarlo import MCConfig, mc_stats
+from levylab.runner import _verdict
 from levylab.semigroup import (
     classical_generator_apply,
     generator_consistency_check,
@@ -231,11 +232,12 @@ class TestGeneratorConsistency:
     )
     def test_three_noise_types(self, triplet, n_paths):
         report = generator_consistency_check(triplet, bump, 0.01, MCConfig(n_paths, 77), np.linspace(-2.0, 2.0, 9))
-        assert report.passed and not report.inconclusive
+        assert report.gate.passed.all() and not report.inconclusive
 
     def test_noise_dominated_run_is_inconclusive(self):
         report = generator_consistency_check(GAUSS, bump, 0.01, MCConfig(50, 78), np.linspace(-2.0, 2.0, 9))
-        assert report.inconclusive and not report.passed
+        # an inconclusive run never counts as a pass, whatever its gates say
+        assert report.inconclusive and _verdict(report.gate.passed.all(), report.inconclusive) != "pass"
 
 
 class TestCovarianceAndSemigroup:
