@@ -18,19 +18,22 @@ Conventions:
   * 2-D exponent over increments ``(xi, eta)``:
     ``E exp(i (mu xi - lam eta)) = exp(t * char_exponent_2d(mu, lam))``;
     the minus sign on the second slot is part of the convention, so the
-    plain dot-product argument for :func:`empirical_char_function` is
+    plain dot-product argument of ``exp(i <arg, (xi, eta)>)`` is
     ``(mu, -lam)``.
+
+This module holds laws, exponents and the sampler and estimates nothing: a
+mean of samples and its standard error is :func:`levylab.montecarlo.mc_stats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from . import rng
-from .montecarlo import MCConfig, mc_stats, run_chunks
+from .montecarlo import run_chunks
 
 _PSD_TOL = 1e-12
 
@@ -250,7 +253,7 @@ def sample_ensemble(
     order; each chunk is one step of :func:`_sample_increments`, drawn from
     stream ``first_index + chunk`` of ``tag``.  With ``antithetic`` the
     second half mirrors the first (``n_paths`` must be even and the law
-    symmetric, which the caller asserts via :class:`MCConfig`).
+    symmetric, which the caller asserts via ``MCConfig``).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -271,66 +274,3 @@ def sample_ensemble(
     if antithetic:
         out = np.concatenate([out, -out])
     return out
-
-
-# --------------------------------------------------------------------------
-# Oracles
-# --------------------------------------------------------------------------
-
-def empirical_char_function(samples: np.ndarray, arg) -> tuple[complex, float]:
-    """Sample mean of ``exp(i <arg, sample>)`` with its standard error."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empty sample list")
-    if samples.ndim == 2:
-        theta = samples @ np.asarray(arg, dtype=float)
-    else:
-        theta = samples * float(arg)
-    return mc_stats(np.exp(1j * theta))
-
-
-@dataclass
-class ConvolutionTable:
-    """Monte Carlo table of ``x -> E f(x + xi_t)`` with per-point standard errors."""
-
-    values: np.ndarray
-    stderr: np.ndarray
-
-
-def _blocked_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, xi: np.ndarray):
-    """Yield ``(start, f(x[None, :] + xi[start:stop, None]))`` in row blocks of about 2**21 values."""
-    step = max(1, (1 << 21) // max(1, x.size))
-    for start in range(0, xi.shape[0], step):
-        yield start, np.asarray(f(x[None, :] + xi[start:start + step, None]), dtype=float)
-
-
-def convolve_classical(
-    f: Callable[[np.ndarray], np.ndarray],
-    triplet: LevyTriplet1D,
-    t: float,
-    mc: MCConfig,
-    x_grid: np.ndarray,
-    tag: str = "increments",
-) -> ConvolutionTable:
-    """Classical smoothing of ``f`` by the increment law at time ``t``.
-
-    ``t = 0`` returns ``f`` exactly with zero error bars.  This is the
-    abelian oracle the quantum Monte Carlo results are checked against;
-    ``tag`` names the increment streams (see :func:`sample_ensemble`).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x_grid = np.asarray(x_grid, dtype=float)
-    if t == 0.0:
-        vals = np.asarray(f(x_grid), dtype=float)
-        return ConvolutionTable(values=vals, stderr=np.zeros_like(vals))
-    xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag=tag)
-    n = xi.shape[0]
-    sums = np.zeros(x_grid.size)
-    sq = np.zeros(x_grid.size)
-    for _, block in _blocked_values(f, x_grid, xi):
-        sums += block.sum(axis=0)
-        sq += (block * block).sum(axis=0)
-    mean = sums / n
-    var = np.maximum(sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
-    return ConvolutionTable(values=mean, stderr=np.sqrt(var / n))

@@ -30,9 +30,8 @@ import numpy as np
 
 from . import __version__, rng
 from .errors import ConfigError
-from .levy import (JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, empirical_char_function,
-                   sample_ensemble)
-from .montecarlo import MCConfig, gate
+from .levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, char_exponent_1d, sample_ensemble
+from .montecarlo import MCConfig, gate, mc_stats
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -301,7 +300,7 @@ def _char_check(cfg: RunConfig) -> Result:
         xs = sample_ensemble(triplet, t, p["n_samples"], cfg.seed, threads=cfg.threads,
                              tag="char-check", first_index=ti * chunks)
         for lam in p["args"]:
-            emp, se = empirical_char_function(xs, lam)
+            emp, se = mc_stats(np.exp(1j * (xs * lam)))
             theo = np.exp(t * char_exponent_1d(triplet, lam))
             dist = abs(emp - theo)
             gates.append(gate(dist, se, p["sigmas"], 1e-12))

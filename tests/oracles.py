@@ -23,7 +23,7 @@ from levylab.galilean import GalileanGenerator
 from levylab.generators import StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
-from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, _blocked_values, sample_ensemble
+from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, sample_ensemble
 from levylab.montecarlo import MCConfig, MCResult, mc_stats
 from levylab.semigroup import _check_overflow, _shift_estimate, _support_bounds, mc_heisenberg_expectation
 
@@ -142,7 +142,8 @@ def ccr_defect(grid: GridSpec, x: float, y: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Increment laws: truncation change and the integrability condition
+# Increment laws: truncation change, the integrability condition and the
+# empirical characteristic function
 # --------------------------------------------------------------------------
 
 def with_truncation(triplet: LevyTriplet1D, new_h: float) -> LevyTriplet1D:
@@ -179,12 +180,31 @@ def validate_levy_condition(triplet: LevyTriplet1D | LevyTriplet2D) -> LevyCondi
     return LevyConditionReport(value=value, passed=True)
 
 
+def empirical_char_function(samples: np.ndarray, arg) -> tuple[complex, float]:
+    """Sample mean of ``exp(i <arg, sample>)`` with its standard error."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("empty sample list")
+    if samples.ndim == 2:
+        theta = samples @ np.asarray(arg, dtype=float)
+    else:
+        theta = samples * float(arg)
+    return mc_stats(np.exp(1j * theta))
+
+
 # --------------------------------------------------------------------------
 # Random-shift semigroup: classical oracle, covariance and the two-stage law
 # --------------------------------------------------------------------------
 
 #: ``|psi|^2`` mass the classical oracle may leave out of its weighted sum.
 ORACLE_TOL = 2e-30
+
+
+def _blocked_values(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, xi: np.ndarray):
+    """Yield ``(start, f(x[None, :] + xi[start:stop, None]))`` in row blocks of about 2**21 values."""
+    step = max(1, (1 << 21) // max(1, x.size))
+    for start in range(0, xi.shape[0], step):
+        yield start, np.asarray(f(x[None, :] + xi[start:start + step, None]), dtype=float)
 
 
 def classical_fixed_point_oracle(

@@ -53,7 +53,6 @@ from levylab.levy import (
     LevyTriplet2D,
     char_exponent_1d,
     char_exponent_2d,
-    empirical_char_function,
     sample_ensemble,
 )
 from levylab.montecarlo import MCConfig
@@ -63,6 +62,7 @@ from oracles import (
     ccr_defect,
     classical_fixed_point_oracle,
     default_grid,
+    empirical_char_function,
     hermitian_basis,
     momentum_expectation,
     position_expectation,

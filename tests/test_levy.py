@@ -14,13 +14,10 @@ from levylab.levy import (
     LevyTriplet2D,
     char_exponent_1d,
     char_exponent_2d,
-    convolve_classical,
-    empirical_char_function,
     noise_covariance_2d,
     sample_ensemble,
 )
-from levylab.montecarlo import MCConfig
-from oracles import validate_levy_condition, with_truncation
+from oracles import empirical_char_function, validate_levy_condition, with_truncation
 
 GAUSS = LevyTriplet1D(alpha=1.0)
 DRIFT = LevyTriplet1D(beta=1.0)
@@ -240,25 +237,6 @@ class TestEmpiricalCharFunction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_char_function(np.array([]), 1.0)
-
-
-class TestConvolveClassical:
-    def test_time_zero_identity(self):
-        x = np.linspace(-2, 2, 11)
-        f = lambda v: np.tanh(v)
-        table = convolve_classical(f, GAUSS, 0.0, MCConfig(10, 1), x)
-        assert np.array_equal(table.values, f(x)) and not table.stderr.any()
-
-    def test_unit_function_stays_one(self):
-        x = np.linspace(-2, 2, 5)
-        table = convolve_classical(lambda v: np.ones_like(v), MIXED, 1.0, MCConfig(2000, 2), x)
-        assert np.allclose(table.values, 1.0, atol=1e-14)
-
-    def test_indicator_under_symmetric_diffusion(self):
-        table = convolve_classical(
-            lambda v: (v > 0).astype(float), GAUSS, 1.0, MCConfig(100000, 3), np.array([0.0])
-        )
-        assert abs(table.values[0] - 0.5) <= 4.0 * table.stderr[0]
 
 
 class TestValidationErrors:

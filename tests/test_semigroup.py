@@ -23,9 +23,10 @@ from levylab.grid import (
 )
 from levylab.levy import JumpMeasure, LevyTriplet1D, char_exponent_1d, sample_ensemble
 from levylab.montecarlo import MCConfig, mc_stats
-from levylab.runner import _verdict
+from levylab.runner import OBSERVABLE_FUNCS, _verdict
 from levylab.semigroup import (
     classical_generator_apply,
+    classical_smoothing,
     generator_consistency_check,
     mc_heisenberg_expectation,
     _shift_values,
@@ -41,6 +42,8 @@ from oracles import (
 
 GAUSS = LevyTriplet1D(alpha=1.0)
 MIXED = LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(2.0, 0.4)]))
+#: The law of ``configs/generator_check.cfg``.
+GENCHK_LAW = LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(0.5, 1.0), (-2.0, 0.4)]))
 
 
 def bump(x):
@@ -218,6 +221,48 @@ class TestClassicalGenerator:
         f = lambda x: np.asarray(x) ** 2
         expected = 2.0 * ((0.3 + 0.5) ** 2 - 0.3**2 - 0.5 * 2 * 0.3)
         assert classical_generator_apply(triplet, f, 0.3) == pytest.approx(expected, abs=1e-6)
+
+
+class TestClassicalSmoothing:
+    def test_time_zero_identity(self):
+        x = np.linspace(-2, 2, 11)
+        f = lambda v: np.tanh(v)
+        values, stderr = classical_smoothing(f, GAUSS, 0.0, MCConfig(10, 1), x, "increments")
+        assert np.array_equal(values, f(x)) and not stderr.any()
+
+    def test_unit_function_stays_one(self):
+        x = np.linspace(-2, 2, 5)
+        values, _ = classical_smoothing(lambda v: np.ones_like(v), GENCHK_LAW, 1.0, MCConfig(2000, 2), x,
+                                        "increments")
+        assert np.allclose(values, 1.0, atol=1e-14)
+
+    def test_indicator_under_symmetric_diffusion(self):
+        values, stderr = classical_smoothing(
+            lambda v: (v > 0).astype(float), GAUSS, 1.0, MCConfig(100000, 3), np.array([0.0]), "increments"
+        )
+        assert abs(values[0] - 0.5) <= 4.0 * stderr[0]
+
+    # generator_check.cfg at [genchk] scale = 1e-4, seed 7: f(x + xi) spreads by about 1e-9 around 1,
+    # where a one-pass sq/n - mean^2 variance cancels to exactly 0 at some points
+    SMALL_SPREAD = staticmethod(OBSERVABLE_FUNCS["bump"](1e-4))
+    POINTS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    HALVES = [(0.01, "increments"), (0.005, "generator-check.half-step")]
+
+    def _sample_std_stderr(self, t, tag):
+        xi = sample_ensemble(GENCHK_LAW, t, 20000, 7, tag=tag)
+        return np.array([np.std(self.SMALL_SPREAD(xk + xi), ddof=1) for xk in self.POINTS]) / np.sqrt(20000)
+
+    @pytest.mark.parametrize("t,tag", HALVES)
+    def test_small_variance_stderr_is_the_sample_std(self, t, tag):
+        _, stderr = classical_smoothing(self.SMALL_SPREAD, GENCHK_LAW, t, MCConfig(20000, 7), self.POINTS, tag)
+        assert (stderr > 0).all()
+        np.testing.assert_allclose(stderr, self._sample_std_stderr(t, tag), rtol=1e-9, atol=0)
+
+    def test_generator_check_z_uses_the_sample_std(self):
+        # the z the CLI records: deviation over the two quotients' stderrs
+        report = generator_consistency_check(GENCHK_LAW, self.SMALL_SPREAD, 0.01, MCConfig(20000, 7), self.POINTS)
+        se = sum(self._sample_std_stderr(t, tag) / t for t, tag in self.HALVES)
+        np.testing.assert_allclose(report.gate.z, report.deviation / se, rtol=1e-9, atol=0)
 
 
 class TestGeneratorConsistency:

@@ -51,6 +51,25 @@ def test_package_imports_no_scipy():
             assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name}:{node.lineno} imports scipy"
 
 
+def test_spread_is_estimated_only_by_mc_stats():
+    # a mean's standard error has one implementation, montecarlo.mc_stats: no
+    # other code in the package takes a variance or standard deviation
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.stem == "montecarlo" and getattr(top, "name", None) == "mc_stats":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("var", "std"):
+                    raise AssertionError(f"{path.name}:{node.lineno} computes a spread outside mc_stats")
+
+
+def test_levy_takes_only_run_chunks_from_montecarlo():
+    # levy holds laws, exponents and the sampler; it estimates nothing
+    imported = {f"{node.module}.{alias.name}" for node in ast.walk(ast.parse((SRC / "levy.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if "montecarlo" in name} == {"montecarlo.run_chunks"}
+
+
 def test_package_within_line_budget():
     total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
