@@ -147,8 +147,9 @@ def _fit_loglog(log_scale: np.ndarray, log_integral: np.ndarray) -> tuple[float,
     A = np.vstack([xs, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     fit = A @ coef
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    with np.errstate(over="ignore"):  # log-integrals near the float range square to inf, and r2 to NaN
+        ss_res = float(np.sum((ys - fit) ** 2))
+        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(coef[0]), r2
 

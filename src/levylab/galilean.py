@@ -99,6 +99,8 @@ def _adaptive_simpson(fn, a: float, b: float) -> complex:
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         if depth <= 0:
             raise NumericalFailure(f"adaptive Simpson recursion exhausted on [{a!r}, {b!r}]")
+        if not np.isfinite(left + right):  # abs() of a complex NaN may raise OverflowError (a stale errno)
+            raise NumericalFailure(f"adaptive Simpson integrand not finite on [{a!r}, {b!r}]")
         if abs(left + right - whole) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(whole)):
             return left + right + (left + right - whole) / 15.0
         return (

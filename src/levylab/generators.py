@@ -19,9 +19,8 @@ the orthogonal complement of the maximally entangled vector ``sum_i |ii>``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,12 +144,10 @@ def cp_part_superop(gen: StandardGenerator) -> np.ndarray:
     return _jump_superops(_parts(gen)[1]).sum(axis=0)
 
 
-def choi_of_superop(S: np.ndarray, d: int) -> np.ndarray:
-    """Choi matrix of the map with superoperator matrix ``S``, batched over leading axes.
+def choi_matrix(S: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix ``C = sum_ij E_ij kron M[E_ij]`` of the map with superoperator ``S``, batched over leading axes.
 
-    Under column stacking ``C[i d + a, j d + b] = S[a + b d, i + j d]``, an
-    index permutation: it copies the entries :func:`choi_matrix` reads off
-    one-hot inputs, without calling the map.
+    Column stacking makes it an index permutation: ``C[i d + a, j d + b] = S[a + b d, i + j d]``.
     """
     S = np.asarray(S, dtype=complex)
     lead = S.shape[:-2]
@@ -163,51 +160,17 @@ def _min_hermitian_eig(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(herm).min(axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed random pair of :func:`_check_linear`, drawn once per ``d``, read-only."""
-    gen = rng.stream(0, "linearity-probe")
-    pair = tuple(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)) for _ in range(2))
-    for M in pair:
-        M.setflags(write=False)
-    return pair
-
-
-def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
-    """Spot-check linearity on a random pair; raises on violation."""
-    A, B = _linear_probe(d)
-    lhs = np.asarray(map_fn(1.5 * A + 2j * B))
-    rhs = 1.5 * np.asarray(map_fn(A)) + 2j * np.asarray(map_fn(B))
-    if np.abs(lhs - rhs).max() > 1e-9 * max(1.0, np.abs(lhs).max()):
-        raise ValueError("map is not linear (spot check failed)")
-
-
-def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
-    """Choi matrix ``C = sum_ij E_ij kron M[E_ij]`` of a black-box map, block by block.
-
-    Spot-checks linearity on a random pair and raises on violation.  A map
-    known by its superoperator matrix goes through :func:`choi_of_superop`.
-    """
-    _check_linear(map_fn, d)
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = _as_matrix(map_fn(E), d)
-    return C
-
-
 def _within_cp_tol(witness, C: np.ndarray) -> np.ndarray:
     """The one CP verdict rule: ``witness >= -CP_TOL * max(1, max|C|)`` for each Choi matrix ``C``."""
     return witness >= -CP_TOL * np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
 
 
-def is_completely_positive(map_fn: Callable, d: int) -> tuple[bool, float]:
-    """CP test via the Choi matrix; returns the verdict and the witness eigenvalue."""
-    C = choi_matrix(map_fn, d)
-    m = float(_min_hermitian_eig(C))
-    return bool(_within_cp_tol(m, C)), m
+def is_completely_positive(C: np.ndarray):
+    """CP verdict and witness (smallest Hermitian-part eigenvalue) of the Choi matrix ``C``, or arrays for a stack."""
+    C = np.asarray(C, dtype=complex)
+    witness = _min_hermitian_eig(C)
+    ok = _within_cp_tol(witness, C)
+    return (bool(ok), float(witness)) if ok.ndim == 0 else (ok, witness)
 
 
 def is_conditionally_cp(C: np.ndarray):
@@ -295,12 +258,13 @@ class StructureRow:
     """One generator's checks in the CP structure suite."""
 
     conditionally_cp: bool
+    completely_positive: bool  # exp(t gen) passes the CP rule (_within_cp_tol) at every time
     choi_min_eig: float  # min(0, smallest Choi eigenvalue of exp(t gen) over the times)
     preserves_identity: bool | None  # exp(gen)[I] = I to 1e-10; None when not checked (non-unital)
 
     @property
     def passed(self) -> bool:
-        return self.conditionally_cp and self.choi_min_eig >= -1e-8 and self.preserves_identity is not False
+        return self.conditionally_cp and self.completely_positive and self.preserves_identity is not False
 
 
 #: Bytes of one batch's stacked exponential in :func:`structure_rows` (memory only; no effect on rows).
@@ -313,8 +277,8 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
     Generators of one ``(dim, n_jumps)`` go in batches of at most ``EXPM_BATCH_BYTES`` of
     exponentials (``len(ts) * d**4 * 16`` bytes each, ``ts`` the times plus ``t = 1`` for the
     identity check): one stacked superoperator, from which one conditional CP test, one
-    exponential over generators and ``ts``, and one Choi ``eigvalsh``.  Each row equals a
-    one-generator batch bit for bit.
+    exponential over generators and ``ts``, and one Choi ``eigvalsh`` judged by the rule of
+    :func:`is_completely_positive`.  Each row equals a one-generator batch bit for bit.
     """
     times = [float(t) for t in times]
     ts = times if 1.0 in times else times + [1.0]
@@ -327,13 +291,15 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
         for idx in (members[lo:lo + per] for lo in range(0, len(members), per)):
             batch = [gens[i] for i in idx]
             S = superop_matrix(batch)
-            ccp = is_conditionally_cp(choi_of_superop(S, d))
+            ccp = is_conditionally_cp(choi_matrix(S, d))
             E = exact_evolve(S, ts)
-            eigs = _min_hermitian_eig(choi_of_superop(E[:, :len(times)], d))
+            C = choi_matrix(E[:, :len(times)], d)
+            eigs = _min_hermitian_eig(C)
+            cp = _within_cp_tol(eigs, C).all(axis=-1)
             defect = np.abs(E[:, ts.index(1.0)] @ omega - omega).max(axis=-1)
             for k, g in enumerate(batch):
                 preserves = bool(defect[k] <= 1e-10) if g.unital else None
-                rows[idx[k]] = StructureRow(bool(ccp[k]), min([0.0, *map(float, eigs[k])]), preserves)
+                rows[idx[k]] = StructureRow(bool(ccp[k]), bool(cp[k]), min([0.0, *map(float, eigs[k])]), preserves)
     return rows
 
 

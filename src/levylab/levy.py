@@ -142,7 +142,7 @@ class LevyTriplet2D:
         else:
             if abs(a[0, 1] - a[1, 0]) > _PSD_TOL * max(1.0, np.abs(a).max()):
                 problems.append("alpha must be symmetric")
-            eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
+            eigs = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)  # halved first: entries near the float range stay finite
             if eigs.min() < -_PSD_TOL * max(1.0, np.abs(a).max()):
                 problems.append(f"alpha must be positive semidefinite, min eigenvalue {eigs.min():.3e}")
         if not self.h > 0:
@@ -175,9 +175,9 @@ def char_exponent_1d(triplet: LevyTriplet1D, lam: float) -> complex:
 def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
     """Two-component exponent: ``E exp(i (mu xi_t - lam eta_t)) = exp(t * eta2(mu, lam))``."""
     mu, lam = float(mu), float(lam)
-    a = triplet.alpha_matrix
+    (a_pp, a_pq), (_, a_qq) = triplet.alpha  # Python floats: an overflow is inf without a warning
     eta = 1j * (mu * triplet.beta_p - lam * triplet.beta_q)
-    eta -= 0.5 * (a[0, 0] * mu * mu + 2.0 * a[0, 1] * mu * lam + a[1, 1] * lam * lam)
+    eta -= 0.5 * (a_pp * mu * mu + 2.0 * a_pq * mu * lam + a_qq * lam * lam)
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     phase = mu * locs[:, 0] - lam * locs[:, 1]
     comp = (np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h).astype(float)

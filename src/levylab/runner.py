@@ -365,7 +365,7 @@ def _generator_check(cfg: RunConfig) -> Result:
     "times": Field("list_float", default=[0.1, 1.0, 10.0], range="nonnegative"),
 })
 def _cp_suite(cfg: RunConfig) -> Result:
-    from .generators import is_completely_positive, random_standard_generator, structure_rows
+    from .generators import choi_matrix, is_completely_positive, random_standard_generator, structure_rows
 
     p = cfg.params["suite"]
     shapes = rng.stream(cfg.seed, "cp-suite.shapes")
@@ -375,7 +375,8 @@ def _cp_suite(cfg: RunConfig) -> Result:
             for i, (d, m, unital) in enumerate(draws)]
     rows = [[i, *draw, r.conditionally_cp, r.choi_min_eig, r.preserves_identity, r.passed]
             for i, (draw, r) in enumerate(zip(draws, structure_rows(gens, p["times"])))]
-    cp_ok, witness = is_completely_positive(lambda X: X.T, 2)
+    transpose = np.eye(4)[[0, 2, 1, 3]]  # S[j + 2i, i + 2j] = 1: the superoperator of X -> X^T
+    cp_ok, witness = is_completely_positive(choi_matrix(transpose, 2))
     transpose_ok = (not cp_ok) and abs(witness + 1.0) <= 1e-10
     header = ("index", "dim", "jumps", "unital", "conditionally_cp", "choi_min_eig", "preserves_identity", "pass")
     return Result(

@@ -11,6 +11,7 @@ module for them together with ``src/``.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +21,8 @@ import numpy as np
 from levylab import rng
 from levylab.feller import DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
 from levylab.galilean import GalileanGenerator
-from levylab.generators import StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
+from levylab.generators import (StandardGenerator, _as_matrix, _min_hermitian_eig, _within_cp_tol, exact_evolve,
+                                superop_matrix, vec)
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
 from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, sample_ensemble
@@ -364,6 +366,52 @@ def covariance_defect(map_fn: Callable, V, sample_xs: Sequence) -> float:
         rhs = V.conj().T @ np.asarray(map_fn(X)) @ V
         worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
+
+
+# --------------------------------------------------------------------------
+# Structure theory: the black-box Choi route, for maps known only as functions
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _linear_probe(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed random pair of :func:`_check_linear`, drawn once per ``d``, read-only."""
+    gen = rng.stream(0, "linearity-probe")
+    pair = tuple(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)) for _ in range(2))
+    for M in pair:
+        M.setflags(write=False)
+    return pair
+
+
+def _check_linear(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> None:
+    """Spot-check linearity on a random pair; raises on violation."""
+    A, B = _linear_probe(d)
+    lhs = np.asarray(map_fn(1.5 * A + 2j * B))
+    rhs = 1.5 * np.asarray(map_fn(A)) + 2j * np.asarray(map_fn(B))
+    if np.abs(lhs - rhs).max() > 1e-9 * max(1.0, np.abs(lhs).max()):
+        raise ValueError("map is not linear (spot check failed)")
+
+
+def choi_of_map(map_fn: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Choi matrix ``C = sum_ij E_ij kron M[E_ij]`` of a black-box map, block by block.
+
+    Spot-checks linearity on a random pair and raises on violation.  A map
+    known by its superoperator matrix goes through ``generators.choi_matrix``.
+    """
+    _check_linear(map_fn, d)
+    C = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = 1.0
+            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = _as_matrix(map_fn(E), d)
+    return C
+
+
+def map_is_completely_positive(map_fn: Callable, d: int) -> tuple[bool, float]:
+    """CP test via the Choi matrix; returns the verdict and the witness eigenvalue."""
+    C = choi_of_map(map_fn, d)
+    m = float(_min_hermitian_eig(C))
+    return bool(_within_cp_tol(m, C)), m
 
 
 # --------------------------------------------------------------------------

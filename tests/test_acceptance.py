@@ -34,7 +34,6 @@ from levylab.generators import (
     gauge_group_law_check,
     apply_gauge,
     GaugeElement,
-    is_completely_positive,
     random_standard_generator,
     structure_rows,
     superop_matrix,
@@ -64,6 +63,7 @@ from oracles import (
     default_grid,
     empirical_char_function,
     hermitian_basis,
+    map_is_completely_positive,
     momentum_expectation,
     position_expectation,
     trace_decay_link,
@@ -202,7 +202,7 @@ def test_criterion_05_cp_structure_suite():
     rows = structure_rows(gens, (0.1, 1.0, 10.0))
     worst_eig = min([0.0, *(row.choi_min_eig for row in rows)])
     ok = all(row.passed for row in rows)
-    cp_ok, witness = is_completely_positive(lambda X: X.T, 2)
+    cp_ok, witness = map_is_completely_positive(lambda X: X.T, 2)
     ok &= (not cp_ok) and abs(witness + 1.0) <= 1e-10
     report(5, "CP structure suite", ok, f"worst Choi eig {worst_eig:.2e}, transpose witness {witness:+.12f}")
 

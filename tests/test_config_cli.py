@@ -400,7 +400,7 @@ count = 5
         # a CP test that calls the transpose completely positive fails the witness alone
         from levylab import generators
 
-        monkeypatch.setattr(generators, "is_completely_positive", lambda map_fn, d: (True, 0.0))
+        monkeypatch.setattr(generators, "is_completely_positive", lambda C: (True, 0.0))
         cfg = write_config(tmp_path, "[run]\nkind = cp-suite\nseed = 1\n[suite]\ncount = 4\n")
         assert main(["cp-suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
@@ -428,14 +428,13 @@ count = 5
 
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
-        # and one Choi assembly by map calls per time, the conditional CP test
-        # on the Choi matrix assembled from apply_generator, and a separate
-        # t = 1 exponential for the identity check (the times here leave t = 1
-        # out); at dimensions up to 6 the byte budget splits the (dim, jumps)
-        # groups into batches
-        from levylab.generators import (choi_matrix, exact_evolve, is_completely_positive, is_conditionally_cp,
-                                        random_standard_generator, superop_matrix, vec)
-        from oracles import apply_generator, unvec
+        # and one Choi assembly by map calls per time, judged by the one CP
+        # rule, the conditional CP test on the Choi matrix assembled from
+        # apply_generator, and a separate t = 1 exponential for the identity
+        # check (the times here leave t = 1 out); at dimensions up to 6 the
+        # byte budget splits the (dim, jumps) groups into batches
+        from levylab.generators import exact_evolve, is_conditionally_cp, random_standard_generator, superop_matrix, vec
+        from oracles import apply_generator, choi_of_map, map_is_completely_positive, unvec
         from levylab.runner import _fmt
 
         cfg = write_config(tmp_path, """
@@ -457,16 +456,17 @@ times = 0, 0.1, 2.5
             m = int(gen0.integers(1, 4))
             unital = bool(gen0.integers(0, 2))
             g = random_standard_generator(d, m, 3, unital=unital, tag="cp-suite.generator", index=i)
-            ccp = is_conditionally_cp(choi_matrix(lambda X: apply_generator(g, X), d))
-            worst = 0.0
+            ccp = is_conditionally_cp(choi_of_map(lambda X: apply_generator(g, X), d))
+            cp, worst = True, 0.0
             for t in (0.0, 0.1, 2.5):
                 E = exact_evolve(superop_matrix(g), t)
-                worst = min(worst, is_completely_positive(lambda X: unvec(E @ vec(X)), d)[1])
+                ok_t, witness = map_is_completely_positive(lambda X: unvec(E @ vec(X)), d)
+                cp, worst = cp and ok_t, min(worst, witness)
             preserves = None  # the identity check is made for unital generators only
             if g.unital:
                 E = exact_evolve(superop_matrix(g), 1.0)
                 preserves = bool(np.abs(unvec(E @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
-            ok = ccp and worst >= -1e-8 and preserves is not False
+            ok = ccp and cp and preserves is not False
             lines.append(",".join(_fmt(c) for c in [i, d, m, unital, ccp, worst, preserves, ok]))
         assert (out / "cp_suite.csv").read_text() == "\n".join(lines) + "\n"
         rows = [line.split(",") for line in lines[1:]]
@@ -728,6 +728,34 @@ t = 1.0
             warnings.simplefilter("error")
             assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"numerical failure: matrix exponential {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_feller_fit_near_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # log-integrals near 1e300 square past the float range in the log-log fit: both sides
+        # stay non-absorbing with r2 NaN (null), and no numpy warning reaches stderr
+        cfg = write_config(tmp_path, "[run]\nkind = feller-classify\nseed = 1\n[feller]\ndrift = linear\n"
+                                     "coefficient = 1e300\nl = 0.0\nx0 = 1.0\n"
+                                     "expect_left = non-absorbing\nexpect_right = non-absorbing\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["feller-classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
+        assert metrics["left"] == metrics["right"] == {"value": "non-absorbing", "verdict": "pass"}
+        diagnostics = json.loads((tmp_path / "o" / "boundary.json").read_text())["diagnostics"]
+        assert diagnostics["left"]["r2"] is None and diagnostics["left"]["log_integral"][0] > 1e299
+
+    def test_galilei_alpha_near_the_float_range_fails_in_one_line(self, tmp_path, capsys):
+        # alpha's symmetric part and the exponent's quadratic form used to overflow with numpy
+        # warnings before the quadrature gave up; now the quadrature's refusal of its non-finite
+        # integrand is the one diagnostic line
+        cfg = write_config(tmp_path, "[run]\nkind = galilei-compare\nseed = 1\n[triplet2]\n"
+                                     "alpha = 1e308, 0.0, 1e308\n[mc]\nn_paths = 16\n[galilei]\nn_steps = 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("galilei-compare: ")]
+        assert len(err) == 1 and err[0].startswith("numerical failure: adaptive Simpson"), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verdicts, code, verdict", [

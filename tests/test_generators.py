@@ -22,7 +22,6 @@ from levylab.generators import (
     _min_hermitian_eig,
     apply_gauge,
     choi_matrix,
-    choi_of_superop,
     cp_part_superop,
     dyson_terms,
     exact_evolve,
@@ -35,7 +34,8 @@ from levylab.generators import (
     superop_matrix,
     vec,
 )
-from oracles import apply_generator, apply_preadjoint, check_duality, covariance_defect, hermitian_basis, unvec
+from oracles import (apply_generator, apply_preadjoint, check_duality, choi_of_map, covariance_defect, hermitian_basis,
+                     map_is_completely_positive, unvec)
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -93,37 +93,37 @@ class TestApplyGenerator:
 
 class TestChoi:
     def test_identity_map(self):
-        c = choi_matrix(lambda X: X, 2)
+        c = choi_of_map(lambda X: X, 2)
         eigs = np.sort(np.linalg.eigvalsh(c))
         assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_transpose_map(self):
-        c = choi_matrix(lambda X: X.T, 2)
+        c = choi_of_map(lambda X: X.T, 2)
         eigs = np.sort(np.linalg.eigvalsh(c))
         assert np.allclose(eigs, [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_zero_map(self):
-        c = choi_matrix(lambda X: np.zeros_like(X), 3)
+        c = choi_of_map(lambda X: np.zeros_like(X), 3)
         assert not c.any()
 
     def test_nonlinear_map_rejected(self):
         with pytest.raises(ValueError, match="not linear"):
-            choi_matrix(lambda X: X @ X, 2)
+            choi_of_map(lambda X: X @ X, 2)
 
     def test_kraus_map_is_cp(self):
         gen = rng.stream(12, "test.kraus-ops")
         ops = [gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)) for _ in range(2)]
         fn = lambda X: sum(L.conj().T @ X @ L for L in ops)
-        ok, min_eig = is_completely_positive(fn, 3)
+        ok, min_eig = map_is_completely_positive(fn, 3)
         assert ok and min_eig > -1e-12
 
     def test_unitary_conjugation_is_cp(self):
         U = np.array([[0, 1], [1, 0]], dtype=complex)
-        ok, _ = is_completely_positive(lambda X: U.conj().T @ X @ U, 2)
+        ok, _ = map_is_completely_positive(lambda X: U.conj().T @ X @ U, 2)
         assert ok
 
     def test_transpose_not_cp_with_witness(self):
-        ok, witness = is_completely_positive(lambda X: X.T, 2)
+        ok, witness = map_is_completely_positive(lambda X: X.T, 2)
         assert not ok and witness == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("scale", [1e4, 1e6])
@@ -135,10 +135,33 @@ class TestChoi:
             gen = rng.stream(seed, "test.scaled-kraus")
             ops = [gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)) for _ in range(2)]
             fn = lambda X: scale * sum(L.conj().T @ X @ L for L in ops)
-            ok, witness = is_completely_positive(fn, 4)
-            assert ok and is_conditionally_cp(choi_matrix(fn, 4))
+            ok, witness = map_is_completely_positive(fn, 4)
+            assert ok and is_conditionally_cp(choi_of_map(fn, 4))
             witnesses.append(witness)
         assert min(witnesses) < -CP_TOL  # the absolute rule would have rejected these
+
+
+TRANSPOSE = np.eye(4)[[0, 2, 1, 3]]  # S[j + 2i, i + 2j] = 1: the superoperator of X -> X^T
+
+
+class TestChoiOfSuperoperator:
+    def test_transpose_witness_matches_black_box_route(self):
+        ok, witness = is_completely_positive(choi_matrix(TRANSPOSE, 2))
+        assert (ok, witness) == map_is_completely_positive(lambda X: X.T, 2)
+        assert ok is False and witness == -1.0
+
+    def test_stack_gives_the_single_verdicts(self):
+        gen = rng.stream(12, "test.kraus-ops")
+        ops = [gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)) for _ in range(2)]
+        kraus = sum(np.kron(L.T, L.conj().T) for L in ops)  # superoperator of X -> sum L^dag X L
+        swap = np.eye(9).reshape(3, 3, 9).swapaxes(0, 1).reshape(9, 9)  # X -> X^T
+        C = choi_matrix(np.stack([kraus, swap, 1e6 * kraus]), 3)
+        ok, witness = is_completely_positive(C)
+        assert ok.tolist() == [True, False, True] and witness.shape == (3,)
+        for k, fn in enumerate((lambda X: sum(L.conj().T @ X @ L for L in ops), lambda X: X.T,
+                                lambda X: 1e6 * sum(L.conj().T @ X @ L for L in ops))):
+            assert is_completely_positive(C[k]) == (bool(ok[k]), float(witness[k]))
+            assert map_is_completely_positive(fn, 3)[0] == ok[k]
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -160,14 +183,14 @@ class TestSuperopAndChoi:
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
     @example(1, 0, 1.0)
     @example(6, 1, 1e3)
-    def test_choi_of_superop_matches_block_assembly(self, d, seed, scale):
+    def test_choi_matrix_matches_block_assembly(self, d, seed, scale):
         gen = rng.stream(seed, "test.superop", d)
         S = scale * (gen.standard_normal((2, d * d, d * d)) + 1j * gen.standard_normal((2, d * d, d * d)))
         S[gen.random(S.shape) < 0.2] = 0.0  # exact zeros, as in structured superoperators
-        batch = choi_of_superop(S, d)
+        batch = choi_matrix(S, d)
         for k in range(2):
-            oracle = choi_matrix(lambda X: unvec(S[k] @ vec(X)), d)
-            assert same_bits(choi_of_superop(S[k], d), oracle)
+            oracle = choi_of_map(lambda X: unvec(S[k] @ vec(X)), d)
+            assert same_bits(choi_matrix(S[k], d), oracle)
             assert same_bits(batch[k], oracle)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
@@ -206,7 +229,7 @@ class TestSuperopAndChoi:
 
 
 def generator_choi(g: StandardGenerator) -> np.ndarray:
-    return choi_of_superop(superop_matrix(g), g.dim)
+    return choi_matrix(superop_matrix(g), g.dim)
 
 
 class TestConditionalCP:
@@ -220,7 +243,7 @@ class TestConditionalCP:
         assert is_conditionally_cp(generator_choi(g))
 
     def test_transpose_fails(self):
-        assert is_conditionally_cp(choi_matrix(lambda X: X.T, 2)) is False
+        assert is_conditionally_cp(choi_of_map(lambda X: X.T, 2)) is False
 
 
 class TestEvolution:
@@ -318,18 +341,19 @@ def structure_row(gen: StandardGenerator, times) -> StructureRow:
     """Reference: one generator's row, computed alone (the per-generator loop ``structure_rows`` replaced)."""
     d = gen.dim
     S = superop_matrix(gen)
-    ccp = is_conditionally_cp(choi_of_superop(S, d))
+    ccp = is_conditionally_cp(choi_matrix(S, d))
     ts = [float(t) for t in times]
     if gen.unital and 1.0 not in ts:
         ts.append(1.0)
     E = exact_evolve(S, ts)
-    eigs = _min_hermitian_eig(choi_of_superop(E[:len(times)], d))
+    cp, eigs = is_completely_positive(choi_matrix(E[:len(times)], d))
     worst = min([0.0, *map(float, eigs)])
     preserves = None
     if gen.unital:
         E1 = E[ts.index(1.0)]
         preserves = bool(np.abs(unvec(E1 @ vec(np.eye(d))) - np.eye(d)).max() <= 1e-10)
-    return StructureRow(conditionally_cp=ccp, choi_min_eig=worst, preserves_identity=preserves)
+    return StructureRow(conditionally_cp=ccp, completely_positive=bool(cp.all()), choi_min_eig=worst,
+                        preserves_identity=preserves)
 
 
 def suite_generators(seed: int, count: int, max_dim: int, max_jumps: int = 3) -> list[StandardGenerator]:
@@ -344,7 +368,8 @@ def suite_generators(seed: int, count: int, max_dim: int, max_jumps: int = 3) ->
 
 
 def same_row(a: StructureRow, b: StructureRow) -> bool:
-    return (a.conditionally_cp is b.conditionally_cp and a.preserves_identity is b.preserves_identity
+    return (a.conditionally_cp is b.conditionally_cp and a.completely_positive is b.completely_positive
+            and a.preserves_identity is b.preserves_identity
             and np.float64(a.choi_min_eig).tobytes() == np.float64(b.choi_min_eig).tobytes())
 
 
@@ -362,6 +387,16 @@ class TestStructureRows:
             assert (row.preserves_identity is None) == (not g.unital)
         if min(times) < 0:
             assert len({row.choi_min_eig for row in rows}) == len(rows)
+            assert not any(row.completely_positive or row.passed for row in rows)
+
+    def test_rows_judge_cp_by_the_one_rule(self):
+        # exp(t gen) at t = -1e-9 has witnesses near -5e-9: inside the old absolute -1e-8 bound,
+        # outside -CP_TOL * max(1, max|C|), the rule both CP tests use
+        gens = [random_standard_generator(d, 2, seed=5) for d in (2, 4, 6)]
+        for row in structure_rows(gens, (-1e-9, 0.5)):
+            assert -1e-8 < row.choi_min_eig < -CP_TOL
+            assert row.conditionally_cp and not row.completely_positive and not row.passed
+        assert all(row.completely_positive and row.passed for row in structure_rows(gens, (0.0, 0.5)))
 
     @pytest.mark.parametrize("budget", [1, 2**40])
     def test_rows_do_not_depend_on_budget(self, monkeypatch, budget):
@@ -380,7 +415,7 @@ class TestStructureRows:
             E = exact_evolve(S, times)
             assert S.shape == (4, d * d, d * d) and E.shape == (4, len(times), d * d, d * d)
             assert exact_evolve(S, 0.5).shape == (4, d * d, d * d)
-            ccp = is_conditionally_cp(choi_of_superop(S, d))
+            ccp = is_conditionally_cp(choi_matrix(S, d))
             assert ccp.shape == (4,)
             for j, g in enumerate(gens):
                 assert same_bits(S[j], superop_matrix(g))
@@ -444,7 +479,7 @@ class TestDyson:
     def test_terms_are_cp(self):
         g = damped_qubit()
         for term in dyson_terms(g, 1.0, 6):
-            _, min_eig = is_completely_positive(lambda X: unvec(term @ vec(X)), 2)
+            _, min_eig = map_is_completely_positive(lambda X: unvec(term @ vec(X)), 2)
             assert min_eig > -1e-10
 
     def test_factorial_decay_of_term_ratios(self):

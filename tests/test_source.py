@@ -70,6 +70,25 @@ def test_levy_takes_only_run_chunks_from_montecarlo():
     assert {name for name in imported if "montecarlo" in name} == {"montecarlo.run_chunks"}
 
 
+def test_maps_enter_as_matrices():
+    # complete positivity has one route: a map reaches the package as its superoperator
+    # or Choi matrix, never as a Python callable; the black-box Choi assembly and its
+    # linearity spot check are test oracles (tests/oracles.py)
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{path.stem}.{node.name}"] = node
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                maps = [a.arg for a in args if a.arg == "map_fn" or (
+                    path.stem == "generators" and a.annotation is not None and "Callable" in ast.unparse(a.annotation))]
+                assert not maps, f"{path.name}:{node.lineno} takes a map as a callable: {maps}"
+    assert [a.arg for a in functions["generators.choi_matrix"].args.args] == ["S", "d"]
+    assert [a.arg for a in functions["generators.is_completely_positive"].args.args] == ["C"]
+    gone = {"choi_of_superop", "_check_linear", "_linear_probe"}
+    assert not {name for name in functions if name.partition(".")[2] in gone}
+
+
 def test_package_within_line_budget():
     total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
