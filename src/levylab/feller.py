@@ -7,12 +7,14 @@ function
 
 decides whether an endpoint can absorb probability: the endpoint is
 non-absorbing exactly when ``|F|`` fails to be integrable in its
-neighbourhood.  The classifier integrates ``|F|`` over dyadically shrinking
-(growing) neighbourhoods and fits the growth on a log-log scale; the
-declared decision rule is |slope| > 0.2 with R^2 > 0.99 for divergent,
-|slope| < 0.05 for convergent, anything else inconclusive.  All shell
-integrals run in log space, since ``F`` can exceed the floating-point range
-long before the verdict is in.
+neighbourhood (W. Feller, "The parabolic differential equations and the
+associated semi-groups of transformations", Ann. Math. 55, 1952).  The
+``[feller] drift`` grammar names four drift families, and Feller's test has
+a closed form for each: ``DRIFTS`` holds every family's drift and, at each
+end, whether ``|F|`` is integrable there and the asymptotic form of ``|F|``
+that decides it.  ``feller_test`` reads that table.  The numeric check for
+any drift callable, by quadrature on dyadic shells, is a test oracle
+(``shell_feller_test`` in ``tests/oracles.py``).
 
 The Monte Carlo side simulates the killed diffusion by Euler-Maruyama with
 a Brownian-bridge crossing correction (absorb with probability
@@ -26,29 +28,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import rng
-from .errors import NumericalFailure
 from .montecarlo import MCConfig, run_chunks
 
-#: Dyadic shells used on each side of the reference point.
-N_SHELLS = 12
-#: Nodes per shell for the log-space quadrature.
-SHELL_NODES = 161
-#: Dyadic points entering the log-log fit (the asymptotic tail).
-FIT_POINTS = 7
-#: Right end of the range on which drifts are evaluated (no extrapolation).
-X_MAX = 1e6
-
-DIVERGENT_SLOPE = 0.2
-CONVERGENT_SLOPE = 0.05
-FIT_R2 = 0.99
-#: Log growth over the last four shells that counts as runaway divergence
-#: (super-polynomial blow-up curves in log-log and defeats the linear fit).
-RUNAWAY_LOG_GROWTH = float(np.log(10.0))
 #: The bridge kill test ``U < exp(arg)`` is made, and its uniform drawn, only
 #: for live paths whose exponent ``arg = -2 (x_k - l)(x_{k+1} - l) / dt`` is
 #: above ``-BRIDGE_CUT``; crossed paths (``x_{k+1} <= l``, ``arg >= 0``) are
@@ -60,147 +46,78 @@ RUNAWAY_LOG_GROWTH = float(np.log(10.0))
 BRIDGE_CUT = 37.0
 
 
+class End(NamedTuple):
+    """Feller's test at one endpoint: is ``|F|`` integrable near it, and the form of ``|F|`` that says so."""
+
+    integrable: bool
+    form: str
+
+
+class Drift(NamedTuple):
+    """A named drift family: ``b(x; l, c)`` on a float array, and the closed-form test at each end."""
+
+    b: Callable[[np.ndarray, float, float], np.ndarray]
+    left: End
+    right: End
+
+
+#: Every drift ``[feller] drift`` can name, with ``F`` in closed form (``c`` is
+#: the ``coefficient``).  A drift bounded near ``l`` leaves ``|F|`` bounded
+#: there, so ``l`` absorbs; at infinity each family's ``|F|`` stays away from 0.
+DRIFTS = {
+    "zero": Drift(lambda x, l, c: np.zeros_like(x),  # F = x - x0
+                  End(True, "|F| -> x0 - l"),
+                  End(False, "|F| ~ x")),
+    "bessel3": Drift(lambda x, l, c: 1.0 / (x - l),  # F = ((x - l)^3 - (x0 - l)^3) / (3 (x - l)^2)
+                     End(False, "|F| ~ (x0 - l)^3 / (3 (x - l)^2)"),
+                     End(False, "|F| ~ (x - l) / 3")),
+    "ou": Drift(lambda x, l, c: -x,  # F = exp(x^2) integral_{x0}^{x} exp(-y^2) dy
+                End(True, "|F| -> exp(l^2) |integral_l^x0 exp(-y^2) dy|"),
+                End(False, "|F| ~ exp(x^2) integral_x0^inf exp(-y^2) dy")),
+    "linear": Drift(lambda x, l, c: c * np.ones_like(x),  # F = (1 - exp(-2c (x - x0))) / (2c)
+                    End(True, "|F| -> |exp(2c (x0 - l)) - 1| / (2|c|), or x0 - l at c = 0"),
+                    End(False, "|F| -> 1/(2c) for c > 0, ~ x at c = 0, ~ exp(2|c| (x - x0)) / (2|c|) for c < 0")),
+}
+
+
 @dataclass(frozen=True)
 class DriftSpec:
-    """Half-line diffusion: left endpoint, drift callable, reference point.
+    """Half-line diffusion: the drift family of ``DRIFTS`` by name, left endpoint, reference point, coefficient."""
 
-    ``drift`` must be defined on ``(l, X_MAX)``; the classifier never
-    evaluates it outside that range (no extrapolation is attempted).
-    """
-
+    name: str
     l: float
-    drift: Callable[[np.ndarray], np.ndarray]
     x0: float
+    coefficient: float
 
     def __post_init__(self):
+        if self.name not in DRIFTS:
+            raise ValueError(f"unknown drift {self.name!r} ({', '.join(DRIFTS)})")
         if not self.x0 > self.l:
             raise ValueError(f"x0 = {self.x0} must lie strictly right of l = {self.l}")
-        if not X_MAX > self.x0:
-            raise ValueError(f"x0 must be below X_MAX = {X_MAX:g}")
+
+    def drift(self, x) -> np.ndarray:
+        return DRIFTS[self.name].b(np.asarray(x, dtype=float), self.l, self.coefficient)
 
 
 @dataclass
 class BoundaryReport:
-    """Endpoint classifications with the divergence diagnostics behind them."""
+    """Endpoint classifications with the diagnostics behind them."""
 
     left: str
     right: str
     diagnostics: dict
 
-    VERDICTS = ("non-absorbing", "absorbing", "inconclusive")
-
-    def __post_init__(self):
-        for v in (self.left, self.right):
-            if v not in self.VERDICTS:
-                raise ValueError(f"unknown verdict {v!r}")
-        for side in ("left", "right"):
-            if getattr(self, side) != "inconclusive" and side not in self.diagnostics:
-                raise ValueError(f"verdict for {side} endpoint lacks diagnostics")
-
-
-# --------------------------------------------------------------------------
-# Scale-like function
-# --------------------------------------------------------------------------
-
-def _log_abs_scale(spec: DriftSpec, nodes: np.ndarray) -> np.ndarray:
-    """``log |F|`` on a node ladder ordered from ``x0`` outward.
-
-    The cumulative drift integral ``B(y) = integral_{x0}^{y} 2 b`` comes from
-    the trapezoid rule on the ladder (the sign of the steps encodes the
-    direction), and ``log |F(x)| = -B(x) + log integral_{x0}^{x} exp(B(y)) dy``
-    from log-sum-exp accumulation.
-    """
-    b_vals = 2.0 * np.asarray(spec.drift(nodes), dtype=float)
-    if not np.all(np.isfinite(b_vals)):
-        raise NumericalFailure("drift not finite on the node ladder")
-    steps = np.diff(nodes)
-    B = np.concatenate([[0.0], np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * steps)])
-    seg = np.logaddexp(B[1:], B[:-1]) + np.log(np.abs(steps) / 2.0)
-    return -B + np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
-
-
-def _shell_ladder(d0: float, d1: float) -> tuple[np.ndarray, np.ndarray]:
-    """``N_SHELLS`` dyadic shell edges from distance ``d0`` to ``d1`` with dense geometric nodes.
-
-    Edge ``k`` sits at node index ``k * (SHELL_NODES - 1)``.
-    """
-    edges = np.geomspace(d0, d1, N_SHELLS + 1)
-    nodes = [np.array([edges[0]])]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(np.geomspace(lo, hi, SHELL_NODES)[1:])
-    return edges, np.concatenate(nodes)
-
-
-def _log_shell_integrals(log_f: np.ndarray, nodes_x: np.ndarray) -> np.ndarray:
-    """Log of cumulative integrals of |F| from the reference point out to each edge."""
-    seg = np.logaddexp(log_f[1:], log_f[:-1]) + np.log(np.abs(np.diff(nodes_x)) / 2.0)
-    cum = np.logaddexp.accumulate(seg)
-    stride = SHELL_NODES - 1
-    return np.array([cum[k * stride - 1] for k in range(1, N_SHELLS + 1)])
-
-
-def _fit_loglog(log_scale: np.ndarray, log_integral: np.ndarray) -> tuple[float, float]:
-    finite = np.isfinite(log_integral)
-    xs, ys = log_scale[finite][-FIT_POINTS:], log_integral[finite][-FIT_POINTS:]
-    if xs.size < 4:
-        return float("nan"), 0.0
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    fit = A @ coef
-    with np.errstate(over="ignore"):  # log-integrals near the float range square to inf, and r2 to NaN
-        ss_res = float(np.sum((ys - fit) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
-
-def _classify(slope: float, r2: float, log_j: np.ndarray) -> str:
-    finite = log_j[np.isfinite(log_j)]
-    if finite.size >= 5 and finite[-1] - finite[-4] > RUNAWAY_LOG_GROWTH:
-        return "non-absorbing"  # super-polynomial growth; a line cannot fit it
-    if not np.isfinite(slope):
-        return "inconclusive"
-    if abs(slope) > DIVERGENT_SLOPE and r2 > FIT_R2:
-        return "non-absorbing"
-    if abs(slope) < CONVERGENT_SLOPE:
-        return "absorbing"
-    return "inconclusive"
-
-
-def _endpoint_scan(spec: DriftSpec, left: bool) -> dict:
-    span = spec.x0 - spec.l
-    if left:
-        edges, dist = _shell_ladder(span, span * 0.5**N_SHELLS)
-    else:
-        d_hi = min(X_MAX - spec.l, span * 2.0**N_SHELLS)
-        edges, dist = _shell_ladder(span, d_hi)
-    nodes_x = spec.l + dist
-    log_j = _log_shell_integrals(_log_abs_scale(spec, nodes_x), nodes_x)
-    slope, r2 = _fit_loglog(np.log(edges[1:]), log_j)
-    verdict = _classify(slope, r2, log_j)
-    return {
-        "scale": edges[1:].tolist(),
-        "log_integral": log_j.tolist(),
-        "slope": slope,
-        "r2": r2,
-        "verdict": verdict,
-    }
-
 
 def feller_test(spec: DriftSpec) -> BoundaryReport:
-    """Classify both endpoints of ``(l, infinity)`` for the diffusion.
+    """Classify both endpoints of ``(l, infinity)`` from the closed form of the drift family.
 
-    Divergence of the neighbourhood integrals of ``|F|`` means the endpoint
-    cannot absorb; convergence means it does; a trend inside the declared
-    noise band stays inconclusive.
+    An endpoint near which ``|F|`` is integrable absorbs; one where it is not
+    cannot.  Each side's diagnostics are ``integrable`` and the asymptotic
+    ``form`` of ``|F|``.
     """
-    left = _endpoint_scan(spec, left=True)
-    right = _endpoint_scan(spec, left=False)
-    return BoundaryReport(
-        left=left["verdict"],
-        right=right["verdict"],
-        diagnostics={"left": left, "right": right},
-    )
+    ends = {"left": DRIFTS[spec.name].left, "right": DRIFTS[spec.name].right}
+    verdicts = {side: "absorbing" if end.integrable else "non-absorbing" for side, end in ends.items()}
+    return BoundaryReport(**verdicts, diagnostics={side: end._asdict() for side, end in ends.items()})
 
 
 # --------------------------------------------------------------------------
@@ -325,28 +242,3 @@ def simulate_reflecting_diffusion(
     independent of the killed run.
     """
     return _simulate(spec, x_start, t, dt, mc, mode="reflect")
-
-
-# --------------------------------------------------------------------------
-# Canonical drifts
-# --------------------------------------------------------------------------
-
-def zero_drift_spec(l: float = 0.0, x0: float = 1.0) -> DriftSpec:
-    return DriftSpec(l=l, drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)), x0=x0)
-
-
-def bessel3_drift_spec(l: float = 0.0, x0: float = 1.0) -> DriftSpec:
-    """Repulsive ``b(x) = 1/x``: the boundary at 0 is never reached."""
-    return DriftSpec(l=l, drift=lambda x: 1.0 / (np.asarray(x, dtype=float) - l), x0=x0)
-
-
-def ou_drift_spec(l: float = 0.0, x0: float = 1.0) -> DriftSpec:
-    """Mean-reverting ``b(x) = -x``: infinity is inaccessible."""
-    return DriftSpec(l=l, drift=lambda x: -np.asarray(x, dtype=float), x0=x0)
-
-
-CANONICAL_DRIFTS = {
-    "zero": zero_drift_spec,
-    "bessel3": bessel3_drift_spec,
-    "ou": ou_drift_spec,
-}

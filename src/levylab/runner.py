@@ -143,18 +143,15 @@ def _build_observable(p: dict, built: dict, run: dict):
 
 def _build_drift(p: dict, built: dict, run: dict):
     """The drift named in ``[feller]``, once the name and feller-classify's expected verdicts check out."""
-    from .feller import CANONICAL_DRIFTS, DriftSpec
+    from .feller import DRIFTS, DriftSpec
 
     bad = [f"[feller] {key}: invalid verdict {p[key]!r}" for key in ("expect_left", "expect_right")
-           if p.get(key, "") not in ("", "absorbing", "non-absorbing", "inconclusive")]
-    if p["drift"] not in (*CANONICAL_DRIFTS, "linear"):
-        bad.insert(0, f"[feller] drift: unknown drift {p['drift']!r} (zero, bessel3, ou, linear)")
+           if p.get(key, "") not in ("", "absorbing", "non-absorbing")]
+    if p["drift"] not in DRIFTS:
+        bad.insert(0, f"[feller] drift: unknown drift {p['drift']!r} ({', '.join(DRIFTS)})")
     if bad:
         raise ConfigError(bad)
-    if p["drift"] == "linear":
-        c = p["coefficient"]
-        return DriftSpec(l=p["l"], drift=lambda x: c * np.ones_like(np.asarray(x, dtype=float)), x0=p["x0"])
-    return CANONICAL_DRIFTS[p["drift"]](l=p["l"], x0=p["x0"])
+    return DriftSpec(p["drift"], p["l"], p["x0"], p["coefficient"])
 
 
 _TRIPLET = Section({
@@ -525,8 +522,6 @@ def _feller_classify(cfg: RunConfig) -> Result:
     raw = cfg.values["feller"]
     verdicts = {side: _verdict(getattr(report, side) == raw[f"expect_{side}"])
                 for side in ("left", "right") if raw[f"expect_{side}"]}
-    if not verdicts and "inconclusive" in (report.left, report.right):
-        verdicts["left"] = "inconclusive"
     summary = {"left": report.left, "right": report.right, "diagnostics": report.diagnostics}
     return Result([Output("boundary", summary)],
                   {side: Metric(getattr(report, side), verdict=verdicts.get(side)) for side in ("left", "right")})

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from levylab import rng
-from levylab.feller import DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
+from levylab.errors import NumericalFailure
+from levylab.feller import BoundaryReport, DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
 from levylab.galilean import GalileanGenerator
 from levylab.generators import (StandardGenerator, _as_matrix, _min_hermitian_eig, _within_cp_tol, exact_evolve,
                                 superop_matrix, vec)
@@ -434,6 +435,142 @@ def one_dimensional_reduction(gen: GalileanGenerator) -> LevyTriplet1D | None:
             return None
         atoms.append((xa, r))
     return LevyTriplet1D(beta=t.beta_p, alpha=a[0, 0], jumps=JumpMeasure(atoms=tuple(atoms)), h=t.h)
+
+
+# --------------------------------------------------------------------------
+# Feller's test by shell quadrature, for any drift callable
+# --------------------------------------------------------------------------
+
+#: Dyadic shells used on each side of the reference point.
+N_SHELLS = 12
+#: Nodes per shell for the log-space quadrature.
+SHELL_NODES = 161
+#: Dyadic points entering the log-log fit (the asymptotic tail).
+FIT_POINTS = 7
+#: Right end of the range on which drifts are evaluated (no extrapolation).
+X_MAX = 1e6
+
+DIVERGENT_SLOPE = 0.2
+CONVERGENT_SLOPE = 0.05
+FIT_R2 = 0.99
+#: Log growth over the last four shells that counts as runaway divergence
+#: (super-polynomial blow-up curves in log-log and defeats the linear fit).
+RUNAWAY_LOG_GROWTH = float(np.log(10.0))
+
+
+def _log_abs_scale(drift: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """``log |F|`` on a node ladder ordered from ``x0`` outward.
+
+    The cumulative drift integral ``B(y) = integral_{x0}^{y} 2 b`` comes from
+    the trapezoid rule on the ladder (the sign of the steps encodes the
+    direction), and ``log |F(x)| = -B(x) + log integral_{x0}^{x} exp(B(y)) dy``
+    from log-sum-exp accumulation.  Each step's integral of ``exp(B)`` is
+    exact for ``B`` linear on the step, ``|h| e^{max B} (1 - e^{-|dB|}) / |dB|``:
+    the trapezoid rule on ``exp(B)`` reads ``|F| ~ |h| / 2`` once ``B``
+    changes by more than about 1 per node, which hides explosion at infinity.
+    """
+    b_vals = 2.0 * np.asarray(drift(nodes), dtype=float)
+    if not np.all(np.isfinite(b_vals)):
+        raise NumericalFailure("drift not finite on the node ladder")
+    steps = np.diff(nodes)
+    B = np.concatenate([[0.0], np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * steps)])
+    dB = np.abs(np.diff(B))
+    with np.errstate(divide="ignore", invalid="ignore"):  # dB = 0 takes the limit 1 of the mean factor
+        log_mean = np.where(dB > 0, np.log(-np.expm1(-dB) / dB), 0.0)
+    seg = np.maximum(B[1:], B[:-1]) + np.log(np.abs(steps)) + log_mean
+    return -B + np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
+
+
+def _shell_ladder(d0: float, d1: float) -> tuple[np.ndarray, np.ndarray]:
+    """``N_SHELLS`` dyadic shell edges from distance ``d0`` to ``d1`` with dense geometric nodes.
+
+    Edge ``k`` sits at node index ``k * (SHELL_NODES - 1)``.
+    """
+    edges = np.geomspace(d0, d1, N_SHELLS + 1)
+    nodes = [np.array([edges[0]])]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes.append(np.geomspace(lo, hi, SHELL_NODES)[1:])
+    return edges, np.concatenate(nodes)
+
+
+def _log_shell_integrals(log_f: np.ndarray, nodes_x: np.ndarray) -> np.ndarray:
+    """Log of cumulative integrals of |F| from the reference point out to each edge."""
+    seg = np.logaddexp(log_f[1:], log_f[:-1]) + np.log(np.abs(np.diff(nodes_x)) / 2.0)
+    cum = np.logaddexp.accumulate(seg)
+    stride = SHELL_NODES - 1
+    return np.array([cum[k * stride - 1] for k in range(1, N_SHELLS + 1)])
+
+
+def _fit_loglog(log_scale: np.ndarray, log_integral: np.ndarray) -> tuple[float, float]:
+    finite = np.isfinite(log_integral)
+    xs, ys = log_scale[finite][-FIT_POINTS:], log_integral[finite][-FIT_POINTS:]
+    if xs.size < 4:
+        return float("nan"), 0.0
+    A = np.vstack([xs, np.ones_like(xs)]).T
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    fit = A @ coef
+    with np.errstate(over="ignore"):  # log-integrals near the float range square to inf, and r2 to NaN
+        ss_res = float(np.sum((ys - fit) ** 2))
+        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), r2
+
+
+def _classify(slope: float, r2: float, log_j: np.ndarray) -> str:
+    finite = log_j[np.isfinite(log_j)]
+    if finite.size >= 5 and finite[-1] - finite[-4] > RUNAWAY_LOG_GROWTH:
+        return "non-absorbing"  # super-polynomial growth; a line cannot fit it
+    if not np.isfinite(slope):
+        return "inconclusive"
+    if abs(slope) > DIVERGENT_SLOPE and r2 > FIT_R2:
+        return "non-absorbing"
+    if abs(slope) < CONVERGENT_SLOPE:
+        return "absorbing"
+    return "inconclusive"
+
+
+def _endpoint_scan(drift: Callable[[np.ndarray], np.ndarray], l: float, x0: float, left: bool) -> dict:
+    span = x0 - l
+    if left:
+        edges, dist = _shell_ladder(span, span * 0.5**N_SHELLS)
+    else:
+        d_hi = min(X_MAX - l, span * 2.0**N_SHELLS)
+        edges, dist = _shell_ladder(span, d_hi)
+    nodes_x = l + dist
+    log_j = _log_shell_integrals(_log_abs_scale(drift, nodes_x), nodes_x)
+    slope, r2 = _fit_loglog(np.log(edges[1:]), log_j)
+    verdict = _classify(slope, r2, log_j)
+    return {
+        "scale": edges[1:].tolist(),
+        "log_integral": log_j.tolist(),
+        "slope": slope,
+        "r2": r2,
+        "verdict": verdict,
+    }
+
+
+def shell_feller_test(drift: Callable[[np.ndarray], np.ndarray], l: float, x0: float) -> BoundaryReport:
+    """Classify both endpoints of ``(l, infinity)`` for ``dX = drift(X) dt + dW`` by shell quadrature.
+
+    The independent check of ``feller.feller_test``'s closed forms, and the
+    only test for a drift no family of ``feller.DRIFTS`` names.  The
+    integrals of ``|F|`` over ``N_SHELLS`` dyadically shrinking (growing)
+    neighbourhoods of each endpoint are fitted on a log-log scale: |slope| >
+    0.2 with R^2 > 0.99, or runaway growth, reads non-absorbing, |slope| <
+    0.05 absorbing, anything else inconclusive.  ``drift`` must be defined
+    on ``(l, X_MAX)``; it is never evaluated outside it.
+
+    The fit fails on steep but finite growth: for a constant drift ``c >=
+    10`` the left endpoint, which absorbs at every ``c``, reads inconclusive
+    (``c`` = 10 to 100) or non-absorbing (``c = 1000``).
+    """
+    if not x0 > l:
+        raise ValueError(f"x0 = {x0} must lie strictly right of l = {l}")
+    if not X_MAX > x0:
+        raise ValueError(f"x0 must be below X_MAX = {X_MAX:g}")
+    left = _endpoint_scan(drift, l, x0, left=True)
+    right = _endpoint_scan(drift, l, x0, left=False)
+    return BoundaryReport(left=left["verdict"], right=right["verdict"], diagnostics={"left": left, "right": right})
 
 
 # --------------------------------------------------------------------------

@@ -12,13 +12,7 @@ from scipy.special import erf
 
 from levylab import rng
 from levylab.cli import main as cli_main
-from levylab.feller import (
-    bessel3_drift_spec,
-    feller_test,
-    ou_drift_spec,
-    simulate_killed_diffusion,
-    zero_drift_spec,
-)
+from levylab.feller import DriftSpec, feller_test, simulate_killed_diffusion
 from levylab.galilean import (
     GalileanGenerator,
     evolve_weyl_closed_form,
@@ -305,20 +299,21 @@ def test_criterion_09_galilean_covariance():
 def test_criterion_10_feller_explosion():
     ok = True
     details = []
-    rep_zero = feller_test(zero_drift_spec())
+    zero, bessel3, ou = (DriftSpec(name, 0.0, 1.0, 1.0) for name in ("zero", "bessel3", "ou"))
+    rep_zero = feller_test(zero)
     ok &= rep_zero.left == "absorbing"
     details.append(f"zero: l {rep_zero.left}")
-    rep_bessel = feller_test(bessel3_drift_spec())
+    rep_bessel = feller_test(bessel3)
     ok &= rep_bessel.left == "non-absorbing"
     details.append(f"bessel3: l {rep_bessel.left}")
-    rep_ou = feller_test(ou_drift_spec())
+    rep_ou = feller_test(ou)
     ok &= rep_ou.right == "non-absorbing"
     details.append(f"ou: inf {rep_ou.right}")
-    curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(N_LAW, 99, threads=2))
+    curve = simulate_killed_diffusion(zero, 1.0, 1.0, 1e-3, MCConfig(N_LAW, 99, threads=2))
     target = erf(1.0 / np.sqrt(2.0))
     ok &= abs(curve.final - target) <= 0.01
     details.append(f"survival {curve.final:.4f} vs {target:.4f}")
-    witness = trace_decay_link(zero_drift_spec(), 1.0, np.array([0.25, 0.5, 0.75, 1.0]), MCConfig(20000, 101, threads=2), dt=1e-3)
+    witness = trace_decay_link(zero, 1.0, np.array([0.25, 0.5, 0.75, 1.0]), MCConfig(20000, 101, threads=2), dt=1e-3)
     ok &= witness.witness and witness.max_separation_sigmas > 5.0
     details.append(f"non-uniqueness separation {witness.max_separation_sigmas:.0f} sigma")
     report(10, "Feller / explosion", ok, "; ".join(details))

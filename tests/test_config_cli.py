@@ -730,20 +730,22 @@ t = 1.0
         assert capsys.readouterr().err == f"numerical failure: matrix exponential {message}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_feller_fit_near_the_float_range_warns_nothing(self, tmp_path, capsys):
-        # log-integrals near 1e300 square past the float range in the log-log fit: both sides
-        # stay non-absorbing with r2 NaN (null), and no numpy warning reaches stderr
+    @pytest.mark.parametrize("coefficient", ["1000", "1e300", "1e307", "1.7e308"])
+    def test_feller_fit_near_the_float_range_warns_nothing(self, tmp_path, capsys, coefficient):
+        # a constant drift is bounded near l, so l absorbs at every coefficient; the shell
+        # quadrature read c = 1000 and 1e300 as non-absorbing and warned past 1e307
         cfg = write_config(tmp_path, "[run]\nkind = feller-classify\nseed = 1\n[feller]\ndrift = linear\n"
-                                     "coefficient = 1e300\nl = 0.0\nx0 = 1.0\n"
-                                     "expect_left = non-absorbing\nexpect_right = non-absorbing\n")
+                                     f"coefficient = {coefficient}\nl = 0.0\nx0 = 1.0\n"
+                                     "expect_left = absorbing\nexpect_right = non-absorbing\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["feller-classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == ""
         metrics = json.loads((tmp_path / "o" / "record.json").read_text())["metrics"]
-        assert metrics["left"] == metrics["right"] == {"value": "non-absorbing", "verdict": "pass"}
+        assert metrics["left"] == {"value": "absorbing", "verdict": "pass"}
+        assert metrics["right"] == {"value": "non-absorbing", "verdict": "pass"}
         diagnostics = json.loads((tmp_path / "o" / "boundary.json").read_text())["diagnostics"]
-        assert diagnostics["left"]["r2"] is None and diagnostics["left"]["log_integral"][0] > 1e299
+        assert diagnostics["left"]["integrable"] and not diagnostics["right"]["integrable"]
 
     def test_galilei_alpha_near_the_float_range_fails_in_one_line(self, tmp_path, capsys):
         # alpha's symmetric part and the exponent's quadratic form used to overflow with numpy

@@ -11,67 +11,89 @@ from scipy.special import erf
 from levylab import rng
 from levylab.feller import (
     BRIDGE_CUT,
-    CANONICAL_DRIFTS,
-    BoundaryReport,
+    DRIFTS,
     DriftSpec,
     _bridge_candidates,
-    bessel3_drift_spec,
     feller_test,
-    ou_drift_spec,
     simulate_killed_diffusion,
     simulate_reflecting_diffusion,
-    zero_drift_spec,
 )
 from levylab.montecarlo import MCConfig, run_chunks
-from oracles import trace_decay_link
+from oracles import shell_feller_test, trace_decay_link
+
+ZERO, BESSEL3, OU = (DriftSpec(name, 0.0, 1.0, 1.0) for name in ("zero", "bessel3", "ou"))
 
 
 class TestClassification:
     def test_zero_drift(self):
-        report = feller_test(zero_drift_spec())
+        report = feller_test(ZERO)
         assert report.left == "absorbing"
         assert report.right == "non-absorbing"
+        assert report.diagnostics == {"left": {"integrable": True, "form": "|F| -> x0 - l"},
+                                      "right": {"integrable": False, "form": "|F| ~ x"}}
 
     def test_bessel3_left_non_absorbing(self):
-        report = feller_test(bessel3_drift_spec())
+        report = feller_test(BESSEL3)
         assert report.left == "non-absorbing"
         assert report.right == "non-absorbing"
 
     def test_ou_right_non_absorbing(self):
-        report = feller_test(ou_drift_spec())
+        report = feller_test(OU)
         assert report.right == "non-absorbing"
         assert report.left == "absorbing"
 
+    @pytest.mark.parametrize("name,l,x0,message", [
+        ("nope", 0.0, 1.0, "unknown drift 'nope' \\(zero, bessel3, ou, linear\\)"),
+        ("zero", 1.0, 1.0, "strictly right of l"),
+    ])
+    def test_spec_rejects_unknown_name_and_start_off_the_half_line(self, name, l, x0, message):
+        with pytest.raises(ValueError, match=message):
+            DriftSpec(name, l, x0, 1.0)
+
+
+class TestShellOracle:
+    """The closed forms of ``feller.DRIFTS`` against the shell-quadrature classifier."""
+
+    @pytest.mark.parametrize("name,c", [("zero", 1.0), ("ou", 1.0), ("bessel3", 1.0)]
+                             + [("linear", c) for c in (-100.0, -10.0, -1.0, 1.0, 3.0)])
+    def test_closed_form_agrees_with_oracle(self, name, c):
+        spec = DriftSpec(name, 0.0, 1.0, c)
+        closed, shell = feller_test(spec), shell_feller_test(spec.drift, spec.l, spec.x0)
+        assert (closed.left, closed.right) == (shell.left, shell.right)
+
+    @pytest.mark.parametrize("p,verdict", [(0.5, "non-absorbing"), (1.5, "absorbing"), (2.0, "absorbing"),
+                                           (3.0, "absorbing")])
+    def test_oracle_sees_explosion(self, p, verdict):
+        # b = x^p reaches infinity in finite time iff p > 1: then |F| ~ 1/(2b), and
+        # integral^inf dx / x^p converges
+        assert shell_feller_test(lambda x: x**p, 0.0, 1.0).right == verdict
+
     def test_diagnostics_present_for_verdicts(self):
-        report = feller_test(zero_drift_spec())
+        report = shell_feller_test(ZERO.drift, 0.0, 1.0)
         for side in ("left", "right"):
             diag = report.diagnostics[side]
             assert len(diag["log_integral"]) >= 6 and np.isfinite(diag["slope"])
 
-    def test_report_requires_diagnostics(self):
-        with pytest.raises(ValueError, match="lacks diagnostics"):
-            BoundaryReport(left="absorbing", right="inconclusive", diagnostics={})
-
 
 class TestKilledDiffusion:
     def test_time_zero_survival(self):
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 0.5, 0.01, MCConfig(500, 1))
+        curve = simulate_killed_diffusion(ZERO, 1.0, 0.5, 0.01, MCConfig(500, 1))
         assert curve.survival[0] == 1.0
 
     def test_absorption_matches_reflection_principle(self):
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(100000, 17, threads=2))
+        curve = simulate_killed_diffusion(ZERO, 1.0, 1.0, 1e-3, MCConfig(100000, 17, threads=2))
         assert abs(curve.final - erf(1.0 / np.sqrt(2.0))) < 0.01
 
     def test_survival_monotone_in_time(self):
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-3, MCConfig(20000, 18, threads=2))
+        curve = simulate_killed_diffusion(ZERO, 1.0, 1.0, 1e-3, MCConfig(20000, 18, threads=2))
         assert np.all(np.diff(curve.survival) <= 1e-12)
 
     def test_bessel3_rarely_absorbs(self):
-        curve = simulate_killed_diffusion(bessel3_drift_spec(), 1.0, 1.0, 2.5e-4, MCConfig(20000, 19, threads=2))
+        curve = simulate_killed_diffusion(BESSEL3, 1.0, 1.0, 2.5e-4, MCConfig(20000, 19, threads=2))
         assert curve.final > 0.99
 
     def test_bridge_correction_shrinks_step_bias(self):
-        spec = zero_drift_spec()
+        spec = ZERO
         def final(dt, bridge):
             mc = MCConfig(50000, 5, threads=2)
             if bridge:
@@ -83,15 +105,15 @@ class TestKilledDiffusion:
 
     def test_start_left_of_boundary_rejected(self):
         with pytest.raises(ValueError, match="right of the boundary"):
-            simulate_killed_diffusion(zero_drift_spec(), -1.0, 1.0, 0.01, MCConfig(10, 1))
+            simulate_killed_diffusion(ZERO, -1.0, 1.0, 0.01, MCConfig(10, 1))
 
     def test_coarse_step_warns(self):
-        spec = DriftSpec(l=0.0, drift=lambda x: 50.0 * np.ones_like(np.asarray(x, dtype=float)), x0=1.0)
+        spec = DriftSpec("linear", 0.0, 1.0, 50.0)
         with pytest.warns(UserWarning, match="coarse"):
             simulate_killed_diffusion(spec, 1.0, 0.1, 0.01, MCConfig(100, 2))
 
     def test_reflecting_never_absorbs(self):
-        curve = simulate_reflecting_diffusion(zero_drift_spec(), 1.0, 1.0, 1e-2, MCConfig(2000, 7))
+        curve = simulate_reflecting_diffusion(ZERO, 1.0, 1.0, 1e-2, MCConfig(2000, 7))
         assert np.all(curve.survival == 1.0)
 
 
@@ -158,7 +180,7 @@ class TestCompactedWorker:
     """The compacted live-set worker reproduces an alive-mask loop bit for bit."""
 
     @given(
-        st.sampled_from(sorted(CANONICAL_DRIFTS)),
+        st.sampled_from(sorted(DRIFTS)),
         st.sampled_from(["kill", "reflect"]),
         st.sampled_from([0.05, 0.3, 1.0]),
         st.integers(0, 12),
@@ -171,14 +193,14 @@ class TestCompactedWorker:
     @example("ou", "reflect", 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1)
     @example("bessel3", "kill", 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2)
     def test_survival_matches_mask_loop(self, drift, mode, x_start, n_steps, dt, n_paths, seed, threads):
-        curve, ref = _simulate_both(CANONICAL_DRIFTS[drift](), x_start, n_steps, dt,
+        curve, ref = _simulate_both(DriftSpec(drift, 0.0, 1.0, 1.0), x_start, n_steps, dt,
                                     MCConfig(n_paths, seed, threads=threads), mode)
         assert np.array_equal(curve.survival, ref)
 
     def test_all_dead_before_t(self):
         # a drift of -5 toward the boundary kills every path well before t
         # (a driftless path from 0.01 survives to t = 1 with probability 0.008)
-        spec = DriftSpec(l=0.0, drift=lambda x: -5.0 * np.ones_like(np.asarray(x, dtype=float)), x0=1.0)
+        spec = DriftSpec("linear", 0.0, 1.0, -5.0)
         curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15), "kill")
         assert curve.survival[-2] == 0.0  # every path died before t; later steps draw nothing
         assert np.array_equal(curve.survival, ref)
@@ -214,7 +236,7 @@ class TestCompactedWorker:
 
         monkeypatch.setattr(rng, "stream", recording)
         sim = simulate_reflecting_diffusion if mode == "reflect" else simulate_killed_diffusion
-        sim(zero_drift_spec(), 0.2, 0.5, 1e-2, MCConfig(rng.CHUNK + 50, 23))
+        sim(ZERO, 0.2, 0.5, 1e-2, MCConfig(rng.CHUNK + 50, 23))
         # an untouched stream still yields what a fresh one yields first
         advanced = {tag for tag, gen, fresh in opened
                     if gen.bit_generator.random_raw() != fresh.bit_generator.random_raw()}
@@ -222,7 +244,7 @@ class TestCompactedWorker:
                             else {"feller.reflect.normals"})
 
     def test_thread_count_does_not_change_curves(self):
-        curves = [simulate_killed_diffusion(zero_drift_spec(), 0.5, 0.5, 1e-2,
+        curves = [simulate_killed_diffusion(ZERO, 0.5, 0.5, 1e-2,
                                             MCConfig(2 * rng.CHUNK + 100, 29, threads=threads))
                   for threads in (1, 2, 4)]
         assert all(np.array_equal(curves[0].survival, curve.survival) for curve in curves[1:])
@@ -231,7 +253,7 @@ class TestCompactedWorker:
     def test_killed_bm_matches_erf_on_fresh_seeds(self, seed):
         # driftless paths with the bridge correction are killed with the exact
         # probability, so the Euler step adds no bias to erf(1/sqrt 2)
-        curve = simulate_killed_diffusion(zero_drift_spec(), 1.0, 1.0, 4e-3, MCConfig(50000, seed, threads=2))
+        curve = simulate_killed_diffusion(ZERO, 1.0, 1.0, 4e-3, MCConfig(50000, seed, threads=2))
         assert abs(curve.final - erf(1.0 / np.sqrt(2.0))) <= 5.0 * curve.final_stderr
 
 
@@ -239,13 +261,9 @@ class TestVerdictAgreement:
     """Feller verdicts against killed-diffusion behaviour on the canonical drifts."""
 
     def test_left_verdicts_match_simulation(self):
-        for mk, dt, absorbs in (
-            (zero_drift_spec, 1e-3, True),
-            (ou_drift_spec, 1e-3, True),
-            (bessel3_drift_spec, 2.5e-4, False),
-        ):
-            verdict = feller_test(mk()).left
-            final = simulate_killed_diffusion(mk(), 1.0, 1.0, dt, MCConfig(20000, 55, threads=2)).final
+        for spec, dt, absorbs in ((ZERO, 1e-3, True), (OU, 1e-3, True), (BESSEL3, 2.5e-4, False)):
+            verdict = feller_test(spec).left
+            final = simulate_killed_diffusion(spec, 1.0, 1.0, dt, MCConfig(20000, 55, threads=2)).final
             if absorbs:
                 assert verdict == "absorbing" and final < 0.9
             else:
@@ -256,15 +274,15 @@ class TestTraceDecayLink:
     T_GRID = np.array([0.25, 0.5, 0.75, 1.0])
 
     def test_absorbing_boundary_witnesses_non_uniqueness(self):
-        report = trace_decay_link(zero_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 31, threads=2), dt=1e-3)
+        report = trace_decay_link(ZERO, 1.0, self.T_GRID, MCConfig(20000, 31, threads=2), dt=1e-3)
         assert report.witness
         assert report.max_separation_sigmas > 5.0
         assert np.all(np.diff(report.minimal) <= 1e-12)
 
     def test_non_absorbing_boundary_no_witness(self):
-        report = trace_decay_link(bessel3_drift_spec(), 1.0, self.T_GRID, MCConfig(20000, 32, threads=2), dt=2.5e-4)
+        report = trace_decay_link(BESSEL3, 1.0, self.T_GRID, MCConfig(20000, 32, threads=2), dt=2.5e-4)
         assert not report.witness
 
     def test_time_zero_curves_agree(self):
-        report = trace_decay_link(zero_drift_spec(), 1.0, np.array([0.0, 0.5]), MCConfig(2000, 33), dt=1e-2)
+        report = trace_decay_link(ZERO, 1.0, np.array([0.0, 0.5]), MCConfig(2000, 33), dt=1e-2)
         assert report.minimal[0] == 1.0 and report.reflecting[0] == 1.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from levylab import rng
 from levylab.cli import main
-from levylab.feller import zero_drift_spec
+from levylab.feller import DriftSpec
 from levylab.grid import QTable, gaussian_state
 from levylab.levy import JumpMeasure, LevyTriplet1D
 from levylab.montecarlo import MCConfig
@@ -186,7 +186,7 @@ n_samples = {self.N}
         assert len({key for _, key in opened}) == len(opened) == 6
 
     def test_trace_decay_link_runs(self, opened):
-        trace_decay_link(zero_drift_spec(), 1.0, np.array([0.1, 0.2]), MCConfig(self.N, 4), dt=1e-2)
+        trace_decay_link(DriftSpec("zero", 0.0, 1.0, 1.0), 1.0, np.array([0.1, 0.2]), MCConfig(self.N, 4), dt=1e-2)
         groups = _by_tag(opened)
         minimal = set(groups["feller.kill.normals"] + groups["feller.kill.bridge"])
         reflecting = set(groups["feller.reflect.normals"])

@@ -1,6 +1,7 @@
 """Static guards on the package source: module boundaries and size."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levylab"
@@ -87,6 +88,20 @@ def test_maps_enter_as_matrices():
     assert [a.arg for a in functions["generators.is_completely_positive"].args.args] == ["C"]
     gone = {"choi_of_superop", "_check_linear", "_linear_probe"}
     assert not {name for name in functions if name.partition(".")[2] in gone}
+
+
+def test_feller_decides_from_its_table():
+    # Feller's test has one closed form per named drift, in feller.DRIFTS: the runner
+    # spells no drift name, and feller does no quadrature (the shell classifier is
+    # the test oracle tests/oracles.py::shell_feller_test)
+    from levylab.feller import DRIFTS
+
+    words = {word for node in ast.walk(ast.parse((SRC / "runner.py").read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for word in re.findall(r"[\w-]+", node.value)}
+    assert not words & set(DRIFTS), sorted(words & set(DRIFTS))
+    used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(ast.parse((SRC / "feller.py").read_text()))}
+    assert not used & {"geomspace", "lstsq", "logaddexp"}, sorted(used & {"geomspace", "lstsq", "logaddexp"})
 
 
 def test_package_within_line_budget():
