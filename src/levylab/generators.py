@@ -19,6 +19,7 @@ the orthogonal complement of the maximally entangled vector ``sum_i |ii>``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,22 +155,31 @@ def choi_matrix(S: np.ndarray, d: int) -> np.ndarray:
     return S.reshape(lead + (d, d, d, d)).swapaxes(-4, -1).reshape(lead + (d * d, d * d))
 
 
-def _min_hermitian_eig(M: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of ``M``, batched over leading axes."""
+def _cp_witness(M: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts and witnesses of the one CP rule on the Hermitian part of ``M``, ``tol = CP_TOL * max(1, max|C|)``.
+
+    The rule is ``lambda_min(herm M) >= -tol``.  One stacked Cholesky factorization of
+    ``herm M + tol I`` certifies it, and a certified matrix has witness 0.0.  Only when that
+    factorization fails does ``eigvalsh`` run on the stack; a matrix failing the rule then
+    has its smallest eigenvalue as witness, and one passing it 0.0, so no slice depends on
+    its batch.  Batched over leading axes.
+    """
     herm = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    return np.linalg.eigvalsh(herm).min(axis=-1)
-
-
-def _within_cp_tol(witness, C: np.ndarray) -> np.ndarray:
-    """The one CP verdict rule: ``witness >= -CP_TOL * max(1, max|C|)`` for each Choi matrix ``C``."""
-    return witness >= -CP_TOL * np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
+    tol = CP_TOL * np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
+    try:
+        np.linalg.cholesky(herm + tol[..., None, None] * np.eye(M.shape[-1]))
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(herm).min(axis=-1)
+        witness = np.where(eigs >= -tol, 0.0, eigs)
+    else:
+        witness = np.zeros(tol.shape)
+    return witness >= -tol, witness
 
 
 def is_completely_positive(C: np.ndarray):
-    """CP verdict and witness (smallest Hermitian-part eigenvalue) of the Choi matrix ``C``, or arrays for a stack."""
+    """CP verdict and witness (:func:`_cp_witness`) of the Choi matrix ``C``, or arrays for a stack."""
     C = np.asarray(C, dtype=complex)
-    witness = _min_hermitian_eig(C)
-    ok = _within_cp_tol(witness, C)
+    ok, witness = _cp_witness(C, C)
     return (bool(ok), float(witness)) if ok.ndim == 0 else (ok, witness)
 
 
@@ -183,7 +193,7 @@ def is_conditionally_cp(C: np.ndarray):
     d = int(round(np.sqrt(C.shape[-1])))
     omega = vec(np.eye(d))  # the maximally entangled vector sum_i |ii>
     P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
-    ok = _within_cp_tol(_min_hermitian_eig(P @ C @ P), C)
+    ok = _cp_witness(P @ C @ P, C)[0]
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -202,16 +212,19 @@ _THETA13 = 5.371920351148152
 def _expm(A) -> np.ndarray:
     """Matrix exponential of the last two axes, batched over the leading ones.
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
-    Algorithm 2.3).  Each slice gets its own scaling ``s_k`` from its 1-norm
-    and is squared ``s_k`` times, so slice ``k`` equals the unbatched call
-    on ``A[k]`` bit for bit; a zero slice gives exactly the identity.  A
-    NaN or infinite entry, a squaring that overflows, or a scaling by
-    ``2**-s`` with ``s >= 53`` raises :class:`NumericalFailure`: there
-    ``2**s`` times the unit round-off ``2**-53`` is at least 1, so the
-    squarings keep no digit of the result.
+    Scaling and squaring with the degree-13 Pade approximant: only the
+    degree-13 branch of Higham 2005, Algorithm 2.3, in the input's dtype (a
+    real input gives a real result, anything else complex).  Each slice
+    gets its own scaling ``s_k`` from its 1-norm and is squared ``s_k``
+    times, so slice ``k`` equals the unbatched call on ``A[k]`` bit for
+    bit; a zero slice gives exactly the identity.  A NaN or infinite
+    entry, a squaring that overflows, or a scaling by ``2**-s`` with
+    ``s >= 53`` raises :class:`NumericalFailure`: there ``2**s`` times the
+    unit round-off ``2**-53`` is at least 1, so the squarings keep no digit
+    of the result.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if not np.isfinite(A).all():
         raise NumericalFailure("matrix exponential of a matrix with a NaN or infinite entry")
     n = A.shape[-1]
@@ -258,13 +271,32 @@ class StructureRow:
     """One generator's checks in the CP structure suite."""
 
     conditionally_cp: bool
-    completely_positive: bool  # exp(t gen) passes the CP rule (_within_cp_tol) at every time
-    choi_min_eig: float  # min(0, smallest Choi eigenvalue of exp(t gen) over the times)
+    completely_positive: bool  # exp(t gen) passes the CP rule (_cp_witness) at every time
+    choi_min_eig: float  # 0.0 when every time passes, else the most negative Choi eigenvalue of a failing time
     preserves_identity: bool | None  # exp(gen)[I] = I to 1e-10; None when not checked (non-unital)
 
     @property
     def passed(self) -> bool:
         return self.conditionally_cp and self.completely_positive and self.preserves_identity is not False
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """``U`` with columns ``vec(F_a)``, ``F_a`` an orthonormal basis of Hermitian ``d x d`` matrices (read-only).
+
+    ``(E_jk + E_kj) / sqrt(2)`` and ``i (E_jk - E_kj) / sqrt(2)`` for each ``j < k``, then ``E_jj``.
+    ``U`` is unitary, and a map taking Hermitian matrices to Hermitian ones, as a generator
+    does, has the real matrix ``U^dag S U`` in this basis.
+    """
+    j, k = np.triu_indices(d, 1)
+    cols = 2 * np.arange(j.size)
+    U = np.zeros((d * d, d * d), dtype=complex)
+    U[np.arange(d) * (d + 1), 2 * j.size + np.arange(d)] = 1.0
+    U[j + k * d, cols] = U[k + j * d, cols] = np.sqrt(0.5)
+    U[j + k * d, cols + 1] = 1j * np.sqrt(0.5)
+    U[k + j * d, cols + 1] = -1j * np.sqrt(0.5)
+    U.setflags(write=False)
+    return U
 
 
 #: Bytes of one batch's stacked exponential in :func:`structure_rows` (memory only; no effect on rows).
@@ -275,10 +307,11 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
     """Conditional CP of each generator and complete positivity of ``exp(t gen)`` at each time.
 
     Generators of one ``(dim, n_jumps)`` go in batches of at most ``EXPM_BATCH_BYTES`` of
-    exponentials (``len(ts) * d**4 * 16`` bytes each, ``ts`` the times plus ``t = 1`` for the
-    identity check): one stacked superoperator, from which one conditional CP test, one
-    exponential over generators and ``ts``, and one Choi ``eigvalsh`` judged by the rule of
-    :func:`is_completely_positive`.  Each row equals a one-generator batch bit for bit.
+    complex exponentials (``len(ts) * d**4 * 16`` bytes each, ``ts`` the times plus ``t = 1``
+    for the identity check): one stacked superoperator ``S``, from which one conditional CP
+    test, one real exponential of ``U^dag S U`` (:func:`_hermitian_basis`) over generators and
+    ``ts``, taken back to ``U E U^dag`` for the Choi matrices, and one :func:`_cp_witness` of
+    them.  Each row equals a one-generator batch bit for bit.
     """
     times = [float(t) for t in times]
     ts = times if 1.0 in times else times + [1.0]
@@ -288,18 +321,20 @@ def structure_rows(gens: Sequence[StandardGenerator], times: Sequence[float]) ->
     rows: list = [None] * len(gens)
     for (d, _), members in groups.items():
         omega, per = vec(np.eye(d)), max(1, EXPM_BATCH_BYTES // (len(ts) * d**4 * 16))
+        U = _hermitian_basis(d)
+        Uh = U.conj().T
         for idx in (members[lo:lo + per] for lo in range(0, len(members), per)):
             batch = [gens[i] for i in idx]
             S = superop_matrix(batch)
             ccp = is_conditionally_cp(choi_matrix(S, d))
-            E = exact_evolve(S, ts)
+            E = U @ exact_evolve((Uh @ S @ U).real, ts) @ Uh
             C = choi_matrix(E[:, :len(times)], d)
-            eigs = _min_hermitian_eig(C)
-            cp = _within_cp_tol(eigs, C).all(axis=-1)
+            ok, witness = _cp_witness(C, C)
             defect = np.abs(E[:, ts.index(1.0)] @ omega - omega).max(axis=-1)
             for k, g in enumerate(batch):
                 preserves = bool(defect[k] <= 1e-10) if g.unital else None
-                rows[idx[k]] = StructureRow(bool(ccp[k]), bool(cp[k]), min([0.0, *map(float, eigs[k])]), preserves)
+                rows[idx[k]] = StructureRow(bool(ccp[k]), bool(ok[k].all()), min([0.0, *map(float, witness[k])]),
+                                            preserves)
     return rows
 
 

@@ -429,7 +429,8 @@ count = 5
     def test_cp_suite_runner(self, tmp_path):
         # rows against a reference loop over black-box maps: one exponential
         # and one Choi assembly by map calls per time, judged by the one CP
-        # rule, the conditional CP test on the Choi matrix assembled from
+        # rule (a time that passes it records 0.0, one that fails its smallest
+        # eigenvalue), the conditional CP test on the Choi matrix assembled from
         # apply_generator, and a separate t = 1 exponential for the identity
         # check (the times here leave t = 1 out); at dimensions up to 6 the
         # byte budget splits the (dim, jumps) groups into batches
@@ -461,7 +462,7 @@ times = 0, 0.1, 2.5
             for t in (0.0, 0.1, 2.5):
                 E = exact_evolve(superop_matrix(g), t)
                 ok_t, witness = map_is_completely_positive(lambda X: unvec(E @ vec(X)), d)
-                cp, worst = cp and ok_t, min(worst, witness)
+                cp, worst = cp and ok_t, min(worst, 0.0 if ok_t else witness)
             preserves = None  # the identity check is made for unital generators only
             if g.unital:
                 E = exact_evolve(superop_matrix(g), 1.0)
@@ -719,7 +720,7 @@ t = 1.0
         ("dyson", 1, "[dyson]\ndrive = 1.9\nt = 1e308\n", "scaled by 2**-1024: its squarings keep no digit"),
         # the first batch, a lone non-unital generator, overflows nothing; a later one would
         ("cp-suite", 4, "[suite]\ncount = 6\nmax_dim = 4\ntimes = 1e300\n",
-         "scaled by 2**-998: its squarings keep no digit"),
+         "scaled by 2**-999: its squarings keep no digit"),
     ])
     def test_meaningless_exponential_is_numerical_failure(self, tmp_path, capsys, kind, seed, body, message):
         # one stderr line, no numpy warning before it, no output directory

@@ -18,8 +18,9 @@ from levylab.generators import (
     GaugeElement,
     StandardGenerator,
     StructureRow,
+    _cp_witness,
     _expm,
-    _min_hermitian_eig,
+    _hermitian_basis,
     apply_gauge,
     choi_matrix,
     cp_part_superop,
@@ -164,6 +165,26 @@ class TestChoiOfSuperoperator:
             assert map_is_completely_positive(fn, 3)[0] == ok[k]
 
 
+    def test_witness_helper_is_slicewise_on_a_mixed_stack(self):
+        # exp(t gen) at t = -0.5 fails the rule, at t = 0 and 0.5 the Cholesky factor
+        # certifies it, and the transpose fails it: the stacked call falls back to eigvalsh
+        # and still equals the single calls, with the oracle's eigenvalue where the rule fails
+        for d in (2, 4, 6):
+            g = random_standard_generator(d, 2, seed=70 + d)
+            E = exact_evolve(superop_matrix(g), [-0.5, 0.0, 0.5])
+            swap = np.eye(d * d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)  # X -> X^T
+            maps = [lambda X, E=Ek: unvec(E @ vec(X)) for Ek in E] + [lambda X: X.T]
+            C = choi_matrix(np.concatenate([E, swap[None]]), d)
+            ok, witness = _cp_witness(C, C)
+            assert ok.tolist() == [False, True, True, False]
+            for k, fn in enumerate(maps):
+                single_ok, single = _cp_witness(C[k], C[k])
+                assert single_ok == ok[k] and np.float64(single).tobytes() == witness[k].tobytes()
+                oracle_ok, eig = map_is_completely_positive(fn, d)
+                assert oracle_ok == ok[k]
+                assert witness[k] == (0.0 if ok[k] else eig)
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape and identical IEEE bit patterns, signed zeros included."""
     return a.shape == b.shape and np.array_equal(np.asarray(a, complex).view(np.uint64),
@@ -294,6 +315,17 @@ class TestExpm:
             worst = max(worst, scipy_expm_error(times[:, None, None] * superop_matrix(g)))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_real_stack_stays_real(self, seed):
+        # the cp-suite exponentials in the Hermitian basis: real in, float64 out
+        times = np.array([0.0, 0.1, 1.0, 10.0])
+        for d, m, unital in ((2, 1, True), (4, 3, False), (6, 2, True)):
+            U = _hermitian_basis(d)
+            g = random_standard_generator(d, m, seed, unital=unital, tag="cp-suite.generator")
+            A = times[:, None, None] * (U.conj().T @ superop_matrix(g) @ U).real
+            assert _expm(A).dtype == np.float64
+            assert scipy_expm_error(A) <= 1e-12
+
     def test_special_matrices(self):
         assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
         beside = 3.0 * np.array([[0.5, 0.2j, 0.0], [-0.5, 0.25j, 0.1], [0.0, 0.3, -1.0]]) * _THETA13  # s = 2
@@ -338,14 +370,18 @@ class TestExpm:
 
 
 def structure_row(gen: StandardGenerator, times) -> StructureRow:
-    """Reference: one generator's row, computed alone (the per-generator loop ``structure_rows`` replaced)."""
+    """Reference: one generator's row, computed alone (the per-generator loop ``structure_rows`` replaced).
+
+    It exponentiates in the same Hermitian basis and judges by the same CP helper, so it matches bit for bit.
+    """
     d = gen.dim
     S = superop_matrix(gen)
     ccp = is_conditionally_cp(choi_matrix(S, d))
     ts = [float(t) for t in times]
     if gen.unital and 1.0 not in ts:
         ts.append(1.0)
-    E = exact_evolve(S, ts)
+    U = _hermitian_basis(d)
+    E = U @ exact_evolve((U.conj().T @ S @ U).real, ts) @ U.conj().T
     cp, eigs = is_completely_positive(choi_matrix(E[:len(times)], d))
     worst = min([0.0, *map(float, eigs)])
     preserves = None
@@ -439,6 +475,18 @@ class TestStructureRows:
         shapes = {(g.dim, g.n_jumps) for g in gens}
         assert len(shapes) > 1 and sum(calls) == len(gens)
         assert len(calls) == (len(gens) if budget == 1 else len(shapes))
+
+    def test_generators_are_real_in_the_hermitian_basis(self):
+        # every (dim, n_jumps) the structure suite draws: U is unitary, and U^dag S U is
+        # real up to round-off, so its exponential may run in real arithmetic
+        for d in range(2, 7):
+            U = _hermitian_basis(d)
+            assert not U.flags.writeable
+            assert np.abs(U.conj().T @ U - np.eye(d * d)).max() <= 1e-15
+            for m in (1, 2, 3):
+                for unital in (True, False):
+                    S = superop_matrix(random_standard_generator(d, m, seed=80 + d, unital=unital))
+                    assert np.abs((U.conj().T @ S @ U).imag).max() <= 1e-14 * np.abs(S).max()
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):

@@ -104,6 +104,16 @@ def test_feller_decides_from_its_table():
     assert not used & {"geomspace", "lstsq", "logaddexp"}, sorted(used & {"geomspace", "lstsq", "logaddexp"})
 
 
+def test_eigenvalues_only_where_the_cp_rule_needs_them():
+    # the CP rule is certified by a Cholesky factorization; generators.py solves an
+    # eigenvalue problem only in the witness helper, where that fails, and in raw_build's
+    # dissipativity check
+    callers = {fn.name for fn in ast.walk(ast.parse((SRC / "generators.py").read_text()))
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.eigvalsh"}
+    assert callers == {"raw_build", "_cp_witness"}, sorted(callers)
+
+
 def test_package_within_line_budget():
     total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
