@@ -2,7 +2,7 @@
 
 
 class NumericalFailure(RuntimeError):
-    """A quadrature or numerical routine did not converge.
+    """A numerical routine did not converge or left the float range.
 
     Raised instead of letting NaN/Inf propagate silently; the message names
     what failed and where.

@@ -40,10 +40,8 @@ from . import rng
 from .errors import NumericalFailure
 from .grid import (OVERFLOW_TOL, WaveFunction, WeylLabel, apply_weyl, boundary_masses, displace, expectation,
                    expectations, overflow_fraction, tile_rows)
-from .levy import LevyTriplet2D, _sample_increments, char_exponent_2d
+from .levy import LevyTriplet2D, _sample_increments, char_exponent_2d, char_exponent_2d_integral
 from .montecarlo import Gate, MCConfig, MCResult, gate, mc_stats, run_chunks
-
-_SIMPSON_TOL = 1e-10
 
 # Paths per derived "dilation" stream.  Fixed constant: the chunk partition is
 # part of the reproducibility contract.
@@ -86,48 +84,19 @@ def transported(gen: GalileanGenerator, x0: float, v0: float, s: float) -> tuple
     return (x0 - v0 * s, v0) if gen.include_free_hamiltonian else (x0, v0)
 
 
-def _adaptive_simpson(fn, a: float, b: float) -> complex:
-    """Adaptive Simpson quadrature for a smooth complex integrand, at most 24 levels deep."""
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0:
-            raise NumericalFailure(f"adaptive Simpson recursion exhausted on [{a!r}, {b!r}]")
-        if not np.isfinite(left + right):  # abs() of a complex NaN may raise OverflowError (a stale errno)
-            raise NumericalFailure(f"adaptive Simpson integrand not finite on [{a!r}, {b!r}]")
-        if abs(left + right - whole) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(whole)):
-            return left + right + (left + right - whole) / 15.0
-        return (
-            recurse(a, m, fa, flm, fm, left, depth - 1)
-            + recurse(m, b, fm, frm, fb, right, depth - 1)
-        )
-
-    if a == b:
-        return 0.0 + 0.0j
-    return recurse(a, b, fa, fm, fb, whole, 24)
-
-
 def evolve_weyl_closed_form(gen: GalileanGenerator, x0: float, v0: float, t: float) -> WeylSymbolState:
     """Closed-form image of ``W(x0, v0)`` after time ``t``.
 
-    The label rides the free flow to :func:`transported` at ``t``; the
-    multiplier integrates the dissipative rate along the transported label
-    by adaptive Simpson quadrature.
+    The label rides the free flow to :func:`transported` at ``t``; the multiplier
+    exponentiates the rate's exact integral along it (nonpositive real part).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    integral = _adaptive_simpson(lambda s: weyl_symbol_rate(gen, *transported(gen, x0, v0, s)), 0.0, t)
     point = transported(gen, x0, v0, t)
-    multiplier = np.exp(integral)
-    if abs(multiplier) > 1.0:  # quadrature round-off can overshoot contractivity
-        multiplier = multiplier / abs(multiplier)
-    return WeylSymbolState(multiplier=complex(multiplier), point=point)
+    integral = char_exponent_2d_integral(gen.triplet2, v0, x0, point[0], t)
+    if not np.isfinite(integral):
+        raise NumericalFailure(f"closed-form rate integral not finite at (x0, v0, t) = ({x0!r}, {v0!r}, {t!r})")
+    return WeylSymbolState(multiplier=complex(np.exp(integral)), point=point)
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +212,10 @@ def scheme_expected_weyl(
     psi = psi.unit()
     dt = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt
-    rates = np.array([weyl_symbol_rate(gen, *transported(gen, x0, v0, s)) for s in mids])
-    multiplier = np.exp(dt * rates.sum())
-    return complex(multiplier * expectation(psi, WeylLabel(*transported(gen, x0, v0, t))))
+    rate_sum = sum(weyl_symbol_rate(gen, *transported(gen, x0, v0, s)) for s in mids)  # Python sum: no warning
+    if not np.isfinite(rate_sum):
+        raise NumericalFailure(f"scheme law's rate sum not finite at n_steps = {n_steps}")
+    return complex(np.exp(dt * rate_sum) * expectation(psi, WeylLabel(*transported(gen, x0, v0, t))))
 
 
 @dataclass
@@ -299,10 +269,10 @@ def mc_vs_closed_form(
     label = WeylLabel(x0, v0)
     sym = evolve_weyl_closed_form(gen, x0, v0, t)
     closed = sym.multiplier * expectation(psi, WeylLabel(sym.point[0], sym.point[1]))
-    fine = mc_weyl_expectation(gen, psi, label, t, 2 * n_steps, mc, aggregate=1)
-    coarse = mc_weyl_expectation(gen, psi, label, t, n_steps, mc, aggregate=2)
     bias_coarse = abs(scheme_expected_weyl(gen, psi, x0, v0, t, n_steps) - closed)
     bias_fine = abs(scheme_expected_weyl(gen, psi, x0, v0, t, 2 * n_steps) - closed)
+    fine = mc_weyl_expectation(gen, psi, label, t, 2 * n_steps, mc, aggregate=1)
+    coarse = mc_weyl_expectation(gen, psi, label, t, n_steps, mc, aggregate=2)
     order = float(np.log2(bias_coarse / bias_fine)) if bias_fine > 1e-13 else float("nan")
     split = float(abs(coarse.estimate - fine.estimate))
     dev_coarse = float(abs(coarse.estimate - closed))

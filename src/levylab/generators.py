@@ -190,11 +190,17 @@ def is_conditionally_cp(C: np.ndarray):
     of verdicts for a stack.
     """
     C = np.asarray(C, dtype=complex)
-    d = int(round(np.sqrt(C.shape[-1])))
-    omega = vec(np.eye(d))  # the maximally entangled vector sum_i |ii>
-    P = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj()) / d
+    P = _entangled_complement(int(round(np.sqrt(C.shape[-1]))))
     ok = _cp_witness(P @ C @ P, C)[0]
     return bool(ok) if ok.ndim == 0 else ok
+
+
+@functools.lru_cache(maxsize=None)
+def _entangled_complement(d: int) -> np.ndarray:
+    """``I - omega omega^dag / d``, the projector off the maximally entangled ``omega = sum_i |ii>`` (read-only)."""
+    P = np.eye(d * d, dtype=complex) - np.outer(vec(np.eye(d)), vec(np.eye(d))) / d  # omega is real
+    P.setflags(write=False)
+    return P
 
 
 # --------------------------------------------------------------------------

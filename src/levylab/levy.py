@@ -33,6 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import rng
+from .errors import NumericalFailure
 from .montecarlo import run_chunks
 
 _PSD_TOL = 1e-12
@@ -185,6 +186,25 @@ def char_exponent_2d(triplet: LevyTriplet2D, mu: float, lam: float) -> complex:
     return complex(eta)
 
 
+def char_exponent_2d_integral(triplet: LevyTriplet2D, mu: float, lam0: float, lam1: float, t: float) -> complex:
+    """Exact ``integral_0^t eta2(mu, lam(s)) ds`` along ``lam`` moving linearly from ``lam0`` to ``lam1``.
+
+    ``integral lam = t (lam0 + lam1) / 2``, ``integral lam^2 = t (lam0^2 + lam0 lam1 + lam1^2) / 3``, and an
+    atom whose phase runs from ``p0`` to ``p1`` gives ``t exp(i (p0 + p1) / 2) sinc((p1 - p0) / 2)``.
+    """
+    mu, lam0, lam1, t = float(mu), float(lam0), float(lam1), float(t)
+    (a_pp, a_pq), (_, a_qq) = triplet.alpha  # Python floats: an overflow is inf without a warning
+    int_lam, int_lam2 = 0.5 * t * (lam0 + lam1), t * (lam0 * lam0 + lam0 * lam1 + lam1 * lam1) / 3.0
+    eta = 1j * (t * mu * triplet.beta_p - int_lam * triplet.beta_q)
+    eta -= 0.5 * (t * a_pp * mu * mu + 2.0 * int_lam * a_pq * mu + a_qq * int_lam2)
+    locs, rates = triplet.jumps.atom_arrays(triplet.dim)
+    p0, p1 = mu * locs[:, 0] - lam0 * locs[:, 1], mu * locs[:, 0] - lam1 * locs[:, 1]
+    mid = 0.5 * (p0 + p1)
+    comp = (np.hypot(locs[:, 0], locs[:, 1]) <= triplet.h).astype(float)
+    eta += complex(np.sum(rates * t * (np.exp(1j * mid) * np.sinc((p1 - p0) / (2.0 * np.pi)) - 1.0 - 1j * mid * comp)))
+    return complex(eta)
+
+
 # --------------------------------------------------------------------------
 # Sampling
 # --------------------------------------------------------------------------
@@ -220,9 +240,11 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
 
 def _chol_psd(a: np.ndarray) -> np.ndarray:
     """Factor a PSD matrix, tolerating tiny negative eigenvalues."""
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    w, v = np.linalg.eigh(0.5 * a + 0.5 * a.T)  # halved first: entries near the float range stay finite
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    if not np.all(np.isfinite(factor)):
+        raise NumericalFailure("noise covariance factor not finite")
+    return factor
 
 
 def noise_covariance_2d(triplet: LevyTriplet2D) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from levylab import rng
 from levylab.errors import NumericalFailure
 from levylab.feller import BoundaryReport, DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
-from levylab.galilean import GalileanGenerator
+from levylab.galilean import GalileanGenerator, transported, weyl_symbol_rate
 from levylab.generators import CP_TOL, StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
@@ -437,6 +437,49 @@ def one_dimensional_reduction(gen: GalileanGenerator) -> LevyTriplet1D | None:
             return None
         atoms.append((xa, r))
     return LevyTriplet1D(beta=t.beta_p, alpha=a[0, 0], jumps=JumpMeasure(atoms=tuple(atoms)), h=t.h)
+
+
+# --------------------------------------------------------------------------
+# Galilean generators: the closed form's rate integral by quadrature
+# --------------------------------------------------------------------------
+
+_SIMPSON_TOL = 1e-10
+
+
+def _adaptive_simpson(fn, a: float, b: float) -> complex:
+    """Adaptive Simpson quadrature for a smooth complex integrand, at most 24 levels deep."""
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, b, fa, fm, fb, whole, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = fn(lm), fn(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        if depth <= 0:
+            raise NumericalFailure(f"adaptive Simpson recursion exhausted on [{a!r}, {b!r}]")
+        if not np.isfinite(left + right):  # abs() of a complex NaN may raise OverflowError (a stale errno)
+            raise NumericalFailure(f"adaptive Simpson integrand not finite on [{a!r}, {b!r}]")
+        if abs(left + right - whole) <= 15.0 * _SIMPSON_TOL * max(1.0, abs(whole)):
+            return left + right + (left + right - whole) / 15.0
+        return (
+            recurse(a, m, fa, flm, fm, left, depth - 1)
+            + recurse(m, b, fm, frm, fb, right, depth - 1)
+        )
+
+    if a == b:
+        return 0.0 + 0.0j
+    return recurse(a, b, fa, fm, fb, whole, 24)
+
+
+def quadrature_rate_integral(gen: GalileanGenerator, x0: float, v0: float, t: float) -> complex:
+    """The dissipative rate integrated along the transported label over ``[0, t]`` by adaptive Simpson.
+
+    The independent check of the exact integral behind
+    ``galilean.evolve_weyl_closed_form`` (``levy.char_exponent_2d_integral``).
+    """
+    return _adaptive_simpson(lambda s: weyl_symbol_rate(gen, *transported(gen, x0, v0, s)), 0.0, t)
 
 
 # --------------------------------------------------------------------------

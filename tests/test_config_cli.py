@@ -749,16 +749,15 @@ t = 1.0
         assert diagnostics["left"]["integrable"] and not diagnostics["right"]["integrable"]
 
     def test_galilei_alpha_near_the_float_range_fails_in_one_line(self, tmp_path, capsys):
-        # alpha's symmetric part and the exponent's quadratic form used to overflow with numpy
-        # warnings before the quadrature gave up; now the quadrature's refusal of its non-finite
-        # integrand is the one diagnostic line
+        # the closed form's multiplier underflows to 0 without a warning, and the fine scheme's
+        # rate sum overflows: its refusal is the one diagnostic line, before any path is drawn
         cfg = write_config(tmp_path, "[run]\nkind = galilei-compare\nseed = 1\n[triplet2]\n"
                                      "alpha = 1e308, 0.0, 1e308\n[mc]\nn_paths = 16\n[galilei]\nn_steps = 2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("galilei-compare: ")]
-        assert len(err) == 1 and err[0].startswith("numerical failure: adaptive Simpson"), err
+        assert len(err) == 1 and err[0].startswith("numerical failure: scheme law's rate sum not finite"), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verdicts, code, verdict", [

@@ -1,6 +1,7 @@
 """Covariant dynamics: symbol calculus, dilation, covariance identity."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from levylab import galilean as galilean_module
 from levylab import grid as grid_module
 from levylab import rng
+from levylab.errors import NumericalFailure
 from levylab.galilean import (
     DILATION_CHUNK,
     GalileanGenerator,
@@ -37,6 +39,7 @@ from levylab.levy import (
     _sample_increments,
     char_exponent_1d,
     char_exponent_2d,
+    char_exponent_2d_integral,
 )
 from levylab.montecarlo import MCConfig
 from levylab.semigroup import mc_heisenberg_expectation
@@ -46,6 +49,7 @@ from oracles import (
     momentum_expectation,
     one_dimensional_reduction,
     position_expectation,
+    quadrature_rate_integral,
 )
 
 FULL = LevyTriplet2D(
@@ -56,6 +60,12 @@ FULL = LevyTriplet2D(
 )
 GAUSS_PP = LevyTriplet2D(alpha=((1.0, 0.0), (0.0, 0.0)))
 ATOMIC = LevyTriplet2D(jumps=JumpMeasure(atoms=[((1.2, 0.8), 0.7), ((-0.4, 1.5), 0.5)]))
+#: Closed form versus quadrature: Gaussian, atomic (one atom inside ``h``, one outside) and mixed with drift.
+INTEGRAL_LAWS = {
+    "gaussian": LevyTriplet2D(alpha=((1.0, 0.3), (0.3, 0.8))),
+    "atomic": LevyTriplet2D(jumps=JumpMeasure(atoms=[((0.3, -0.5), 0.9), ((1.2, 0.8), 0.7)])),
+    "mixed": FULL,
+}
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +125,7 @@ class TestClosedForm:
         assert state.multiplier == pytest.approx(np.exp(-0.5), rel=1e-10)
         assert state.point == (-1.0, 1.0)
 
-    def test_quadrature_against_hand_integral(self):
+    def test_closed_form_against_hand_integral(self):
         # alpha_qq-only noise: rate(x) = -a x^2 / 2 along x(s) = x0 - v0 s
         a = 0.8
         gen = GalileanGenerator(LevyTriplet2D(alpha=((0.0, 0.0), (0.0, a))))
@@ -132,6 +142,30 @@ class TestClosedForm:
     def test_multiplier_bound_enforced(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             WeylSymbolState(multiplier=1.1, point=(0.0, 0.0))
+
+    @pytest.mark.parametrize("v0", [0.0, 1e-9, 1.1])
+    @pytest.mark.parametrize("free", [True, False])
+    @pytest.mark.parametrize("law", sorted(INTEGRAL_LAWS))
+    def test_exact_integral_matches_quadrature(self, law, free, v0):
+        gen = GalileanGenerator(INTEGRAL_LAWS[law], include_free_hamiltonian=free)
+        x0, t = 0.7, 1.3
+        state = evolve_weyl_closed_form(gen, x0, v0, t)
+        exact = char_exponent_2d_integral(gen.triplet2, v0, x0, state.point[0], t)
+        oracle = quadrature_rate_integral(gen, x0, v0, t)
+        assert abs(exact - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        assert state.multiplier == pytest.approx(np.exp(oracle), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e307, 1.7e308])
+    @pytest.mark.parametrize("x0,v0,t", [(0.0, 1.0, 1.0), (2.0, -3.0, 2.0)])
+    def test_alpha_near_the_float_range_is_contractive_or_fails(self, alpha, x0, v0, t):
+        gen = GalileanGenerator(LevyTriplet2D(alpha=((alpha, 0.0), (0.0, alpha))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                multiplier = evolve_weyl_closed_form(gen, x0, v0, t).multiplier
+            except NumericalFailure:
+                return
+        assert multiplier.imag == 0.0 and 0.0 <= multiplier.real <= 1.0
 
 
 def one_step(gen, psi, dt, increments):

@@ -19,6 +19,7 @@ from levylab.generators import (
     StandardGenerator,
     StructureRow,
     _cp_witness,
+    _entangled_complement,
     _expm,
     _hermitian_basis,
     apply_gauge,
@@ -265,6 +266,14 @@ class TestConditionalCP:
 
     def test_transpose_fails(self):
         assert is_conditionally_cp(choi_of_map(lambda X: X.T, 2)) is False
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_projector_is_cached_and_read_only(self, d):
+        P = _entangled_complement(d)
+        omega = vec(np.eye(d))
+        assert P is _entangled_complement(d) and not P.flags.writeable
+        assert np.allclose(P @ P, P, atol=1e-15) and np.allclose(P @ omega, 0.0, atol=1e-15)
+        assert np.allclose(P, P.conj().T, atol=0.0)
 
 
 class TestEvolution:
