@@ -94,7 +94,7 @@ def evolve_weyl_closed_form(gen: GalileanGenerator, x0: float, v0: float, t: flo
         raise ValueError("t must be nonnegative")
     point = transported(gen, x0, v0, t)
     integral = char_exponent_2d_integral(gen.triplet2, v0, x0, point[0], t)
-    if not np.isfinite(integral):
+    if not (integral.real < np.inf and np.isfinite(integral.imag)):  # a real part of -inf is a multiplier of 0
         raise NumericalFailure(f"closed-form rate integral not finite at (x0, v0, t) = ({x0!r}, {v0!r}, {t!r})")
     return WeylSymbolState(multiplier=complex(np.exp(integral)), point=point)
 

@@ -228,6 +228,7 @@ def phase_tables(
     origin: float = 0.0,
     wrap: bool = False,
     scale: np.ndarray | None = None,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factorized phases ``exp(i coef[m] (origin + unit k))`` for ``k < n``.
 
@@ -238,18 +239,53 @@ def phase_tables(
     ``T2[m, r]`` (``M x B``): the phase at ``k`` is ``T1[m, k // B] *
     T2[m, k % B]``.  No ``M x n`` exponential is formed.
 
-    Each table is built by doubling (see :func:`_doubled`): one ``np.exp``
-    call gives every row its columns 0 and 1 of both tables and one factor
-    per doubling width, about ``log2 n`` exponentials a row.  Every row goes
-    through the same operations whatever ``M``, so a row is bit for bit the
-    row computed alone.
+    Each table is built column-major, one column per row ``m``, by doubling:
+    one ``np.exp`` call gives every row its entries 0 and 1 of both tables
+    and one factor per doubling width ``w``, about ``log2 n`` exponentials a
+    row, and entries ``w .. 2w-1`` are entries ``0 .. w-1`` times the factor
+    of ``w``, one multiply over all rows per width.  Entries 0 and 1 come
+    from their own exponentials, never from a width-1 multiply, and each
+    factor is its own exponential, not a square of the last one, which
+    would break the error bound in ``docs/conventions.md``.  Every pass is
+    elementwise, so a row is bit for bit the row computed alone.
+
+    The tables are written into ``out`` (from :func:`phase_buffers`, for at
+    least ``M`` rows) or into new buffers, and returned as their
+    ``(M, width)`` transposed views.  A single ``coef`` with ``M`` scales
+    gives ``M`` rows of ``T1`` and one of ``T2``.
     """
     args, b, i, j = _phase_args(n, unit, origin, wrap)
-    phases = np.exp(1j * np.outer(coef, args))
-    head1, factors1, head2, factors2 = phases[:, :2], phases[:, 2:i], phases[:, i:j], phases[:, j:]
-    if scale is not None:
-        head1 = head1 * scale[:, None]
-    return _doubled(head1, factors1, n // b), _doubled(head2, factors2, b)
+    m = coef.size
+    rows = m if scale is None else max(m, scale.size)  # a single coef may serve every scale
+    arg, phases, t1, t2 = phase_buffers(n, rows) if out is None else out
+    arg, phases, t1, t2 = arg[:, :m], phases[:, :m], t1[:, :rows], t2[:, :m]
+    np.exp(np.multiply(1j, np.multiply.outer(args, coef, out=arg), out=phases), out=phases)
+    if scale is None:
+        t1[:2] = phases[:2]
+    else:
+        np.multiply(phases[:2], scale, out=t1[:2])
+    t2[:j - i] = phases[i:j]
+    for table, factors in ((t1, phases[2:i]), (t2, phases[j:])):
+        for k, factor in enumerate(factors):
+            w = 2 << k
+            np.multiply(table[:w], factor, out=table[w:2 * w])
+    return t1.T, t2.T
+
+
+def phase_buffers(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Column-major buffers for :func:`phase_tables` at ``n`` points on up to ``rows`` rows.
+
+    The lattice arguments times ``coef`` and their exponentials
+    (``log2 n + 2`` each), then ``T1`` (``n/B``) and ``T2`` (``B``).
+    """
+    b, count = _block(n), n.bit_length() + 1
+    return (np.empty((count, rows)), np.empty((count, rows), dtype=complex),
+            np.empty((n // b, rows), dtype=complex), np.empty((b, rows), dtype=complex))
+
+
+def _block(n: int) -> int:
+    """``B``, the power of two nearest ``sqrt(n)`` that splits the lattice index of :func:`phase_tables`."""
+    return 1 << ((n.bit_length() - 1) // 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,7 +296,7 @@ def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndar
     the heads of ``T2``, its doubling widths, each times ``unit``), ``B``,
     and where the ``T2`` heads and widths start in ``args``.
     """
-    b = 1 << ((n.bit_length() - 1) // 2)
+    b = _block(n)
     first = b * np.arange(2)
     steps = b << np.arange(1, (n // b).bit_length() - 1)  # B w for the widths w of T1
     if wrap:
@@ -271,24 +307,6 @@ def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndar
     args = np.concatenate([origin + unit * first, unit * steps, unit * cols, unit * widths])
     args.setflags(write=False)
     return args, b, 2 + steps.size, 2 + steps.size + cols.size
-
-
-def _doubled(head: np.ndarray, factors: np.ndarray, width: int) -> np.ndarray:
-    """A ``rows x width`` table from its first columns ``head`` and one factor per width ``w = 2, 4, .. width/2``.
-
-    Columns ``w .. 2w-1`` are columns ``0 .. w-1`` times ``factors[:, log2 w - 1]``,
-    one row-wise multiply per width.  Columns 0 and 1 come from their own
-    exponentials, never from a width-1 multiply: a ``(rows, 1)`` multiply
-    runs numpy's strided loop down the rows, which rounds differently from
-    a row alone.  Each factor is its own exponential, not a square of the
-    last one, which would break the error bound of :func:`phase_tables`.
-    """
-    table = np.empty((head.shape[0], width), dtype=complex)
-    table[:, :head.shape[1]] = head
-    for k in range(factors.shape[1]):
-        w = 2 << k
-        np.multiply(table[:, :w], factors[:, k, None], out=table[:, w:2 * w])
-    return table
 
 
 def _apply_lattice_phase(

@@ -321,7 +321,7 @@ def _mc_semigroup(cfg: RunConfig) -> Result:
     rows = []
     overflow = 0.0
     for t in cfg.params["semigroup"]["t"]:
-        print(f"mc-semigroup: t = {t}", file=sys.stderr, flush=True)
+        print(json.dumps({"progress": "mc-semigroup", "t": t}), file=sys.stderr, flush=True)
         res = mc_heisenberg_expectation(cfg.params["triplet"], psi, obs, t, cfg.params["mc"])
         overflow = max(overflow, res.overflow_fraction)
         rows.append([t, obs.label, res.estimate.real, res.estimate.imag,
@@ -461,7 +461,8 @@ def _galilei_compare(cfg: RunConfig) -> Result:
 
     p = cfg.params["galilei"]
     gen = GalileanGenerator(cfg.params["triplet2"], include_free_hamiltonian=p["free"])
-    print(f"galilei-compare: n_steps = {p['n_steps']} and {2 * p['n_steps']}", file=sys.stderr, flush=True)
+    print(json.dumps({"progress": "galilei-compare", "n_steps": [p["n_steps"], 2 * p["n_steps"]]}), file=sys.stderr,
+          flush=True)
     rep = mc_vs_closed_form(gen, p["x0"], p["v0"], cfg.params["state"], p["t"], p["n_steps"], cfg.params["mc"])
     summary = {
         "closed_value": rep.closed_value,

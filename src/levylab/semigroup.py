@@ -37,6 +37,7 @@ from .grid import (
     WeylLabel,
     expectation,
     overflow_fraction,
+    phase_buffers,
     phase_tables,
 )
 from .levy import LevyTriplet1D, sample_ensemble
@@ -127,7 +128,9 @@ def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> 
     Evaluates the polynomials of :func:`_lag_coefficients` with the phase
     tables of :func:`levylab.grid.phase_tables` on the ``N`` lags: per block
     of paths one matrix product ``T2 @ C`` followed by a row-wise
-    contraction with ``T1``.  A Hermitian observable has ``C_-d =
+    contraction with ``T1``.  The tables, their exponent scratch and the
+    product live in one workspace per call, sized for a full block and
+    reused by every block.  A Hermitian observable has ``C_-d =
     conj(C_d)``, so ``R = P`` above lag 0 and its real value is ``2 Re P(z)
     - P_0``: only a Weyl label needs the column of ``R``.
     """
@@ -137,14 +140,15 @@ def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> 
     if not weyl:
         coef = coef[:, :1]
     values = np.empty(xi.size, dtype=complex if weyl else float)
-    cmat = None
+    rows = min(xi.size, STATE_BATCH)
+    bufs = phase_buffers(n, rows)
+    b = bufs[3].shape[0]
+    cmat = coef.reshape(n // b, b, -1).transpose(1, 0, 2).reshape(b, -1)  # coef[B j + r, col] -> cmat[r, (j, col)]
+    prod = np.empty((rows, cmat.shape[1]), dtype=complex)
     for start in range(0, xi.size, STATE_BATCH):
         block = xi[start:start + STATE_BATCH]
-        t1, t2 = phase_tables(-block, n, psi.grid.dp)
-        b = t2.shape[1]
-        if cmat is None:  # coef[B j + r, col] -> cmat[r, (j, col)]
-            cmat = coef.reshape(n // b, b, -1).transpose(1, 0, 2).reshape(b, -1)
-        part = (t2 @ cmat).reshape(block.size, n // b, -1)
+        t1, t2 = phase_tables(-block, n, psi.grid.dp, out=bufs)
+        part = np.matmul(t2, cmat, out=prod[:block.size]).reshape(block.size, n // b, -1)
         both = np.einsum("mjc,mj->mc", part, t1)
         if weyl:
             values[start:start + block.size] = both[:, 0] + both[:, 1].conj()

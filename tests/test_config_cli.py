@@ -20,6 +20,7 @@ from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, expe
 from levylab.levy import LevyTriplet1D, LevyTriplet2D, char_exponent_1d
 from levylab.montecarlo import MCConfig, gate
 from levylab.runner import EXPERIMENTS, Metric, Output, Result
+from make_golden_manifests import config_text
 
 MINIMAL_CHAR = """
 [run]
@@ -756,9 +757,20 @@ t = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["galilei-compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("galilei-compare: ")]
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"progress": ')]
         assert len(err) == 1 and err[0].startswith("numerical failure: scheme law's rate sum not finite"), err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, progress", [
+        ("mc_semigroup_mixed.cfg", [{"progress": "mc-semigroup", "t": t} for t in (0.25, 0.5, 1.0)]),
+        ("galilei_gauss.cfg", [{"progress": "galilei-compare", "n_steps": [2, 4]}]),
+    ])
+    def test_progress_lines_are_json(self, tmp_path, capsys, name, progress):
+        # every stderr line of a sample run (golden sizes) is one JSON object: its progress
+        text = config_text(name)
+        cfg = write_config(tmp_path, text)
+        assert main([parse_config(text).kind, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == progress
 
     @pytest.mark.parametrize("verdicts, code, verdict", [
         (("pass",), 0, "pass"),

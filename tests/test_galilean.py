@@ -158,14 +158,20 @@ class TestClosedForm:
     @pytest.mark.parametrize("alpha", [1e307, 1.7e308])
     @pytest.mark.parametrize("x0,v0,t", [(0.0, 1.0, 1.0), (2.0, -3.0, 2.0)])
     def test_alpha_near_the_float_range_is_contractive_or_fails(self, alpha, x0, v0, t):
+        # the rate integral is huge and negative or -inf (at 1.7e308 its Gaussian term
+        # overflows): either way the multiplier is exactly 0, without a warning
         gen = GalileanGenerator(LevyTriplet2D(alpha=((alpha, 0.0), (0.0, alpha))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                multiplier = evolve_weyl_closed_form(gen, x0, v0, t).multiplier
-            except NumericalFailure:
-                return
-        assert multiplier.imag == 0.0 and 0.0 <= multiplier.real <= 1.0
+            multiplier = evolve_weyl_closed_form(gen, x0, v0, t).multiplier
+        assert multiplier == 0.0
+
+    @pytest.mark.parametrize("integral", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, np.nan),
+                                          complex(-np.inf, np.inf), complex(0.0, np.inf)])
+    def test_non_finite_rate_integral_fails(self, monkeypatch, integral):
+        monkeypatch.setattr(galilean_module, "char_exponent_2d_integral", lambda *args: integral)
+        with pytest.raises(NumericalFailure, match="closed-form rate integral not finite"):
+            evolve_weyl_closed_form(GalileanGenerator(GAUSS_PP), 0.0, 1.0, 1.0)
 
 
 def one_step(gen, psi, dt, increments):

@@ -26,6 +26,7 @@ from levylab.grid import (
     expectation,
     expectations,
     gaussian_state,
+    phase_buffers,
     phase_tables,
 )
 from oracles import (
@@ -251,7 +252,7 @@ class TestDisplacementKernel:
     @pytest.mark.parametrize("momentum", [False, True])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_phase_table_rows_do_not_depend_on_row_count(self, log_n, momentum, scaled):
-        # the tables are built by doubling, one row-wise multiply per width; a row's bits
+        # the tables are built by doubling, one multiply over all rows per width; a row's bits
         # must not depend on how many rows share the call (the tile rule of the dilation)
         n = 2**log_n
         grid = GridSpec(n_points=n, x_min=-33.0, dx=80.0 / n)
@@ -260,10 +261,33 @@ class TestDisplacementKernel:
         scale = np.exp(1j * gen.uniform(-3.0, 3.0, 1024)) if scaled else None
         unit, origin = (grid.dp, 0.0) if momentum else (grid.dx, grid.x_min)
         t1, t2 = phase_tables(coef, n, unit, origin=origin, wrap=momentum, scale=scale)
+        alone = []
         for m in range(coef.size):
             one = phase_tables(coef[m:m + 1], n, unit, origin=origin, wrap=momentum,
                                scale=None if scale is None else scale[m:m + 1])
             assert np.array_equal(one[0][0], t1[m]) and np.array_equal(one[1][0], t2[m]), m
+            alone.append(one)
+        alone = [np.concatenate([one[k] for one in alone]) for k in (0, 1)]
+        # odd row counts leave rows to a vector loop's tail; buffers wider than the rows and
+        # reused from call to call hold stale columns beside every call's own
+        bufs = phase_buffers(n, coef.size + 3)
+        for rows in (1, 7, 1023, 1024):
+            for out in (None, bufs):
+                tables = phase_tables(coef[:rows], n, unit, origin=origin, wrap=momentum,
+                                      scale=None if scale is None else scale[:rows], out=out)
+                for table, want in zip(tables, alone):
+                    assert np.array_equal(table, want[:rows]), (rows, out is None)
+
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_phase_tables_write_into_the_callers_buffers(self, momentum):
+        grid = GridSpec(n_points=1024, x_min=-33.0, dx=80.0 / 1024)
+        coef = np.linspace(-2.0, 2.0, 5)
+        bufs = phase_buffers(1024, 9)
+        t1, t2 = phase_tables(coef, 1024, grid.dp, wrap=momentum, out=bufs)
+        assert t1.shape == (5, 32) and t2.shape == (5, 32)
+        assert np.shares_memory(t1, bufs[2]) and np.shares_memory(t2, bufs[3])
+        fresh = phase_tables(coef, 1024, grid.dp, wrap=momentum)
+        assert np.array_equal(t1, fresh[0]) and np.array_equal(t2, fresh[1])
 
     def test_batch_rows_match_single_state_weyl(self, moving_psi):
         grid = moving_psi.grid

@@ -11,6 +11,7 @@ from levylab import semigroup as semigroup_module
 from levylab.errors import SupportOverflowError
 from levylab.grid import (
     OVERFLOW_FRACTION,
+    STATE_BATCH,
     GridSpec,
     PTable,
     QTable,
@@ -158,6 +159,14 @@ class TestShiftEstimator:
         ref, ref_se = mc_stats(oracle, antithetic=antithetic)
         assert abs(est - ref) <= bound.max()
         assert abs(se - ref_se) <= bound.max()
+
+    @pytest.mark.parametrize("observable", [QTable(tuple(np.cos(np.arange(1024.0)))), WeylLabel(0.7, -1.3)])
+    def test_blocks_share_one_workspace_without_leaking(self, psi, observable):
+        # the phase tables and the product of every block, the partial last one included,
+        # live in one workspace per call: each block's values are those of the block alone
+        xi = rng.stream(5, "test.workspace").uniform(-5.0, 5.0, 2 * STATE_BATCH + 37)
+        alone = [_shift_values(psi, observable, xi[lo:lo + STATE_BATCH]) for lo in range(0, xi.size, STATE_BATCH)]
+        assert np.array_equal(_shift_values(psi, observable, xi), np.concatenate(alone))
 
     def test_estimators_never_shift_states(self, psi, monkeypatch):
         def forbidden(*args, **kwargs):
