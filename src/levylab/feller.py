@@ -19,9 +19,11 @@ any drift callable, by quadrature on dyadic shells, is a test oracle
 The Monte Carlo side simulates the killed diffusion by Euler-Maruyama with
 a Brownian-bridge crossing correction (absorb with probability
 ``exp(-2 (X_k - l)(X_{k+1} - l) / dt)`` when both endpoints are above
-``l``), which removes the O(sqrt(dt)) crossing bias.  A per-step reflected
-variant serves purely as a witness that distinct extensions of the same
-dynamics exist when the boundary absorbs.
+``l``), which removes the O(sqrt(dt)) crossing bias.  Its survival curve
+``S(t)`` is the trace of the minimal evolution.  A conservative extension
+keeps trace exactly 1 by definition, so nothing needs simulating for it:
+``1 - S(t)`` is the witness that distinct extensions exist when the boundary
+absorbs.
 """
 
 from __future__ import annotations
@@ -153,14 +155,18 @@ def _bridge_candidates(xa: np.ndarray, xb: np.ndarray, l: float, dt: float) -> t
     return near, arg[near]
 
 
-def _simulate(
+def simulate_killed_diffusion(
     spec: DriftSpec,
     x_start: float,
     t: float,
     dt: float,
     mc: MCConfig,
-    mode: str,
 ) -> SurvivalCurve:
+    """Euler-Maruyama paths killed at ``l``, with Brownian-bridge correction.
+
+    Returns the survival curve on a time grid of at most 201 points (the
+    absorbed fraction is its complement).
+    """
     if not x_start > spec.l:
         raise ValueError("x_start must lie right of the boundary")
     if dt <= 0:
@@ -179,12 +185,10 @@ def _simulate(
 
     sqdt = np.sqrt(dt)
     l = spec.l
-    reflect = mode == "reflect"
-    normals_tag = "feller.reflect.normals" if reflect else "feller.kill.normals"
 
     def worker(idx, start, stop):
-        normals = rng.stream(mc.seed, normals_tag, idx)
-        uniforms = None if reflect else rng.stream(mc.seed, "feller.kill.bridge", idx)
+        normals = rng.stream(mc.seed, "feller.kill.normals", idx)
+        uniforms = rng.stream(mc.seed, "feller.kill.bridge", idx)
         xa = np.full(stop - start, float(x_start))  # live positions, in path order
         alive_counts = np.zeros(rec_steps.size, dtype=np.int64)
         rec_pos = 0
@@ -196,9 +200,6 @@ def _simulate(
                 break  # once every path is dead the chunk draws nothing more
             dw = normals.standard_normal(xa.size)  # one normal per live path
             xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * dw
-            if reflect:
-                xa = l + np.abs(xb - l)
-                continue
             near, arg = _bridge_candidates(xa, xb, l, dt)
             with np.errstate(over="ignore"):
                 kill = near[uniforms.random(near.size) < np.exp(arg)]
@@ -211,34 +212,3 @@ def _simulate(
     surv = counts / mc.n_paths
     se = np.sqrt(np.maximum(surv * (1.0 - surv), 0.0) / mc.n_paths)
     return SurvivalCurve(times=rec_steps * dt, survival=surv, stderr=se)
-
-
-def simulate_killed_diffusion(
-    spec: DriftSpec,
-    x_start: float,
-    t: float,
-    dt: float,
-    mc: MCConfig,
-) -> SurvivalCurve:
-    """Euler-Maruyama paths killed at ``l``, with Brownian-bridge correction.
-
-    Returns the survival curve on a time grid of at most 201 points (the
-    absorbed fraction is its complement).
-    """
-    return _simulate(spec, x_start, t, dt, mc, mode="kill")
-
-
-def simulate_reflecting_diffusion(
-    spec: DriftSpec,
-    x_start: float,
-    t: float,
-    dt: float,
-    mc: MCConfig,
-) -> SurvivalCurve:
-    """Same scheme with per-step reflection ``x -> l + |x - l|``; nothing is killed.
-
-    Used only as a non-uniqueness witness against the absorbing variant.
-    Its normals come from streams of their own, so under one seed it is
-    independent of the killed run.
-    """
-    return _simulate(spec, x_start, t, dt, mc, mode="reflect")

@@ -534,14 +534,12 @@ def _feller_classify(cfg: RunConfig) -> Result:
     "dt": Field("float", default=0.001, range="positive"),
     "expect": Field("float", default=float("nan")),
     "tol": Field("float", default=0.01, range="nonnegative"),
-    "reflecting": Field("bool", default=False),
 })
 def _killed_diffusion(cfg: RunConfig) -> Result:
-    from .feller import simulate_killed_diffusion, simulate_reflecting_diffusion
+    from .feller import simulate_killed_diffusion
 
     p = cfg.params["kd"]
-    sim = simulate_reflecting_diffusion if p["reflecting"] else simulate_killed_diffusion
-    curve = sim(cfg.params["feller"], p["x_start"], p["t"], p["dt"], cfg.params["mc"])
+    curve = simulate_killed_diffusion(cfg.params["feller"], p["x_start"], p["t"], p["dt"], cfg.params["mc"])
     survival = Metric(curve.final, stderr=curve.final_stderr)
     if not np.isnan(p["expect"]):
         g = gate(abs(curve.final - p["expect"]), curve.final_stderr, 0.0, p["tol"])

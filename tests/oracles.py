@@ -20,7 +20,7 @@ import numpy as np
 
 from levylab import rng
 from levylab.errors import NumericalFailure
-from levylab.feller import BoundaryReport, DriftSpec, simulate_killed_diffusion, simulate_reflecting_diffusion
+from levylab.feller import BoundaryReport, DriftSpec, simulate_killed_diffusion
 from levylab.galilean import GalileanGenerator, transported, weyl_symbol_rate
 from levylab.generators import CP_TOL, StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
 from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
@@ -624,19 +624,20 @@ def shell_feller_test(drift: Callable[[np.ndarray], np.ndarray], l: float, x0: f
 
 @dataclass
 class TraceDecayReport:
-    """Minimal (absorbing) versus reflecting survival curves and the witness verdict.
+    """The minimal (absorbing) survival curve against the conservative trace 1, and the witness verdict.
 
     The minimal evolution loses normalization exactly as fast as paths are
-    absorbed, so its survival curve is the trace curve of the evolved state
-    concentrated at ``x_start``.  ``witness=True`` when the curves separate
-    beyond ``max(5 joint stderr, 0.02)`` somewhere; the floor keeps
-    discretization bias near a non-absorbing boundary from faking a witness.
+    absorbed, so its survival curve ``S(t)`` is the trace curve of the
+    evolved state concentrated at ``x_start``.  A conservative extension
+    keeps trace exactly 1, so the separation is ``1 - S(t)`` and its stderr
+    is that of ``S``.  ``witness=True`` when the separation exceeds
+    ``max(5 stderr, 0.02)`` somewhere; the floor keeps discretization bias
+    near a non-absorbing boundary from faking a witness.
     """
 
     times: np.ndarray
     minimal: np.ndarray
     minimal_stderr: np.ndarray
-    reflecting: np.ndarray
     max_separation: float
     max_separation_sigmas: float
     witness: bool
@@ -652,24 +653,22 @@ def trace_decay_link(
     t_grid = np.asarray(t_grid, dtype=float)
     t_max = float(t_grid.max())
     minimal = simulate_killed_diffusion(spec, x_start, t_max, dt, mc)
-    reflecting = simulate_reflecting_diffusion(spec, x_start, t_max, dt, mc)
-    # the rows of the curves' own time grid at the steps of t_grid
+    # the rows of the curve's own time grid at the steps of t_grid
     steps, wanted = np.round(minimal.times / dt).astype(int), np.unique(np.round(t_grid / dt).astype(int))
     rows = np.minimum(np.searchsorted(steps, wanted), steps.size - 1)
     if not np.array_equal(steps[rows], wanted):
-        raise ValueError(f"t_grid has times off the survival curves' grid at dt = {dt}")
-    sep = reflecting.survival[rows] - minimal.survival[rows]
-    joint = np.sqrt(minimal.stderr[rows]**2 + reflecting.stderr[rows]**2)
+        raise ValueError(f"t_grid has times off the survival curve's grid at dt = {dt}")
+    sep = 1.0 - minimal.survival[rows]
+    se = minimal.stderr[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigmas = np.where(joint > 0, sep / joint, np.inf * np.sign(sep))
+        sigmas = np.where(se > 0, sep / se, np.inf * np.sign(sep))
     floor = 0.02
     k = int(np.argmax(sep))
-    witness = bool(sep[k] > max(5.0 * joint[k], floor))
+    witness = bool(sep[k] > max(5.0 * se[k], floor))
     return TraceDecayReport(
         times=minimal.times[rows],
         minimal=minimal.survival[rows],
         minimal_stderr=minimal.stderr[rows],
-        reflecting=reflecting.survival[rows],
         max_separation=float(sep[k]),
         max_separation_sigmas=float(sigmas[k]) if np.isfinite(sigmas[k]) else float("inf"),
         witness=witness,

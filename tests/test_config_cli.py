@@ -154,6 +154,7 @@ x = 2
         ("feller_zero.cfg", "drift = zero", "drift = nope", "[feller] drift: unknown drift 'nope' (zero, bessel3, ou, linear)"),
         ("feller_zero.cfg", "expect_left = absorbing", "expect_left = maybe", "[feller] expect_left: invalid verdict 'maybe'"),
         ("killed_bm.cfg", "seed = 7", "seed = 7\nformat = csv", "[run]: unknown key 'format'"),
+        ("killed_bm.cfg", "tol = 0.01", "tol = 0.01\nreflecting = true", "[kd]: unknown key 'reflecting'"),
     ])
     def test_error_messages(self, name, old, new, message):
         # ``name`` None edits MINIMAL_CHAR, whose line numbers the messages cite

@@ -16,7 +16,6 @@ from levylab.feller import (
     _bridge_candidates,
     feller_test,
     simulate_killed_diffusion,
-    simulate_reflecting_diffusion,
 )
 from levylab.montecarlo import MCConfig, run_chunks
 from oracles import shell_feller_test, trace_decay_link
@@ -98,7 +97,7 @@ class TestKilledDiffusion:
             mc = MCConfig(50000, 5, threads=2)
             if bridge:
                 return simulate_killed_diffusion(spec, 1.0, 1.0, dt, mc).final
-            return _reference_survival(spec, 1.0, 1.0, dt, mc, "kill", bridge=False)[-1]
+            return _reference_survival(spec, 1.0, 1.0, dt, mc, bridge=False)[-1]
         corrected = abs(final(4e-3, True) - final(1e-3, True))
         uncorrected = abs(final(4e-3, False) - final(1e-3, False))
         assert corrected < uncorrected
@@ -109,20 +108,17 @@ class TestKilledDiffusion:
 
     def test_coarse_step_warns(self):
         spec = DriftSpec("linear", 0.0, 1.0, 50.0)
-        with pytest.warns(UserWarning, match="coarse"):
+        with pytest.warns(UserWarning, match="coarse") as record:
             simulate_killed_diffusion(spec, 1.0, 0.1, 0.01, MCConfig(100, 2))
-
-    def test_reflecting_never_absorbs(self):
-        curve = simulate_reflecting_diffusion(ZERO, 1.0, 1.0, 1e-2, MCConfig(2000, 7))
-        assert np.all(curve.survival == 1.0)
+        assert record[0].filename == __file__
 
 
-def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True):
+def _reference_survival(spec, x_start, t, dt, mc, bridge=True):
     """Survival curve from a per-step alive-mask loop on the worker's draw order.
 
-    Per chunk and step: one normal per live path from the mode's normals
-    stream, then, with the bridge on in kill mode, one uniform per live path
-    whose bridge exponent (Gobet's, both factors as ``max(., 0)``) is above
+    Per chunk and step: one normal per live path from the normals stream,
+    then, with the bridge on, one uniform per live path whose bridge
+    exponent (Gobet's, both factors as ``max(., 0)``) is above
     ``-BRIDGE_CUT``, from the bridge stream; both in path order, and nothing
     once every path is dead.  ``bridge=False`` kills only paths whose
     endpoint crossed: the uncorrected Euler scheme, on the same normals.
@@ -130,11 +126,10 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True):
     n_steps = int(round(t / dt))
     rec_steps = np.unique(np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int))
     sqdt, l = np.sqrt(dt), spec.l
-    normals_tag = "feller.reflect.normals" if mode == "reflect" else "feller.kill.normals"
 
     def worker(idx, start, stop):
         m = stop - start
-        normals = rng.stream(mc.seed, normals_tag, idx)
+        normals = rng.stream(mc.seed, "feller.kill.normals", idx)
         uniforms = rng.stream(mc.seed, "feller.kill.bridge", idx)
         x = np.full(m, float(x_start))
         alive = np.ones(m, dtype=bool)
@@ -151,9 +146,6 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True):
                 continue
             xa = x[idx_alive]
             xb = xa + np.asarray(spec.drift(xa), dtype=float) * dt + sqdt * normals.standard_normal(idx_alive.size)
-            if mode == "reflect":
-                x[idx_alive] = l + np.abs(xb - l)
-                continue
             crossed = xb <= l
             if bridge:
                 with np.errstate(over="ignore"):
@@ -167,13 +159,12 @@ def _reference_survival(spec, x_start, t, dt, mc, mode, bridge=True):
     return sum(run_chunks(worker, mc.n_paths, threads=mc.threads)) / mc.n_paths
 
 
-def _simulate_both(spec, x_start, n_steps, dt, mc, mode):
+def _simulate_both(spec, x_start, n_steps, dt, mc):
     t = n_steps * dt
-    sim = simulate_reflecting_diffusion if mode == "reflect" else simulate_killed_diffusion
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # coarse-step warning at small x_start
-        curve = sim(spec, x_start, t, dt, mc)
-    return curve, _reference_survival(spec, x_start, t, dt, mc, mode)
+        curve = simulate_killed_diffusion(spec, x_start, t, dt, mc)
+    return curve, _reference_survival(spec, x_start, t, dt, mc)
 
 
 class TestCompactedWorker:
@@ -181,7 +172,6 @@ class TestCompactedWorker:
 
     @given(
         st.sampled_from(sorted(DRIFTS)),
-        st.sampled_from(["kill", "reflect"]),
         st.sampled_from([0.05, 0.3, 1.0]),
         st.integers(0, 12),
         st.sampled_from([2.5e-4, 1e-3, 4e-3, 1e-2]),
@@ -189,19 +179,19 @@ class TestCompactedWorker:
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 2]),
     )
-    @example("zero", "kill", 1.0, 12, 4e-3, rng.CHUNK + 17, 5, 2)
-    @example("ou", "reflect", 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1)
-    @example("bessel3", "kill", 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2)
-    def test_survival_matches_mask_loop(self, drift, mode, x_start, n_steps, dt, n_paths, seed, threads):
+    @example("zero", 1.0, 12, 4e-3, rng.CHUNK + 17, 5, 2)
+    @example("ou", 0.3, 10, 1e-2, rng.CHUNK + 3, 6, 1)
+    @example("bessel3", 0.05, 12, 1e-3, rng.CHUNK + 40, 7, 2)
+    def test_survival_matches_mask_loop(self, drift, x_start, n_steps, dt, n_paths, seed, threads):
         curve, ref = _simulate_both(DriftSpec(drift, 0.0, 1.0, 1.0), x_start, n_steps, dt,
-                                    MCConfig(n_paths, seed, threads=threads), mode)
+                                    MCConfig(n_paths, seed, threads=threads))
         assert np.array_equal(curve.survival, ref)
 
     def test_all_dead_before_t(self):
         # a drift of -5 toward the boundary kills every path well before t
         # (a driftless path from 0.01 survives to t = 1 with probability 0.008)
         spec = DriftSpec("linear", 0.0, 1.0, -5.0)
-        curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15), "kill")
+        curve, ref = _simulate_both(spec, 0.01, 100, 0.01, MCConfig(20, 15))
         assert curve.survival[-2] == 0.0  # every path died before t; later steps draw nothing
         assert np.array_equal(curve.survival, ref)
 
@@ -224,8 +214,7 @@ class TestCompactedWorker:
         with np.errstate(over="ignore"):
             assert np.array_equal(np.minimum(np.exp(arg), 1.0), np.exp(gobet[near]))
 
-    @pytest.mark.parametrize("mode", ["kill", "reflect"])
-    def test_bridge_stream_read_only_by_the_bridge(self, monkeypatch, mode):
+    def test_bridge_stream_read_only_by_the_bridge(self, monkeypatch):
         opened = []
         original = rng.stream
 
@@ -235,13 +224,11 @@ class TestCompactedWorker:
             return gen
 
         monkeypatch.setattr(rng, "stream", recording)
-        sim = simulate_reflecting_diffusion if mode == "reflect" else simulate_killed_diffusion
-        sim(ZERO, 0.2, 0.5, 1e-2, MCConfig(rng.CHUNK + 50, 23))
+        simulate_killed_diffusion(ZERO, 0.2, 0.5, 1e-2, MCConfig(rng.CHUNK + 50, 23))
         # an untouched stream still yields what a fresh one yields first
         advanced = {tag for tag, gen, fresh in opened
                     if gen.bit_generator.random_raw() != fresh.bit_generator.random_raw()}
-        assert advanced == ({"feller.kill.normals", "feller.kill.bridge"} if mode == "kill"
-                            else {"feller.reflect.normals"})
+        assert advanced == {"feller.kill.normals", "feller.kill.bridge"}
 
     def test_thread_count_does_not_change_curves(self):
         curves = [simulate_killed_diffusion(ZERO, 0.5, 0.5, 1e-2,
@@ -285,4 +272,4 @@ class TestTraceDecayLink:
 
     def test_time_zero_curves_agree(self):
         report = trace_decay_link(ZERO, 1.0, np.array([0.0, 0.5]), MCConfig(2000, 33), dt=1e-2)
-        assert report.minimal[0] == 1.0 and report.reflecting[0] == 1.0
+        assert report.minimal[0] == 1.0

@@ -77,7 +77,7 @@ def _tags() -> set[str]:
 
 TAGS = {
     "increments", "char-check", "generator-check.half-step", "two-stage.first", "two-stage.second",
-    "dilation", "feller.kill.normals", "feller.kill.bridge", "feller.reflect.normals",
+    "dilation", "feller.kill.normals", "feller.kill.bridge",
     "random-generator", "cp-suite.shapes", "cp-suite.generator", "gauge-suite.generator",
     "gauge-suite.elements", "ccr-battery", "linearity-probe",
 }
@@ -188,9 +188,8 @@ n_samples = {self.N}
     def test_trace_decay_link_runs(self, opened):
         trace_decay_link(DriftSpec("zero", 0.0, 1.0, 1.0), 1.0, np.array([0.1, 0.2]), MCConfig(self.N, 4), dt=1e-2)
         groups = _by_tag(opened)
-        minimal = set(groups["feller.kill.normals"] + groups["feller.kill.bridge"])
-        reflecting = set(groups["feller.reflect.normals"])
-        assert len(minimal) == 4 and len(reflecting) == 2 and not minimal & reflecting
+        assert set(groups) == {"feller.kill.normals", "feller.kill.bridge"}
+        assert len({key for _, key in opened}) == len(opened) == 4
 
     def test_cp_suite_shapes_and_generators(self, opened, tmp_path):
         cfg = tmp_path / "c.cfg"
