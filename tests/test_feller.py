@@ -112,6 +112,13 @@ class TestKilledDiffusion:
             simulate_killed_diffusion(spec, 1.0, 0.1, 0.01, MCConfig(100, 2))
         assert record[0].filename == __file__
 
+    def test_stderr_is_binomial(self):
+        # the trace-decay witness divides 1 - S(t) by this stderr alone
+        mc = MCConfig(2000, 3)
+        curve = simulate_killed_diffusion(ZERO, 1.0, 0.5, 0.01, mc)
+        assert curve.stderr[0] == 0.0
+        assert np.array_equal(curve.stderr, np.sqrt(curve.survival * (1.0 - curve.survival) / mc.n_paths))
+
 
 def _reference_survival(spec, x_start, t, dt, mc, bridge=True):
     """Survival curve from a per-step alive-mask loop on the worker's draw order.
@@ -269,6 +276,14 @@ class TestTraceDecayLink:
     def test_non_absorbing_boundary_no_witness(self):
         report = trace_decay_link(BESSEL3, 1.0, self.T_GRID, MCConfig(20000, 32, threads=2), dt=2.5e-4)
         assert not report.witness
+
+    def test_separation_is_one_minus_survival(self):
+        # a conservative extension keeps trace 1, so the killed curve alone sets the separation
+        report = trace_decay_link(ZERO, 1.0, self.T_GRID, MCConfig(2000, 34), dt=1e-2)
+        sep = 1.0 - report.minimal
+        k = int(np.argmax(sep))
+        assert report.max_separation == sep.max()
+        assert report.max_separation_sigmas == sep[k] / report.minimal_stderr[k]
 
     def test_time_zero_curves_agree(self):
         report = trace_decay_link(ZERO, 1.0, np.array([0.0, 0.5]), MCConfig(2000, 33), dt=1e-2)
