@@ -56,11 +56,12 @@ class End(NamedTuple):
 
 
 class Drift(NamedTuple):
-    """A named drift family: ``b(x; l, c)`` on a float array, and the closed-form test at each end."""
+    """A named drift family: ``b(x; l, c)``, the closed-form test at each end, and whether an Euler step is exact."""
 
     b: Callable[[np.ndarray, float, float], np.ndarray]
     left: End
     right: End
+    exact_step: bool  # an Euler step with the bridge test is exact in law at any dt (constant drift)
 
 
 #: Every drift ``[feller] drift`` can name, with ``F`` in closed form (``c`` is
@@ -69,16 +70,17 @@ class Drift(NamedTuple):
 DRIFTS = {
     "zero": Drift(lambda x, l, c: np.zeros_like(x),  # F = x - x0
                   End(True, "|F| -> x0 - l"),
-                  End(False, "|F| ~ x")),
+                  End(False, "|F| ~ x"), exact_step=True),
     "bessel3": Drift(lambda x, l, c: 1.0 / (x - l),  # F = ((x - l)^3 - (x0 - l)^3) / (3 (x - l)^2)
                      End(False, "|F| ~ (x0 - l)^3 / (3 (x - l)^2)"),
-                     End(False, "|F| ~ (x - l) / 3")),
+                     End(False, "|F| ~ (x - l) / 3"), exact_step=False),
     "ou": Drift(lambda x, l, c: -x,  # F = exp(x^2) integral_{x0}^{x} exp(-y^2) dy
                 End(True, "|F| -> exp(l^2) |integral_l^x0 exp(-y^2) dy|"),
-                End(False, "|F| ~ exp(x^2) integral_x0^inf exp(-y^2) dy")),
+                End(False, "|F| ~ exp(x^2) integral_x0^inf exp(-y^2) dy"), exact_step=False),
     "linear": Drift(lambda x, l, c: c * np.ones_like(x),  # F = (1 - exp(-2c (x - x0))) / (2c)
                     End(True, "|F| -> |exp(2c (x0 - l)) - 1| / (2|c|), or x0 - l at c = 0"),
-                    End(False, "|F| -> 1/(2c) for c > 0, ~ x at c = 0, ~ exp(2|c| (x - x0)) / (2|c|) for c < 0")),
+                    End(False, "|F| -> 1/(2c) for c > 0, ~ x at c = 0, ~ exp(2|c| (x - x0)) / (2|c|) for c < 0"),
+                    exact_step=True),
 }
 
 
@@ -165,7 +167,8 @@ def simulate_killed_diffusion(
     """Euler-Maruyama paths killed at ``l``, with Brownian-bridge correction.
 
     Returns the survival curve on a time grid of at most 201 points (the
-    absorbed fraction is its complement).
+    absorbed fraction is its complement).  A ``dt`` coarse for the drift at
+    ``x_start`` warns, unless the family's step is exact (``Drift.exact_step``).
     """
     if not x_start > spec.l:
         raise ValueError("x_start must lie right of the boundary")
@@ -175,13 +178,9 @@ def simulate_killed_diffusion(
     if abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError("t must be an integer multiple of dt")
     rec_steps = np.unique(np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int))
-    drift0 = float(np.max(np.abs(np.atleast_1d(spec.drift(np.array([x_start]))))))
-    if drift0 * dt > 0.1 * max(1.0, abs(x_start - spec.l)):
-        warnings.warn(
-            f"dt = {dt} is coarse for drift scale {drift0:.3g} at the start point",
-            UserWarning,
-            stacklevel=2,
-        )
+    drift0 = float(np.abs(spec.drift(x_start)))
+    if not DRIFTS[spec.name].exact_step and drift0 * dt > 0.1 * max(1.0, abs(x_start - spec.l)):
+        warnings.warn(f"dt = {dt} is coarse for drift scale {drift0:.3g} at the start point", UserWarning, stacklevel=2)
 
     sqdt = np.sqrt(dt)
     l = spec.l

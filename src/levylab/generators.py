@@ -20,7 +20,7 @@ the orthogonal complement of the maximally entangled vector ``sum_i |ii>``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +43,17 @@ def _as_matrix(m, d=None) -> np.ndarray:
     return m
 
 
+def _jumps(jump_ops: Sequence, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, d, d)`` stack of the jump operators, each checked by :func:`_as_matrix`, and ``sum_k L_k^dag L_k``."""
+    ops = np.array([_as_matrix(L, d) for L in jump_ops], dtype=complex).reshape(-1, d, d)
+    return ops, sum(ops.conj().swapaxes(-1, -2) @ ops, np.zeros((d, d), dtype=complex))
+
+
 @dataclass
 class StandardGenerator:
-    """Jump operators and accretive K defining a generator in standard form."""
+    """Jump operators (an ``(m, d, d)`` stack) and accretive K defining a generator in standard form."""
 
-    jump_ops: tuple
+    jump_ops: np.ndarray
     K: np.ndarray
     unital: bool
 
@@ -55,20 +61,16 @@ class StandardGenerator:
     def unital_build(cls, hamiltonian, jump_ops: Sequence) -> "StandardGenerator":
         """From ``(H, {L_k})`` with ``K = iH + (1/2) sum L^dag L``; always unital."""
         H = _as_matrix(hamiltonian)
-        d = H.shape[0]
         if np.abs(H - H.conj().T).max() > _HERM_TOL * max(1.0, np.abs(H).max()):
             raise ValueError("hamiltonian must be Hermitian")
-        ops = tuple(_as_matrix(L, d) for L in jump_ops)
-        K = 1j * H + 0.5 * sum((L.conj().T @ L for L in ops), np.zeros((d, d), dtype=complex))
-        return cls(jump_ops=ops, K=K, unital=True)
+        ops, gram = _jumps(jump_ops, H.shape[0])
+        return cls(jump_ops=ops, K=1j * H + 0.5 * gram, unital=True)
 
     @classmethod
     def raw_build(cls, K, jump_ops: Sequence) -> "StandardGenerator":
         """From ``(K, {L_k})``; validates dissipativity and detects unitality."""
         K = _as_matrix(K)
-        d = K.shape[0]
-        ops = tuple(_as_matrix(L, d) for L in jump_ops)
-        gram = sum((L.conj().T @ L for L in ops), np.zeros((d, d), dtype=complex))
+        ops, gram = _jumps(jump_ops, K.shape[0])
         slack = K + K.conj().T - gram
         scale = max(1.0, float(np.abs(K).max()), float(np.abs(gram).max()))
         eigs = np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))
@@ -90,14 +92,12 @@ class StandardGenerator:
 
 def _parts(gens) -> tuple[np.ndarray, np.ndarray]:
     """``K`` and the ``(m, d, d)`` jump stack; a sequence of generators of one shape adds a leading axis."""
-    one = isinstance(gens, StandardGenerator)
-    gens = [gens] if one else list(gens)
+    if isinstance(gens, StandardGenerator):
+        return gens.K, gens.jump_ops
+    gens = list(gens)
     if len({(g.dim, g.n_jumps) for g in gens}) != 1:
         raise ValueError("expected generators of one shape (dim, n_jumps)")
-    d, m = gens[0].dim, gens[0].n_jumps
-    K = np.array([g.K for g in gens])
-    ops = np.array([g.jump_ops for g in gens], dtype=complex).reshape(len(gens), m, d, d)
-    return (K[0], ops[0]) if one else (K, ops)
+    return np.array([g.K for g in gens]), np.array([g.jump_ops for g in gens])
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def superop_matrix(gen) -> np.ndarray:
 
 
 def cp_part_superop(gen: StandardGenerator) -> np.ndarray:
-    return _jump_superops(_parts(gen)[1]).sum(axis=0)
+    return _jump_superops(gen.jump_ops).sum(axis=0)
 
 
 def choi_matrix(S: np.ndarray, d: int) -> np.ndarray:
@@ -162,8 +162,11 @@ def _cp_witness(M: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``herm M + tol I`` certifies it, and a certified matrix has witness 0.0.  Only when that
     factorization fails does ``eigvalsh`` run on the stack; a matrix failing the rule then
     has its smallest eigenvalue as witness, and one passing it 0.0, so no slice depends on
-    its batch.  Batched over leading axes.
+    its batch.  Batched over leading axes.  A NaN or infinite entry in ``M`` or ``C`` raises
+    :class:`NumericalFailure` before any arithmetic on them.
     """
+    if not (np.isfinite(M).all() and np.isfinite(C).all()):
+        raise NumericalFailure("CP test of a matrix with a NaN or infinite entry")
     herm = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
     tol = CP_TOL * np.fmax(1.0, np.abs(C).max(axis=(-2, -1)))
     try:
@@ -191,7 +194,8 @@ def is_conditionally_cp(C: np.ndarray):
     """
     C = np.asarray(C, dtype=complex)
     P = _entangled_complement(int(round(np.sqrt(C.shape[-1]))))
-    ok = _cp_witness(P @ C @ P, C)[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # _cp_witness refuses a non-finite projection
+        ok = _cp_witness(P @ C @ P, C)[0]
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -418,24 +422,18 @@ def apply_gauge(gen: StandardGenerator, g: GaugeElement) -> StandardGenerator:
     """Transform ``(L, K)`` by the gauge element; the generator's action is unchanged."""
     if g.m != gen.n_jumps:
         raise ValueError(f"gauge element has m={g.m} but generator has {gen.n_jumps} jump operators")
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    D, a = g.D, g.a
-    rotated = [sum(D[k, j] * gen.jump_ops[j] for j in range(g.m)) for k in range(g.m)]
-    new_ops = tuple(rotated[k] + a[k] * eye for k in range(g.m))
-    cross = sum(np.conj(a[k]) * rotated[k] for k in range(g.m))
-    K = gen.K + cross + (0.5 * float(np.vdot(a, a).real) - 1j * g.b) * eye
-    return StandardGenerator.raw_build(K, new_ops)
+    eye = np.eye(gen.dim, dtype=complex)
+    a = g.a[:, None, None]
+    rotated = (g.D[:, :, None, None] * gen.jump_ops).sum(axis=1)  # (D L)_k = sum_j D[k, j] L_j
+    K = gen.K + (np.conj(a) * rotated).sum(axis=0) + (0.5 * float(np.vdot(g.a, g.a).real) - 1j * g.b) * eye
+    return StandardGenerator.raw_build(K, rotated + a * eye)
 
 
 def gauge_group_law_check(g1: GaugeElement, g2: GaugeElement, gen: StandardGenerator) -> float:
     """Defect between sequential gauge action and the action of the product."""
     seq = apply_gauge(apply_gauge(gen, g2), g1)
     prod = apply_gauge(gen, gauge_product(g1, g2))
-    defect = float(np.abs(seq.K - prod.K).max())
-    for L1, L2 in zip(seq.jump_ops, prod.jump_ops):
-        defect = max(defect, float(np.abs(L1 - L2).max()))
-    return defect
+    return max(float(np.abs(seq.K - prod.K).max()), float(np.abs(seq.jump_ops - prod.jump_ops).max(initial=0.0)))
 
 
 # --------------------------------------------------------------------------
@@ -447,10 +445,10 @@ def random_standard_generator(
 ) -> StandardGenerator:
     """A random ``d``-level generator with ``m`` jump operators, from stream ``index`` of ``tag``."""
     gen = rng.stream(seed, tag, index)
-    A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-    H = 0.5 * (A + A.conj().T)
-    ops = [(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0 * d) for _ in range(m)]
-    base = StandardGenerator.unital_build(H, ops)
+    z = gen.standard_normal((m + 1, 2, d, d))
+    A = z[0, 0] + 1j * z[0, 1]
+    base = StandardGenerator.unital_build(0.5 * (A + A.conj().T), (z[1:, 0] + 1j * z[1:, 1]) / np.sqrt(2.0 * d))
     if unital:
         return base
-    return StandardGenerator.raw_build(base.K + (0.1 + 0.4 * gen.random()) * np.eye(d), ops)
+    # K + cI, c in [0.1, 0.5): the slack K + K^dag - sum L^dag L is 2cI, dissipative and not unital
+    return replace(base, K=base.K + (0.1 + 0.4 * gen.random()) * np.eye(d), unital=False)

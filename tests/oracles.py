@@ -300,7 +300,7 @@ def semigroup_two_stage(
 
 # --------------------------------------------------------------------------
 # Structure theory: the generator's action, trace-picture adjoint, duality
-# and covariance defects
+# and covariance defects, and the random battery's reference draw
 # --------------------------------------------------------------------------
 
 def unvec(x: np.ndarray) -> np.ndarray:
@@ -354,6 +354,24 @@ def check_duality(gen: StandardGenerator, rho, X, t: float = 0.0) -> float:
     lhs = np.trace(apply_preadjoint(gen, rho) @ X)
     rhs = np.trace(rho @ apply_generator(gen, X))
     return float(abs(lhs - rhs))
+
+
+def reference_standard_generator(
+    d: int, m: int, seed: int, unital: bool = True, tag: str = "random-generator", index: int = 0
+) -> StandardGenerator:
+    """``random_standard_generator`` drawn ``(d, d)`` block by block and validated twice.
+
+    ``2 + 2m`` normal draws (``A``'s real and imaginary part, then each ``L_k``'s), then
+    ``unital_build``; a non-unital draw goes through ``raw_build`` again with ``K + c I``.
+    """
+    gen = rng.stream(seed, tag, index)
+    A = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    H = 0.5 * (A + A.conj().T)
+    ops = [(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0 * d) for _ in range(m)]
+    base = StandardGenerator.unital_build(H, ops)
+    if unital:
+        return base
+    return StandardGenerator.raw_build(base.K + (0.1 + 0.4 * gen.random()) * np.eye(d), ops)
 
 
 def covariance_defect(map_fn: Callable, V, sample_xs: Sequence) -> float:
@@ -635,7 +653,6 @@ class TraceDecayReport:
     near a non-absorbing boundary from faking a witness.
     """
 
-    times: np.ndarray
     minimal: np.ndarray
     minimal_stderr: np.ndarray
     max_separation: float
@@ -666,7 +683,6 @@ def trace_decay_link(
     k = int(np.argmax(sep))
     witness = bool(sep[k] > max(5.0 * se[k], floor))
     return TraceDecayReport(
-        times=minimal.times[rows],
         minimal=minimal.survival[rows],
         minimal_stderr=minimal.stderr[rows],
         max_separation=float(sep[k]),

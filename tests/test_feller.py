@@ -107,10 +107,19 @@ class TestKilledDiffusion:
             simulate_killed_diffusion(ZERO, -1.0, 1.0, 0.01, MCConfig(10, 1))
 
     def test_coarse_step_warns(self):
-        spec = DriftSpec("linear", 0.0, 1.0, 50.0)
+        # an Euler step is biased for ou's drift -x, here 10 at the start against dt = 0.5
         with pytest.warns(UserWarning, match="coarse") as record:
-            simulate_killed_diffusion(spec, 1.0, 0.1, 0.01, MCConfig(100, 2))
+            simulate_killed_diffusion(OU, 10.0, 0.5, 0.5, MCConfig(100, 2))
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("c, dt", [(50.0, 0.01), (5.0, 0.5)])
+    def test_exact_step_never_warns(self, c, dt):
+        # a constant drift steps exactly in law at any dt, so no step is coarse for it
+        assert {name: d.exact_step for name, d in DRIFTS.items()} == {
+            "zero": True, "bessel3": False, "ou": False, "linear": True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_killed_diffusion(DriftSpec("linear", 0.0, 1.0, c), 1.0, 10 * dt, dt, MCConfig(100, 2))
 
     def test_stderr_is_binomial(self):
         # the trace-decay witness divides 1 - S(t) by this stderr alone

@@ -1,6 +1,7 @@
 """Finite-dimensional generator structure: CP tests, expansion, gauge freedom."""
 
 import ast
+import itertools
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -37,7 +38,7 @@ from levylab.generators import (
     vec,
 )
 from oracles import (apply_generator, apply_preadjoint, check_duality, choi_of_map, covariance_defect, hermitian_basis,
-                     map_is_completely_positive, unvec)
+                     map_is_completely_positive, reference_standard_generator, unvec)
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -185,6 +186,23 @@ class TestChoiOfSuperoperator:
                 assert oracle_ok == ok[k]
                 assert witness[k] == (0.0 if ok[k] else eig)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_input_is_refused(self, bad, entry):
+        # a Cholesky factorization of a NaN matrix does not fail, so the rule must refuse
+        # a non-finite matrix or stack before it computes anything, and warn about nothing
+        M = np.eye(4, dtype=complex)
+        M[entry] = M[entry[::-1]] = bad
+        stack = np.stack([np.eye(4), M, np.eye(4)])
+        calls = (lambda: _cp_witness(M, M), lambda: _cp_witness(np.eye(4), M), lambda: _cp_witness(stack, stack),
+                 lambda: is_completely_positive(M), lambda: is_completely_positive(stack),
+                 lambda: is_conditionally_cp(M), lambda: is_conditionally_cp(stack))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NumericalFailure, match="NaN or infinite"):
+                    call()
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape and identical IEEE bit patterns, signed zeros included."""
@@ -199,6 +217,42 @@ def kron_superop(g: StandardGenerator) -> np.ndarray:
     for L in g.jump_ops:
         mat += np.kron(L.T, L.conj().T)
     return mat
+
+
+class TestRandomGenerator:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_block_by_block_reference(self, d):
+        # one draw of normals and one validated build give the reference's draws and builds bit for bit
+        for m, unital, index, tag in itertools.product((1, 2, 3), (True, False), range(3),
+                                                       ("random-generator", "cp-suite.generator")):
+            g = random_standard_generator(d, m, 5, unital=unital, tag=tag, index=index)
+            ref = reference_standard_generator(d, m, 5, unital=unital, tag=tag, index=index)
+            assert same_bits(g.K, ref.K) and same_bits(g.jump_ops, np.array(ref.jump_ops))
+            assert g.unital is ref.unital is unital
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_non_unital_slack_is_2c_identity(self, d):
+        # K + K^dag - sum L^dag L = 2cI with c in [0.1, 0.5): dissipative and not unital, so no second check
+        for m, index in itertools.product((1, 2, 3), range(3)):
+            g = random_standard_generator(d, m, 5, unital=False, index=index)
+            stream = rng.stream(5, "random-generator", index)
+            stream.standard_normal((m + 1, 2, d, d))
+            c = 0.1 + 0.4 * stream.random()
+            slack = g.K + g.K.conj().T - sum(L.conj().T @ L for L in g.jump_ops)
+            assert 0.1 <= c < 0.5
+            assert np.abs(slack - 2.0 * c * np.eye(d)).max() <= 1e-12 * max(1.0, np.abs(g.K).max())
+
+    def test_jump_ops_are_one_stack_on_every_path(self):
+        built = {
+            "unital_build": (damped_qubit(), (1, 2, 2)),
+            "no jumps": (StandardGenerator.unital_build(SIGMA_Z, []), (0, 2, 2)),
+            "raw_build": (StandardGenerator.raw_build(0.5 * np.eye(2), (SIGMA_MINUS,)), (1, 2, 2)),
+            "random": (random_standard_generator(3, 2, seed=1, unital=False), (2, 3, 3)),
+            "apply_gauge": (apply_gauge(random_standard_generator(3, 2, seed=1), random_gauge(2, 3)), (2, 3, 3)),
+        }
+        for name, (g, shape) in built.items():
+            assert isinstance(g.jump_ops, np.ndarray), name
+            assert (g.jump_ops.dtype, g.jump_ops.shape, g.n_jumps) == (np.complex128, shape, shape[0]), name
 
 
 class TestSuperopAndChoi:

@@ -114,6 +114,15 @@ def test_eigenvalues_only_where_the_cp_rule_needs_them():
     assert callers == {"raw_build", "_cp_witness"}, sorted(callers)
 
 
+def test_only_the_gauge_action_validates_raw_parts():
+    # a random draw is dissipative by construction and builds once; only apply_gauge's
+    # transformed (K, L) pair goes through raw_build's dissipativity check
+    callers = {fn.name for path in SRC.glob("*.py") for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "raw_build"}
+    assert callers == {"apply_gauge"}, sorted(callers)
+
+
 def test_package_within_line_budget():
     total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
     assert total <= MAX_LINES, f"src/levylab/*.py has {total} lines, above the budget of {MAX_LINES}"
