@@ -9,8 +9,10 @@ hence no discretization error in this module.
 One path's value ``<S_xi psi, X S_xi psi>`` is a trigonometric polynomial
 in ``xi`` whose coefficients depend only on the state and the observable.
 The expectation estimators build those coefficients once (one correlation
-FFT) and evaluate every path from the factorized phase tables of
-:func:`levylab.grid.phase_tables`; no shifted state is ever formed.
+FFT), cut the polynomial to the degree its coefficients carry
+(:data:`LAG_TAIL`), and evaluate every path from the factorized phase
+tables of :func:`levylab.grid.phase_tables`; no shifted state is ever
+formed.
 
 On observables ``f(Q)`` the evolution reduces to classical smoothing of
 ``f`` by the increment law, which is the oracle all quantum estimates here
@@ -45,6 +47,15 @@ from .montecarlo import Gate, MCConfig, MCResult, gate, mc_stats
 
 #: Step of the central differences in :func:`classical_generator_apply`.
 FD_STEP = 1e-3
+
+#: The shift estimator sums the lags below ``n'``, the smallest power of two
+#: (at least 2) that covers every lag ``d`` whose tail mass ``sum_{d' >= d}
+#: (|P_d'| + |R_d'|)`` exceeds ``LAG_TAIL`` of the total.  Since ``|z| = 1``
+#: the lags left out move a path's value by at most ``2**-53 sum |dx C_d|``;
+#: the all-lag sum carries at least that much round-off, from the correlation
+#: FFT that makes the coefficients and from the doubled phase tables.  It
+#: picks which lags are summed, so it sets result bits.
+LAG_TAIL = 2**-53
 
 
 def _support_bounds(dens: np.ndarray, tol: float) -> tuple[int, int]:
@@ -122,21 +133,35 @@ def _lag_coefficients(psi: WaveFunction, observable: Observable) -> np.ndarray:
     return coef
 
 
-def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> np.ndarray:
-    """Values ``<S_xi psi, X S_xi psi>``, one per path.
+def _lag_degree(coef: np.ndarray) -> int:
+    """Number of leading rows of ``coef`` (from :func:`_lag_coefficients`) the shift estimator sums.
 
-    Evaluates the polynomials of :func:`_lag_coefficients` with the phase
-    tables of :func:`levylab.grid.phase_tables` on the ``N`` lags: per block
-    of paths one matrix product ``T2 @ C`` followed by a row-wise
-    contraction with ``T1``.  The tables, their exponent scratch and the
-    product live in one workspace per call, sized for a full block and
-    reused by every block.  A Hermitian observable has ``C_-d =
-    conj(C_d)``, so ``R = P`` above lag 0 and its real value is ``2 Re P(z)
-    - P_0``: only a Weyl label needs the column of ``R``.
+    The smallest power of two, at least 2, that covers every lag whose tail
+    mass exceeds :data:`LAG_TAIL` of the total; 2 for a zero ``coef``.
     """
-    n = psi.grid.n_points
+    tail = np.cumsum(np.abs(coef[::-1]).sum(axis=1))[::-1]  # |P| + |R| from lag d up
+    keep = int(np.count_nonzero(tail > LAG_TAIL * tail[0]))
+    return max(2, 1 << (keep - 1).bit_length())
+
+
+def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> np.ndarray:
+    """Values ``<S_xi psi, X S_xi psi>``, one per path, from the lags :func:`_lag_degree` keeps."""
     coef = _lag_coefficients(psi, observable)
-    weyl = isinstance(observable, WeylLabel)
+    return _lag_values(coef[:_lag_degree(coef)], isinstance(observable, WeylLabel), psi.grid.dp, xi)
+
+
+def _lag_values(coef: np.ndarray, weyl: bool, dp: float, xi: np.ndarray) -> np.ndarray:
+    """The polynomials of :func:`_lag_coefficients` on their first ``n = len(coef)`` lags, one value per path.
+
+    Evaluates with the phase tables of :func:`levylab.grid.phase_tables` on
+    ``n`` lags: per block of paths one matrix product ``T2 @ C`` followed by
+    a row-wise contraction with ``T1``.  The tables, their exponent scratch
+    and the product live in one workspace per call, sized for a full block
+    and reused by every block.  A Hermitian observable has ``C_-d =
+    conj(C_d)``, so ``R = P`` above lag 0 and its real value is ``2 Re P(z)
+    - P_0``: only a Weyl label (``weyl``) needs the column of ``R``.
+    """
+    n = coef.shape[0]
     if not weyl:
         coef = coef[:, :1]
     values = np.empty(xi.size, dtype=complex if weyl else float)
@@ -147,7 +172,7 @@ def _shift_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> 
     prod = np.empty((rows, cmat.shape[1]), dtype=complex)
     for start in range(0, xi.size, STATE_BATCH):
         block = xi[start:start + STATE_BATCH]
-        t1, t2 = phase_tables(-block, n, psi.grid.dp, out=bufs)
+        t1, t2 = phase_tables(-block, n, dp, out=bufs)
         part = np.matmul(t2, cmat, out=prod[:block.size]).reshape(block.size, n // b, -1)
         both = np.einsum("mjc,mj->mc", part, t1)
         if weyl:

@@ -23,11 +23,12 @@ from levylab.errors import NumericalFailure
 from levylab.feller import BoundaryReport, DriftSpec, simulate_killed_diffusion
 from levylab.galilean import GalileanGenerator, transported, weyl_symbol_rate
 from levylab.generators import CP_TOL, StandardGenerator, _as_matrix, exact_evolve, superop_matrix, vec
-from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction,
+from levylab.grid import (STATE_BATCH, SUPPORT_TOL, GridSpec, Observable, PTable, QTable, WaveFunction, WeylLabel,
                           _apply_lattice_phase, _check_support, displace, expectation, expectations, gaussian_state)
 from levylab.levy import JumpMeasure, LevyTriplet1D, LevyTriplet2D, sample_ensemble
 from levylab.montecarlo import MCConfig, MCResult, mc_stats
-from levylab.semigroup import _check_overflow, _shift_estimate, _support_bounds, mc_heisenberg_expectation
+from levylab.semigroup import (_check_overflow, _lag_coefficients, _lag_degree, _lag_values, _shift_estimate,
+                               _support_bounds, mc_heisenberg_expectation)
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +276,22 @@ def momentum_covariance_check(
     for sl, states in _shifted_batches(boosted, xi):
         vals_b[sl] = expectations(states, psi.grid, observable)
     return float(np.abs(np.mean(vals_a) - np.mean(vals_b)))
+
+
+def all_lag_values(psi: WaveFunction, observable: Observable, xi: np.ndarray) -> np.ndarray:
+    """The shift estimator's path values summed over all ``N`` lags, the ones the degree cut leaves out included.
+
+    The lags :func:`levylab.semigroup._lag_degree` keeps are evaluated as the
+    estimator evaluates them, and the rest as a second polynomial on all
+    ``N`` lags (zero below the cut), added to the first.  The difference from
+    the estimator is then the left-out lags alone: two groupings of the whole
+    sum into phase tables differ by a few ``eps sum |C_d|`` of round-off.
+    """
+    coef = _lag_coefficients(psi, observable)
+    kept, weyl = _lag_degree(coef), isinstance(observable, WeylLabel)
+    rest = coef.copy()
+    rest[:kept] = 0.0
+    return _lag_values(coef[:kept], weyl, psi.grid.dp, xi) + _lag_values(rest, weyl, psi.grid.dp, xi)
 
 
 def semigroup_two_stage(

@@ -1,5 +1,7 @@
 """Noise-averaged semigroup: unitality, classical reduction, covariance."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from levylab import grid as grid_module
 from levylab import rng
 from levylab import semigroup as semigroup_module
+from levylab.config import parse_config
 from levylab.errors import SupportOverflowError
 from levylab.grid import (
     OVERFLOW_FRACTION,
@@ -30,6 +33,8 @@ from levylab.semigroup import (
     classical_smoothing,
     generator_consistency_check,
     mc_heisenberg_expectation,
+    _lag_coefficients,
+    _lag_degree,
     _shift_values,
     _support_bounds,
 )
@@ -41,6 +46,7 @@ from oracles import (
     semigroup_two_stage,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 GAUSS = LevyTriplet1D(alpha=1.0)
 MIXED = LevyTriplet1D(beta=0.3, alpha=0.5, jumps=JumpMeasure(atoms=[(2.0, 0.4)]))
 #: The law of ``configs/generator_check.cfg``.
@@ -120,24 +126,40 @@ class TestShiftEstimator:
         st.floats(0.0, 1.0),
         st.booleans(),
         st.integers(0, 2**31 - 1),
+        st.booleans(),
     )
-    @example(1, "weyl", 1.0, True, 1)     # N = 2
-    @example(3, "qtable", 1.0, False, 2)  # N = 8
-    @example(12, "weyl", 1.0, True, 3)    # N = 4096
-    @example(12, "qtable", 1.0, False, 4)
-    def test_matches_fft_route_per_path(self, log_n, kind, span, antithetic, seed):
+    @example(1, "weyl", 1.0, True, 1, False)     # N = 2
+    @example(3, "qtable", 1.0, False, 2, False)  # N = 8
+    @example(12, "weyl", 1.0, True, 3, False)    # N = 4096
+    @example(12, "qtable", 1.0, False, 4, False)
+    @example(10, "qtable", 1.0, True, 5, True)   # smooth: 64 of 1024 lags kept
+    @example(10, "weyl", 1.0, False, 40, True)   # smooth: 256 of 1024 lags kept
+    def test_matches_fft_route_per_path(self, log_n, kind, span, antithetic, seed, smooth):
         # random state and observable, |xi| up to span box lengths; the FFT
-        # route shifts every state and measures it, the estimator does neither
+        # route shifts every state and measures it, the estimator does neither.
+        # White noise keeps all N lags. A smooth Gaussian state (random centre,
+        # width and momentum) with a smooth observable (a Gaussian bump, or a
+        # Weyl label within 5 % of the box and the band) often has a lag
+        # polynomial the estimator cuts below N; a Weyl label less often, as
+        # the slow tail of its c carries the correlation FFT's round-off
         n = 2**log_n
         gen = rng.stream(seed, "test.state-observable")
         grid = GridSpec(n_points=n, x_min=-80.0 * gen.uniform(), dx=80.0 / n)
-        psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
-        if kind == "qtable":
+        box = n * grid.dx
+        if smooth:
+            psi = gaussian_state(grid, grid.x_min + box * gen.uniform(0.25, 0.75), box * gen.uniform(0.01, 0.1),
+                                 gen.uniform(-0.25, 0.25) * n * grid.dp)
+        else:
+            psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
+        if kind == "qtable" and smooth:
+            height, centre, width = gen.uniform(-1.0, 1.0), grid.x_min + box * gen.uniform(), box * gen.uniform(0.01, 0.1)
+            observable = QTable(tuple(height * np.exp(-0.5 * ((grid.x - centre) / width) ** 2)))
+        elif kind == "qtable":
             observable = QTable(tuple(gen.uniform(-1.0, 1.0, n)))
         else:
-            x, v = gen.uniform(-1.0, 1.0, 2) * (n * grid.dx, 0.5 * n * grid.dp)
+            x, v = gen.uniform(-1.0, 1.0, 2) * ((0.05 if smooth else 1.0) * box, (0.05 if smooth else 0.5) * n * grid.dp)
             observable = WeylLabel(x, v)
-        xi = span * (n * grid.dx) * gen.uniform(-1.0, 1.0, 16)
+        xi = span * box * gen.uniform(-1.0, 1.0, 16)
         if antithetic:
             xi = np.concatenate([xi, -xi])
         hat = np.fft.fft(psi.amplitudes, norm="ortho")[None, :]
@@ -192,6 +214,39 @@ class TestShiftEstimator:
         assert res.overflow_fraction == semigroup_module._check_overflow(psi, xi)
         centred = mc_heisenberg_expectation(near, gaussian_state(grid), fq, 1.0, MCConfig(2000, 19))
         assert centred.overflow_fraction == 0.0
+
+
+class TestLagCut:
+    @pytest.mark.parametrize("observable", [QTable.from_function(oracles.default_grid(), bump), WeylLabel(0.4, 0.6)])
+    def test_cut_against_all_lags(self, psi, observable):
+        # a dropped lag moves a path's value by at most its |P_d| + |R_d| (|z| = 1), and the cut
+        # drops at most 2**-53 of sum |C_d|; adding the dropped lags back rounds once more
+        xi = rng.stream(7, "test.lag-cut").uniform(-40.0, 40.0, STATE_BATCH + 37)
+        coef = _lag_coefficients(psi, observable)
+        assert _lag_degree(coef) < psi.grid.n_points
+        gap = np.abs(_shift_values(psi, observable, xi) - oracles.all_lag_values(psi, observable, xi))
+        assert np.all(gap <= 2.0**-52 * np.abs(coef).sum())
+
+    def test_zero_observable_keeps_two_lags(self, psi):
+        zero = QTable(tuple(np.zeros(psi.grid.n_points)))
+        assert _lag_degree(_lag_coefficients(psi, zero)) == 2
+        assert np.all(_shift_values(psi, zero, np.linspace(-5.0, 5.0, 9)) == 0.0)
+
+    @pytest.mark.parametrize("kind", ["qtable", "weyl"])
+    def test_white_noise_keeps_every_lag(self, grid, kind):
+        # its momentum autocorrelation does not decay, so no lag carries less than the cut
+        gen = rng.stream(3, "test.white-noise")
+        n = grid.n_points
+        psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
+        observable = QTable(tuple(gen.uniform(-1.0, 1.0, n))) if kind == "qtable" else WeylLabel(0.4, 0.6)
+        assert _lag_degree(_lag_coefficients(psi, observable)) == n
+
+    def test_sample_config_keeps_128_lags(self):
+        # the unit Gaussian's autocorrelation times the bump's falls below the cut after 88 lags
+        cfg = parse_config((REPO / "configs" / "mc_semigroup_mixed.cfg").read_text())
+        psi, observable = cfg.params["state"].unit(), cfg.params["observable"]
+        assert psi.grid.n_points == 1024
+        assert _lag_degree(_lag_coefficients(psi, observable)) == 128
 
 
 class TestStateEnsemble:

@@ -352,3 +352,19 @@ def test_result_constants_are_integer_literals():
     for module, name in (("grid", "STATE_BATCH"), ("galilean", "DILATION_CHUNK"), ("rng", "CHUNK")):
         assert name in _integer_constants(ast.parse((SRC / f"{module}.py").read_text())), (
             f"{module}.{name} is not a module-level integer literal")
+
+
+def test_lag_tail_is_a_fixed_constant():
+    # semigroup.LAG_TAIL picks which lags the shift estimator sums, so it sets
+    # result bits too: one module-level assignment of number literals and
+    # arithmetic (no setting or computed value can move it), at 2**-53
+    from levylab.semigroup import LAG_TAIL
+
+    tree = ast.parse((SRC / "semigroup.py").read_text())
+    bound = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(t, ast.Name) and t.id == "LAG_TAIL"]
+    assert len(bound) == 1 and isinstance(bound[0], ast.Assign), "LAG_TAIL is not bound once by a plain assignment"
+    assert all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               for n in ast.walk(bound[0].value)), f"LAG_TAIL = {ast.unparse(bound[0].value)} is not a literal"
+    assert LAG_TAIL == 2.0**-53
