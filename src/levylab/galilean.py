@@ -176,7 +176,6 @@ def mc_weyl_expectation(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    psi = psi.unit()
     grid = psi.grid
     values = np.empty(mc.n_paths, dtype=complex)
 
@@ -209,7 +208,6 @@ def scheme_expected_weyl(
     is the deterministic part of the splitting error and shrinks as
     ``1/n_steps^2``.
     """
-    psi = psi.unit()
     dt = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt
     rate_sum = sum(weyl_symbol_rate(gen, *transported(gen, x0, v0, s)) for s in mids)  # Python sum: no warning
@@ -265,7 +263,6 @@ def mc_vs_closed_form(
     form); NaN when the noise commutes with the free flow and the bias
     vanishes.
     """
-    psi = psi.unit()
     label = WeylLabel(x0, v0)
     sym = evolve_weyl_closed_form(gen, x0, v0, t)
     closed = sym.multiplier * expectation(psi, WeylLabel(sym.point[0], sym.point[1]))
@@ -310,7 +307,6 @@ def galilean_covariance_check(
     only collects a central phase that cancels in the sandwich).  Each
     chunk's per-path values are summed once.
     """
-    psi = psi.unit()
     battery = (WeylLabel(0.4, 0.0), WeylLabel(0.0, 0.6), WeylLabel(-0.5, 0.8))
     boosted = apply_weyl(psi, WeylLabel(*transported(gen, x, v, t)))
     dt = t / n_steps

@@ -51,19 +51,17 @@ STATE_BATCH = 1024
 STATE_TILE_BYTES = 1 << 20
 #: Probability mass allowed in the boundary window / top momentum band.
 SUPPORT_TOL = 1e-12
+#: A state's norm ``sqrt(dx sum |psi_k|^2)`` differs from 1 by at most this.
+NORM_TOL = 1e-12
 
 
 class BoundarySupportWarning(UserWarning):
     """State carries non-negligible mass near the periodic boundary."""
 
 
-class UnnormalizedStateWarning(UserWarning):
-    """Expectation requested on an unnormalized state; it was rescaled."""
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic lattice: ``n_points`` (a power of two), origin and spacing."""
+    """Uniform periodic lattice: ``n_points`` (a power of two), origin and spacing; its last point is finite."""
 
     n_points: int
     x_min: float
@@ -75,6 +73,8 @@ class GridSpec:
             problems.append(f"n_points must be a power of two >= 2, got {self.n_points}")
         if not self.dx > 0:
             problems.append(f"dx must be positive, got {self.dx}")
+        elif not np.isfinite(last := self.x_min + self.dx * (self.n_points - 1)):
+            problems.append(f"last lattice point x_min + dx (n - 1) must be finite, got {last}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -94,7 +94,7 @@ class GridSpec:
 
 @dataclass
 class WaveFunction:
-    """State on a grid; norm convention ``sum |psi_k|^2 dx``."""
+    """Unit vector on a grid: finite amplitudes whose norm ``sqrt(dx sum |psi_k|^2)`` is 1 to within ``NORM_TOL``."""
 
     grid: GridSpec
     amplitudes: np.ndarray
@@ -106,19 +106,11 @@ class WaveFunction:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         self.amplitudes = amps
+        if not abs((norm := self.norm()) - 1.0) <= NORM_TOL:
+            raise ValueError(f"state norm {norm:.17g} differs from 1 by more than {NORM_TOL:.0e}")
 
     def norm(self) -> float:
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def normalized(self) -> "WaveFunction":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return WaveFunction(self.grid, self.amplitudes / n)
-
-    def unit(self) -> "WaveFunction":
-        """This state if its norm is 1 to within 1e-12, else its normalization."""
-        return self.normalized() if abs(self.norm() - 1.0) > 1e-12 else self
 
 
 def tile_rows(n_points: int) -> int:
@@ -144,10 +136,17 @@ def overflow_fraction(overflowed: int, total: int, what: str) -> float:
 
 
 def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0, momentum: float = 0.0) -> WaveFunction:
-    """Normalized Gaussian wave packet ``exp(-(x-c)^2/(2 w^2) + i p0 x)``."""
+    """Gaussian packet ``exp(-(x-c)^2/(2 w^2) + i p0 x)`` over its norm: the one constructor that normalizes.
+
+    Past the float range it warns nothing: a packet that is not finite or is zero on the lattice raises ``ValueError``.
+    """
     x = grid.x
-    amps = np.exp(-((x - center) ** 2) / (2.0 * width**2) + 1j * momentum * x)
-    return WaveFunction(grid, amps).normalized()
+    with np.errstate(all="ignore"):
+        amps = np.exp(-((x - center) ** 2) / (2.0 * np.float64(width) ** 2) + 1j * momentum * x)
+        norm = float(np.sqrt(grid.dx * np.sum(np.abs(amps) ** 2)))
+        if norm == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        return WaveFunction(grid, amps / norm)
 
 
 # --------------------------------------------------------------------------
@@ -156,14 +155,19 @@ def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0, mome
 
 @dataclass(frozen=True)
 class QTable:
-    """Multiplication operator f(Q) given by its values on the position lattice."""
+    """Multiplication operator f(Q) given by its finite values on the position lattice."""
 
     values: tuple
     label: str = "f(Q)"
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.array)):
+            raise ValueError(f"{self.label}: table values must be finite")
+
     @classmethod
     def from_function(cls, grid: GridSpec, f: Callable[[np.ndarray], np.ndarray], label: str = "f(Q)") -> "QTable":
-        return cls(values=tuple(np.asarray(f(grid.x), dtype=float)), label=label)
+        with np.errstate(all="ignore"):  # non-finite values are refused, not warned about
+            return cls(values=tuple(np.asarray(f(grid.x), dtype=float)), label=label)
 
     @property
     def array(self) -> np.ndarray:
@@ -172,14 +176,19 @@ class QTable:
 
 @dataclass(frozen=True)
 class PTable:
-    """Multiplication operator g(P) on the momentum lattice (FFT ordering)."""
+    """Multiplication operator g(P) by its finite values on the momentum lattice (FFT ordering)."""
 
     values: tuple
     label: str = "g(P)"
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.array)):
+            raise ValueError(f"{self.label}: table values must be finite")
+
     @classmethod
     def from_function(cls, grid: GridSpec, g: Callable[[np.ndarray], np.ndarray], label: str = "g(P)") -> "PTable":
-        return cls(values=tuple(np.asarray(g(grid.p), dtype=float)), label=label)
+        with np.errstate(all="ignore"):  # non-finite values are refused, not warned about
+            return cls(values=tuple(np.asarray(g(grid.p), dtype=float)), label=label)
 
     @property
     def array(self) -> np.ndarray:
@@ -405,13 +414,8 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
 def expectation(psi: WaveFunction, observable: Observable) -> complex:
     """``<psi| X |psi>``: the batch of one of :func:`expectations`.
 
-    Unnormalized states are rescaled with a warning; a Weyl label that
-    shifts (``x != 0``) warns when the state has boundary mass.
+    A Weyl label that shifts (``x != 0``) warns when the state has boundary mass.
     """
-    nrm = psi.norm()
-    if abs(nrm - 1.0) > 1e-8:
-        warnings.warn(f"state norm {nrm:.6g} != 1; rescaled", UnnormalizedStateWarning, stacklevel=2)
-        psi = WaveFunction(psi.grid, psi.amplitudes / nrm)
     if isinstance(observable, WeylLabel) and observable.x != 0.0:
         _check_support(psi)
     return complex(expectations(psi.amplitudes[None, :], psi.grid, observable)[0])

@@ -203,7 +203,6 @@ def mc_heisenberg_expectation(
     (zero stderr, no paths).  Antithetic pairing is applied when the
     increment law is symmetric (or as forced by the config).
     """
-    psi = psi.unit()
     antithetic = mc.resolve_antithetic(triplet.is_symmetric)
     if isinstance(observable, PTable):
         return MCResult(expectation(psi, observable), 0.0, 0, mc.seed)

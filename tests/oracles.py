@@ -40,6 +40,12 @@ def default_grid(n_points: int = 1024, half_width: float = 40.0) -> GridSpec:
     return GridSpec(n_points=n_points, x_min=-half_width, dx=2.0 * half_width / n_points)
 
 
+def unit_state(grid: GridSpec, amplitudes) -> WaveFunction:
+    """A random or hand-made profile divided by its norm ``sqrt(dx sum |a_k|^2)``."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    return WaveFunction(grid, amps / np.sqrt(grid.dx * np.sum(np.abs(amps) ** 2)))
+
+
 class BandLimitWarning(UserWarning):
     """State carries non-negligible mass at the extreme momenta."""
 
@@ -105,8 +111,7 @@ def _default_battery(grid: GridSpec) -> list[WaveFunction]:
     coeffs = gen.standard_normal(2 * band) + 1j * gen.standard_normal(2 * band)
     hat[:band] = coeffs[:band]
     hat[-band:] = coeffs[band:]
-    psi = WaveFunction(grid, np.fft.ifft(hat, norm="ortho"))
-    states.append(psi.normalized())
+    states.append(unit_state(grid, np.fft.ifft(hat, norm="ortho")))
     return states
 
 
@@ -226,7 +231,7 @@ def classical_fixed_point_oracle(
     ``ORACLE_TOL`` of its mass.
     """
     xi = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads)
-    weights = np.abs(psi.normalized().amplitudes) ** 2 * psi.grid.dx
+    weights = np.abs(psi.amplitudes) ** 2 * psi.grid.dx
     lo, hi = _support_bounds(weights, ORACLE_TOL)
     weights = weights[lo:hi + 1]
     vals = np.empty(mc.n_paths)
@@ -306,9 +311,7 @@ def semigroup_two_stage(
 
     Composition is realized through the additivity of shifts: independent
     increments for the two stages are summed before the single shift.
-    Both estimates use the normalized state.
     """
-    psi = psi.unit()
     one = mc_heisenberg_expectation(triplet, psi, observable, t + s, mc)
     xi1 = sample_ensemble(triplet, t, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.first")
     xi2 = sample_ensemble(triplet, s, mc.n_paths, mc.seed, threads=mc.threads, tag="two-stage.second")

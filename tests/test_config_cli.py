@@ -556,7 +556,7 @@ t = 0.25, 1.0
         assert main(["mc-semigroup", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
         rows = json.loads((out / "semigroup.json").read_text())["rows"]
         params = parse_config(text).params
-        exact = expectation(params["state"].unit(), params["observable"])
+        exact = expectation(params["state"], params["observable"])
         assert [row["t"] for row in rows] == [0.25, 1.0]
         for row in rows:
             estimate = complex(row["estimate_re"], row["estimate_im"])
@@ -750,6 +750,34 @@ t = 1.0
         diagnostics = json.loads((tmp_path / "o" / "boundary.json").read_text())["diagnostics"]
         assert diagnostics["left"]["integrable"] and not diagnostics["right"]["integrable"]
 
+    def test_state_width_past_the_float_range_fails_in_one_line(self, tmp_path, capsys):
+        # width**2 overflows, so the state is uniform and every shift reaches the boundary
+        # window; the Python float power used to end this in an internal OverflowError
+        text = replace_key(config_text("mc_semigroup_mixed.cfg"), "n_paths", "200") + "\n[state]\nwidth = 1e200\n"
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"progress": ')]
+        assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("func, scale, code, message", [
+        # cos(s x) is NaN past the float range: it used to warn, write nan estimates and pass
+        ("cos", "1e308", 2, "config error: observable: cos(1e+308)(Q): table values must be finite"),
+        # the bump's lattice values are exactly 0 and 1: a valid table, built without a warning
+        ("bump", "1e200", 0, None),
+    ])
+    def test_observable_scale_past_the_float_range(self, tmp_path, capsys, func, scale, code, message):
+        text = replace_key(config_text("mc_semigroup_mixed.cfg"), "n_paths", "200")
+        cfg = write_config(tmp_path, replace_key(replace_key(text, "func", func), "scale", scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mc-semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith('{"progress": ')]
+        assert err == ([message] if message else [])
+        assert (tmp_path / "o").exists() == (code == 0)
+
     def test_galilei_alpha_near_the_float_range_fails_in_one_line(self, tmp_path, capsys):
         # the closed form's multiplier underflows to 0 without a warning, and the fine scheme's
         # rate sum overflows: its refusal is the one diagnostic line, before any path is drawn
@@ -858,15 +886,19 @@ t = 1.0
         ("cp-suite", "cp_suite.cfg", "times", "0.1, 1.0,"),
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "t", ""),
         ("generator-check", "generator_check.cfg", "points", " , "),
-        # a zero width used to print numpy's divide warnings before its config error
+        # a zero width used to print numpy's divide warnings before its config error,
+        # as did these Gaussians past the float range, and a lattice past it overflow warnings
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "width", "0"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "width", "1e-200"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "center", "1e300"),
+        ("mc-semigroup", "mc_semigroup_mixed.cfg", "dx", "1e306"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,
         # so no output directory is left behind and stderr holds nothing else
         text = (REPO / "configs" / name).read_text()
-        if key == "width":  # no sample config sets a [state] key
-            text += "\n[state]\nwidth = 1.0\n"
+        if key in ("width", "center"):  # no sample config sets a [state] key
+            text += f"\n[state]\n{key} = 1.0\n"
         cfg = write_config(tmp_path, replace_key(text, key, bad))
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(

@@ -16,7 +16,6 @@ from levylab.grid import (
     GridSpec,
     PTable,
     QTable,
-    UnnormalizedStateWarning,
     WaveFunction,
     WeylLabel,
     _apply_lattice_phase,
@@ -40,6 +39,7 @@ from oracles import (
     is_commensurate,
     momentum_expectation,
     position_expectation,
+    unit_state,
 )
 
 shifts = st.floats(-3.0, 3.0, allow_nan=False)
@@ -54,8 +54,49 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="dx must be positive"):
             GridSpec(n_points=8, x_min=-1.0, dx=0.0)
 
+    @pytest.mark.parametrize("x_min, dx", [(-40.0, 1e306), (1.7e308, 1e306), (-np.inf, 0.1), (np.nan, 0.1)])
+    def test_non_finite_lattice_refused(self, x_min, dx):
+        # its positions, and every state built on them, would not be finite
+        with pytest.raises(ValueError, match=r"last lattice point x_min \+ dx \(n - 1\) must be finite"):
+            GridSpec(n_points=1024, x_min=x_min, dx=dx)
+
     def test_momentum_spacing(self, grid):
         assert grid.dp == pytest.approx(2 * np.pi / (1024 * grid.dx), rel=1e-15)
+
+
+class TestWaveFunction:
+    @pytest.mark.parametrize("make", [
+        lambda psi: 2.0 * psi.amplitudes,
+        lambda psi: np.zeros_like(psi.amplitudes),
+        lambda psi: np.where(np.arange(psi.amplitudes.size) == 7, np.nan, psi.amplitudes),
+        lambda psi: (1.0 + 2e-12) * psi.amplitudes,
+    ], ids=["doubled", "zero", "non-finite", "off-by-2e-12"])
+    def test_state_that_is_not_a_unit_vector_refused(self, psi, make):
+        # a state is a unit vector: nothing downstream rescales it
+        with pytest.raises(ValueError, match="state norm|must be finite"):
+            WaveFunction(psi.grid, make(psi))
+
+    def test_unit_vector_accepted_as_given(self, psi):
+        out = WaveFunction(psi.grid, (1.0 + 5e-13) * psi.amplitudes)
+        assert np.array_equal(out.amplitudes, (1.0 + 5e-13) * psi.amplitudes)
+
+    @pytest.mark.parametrize("center, width, momentum, message", [
+        (0.0, 1e-200, 0.0, "must be finite"),      # (x - c)^2 / 0 at the centre
+        (1e300, 1.0, 0.0, "zero state"),          # (x - c)^2 overflows: every amplitude is 0
+        (0.0, 1.0, 1e308, "must be finite"),      # the phase overflows
+    ])
+    def test_gaussian_outside_the_float_range_refused_without_warning(self, grid, center, width, momentum, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gaussian_state(grid, center, width, momentum)
+
+    def test_wide_gaussian_is_the_uniform_state(self, grid):
+        # width**2 overflows to inf, which the Python float power refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = gaussian_state(grid, 0.0, 1e200)
+        assert np.array_equal(psi.amplitudes, np.full(grid.n_points, 1.0 / np.sqrt(grid.n_points * grid.dx), complex))
 
 
 class TestUnitaries:
@@ -91,7 +132,7 @@ class TestUnitaries:
     def test_commensurate_shift_is_circular(self, grid):
         profile = np.zeros(grid.n_points, dtype=complex)
         profile[500:530] = 1.0
-        psi = WaveFunction(grid, profile).normalized()
+        psi = unit_state(grid, profile)
         out = apply_shift(psi, 3 * grid.dx, check_support=False)
         assert np.abs(out.amplitudes - np.roll(psi.amplitudes, 3)).max() < 1e-12
 
@@ -195,14 +236,6 @@ class TestExpectation:
         # exp(-x^2/(2 sigma^2)) packet: <P^2> = 1/(2 sigma^2) + p0^2
         assert expectation(psi, g).real == pytest.approx(0.5 + 0.25, abs=1e-8)
 
-    def test_unnormalized_state_rescaled_with_warning(self, grid):
-        psi = gaussian_state(grid, 0.0, 1.0)
-        doubled = WaveFunction(grid, 2.0 * psi.amplitudes)
-        one = QTable.from_function(grid, lambda x: np.ones_like(x))
-        with pytest.warns(UnnormalizedStateWarning):
-            val = expectation(doubled, one)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
     @pytest.mark.parametrize("make", [
         lambda g: QTable.from_function(g, np.cos),
         lambda g: PTable.from_function(g, np.tanh),
@@ -215,6 +248,13 @@ class TestExpectation:
         batch = expectations(np.array([s.amplitudes for s in states]), grid, observable)
         for value, psi in zip(batch, states):
             assert abs(value - expectation(psi, observable)) <= 1e-14
+
+    @pytest.mark.parametrize("table", [QTable, PTable])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_refused(self, table, bad):
+        # as a state or a Weyl label with a non-finite entry is
+        with pytest.raises(ValueError, match="cos: table values must be finite"):
+            table((0.0, bad, 1.0), label="cos")
 
     def test_shifting_weyl_label_warns_on_boundary_mass(self, grid):
         edge = gaussian_state(grid, grid.x_min + 1.0, 1.0)

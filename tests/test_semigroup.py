@@ -18,7 +18,6 @@ from levylab.grid import (
     GridSpec,
     PTable,
     QTable,
-    WaveFunction,
     WeylLabel,
     displace,
     expectation,
@@ -44,6 +43,7 @@ from oracles import (
     classical_fixed_point_oracle,
     momentum_covariance_check,
     semigroup_two_stage,
+    unit_state,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,7 +78,7 @@ class TestHeisenbergExpectation:
         assert abs(quantum.estimate - classical.estimate) <= 4.0 * joint
 
     def test_oracle_sums_over_the_support(self, moving_psi):
-        weights = np.abs(moving_psi.normalized().amplitudes) ** 2 * moving_psi.grid.dx
+        weights = np.abs(moving_psi.amplitudes) ** 2 * moving_psi.grid.dx
         lo, hi = _support_bounds(weights, ORACLE_TOL)
         assert weights[:lo].sum() < ORACLE_TOL / 2 and weights[hi + 1:].sum() < ORACLE_TOL / 2
         assert hi - lo + 1 < weights.size // 3
@@ -104,7 +104,7 @@ class TestHeisenbergExpectation:
         assert mc.resolve_antithetic(GAUSS.is_symmetric)
         res = mc_heisenberg_expectation(GAUSS, psi, fq, 1.0, mc)
         xi = sample_ensemble(GAUSS, 1.0, mc.n_paths, mc.seed, antithetic=True)
-        assert (res.estimate, res.stderr) == mc_stats(_shift_values(psi.unit(), fq, xi), antithetic=True)
+        assert (res.estimate, res.stderr) == mc_stats(_shift_values(psi, fq, xi), antithetic=True)
 
     def test_antithetic_refused_for_asymmetric_law(self, psi):
         fq = QTable.from_function(psi.grid, bump, "bump")
@@ -150,7 +150,7 @@ class TestShiftEstimator:
             psi = gaussian_state(grid, grid.x_min + box * gen.uniform(0.25, 0.75), box * gen.uniform(0.01, 0.1),
                                  gen.uniform(-0.25, 0.25) * n * grid.dp)
         else:
-            psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
+            psi = unit_state(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n))
         if kind == "qtable" and smooth:
             height, centre, width = gen.uniform(-1.0, 1.0), grid.x_min + box * gen.uniform(), box * gen.uniform(0.01, 0.1)
             observable = QTable(tuple(height * np.exp(-0.5 * ((grid.x - centre) / width) ** 2)))
@@ -237,14 +237,14 @@ class TestLagCut:
         # its momentum autocorrelation does not decay, so no lag carries less than the cut
         gen = rng.stream(3, "test.white-noise")
         n = grid.n_points
-        psi = WaveFunction(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n)).normalized()
+        psi = unit_state(grid, gen.standard_normal(n) + 1j * gen.standard_normal(n))
         observable = QTable(tuple(gen.uniform(-1.0, 1.0, n))) if kind == "qtable" else WeylLabel(0.4, 0.6)
         assert _lag_degree(_lag_coefficients(psi, observable)) == n
 
     def test_sample_config_keeps_128_lags(self):
         # the unit Gaussian's autocorrelation times the bump's falls below the cut after 88 lags
         cfg = parse_config((REPO / "configs" / "mc_semigroup_mixed.cfg").read_text())
-        psi, observable = cfg.params["state"].unit(), cfg.params["observable"]
+        psi, observable = cfg.params["state"], cfg.params["observable"]
         assert psi.grid.n_points == 1024
         assert _lag_degree(_lag_coefficients(psi, observable)) == 128
 
@@ -257,7 +257,7 @@ class TestStateEnsemble:
         # estimator uses plain sampling on both sides)
         fq = QTable.from_function(psi.grid, bump, "bump")
         xi = sample_ensemble(MIXED, 1.0, 512, 15)
-        states = np.concatenate([block for _, block in oracles._shifted_batches(psi.unit(), xi)])
+        states = np.concatenate([block for _, block in oracles._shifted_batches(psi, xi)])
         by_states = psi.grid.dx * np.abs(states) ** 2 @ fq.array
         per_path = _shift_values(psi, fq, xi)
         assert np.abs(by_states - per_path).max() <= 1e-14
@@ -367,11 +367,3 @@ class TestCovarianceAndSemigroup:
         fq = QTable.from_function(psi.grid, bump, "bump")
         one, two = semigroup_two_stage(MIXED, psi, fq, 0.5, 0.7, MCConfig(40000, 14))
         assert abs(one.estimate - two.estimate) <= 4.0 * np.hypot(one.stderr, two.stderr)
-
-    def test_two_stage_normalizes_the_state(self, psi):
-        # both estimates are expectations in the normalized state; an
-        # unnormalized input must not scale the two-stage one by its norm squared
-        fq = QTable.from_function(psi.grid, bump, "bump")
-        doubled = WaveFunction(psi.grid, 2.0 * psi.amplitudes)
-        one, two = semigroup_two_stage(MIXED, doubled, fq, 0.5, 0.7, MCConfig(4000, 15))
-        assert abs(one.estimate - two.estimate) <= 5.0 * np.hypot(one.stderr, two.stderr)

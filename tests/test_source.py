@@ -64,6 +64,21 @@ def test_spread_is_estimated_only_by_mc_stats():
                     raise AssertionError(f"{path.name}:{node.lineno} computes a spread outside mc_stats")
 
 
+def test_states_are_normalized_only_in_grid():
+    # a state is a unit vector checked by grid.WaveFunction, and gaussian_state is the
+    # one constructor that normalizes: no other module calls .norm() (numpy's matrix
+    # norm aside), and no code defines or calls a renormalizing unit() or normalized()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name not in ("unit", "normalized"), f"{path.name}:{node.lineno} defines {node.name}"
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert name not in ("unit", "normalized"), f"{path.name}:{node.lineno} calls {name}"
+                if name == "norm" and path.stem != "grid":
+                    assert ast.unparse(node.func.value) == "np.linalg", f"{path.name}:{node.lineno} calls .norm()"
+
+
 def test_levy_takes_only_run_chunks_from_montecarlo():
     # levy holds laws, exponents and the sampler; it estimates nothing
     imported = {f"{node.module}.{alias.name}" for node in ast.walk(ast.parse((SRC / "levy.py").read_text()))
