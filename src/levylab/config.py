@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 
 from .errors import ConfigError
-from .runner import EXPERIMENTS, RANGES, Field, RunConfig, Section
+from .runner import EXPERIMENTS, RANGES, RUN_FIELDS, Field, RunConfig, Section
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +61,10 @@ def _parse_sections(text: str, errors: list[str]) -> dict[str, dict[str, str]]:
 # Field coercion
 # --------------------------------------------------------------------------
 
-def _coerce(kind: str, raw: str, where: str, errors: list[str]):
+def _coerce(kind: str | tuple[str, ...], raw: str, where: str, errors: list[str]):
+    if isinstance(kind, tuple) and raw not in kind:  # a word key takes only its words, as written
+        errors.append(f"{where}: expected one of {', '.join(map(repr, kind))}, got {raw!r}")
+        return None
     try:
         if kind == "int":
             return int(raw)
@@ -74,7 +77,7 @@ def _coerce(kind: str, raw: str, where: str, errors: list[str]):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "str":
+        if kind == "str" or isinstance(kind, tuple):
             return raw
         if kind == "list_float":
             return [float(p) for p in raw.split(",")]  # an empty entry, so an empty list, is an error
@@ -112,14 +115,6 @@ def _all_finite(value) -> bool:
     return not isinstance(value, float) or bool(np.isfinite(value))
 
 
-_RUN_FIELDS = {
-    "kind": Field("str", required=True),
-    "seed": Field("int", required=True, range="in [0, 2**64)"),
-    "out": Field("str", default="."),
-    "threads": Field("int", default=1, range="positive"),
-}
-
-
 def _check_section(
     name: str,
     fields: dict[str, Field],
@@ -132,7 +127,7 @@ def _check_section(
     for key, spec in fields.items():
         if key in raw:
             out[key] = _coerce(spec.type, raw[key], f"[{name}] {key}", errors)
-        elif spec.required:
+        elif spec.default is None:
             errors.append(f"[{name}]: missing required key {key!r}")
             out[key] = None
         else:
@@ -174,7 +169,7 @@ def parse_config(text: str, kind_override: str | None = None, overrides: dict | 
     if overrides:
         sections.setdefault("run", {}).update({key: str(value) for key, value in overrides.items()})
 
-    run = _check_section("run", _RUN_FIELDS, sections, errors)
+    run = _check_section("run", RUN_FIELDS, sections, errors)
     kind = run.get("kind") or kind_override
     if kind_override is not None and run.get("kind") not in (None, kind_override):
         errors.append(f"[run] kind = {run.get('kind')!r} does not match the requested command {kind_override!r}")

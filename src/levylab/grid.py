@@ -61,7 +61,7 @@ class BoundarySupportWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic lattice: ``n_points`` (a power of two), origin and spacing; its last point is finite."""
+    """Uniform periodic lattice: ``n_points`` (a power of two), origin, spacing; ``1 / dx`` and its end are finite."""
 
     n_points: int
     x_min: float
@@ -73,6 +73,8 @@ class GridSpec:
             problems.append(f"n_points must be a power of two >= 2, got {self.n_points}")
         if not self.dx > 0:
             problems.append(f"dx must be positive, got {self.dx}")
+        elif not np.isfinite(1.0 / float(self.dx)):  # a Python float division: no numpy warning
+            problems.append(f"dx must have a finite reciprocal 1 / dx, got {self.dx}")
         elif not np.isfinite(last := self.x_min + self.dx * (self.n_points - 1)):
             problems.append(f"last lattice point x_min + dx (n - 1) must be finite, got {last}")
         if problems:

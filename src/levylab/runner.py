@@ -56,13 +56,13 @@ RANGES = {
 class Field:
     """One config key: its type, default and declared range.
 
-    ``range`` names an entry of :data:`RANGES`, checked on the value (on
-    every entry of a list).  ``multiple_of`` names another key of the same
-    section that must divide this one an integer number of times.
+    ``type`` is a value type of ``config._coerce`` or the tuple of the words
+    the key accepts; a key without a ``default`` is required.  ``range`` names
+    an entry of :data:`RANGES`, checked on the value (on every entry of a list);
+    ``multiple_of``, a key of the section that divides it an integer number of times.
     """
 
-    type: str
-    required: bool = False
+    type: str | tuple[str, ...]
     default: object = None
     range: str | None = None
     multiple_of: str | None = None
@@ -84,6 +84,15 @@ class Section:
     needs: tuple[str, ...] = ()
 
 
+#: ``[run]``, which every kind takes.
+RUN_FIELDS = {
+    "kind": Field("str"),
+    "seed": Field("int", range="in [0, 2**64)"),
+    "out": Field("str", default="."),
+    "threads": Field("int", default=1, range="positive"),
+}
+
+
 def _build_triplet2(p: dict, built: dict, run: dict) -> LevyTriplet2D:
     a = p["alpha"]
     if len(a) != 3:
@@ -93,9 +102,7 @@ def _build_triplet2(p: dict, built: dict, run: dict) -> LevyTriplet2D:
 
 
 def _build_mc(p: dict, built: dict, run: dict) -> MCConfig:
-    anti = {"auto": "auto", "true": True, "false": False}.get(p.get("antithetic", "auto").lower())
-    if anti is None:
-        raise ConfigError(["[mc] antithetic: expected auto, true or false"])
+    anti = {"auto": "auto", "true": True, "false": False}[p.get("antithetic", "auto")]
     return MCConfig(n_paths=p["n_paths"], seed=run["seed"], antithetic=anti, threads=run["threads"])
 
 
@@ -108,11 +115,13 @@ OBSERVABLE_FUNCS = {
 }
 
 
-def _test_function(section: str, p: dict) -> Callable:
-    """The function ``func`` at ``scale`` named in ``[section]``."""
-    if p["func"] not in OBSERVABLE_FUNCS:
-        raise ConfigError([f"[{section}]: unknown func {p['func']!r} (choose from {sorted(OBSERVABLE_FUNCS)})"])
-    return OBSERVABLE_FUNCS[p["func"]](p["scale"])
+def _build_genchk(p: dict, built: dict, run: dict) -> dict:
+    """``[genchk]`` with ``func`` the function itself, once it is finite at every point."""
+    fn = OBSERVABLE_FUNCS[p["func"]](p["scale"])
+    with np.errstate(all="ignore"):  # a value past the float range is refused, not warned about
+        if not np.all(np.isfinite(fn(np.asarray(p["points"])))):
+            raise ValueError(f"{p['func']}({p['scale']:g}) is not finite at every point")
+    return {**p, "func": fn}
 
 
 def _build_grid(p: dict, built: dict, run: dict):
@@ -132,25 +141,14 @@ def _build_observable(p: dict, built: dict, run: dict):
 
     if p["kind"] == "weyl":
         return WeylLabel(p["x"], p["v"])
-    fn = _test_function("observable", p)
-    label = f"{p['func']}({p['scale']:g})"
-    if p["kind"] == "qtable":
-        return QTable.from_function(built["grid"], fn, label=f"{label}(Q)")
-    if p["kind"] == "ptable":
-        return PTable.from_function(built["grid"], fn, label=f"{label}(P)")
-    raise ConfigError([f"[observable]: unknown kind {p['kind']!r} (qtable, ptable or weyl)"])
+    fn = OBSERVABLE_FUNCS[p["func"]](p["scale"])
+    table, axis = (QTable, "Q") if p["kind"] == "qtable" else (PTable, "P")
+    return table.from_function(built["grid"], fn, label=f"{p['func']}({p['scale']:g})({axis})")
 
 
 def _build_drift(p: dict, built: dict, run: dict):
-    """The drift named in ``[feller]``, once the name and feller-classify's expected verdicts check out."""
-    from .feller import DRIFTS, DriftSpec
+    from .feller import DriftSpec  # it refuses a name that is not in feller.DRIFTS
 
-    bad = [f"[feller] {key}: invalid verdict {p[key]!r}" for key in ("expect_left", "expect_right")
-           if p.get(key, "") not in ("", "absorbing", "non-absorbing")]
-    if p["drift"] not in DRIFTS:
-        bad.insert(0, f"[feller] drift: unknown drift {p['drift']!r} ({', '.join(DRIFTS)})")
-    if bad:
-        raise ConfigError(bad)
     return DriftSpec(p["drift"], p["l"], p["x0"], p["coefficient"])
 
 
@@ -181,20 +179,21 @@ _STATE = Section({
     "momentum": Field("float", default=0.0),
 }, _build_state, needs=("grid",))
 
-_MC = Section({"n_paths": Field("int", required=True)}, _build_mc, needs=("run",))
+_MC = Section({"n_paths": Field("int", range="positive")}, _build_mc, needs=("run",))
 #: mc-semigroup's ``[mc]``: its estimator is the only reader of antithetic pairing.
-_MC_ANTITHETIC = Section({**_MC.fields, "antithetic": Field("str", default="auto")}, _build_mc, needs=("run",))
+_MC_ANTITHETIC = Section({**_MC.fields, "antithetic": Field(("auto", "true", "false"), default="auto")},
+                         _build_mc, needs=("run",))
 
 _OBSERVABLE = Section({
-    "kind": Field("str", required=True),
-    "func": Field("str", default="cos"),
+    "kind": Field(("qtable", "ptable", "weyl")),
+    "func": Field(tuple(OBSERVABLE_FUNCS), default="cos"),
     "scale": Field("float", default=0.7),
     "x": Field("float", default=0.0),
     "v": Field("float", default=0.0),
 }, _build_observable, needs=("grid",))
 
 _DRIFT_FIELDS = {
-    "drift": Field("str", required=True),
+    "drift": Field("str"),
     "coefficient": Field("float", default=1.0),
     "l": Field("float", default=0.0),
     "x0": Field("float", default=1.0),
@@ -284,7 +283,7 @@ def _verdict(passed: bool, inconclusive: bool = False) -> str:
 
 @_experiment("char-check", triplet=_TRIPLET, check={
     "t": Field("list_float", default=[0.5, 1.0], range="nonnegative"),
-    "args": Field("list_float", required=True),
+    "args": Field("list_float"),
     "n_samples": Field("int", default=100000, range="positive"),
     "sigmas": Field("float", default=4.0, range="positive"),
 })
@@ -335,9 +334,9 @@ def _mc_semigroup(cfg: RunConfig) -> Result:
 @_experiment("generator-check", triplet=_TRIPLET, mc=_MC, genchk=Section({
     "t_small": Field("float", default=0.01, range="positive"),
     "points": Field("list_float", default=[-2.0, -1.0, 0.0, 1.0, 2.0]),
-    "func": Field("str", default="bump"),
+    "func": Field(tuple(OBSERVABLE_FUNCS), default="bump"),
     "scale": Field("float", default=1.0),
-}, lambda p, built, run: {**p, "func": _test_function("genchk", p)}))
+}, _build_genchk))
 def _generator_check(cfg: RunConfig) -> Result:
     from .semigroup import generator_consistency_check
 
@@ -513,8 +512,7 @@ def _covariance_check(cfg: RunConfig) -> Result:
 
 @_experiment("feller-classify", feller=Section({
     **_DRIFT_FIELDS,
-    "expect_left": Field("str", default=""),
-    "expect_right": Field("str", default=""),
+    **{f"expect_{side}": Field(("", "absorbing", "non-absorbing"), default="") for side in ("left", "right")},
 }, _build_drift))
 def _feller_classify(cfg: RunConfig) -> Result:
     from .feller import feller_test

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .grid import (
     BOUNDARY_WINDOW,
     OVERFLOW_TOL,
@@ -287,15 +288,18 @@ def generator_consistency_check(
     if t_small <= 0:
         raise ValueError("t_small must be positive")
     x = np.asarray(x_points, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    mean_t, se_t = classical_smoothing(f, triplet, t_small, mc, x, tag="increments")
-    mean_h, se_h = classical_smoothing(f, triplet, 0.5 * t_small, mc, x, tag="generator-check.half-step")
-    q_t = (mean_t - fx) / t_small
-    q_h = (mean_h - fx) / (0.5 * t_small)
-    se_t = se_t / t_small
-    se_h = se_h / (0.5 * t_small)
-    lf = np.array([classical_generator_apply(triplet, f, xi) for xi in x])
-    slope = 2.0 * (q_t - q_h) / t_small  # first-order-in-t coefficient estimate
+    with np.errstate(all="ignore"):  # a value past the float range is refused below, not warned about
+        fx = np.asarray(f(x), dtype=float)
+        mean_t, se_t = classical_smoothing(f, triplet, t_small, mc, x, tag="increments")
+        mean_h, se_h = classical_smoothing(f, triplet, 0.5 * t_small, mc, x, tag="generator-check.half-step")
+        q_t = (mean_t - fx) / t_small
+        q_h = (mean_h - fx) / (0.5 * t_small)
+        se_t = se_t / t_small
+        se_h = se_h / (0.5 * t_small)
+        lf = np.array([classical_generator_apply(triplet, f, xi) for xi in x])
+        slope = 2.0 * (q_t - q_h) / t_small  # first-order-in-t coefficient estimate
+    if not np.all(np.isfinite([fx, lf, mean_t, mean_h, q_t, q_h, se_t, se_h, slope])):
+        raise NumericalFailure("generator check: a function value, smoothed mean or quotient is not finite")
     deviation = np.abs(q_t - lf)
     return GeneratorCheckReport(
         quotient=q_t,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,13 +14,13 @@ import pytest
 
 from levylab import rng
 from levylab.cli import main
-from levylab.config import parse_config
+from levylab.config import _check_section, parse_config
 from levylab.errors import ConfigError
 from levylab.feller import DriftSpec
 from levylab.grid import GridSpec, PTable, QTable, WaveFunction, WeylLabel, expectation
 from levylab.levy import LevyTriplet1D, LevyTriplet2D, char_exponent_1d
 from levylab.montecarlo import MCConfig, gate
-from levylab.runner import EXPERIMENTS, Metric, Output, Result
+from levylab.runner import EXPERIMENTS, RUN_FIELDS, Field, Metric, Output, Result, Section
 from make_golden_manifests import config_text
 
 MINIMAL_CHAR = """
@@ -108,7 +109,7 @@ x = 2
         ("gauge_suite.cfg", "m", "0", "[suite] m: must be positive"),
         ("dyson.cfg", "gamma", "-1", "[dyson] gamma: must be nonnegative"),
         ("dyson.cfg", "n_terms", "-1", "[dyson] n_terms: must be nonnegative"),
-        ("generator_check.cfg", "func", "nope", "[genchk]: unknown func 'nope'"),
+        ("generator_check.cfg", "func", "nope", "[genchk] func: expected one of 'cos', 'bump', 'step', 'one', got 'nope'"),
         ("mc_semigroup_mixed.cfg", "scale", "abc", "[observable] scale: cannot parse as float"),
         ("galilei_gauss.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
         ("covariance_check.cfg", "t", "-1", "[galilei] t: must be nonnegative"),
@@ -123,6 +124,7 @@ x = 2
         ("killed_bm.cfg", "tol", "-0.5", "[kd] tol: must be nonnegative"),
         ("char_check_gauss.cfg", "sigmas", "-1", "[check] sigmas: must be positive"),
         ("char_check_gauss.cfg", "sigmas", "0", "[check] sigmas: must be positive"),
+        ("killed_bm.cfg", "n_paths", "0", "[mc] n_paths: must be positive, got 0"),
     ])
     def test_declared_ranges(self, name, key, bad, message):
         text = (REPO / "configs" / name).read_text()
@@ -147,12 +149,13 @@ x = 2
         ("galilei_gauss.cfg", "alpha = 1.0, 0.3, 0.5", "alpha = 1.0, 0.3",
          "[triplet2] alpha: expected three entries a_pp, a_pq, a_qq"),
         ("mc_semigroup_mixed.cfg", "n_paths = 20000", "n_paths = 20000\nantithetic = maybe",
-         "[mc] antithetic: expected auto, true or false"),
+         "[mc] antithetic: expected one of 'auto', 'true', 'false', got 'maybe'"),
         ("killed_bm.cfg", "n_paths = 100000", "n_paths = 100000\nantithetic = true", "[mc]: unknown key 'antithetic'"),
         ("mc_semigroup_mixed.cfg", "kind = qtable", "kind = nope",
-         "[observable]: unknown kind 'nope' (qtable, ptable or weyl)"),
-        ("feller_zero.cfg", "drift = zero", "drift = nope", "[feller] drift: unknown drift 'nope' (zero, bessel3, ou, linear)"),
-        ("feller_zero.cfg", "expect_left = absorbing", "expect_left = maybe", "[feller] expect_left: invalid verdict 'maybe'"),
+         "[observable] kind: expected one of 'qtable', 'ptable', 'weyl', got 'nope'"),
+        ("feller_zero.cfg", "drift = zero", "drift = nope", "feller: unknown drift 'nope' (zero, bessel3, ou, linear)"),
+        ("feller_zero.cfg", "expect_left = absorbing", "expect_left = maybe",
+         "[feller] expect_left: expected one of '', 'absorbing', 'non-absorbing', got 'maybe'"),
         ("killed_bm.cfg", "seed = 7", "seed = 7\nformat = csv", "[run]: unknown key 'format'"),
         ("killed_bm.cfg", "tol = 0.01", "tol = 0.01\nreflecting = true", "[kd]: unknown key 'reflecting'"),
     ])
@@ -163,6 +166,17 @@ x = 2
         with pytest.raises(ConfigError) as exc:
             parse_config(text.replace(old, new, 1))
         assert message in exc.value.errors
+
+    def test_word_field_accepts_exactly_its_words(self):
+        # the tuple type is the list of words, matched as written; anything else is one message
+        fields = {"w": Field(("a", "b-c", ""))}
+        for word in ("a", "b-c", ""):
+            errors = []
+            assert _check_section("s", fields, {"s": {"w": word}}, errors) == {"w": word} and errors == []
+        for bad in ("A", "b", "a ", "nope"):
+            errors = []
+            assert _check_section("s", fields, {"s": {"w": bad}}, errors) == {"w": None}
+            assert errors == [f"[s] w: expected one of 'a', 'b-c', '', got {bad!r}"]
 
     @pytest.mark.parametrize("word,value", [("yes", True), ("on", True), ("1", True), ("off", False)])
     def test_boolean_words(self, word, value):
@@ -185,6 +199,113 @@ x = 2
 
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _sections(schema: dict) -> dict:
+    """Each section of an experiment's schema as its dict of ``Field``s."""
+    return {name: spec.fields if isinstance(spec, Section) else spec for name, spec in schema.items()}
+
+
+#: Every key whose ``Field`` type is a tuple of words, by ``(kind, section, key)``.
+WORD_KEYS = {(kind, section, key): spec.type for kind, exp in EXPERIMENTS.items()
+             for section, fields in _sections(exp.schema).items()
+             for key, spec in fields.items() if isinstance(spec.type, tuple)}
+
+
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with ``key = value`` in ``[section]`` only, right after its header, and no other ``key`` line there."""
+    out, current = [], None
+    for line in text.splitlines():
+        entry = line.split("#", 1)[0].strip()
+        if entry.startswith("["):
+            current = entry[1:-1].strip()
+        elif current == section and entry.split("=")[0].strip() == key:
+            continue
+        out.append(line)
+        if entry == f"[{section}]":
+            out.append(f"{key} = {value}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("kind,section,key", sorted(WORD_KEYS))
+def test_word_keys_take_their_words_only(kind, section, key):
+    words = WORD_KEYS[kind, section, key]
+    text = next(t for t in map(Path.read_text, (REPO / "configs").glob("*.cfg")) if f"kind = {kind}\n" in t)
+    for word in words:
+        assert parse_config(set_key(text, section, key, word)).values[section][key] == word
+    bad = next(filter(None, words)).upper()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(set_key(text, section, key, bad))
+    listed = ", ".join(map(repr, words))
+    assert exc.value.errors == [f"[{section}] {key}: expected one of {listed}, got {bad!r}"]
+
+
+def test_six_word_keys():
+    # antithetic, the observable's kind, func of [observable] and [genchk], and the expected verdicts
+    assert sorted(WORD_KEYS) == [("feller-classify", "feller", "expect_left"), ("feller-classify", "feller", "expect_right"),
+                                 ("generator-check", "genchk", "func"), ("mc-semigroup", "mc", "antithetic"),
+                                 ("mc-semigroup", "observable", "func"), ("mc-semigroup", "observable", "kind")]
+
+
+GRAMMAR = REPO / "docs" / "config_grammar.md"
+#: One key of a keys cell of the grammar's table of kinds: ``key``, or ``key`` and its words in parentheses.
+_DOC_KEY = r"`(\w+)`(?: \(([^()]*)\))?"
+
+
+def _table(text: str, after: str) -> list[list[str]]:
+    """The cells of each body row of the first Markdown table after the line ``after``."""
+    lines = text[text.index(after + "\n"):].splitlines()[1:]
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2:]:  # the header row and its separator
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def _doc_word(word: str) -> str:
+    assert word == "empty" or re.fullmatch(r"`[\w-]+`", word), f"not a word: {word!r}"
+    return "" if word == "empty" else word.strip("`")
+
+
+def doc_schema(text: str) -> tuple[dict, dict]:
+    """What ``docs/config_grammar.md`` declares: whether each ``[run]`` key is required, and each kind's keys and words."""
+    run = {row[0].strip("`"): row[2] == "required" for row in _table(text, "`[run]` (always):")}
+    kinds: dict = {}
+    kind = None
+    for kind_cell, section, keys in _table(text, "## Experiment kinds"):
+        kind = kind_cell.strip("`") or kind
+        assert re.fullmatch(rf"{_DOC_KEY}(, {_DOC_KEY})*", keys), f"{kind} {section}: {keys!r}"
+        kinds.setdefault(kind, {})[section.strip("`[]")] = {
+            key: tuple(map(_doc_word, words.split("/"))) if words else None for key, words in re.findall(_DOC_KEY, keys)}
+    return run, kinds
+
+
+def registry_schema() -> tuple[dict, dict]:
+    """The same two tables from ``runner``: ``[run]`` keys without a default, and every kind's keys with their words."""
+    run = {key: spec.default is None for key, spec in RUN_FIELDS.items()}
+    kinds = {kind: {section: {key: spec.type if isinstance(spec.type, tuple) else None for key, spec in fields.items()}
+                    for section, fields in _sections(exp.schema).items()} for kind, exp in EXPERIMENTS.items()}
+    return run, kinds
+
+
+def test_docs_list_every_key_of_the_registry():
+    # both ways: a key or word the registry declares and the docs omit fails, and so does one they invent
+    assert doc_schema(GRAMMAR.read_text()) == registry_schema()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("`n_samples`, ", ""),  # a key dropped
+    ("`n_terms` |", "`n_terms`, `order` |"),  # a key invented
+    ("`auto`/`true`/`false`", "`auto`/`true`"),  # a word dropped
+    ("| `threads` | int | `1` | worker threads (never changes results) |\n", ""),  # a [run] key dropped
+    ("| `out` | word | `.` |", "| `out` | word | required |"),  # a default dropped
+])
+def test_docs_check_sees_a_changed_table(old, new):
+    text = GRAMMAR.read_text()
+    assert old in text
+    assert doc_schema(text.replace(old, new, 1)) != registry_schema()
 
 
 def test_one_list_of_kinds():
@@ -892,14 +1013,22 @@ t = 1.0
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "width", "1e-200"),
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "center", "1e300"),
         ("mc-semigroup", "mc_semigroup_mixed.cfg", "dx", "1e306"),
+        # a packet on the lattice's first points, so 1 / dx, not the state, is at fault
+        pytest.param("mc-semigroup", "mc_semigroup_mixed.cfg", ("dx", "center"), ("1e-320", "-40"), id="dx-1e-320"),
+        # cos(s x) is not finite at the points: it used to warn, write a null deviation and exit 1
+        pytest.param("generator-check", "generator_check.cfg", ("func", "scale"), ("cos", "1e308"), id="cos-1e308"),
     ])
     def test_run_time_range_error_is_config_error(self, tmp_path, kind, name, key, bad):
         # out-of-range values are config errors caught before the run starts,
-        # so no output directory is left behind and stderr holds nothing else
+        # so no output directory is left behind and stderr holds nothing else;
+        # a tuple ``key`` sets each of its keys to the entry of ``bad``
+        edits = dict(zip(key, bad)) if isinstance(key, tuple) else {key: bad}
         text = (REPO / "configs" / name).read_text()
-        if key in ("width", "center"):  # no sample config sets a [state] key
-            text += f"\n[state]\n{key} = 1.0\n"
-        cfg = write_config(tmp_path, replace_key(text, key, bad))
+        for state_key in {"width", "center"} & set(edits):  # no sample config sets a [state] key
+            text += f"\n[state]\n{state_key} = 1.0\n"
+        for edit in edits.items():
+            text = replace_key(text, *edit)
+        cfg = write_config(tmp_path, text)
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "levylab", kind, "--config", cfg, "--out", str(tmp_path / "o")],
@@ -908,6 +1037,21 @@ t = 1.0
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert lines and all(line.startswith("config error:") for line in lines), proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_generator_check_past_the_float_range_is_numerical_failure(self, tmp_path):
+        # cos(8e307 x) is finite at the points but not at x + 0.5, an atom the generator
+        # reads, nor at most shifted points: it used to warn three times and exit 1
+        text = replace_key(replace_key(config_text("generator_check.cfg"), "func", "cos"), "scale", "8e307")
+        cfg = write_config(tmp_path, text)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levylab", "generator-check", "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
         assert not (tmp_path / "o").exists()
 
     def test_cli_import_loads_no_scipy_or_domain_module(self):

@@ -34,6 +34,24 @@ def test_config_imports_only_errors_and_runner():
     assert _package_imports(ast.walk(ast.parse((SRC / "config.py").read_text()))) == {"errors", "runner"}
 
 
+def test_builders_only_build():
+    # a key's type, words, range and presence are declared in its Field, in runner, and
+    # config checks them: no runner builder raises ConfigError except for the three
+    # entries of [triplet2] alpha, config constructs no Field, and Field has no flag
+    # for presence (a key without a default is required)
+    from dataclasses import fields
+
+    from levylab.runner import Field
+
+    raisers = [top.name for top in ast.parse((SRC / "runner.py").read_text()).body for node in ast.walk(top)
+               if isinstance(node, ast.Raise) and node.exc is not None and "ConfigError" in ast.unparse(node.exc)]
+    assert raisers == ["_build_triplet2"], raisers
+    built = [node.lineno for node in ast.walk(ast.parse((SRC / "config.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Field"]
+    assert not built, f"config.py constructs a Field at lines {built}"
+    assert [f.name for f in fields(Field)] == ["type", "default", "range", "multiple_of"]
+
+
 def test_runner_imports_at_module_level():
     # every run loads what runner imports at its top; grid and the domain modules
     # are imported inside the builder or kind that uses them.  levy (and with it
