@@ -177,7 +177,8 @@ def simulate_killed_diffusion(
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError("t must be an integer multiple of dt")
-    rec_steps = np.unique(np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int))
+    rec_steps = np.round(np.linspace(0.0, t, min(n_steps, 200) + 1) / dt).astype(int)
+    rec_steps = rec_steps[np.diff(rec_steps, prepend=-1) > 0]  # sorted: drop repeats (np.unique loads numpy.ma)
     drift0 = float(np.abs(spec.drift(x_start)))
     if not DRIFTS[spec.name].exact_step and drift0 * dt > 0.1 * max(1.0, abs(x_start - spec.l)):
         warnings.warn(f"dt = {dt} is coarse for drift scale {drift0:.3g} at the start point", UserWarning, stacklevel=2)

@@ -49,6 +49,9 @@ STATE_BATCH = 1024
 #: Bytes of complex states held per tile when paths are evolved or a Weyl
 #: expectation is reduced (memory control; no effect on results).
 STATE_TILE_BYTES = 1 << 20
+#: A Weyl expectation is reduced through a buffer of ``tile_rows(N) // REDUCTION_SPLIT``
+#: rows, at least one (memory control; no effect on results).
+REDUCTION_SPLIT = 8
 #: Probability mass allowed in the boundary window / top momentum band.
 SUPPORT_TOL = 1e-12
 #: A state's norm ``sqrt(dx sum |psi_k|^2)`` differs from 1 by at most this.
@@ -255,27 +258,31 @@ def phase_tables(
     and one factor per doubling width ``w``, about ``log2 n`` exponentials a
     row, and entries ``w .. 2w-1`` are entries ``0 .. w-1`` times the factor
     of ``w``, one multiply over all rows per width.  Entries 0 and 1 come
-    from their own exponentials, never from a width-1 multiply, and each
-    factor is its own exponential, not a square of the last one, which
-    would break the error bound in ``docs/conventions.md``.  Every pass is
-    elementwise, so a row is bit for bit the row computed alone.
+    from their own exponentials, never from a width-1 multiply; an entry
+    ``exp(0)`` (entry 0 of ``T2``, and of ``T1`` at ``origin = 0``) is
+    written as the 1 that ``np.exp`` gives.  Each factor is its own
+    exponential, not a square of the last one, which would break the error
+    bound in ``docs/conventions.md``.  Every pass is elementwise, so a row
+    is bit for bit the row computed alone.
 
     The tables are written into ``out`` (from :func:`phase_buffers`, for at
     least ``M`` rows) or into new buffers, and returned as their
     ``(M, width)`` transposed views.  A single ``coef`` with ``M`` scales
     gives ``M`` rows of ``T1`` and one of ``T2``.
     """
-    args, b, i, j = _phase_args(n, unit, origin, wrap)
+    args, b, i, j, z = _phase_args(n, unit, origin, wrap)
     m = coef.size
     rows = m if scale is None else max(m, scale.size)  # a single coef may serve every scale
     arg, phases, t1, t2 = phase_buffers(n, rows) if out is None else out
-    arg, phases, t1, t2 = arg[:, :m], phases[:, :m], t1[:, :rows], t2[:, :m]
-    np.exp(np.multiply(1j, np.multiply.outer(args, coef, out=arg), out=phases), out=phases)
+    arg, phases, t1, t2 = arg[z:, :m], phases[:, :m], t1[:, :rows], t2[:, :m]
+    phases[:z] = 1.0
+    np.exp(np.multiply(1j, np.multiply.outer(args[z:], coef, out=arg), out=phases[z:]), out=phases[z:])
     if scale is None:
         t1[:2] = phases[:2]
     else:
         np.multiply(phases[:2], scale, out=t1[:2])
-    t2[:j - i] = phases[i:j]
+    t2[0] = 1.0
+    t2[1:1 + j - i] = phases[i:j]
     for table, factors in ((t1, phases[2:i]), (t2, phases[j:])):
         for k, factor in enumerate(factors):
             w = 2 << k
@@ -287,9 +294,9 @@ def phase_buffers(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Column-major buffers for :func:`phase_tables` at ``n`` points on up to ``rows`` rows.
 
     The lattice arguments times ``coef`` and their exponentials
-    (``log2 n + 2`` each), then ``T1`` (``n/B``) and ``T2`` (``B``).
+    (``log2 n + 1`` each), then ``T1`` (``n/B``) and ``T2`` (``B``).
     """
-    b, count = _block(n), n.bit_length() + 1
+    b, count = _block(n), n.bit_length()
     return (np.empty((count, rows)), np.empty((count, rows), dtype=complex),
             np.empty((n // b, rows), dtype=complex), np.empty((b, rows), dtype=complex))
 
@@ -300,12 +307,14 @@ def _block(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndarray, int, int, int]:
+def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndarray, int, int, int, int]:
     """The lattice arguments of :func:`phase_tables`, built once per key, read-only.
 
     Returns the vector ``args`` (the heads of ``T1``, its doubling steps,
-    the heads of ``T2``, its doubling widths, each times ``unit``), ``B``,
-    and where the ``T2`` heads and widths start in ``args``.
+    the head ``1`` of ``T2`` when ``B > 1``, its doubling widths, each times
+    ``unit``; ``T2``'s head 0 is always ``exp(0)`` and has no entry), ``B``,
+    where the ``T2`` head and widths start in ``args``, and the count of
+    leading arguments that are 0: 1 when ``T1``'s head 0 is (``origin = 0``).
     """
     b = _block(n)
     first = b * np.arange(2)
@@ -313,11 +322,11 @@ def _phase_args(n: int, unit: float, origin: float, wrap: bool) -> tuple[np.ndar
     if wrap:
         first[first >= n // 2] -= n
         steps[-1:] *= -1  # the upper half of j is k - n: j -> j - n/B
-    cols = np.arange(min(b, 2))
+    cols = np.arange(1, min(b, 2))
     widths = 1 << np.arange(1, b.bit_length() - 1)
     args = np.concatenate([origin + unit * first, unit * steps, unit * cols, unit * widths])
     args.setflags(write=False)
-    return args, b, 2 + steps.size, 2 + steps.size + cols.size
+    return args, b, 2 + steps.size, 2 + steps.size + cols.size, int(args[0] == 0.0)
 
 
 def _apply_lattice_phase(
@@ -399,13 +408,13 @@ def expectations(states: np.ndarray, grid: GridSpec, observable: Observable) -> 
         return grid.dx * np.abs(states) ** 2 @ observable.array
     if isinstance(observable, WeylLabel):
         values = np.empty(len(states), dtype=complex)
-        tile = tile_rows(grid.n_points)
-        buf = np.empty((min(tile, len(states)), grid.n_points), dtype=complex)  # one FFT tile, reused
-        for lo in range(0, len(states), tile):
-            rows = states[lo:lo + tile]
+        block = max(1, tile_rows(grid.n_points) // REDUCTION_SPLIT)
+        buf = np.empty((min(block, len(states)), grid.n_points), dtype=complex)  # one FFT block, reused
+        for lo in range(0, len(states), block):
+            rows = states[lo:lo + block]
             hat = np.fft.fft(rows, axis=1, norm="ortho", out=buf[:len(rows)])
             moved = np.conjugate(displace(hat, grid, [observable.x], [observable.v], out=hat), out=hat)
-            np.einsum("ij,ij->i", rows, moved, out=values[lo:lo + tile])
+            np.einsum("ij,ij->i", rows, moved, out=values[lo:lo + block])
         return grid.dx * np.conjugate(values, out=values)
     if isinstance(observable, PTable):
         hat = np.fft.fft(states, axis=1, norm="ortho")

@@ -215,20 +215,27 @@ def _sample_increments(triplet: LevyTriplet1D | LevyTriplet2D, dt: np.ndarray, n
 
     Returns the increments, shape ``(n_paths, n_steps)`` in 1-D or
     ``(n_paths, n_steps, 2)`` in 2-D.  The whole block is drawn in a fixed
-    order: the Gaussian part, then each atom's Poisson counts.
+    order: the Gaussian part, then each atom's Poisson counts.  The
+    Gaussian part is formed in the returned array and the drift added to
+    it, so a block holds at most its normals and itself.
     """
     shape = (n_paths, dt.size)
     two_d = isinstance(triplet, LevyTriplet2D)
     locs, rates = triplet.jumps.atom_arrays(triplet.dim)
     if two_d:
-        out = np.full(shape + (2,), np.array([triplet.beta_p, triplet.beta_q]) * dt[:, None])
+        out = np.empty(shape + (2,))
         chol = _chol_psd(noise_covariance_2d(triplet))
-        out += (gen.standard_normal((n_paths * dt.size, 2)) @ chol.T).reshape(out.shape) * np.sqrt(dt)[:, None]
+        np.matmul(gen.standard_normal((n_paths * dt.size, 2)), chol.T, out=out.reshape(-1, 2))
+        out *= np.sqrt(dt)[:, None]
+        out += np.array([triplet.beta_p, triplet.beta_q]) * dt[:, None]
         small = np.hypot(*locs.T) <= triplet.h
     else:
-        out = np.full(shape, triplet.beta * dt)
         if triplet.alpha > 0:
-            out += np.sqrt(triplet.alpha * dt) * gen.standard_normal(shape)
+            out = gen.standard_normal(shape)
+            out *= np.sqrt(triplet.alpha * dt)
+            out += triplet.beta * dt
+        else:
+            out = np.full(shape, triplet.beta * dt)
         small = np.abs(locs) <= triplet.h
     for j in range(len(rates)):
         counts = gen.poisson(rates[j] * dt, size=shape)

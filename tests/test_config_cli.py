@@ -90,7 +90,7 @@ x = 2
         with pytest.raises(ConfigError, match="does not match"):
             parse_config(MINIMAL_CHAR, kind_override="dyson")
 
-    @pytest.mark.parametrize("name,key,bad,message", [
+    RANGE_CASES = [
         ("char_check_gauss.cfg", "n_samples", "0", "[check] n_samples: must be positive"),
         ("galilei_gauss.cfg", "n_steps", "0", "[galilei] n_steps: must be positive"),
         ("mc_semigroup_mixed.cfg", "t", "-1", "[semigroup] t: must be nonnegative"),
@@ -125,7 +125,11 @@ x = 2
         ("char_check_gauss.cfg", "sigmas", "-1", "[check] sigmas: must be positive"),
         ("char_check_gauss.cfg", "sigmas", "0", "[check] sigmas: must be positive"),
         ("killed_bm.cfg", "n_paths", "0", "[mc] n_paths: must be positive, got 0"),
-    ])
+    ]
+
+    # the IDs name the file, key and value, so that rewording a message renames no test
+    @pytest.mark.parametrize("name,key,bad,message", RANGE_CASES,
+                             ids=[f"{name}-{key}={bad}" for name, key, bad, _ in RANGE_CASES])
     def test_declared_ranges(self, name, key, bad, message):
         text = (REPO / "configs" / name).read_text()
         if key == "width":  # no sample config sets a [state] key, so the case adds the section
@@ -138,7 +142,7 @@ x = 2
         if message.startswith("[kd] t:"):  # a range error is not followed by a multiple-of error
             assert len([e for e in exc.value.errors if e.startswith("[kd] t:")]) == 1
 
-    @pytest.mark.parametrize("name,old,new,message", [
+    MESSAGE_CASES = [
         (None, "[run]", "x = 1\n[run]", "line 2: entry outside any [section]"),
         (None, "[triplet]", "[ ]\n[triplet]", "line 6: empty section name"),
         (None, "[check]", "[run]\n[check]", "line 9: duplicate section [run]"),
@@ -158,7 +162,12 @@ x = 2
          "[feller] expect_left: expected one of '', 'absorbing', 'non-absorbing', got 'maybe'"),
         ("killed_bm.cfg", "seed = 7", "seed = 7\nformat = csv", "[run]: unknown key 'format'"),
         ("killed_bm.cfg", "tol = 0.01", "tol = 0.01\nreflecting = true", "[kd]: unknown key 'reflecting'"),
-    ])
+    ]
+
+    # the IDs name the file and the line the edit writes, not the expected message
+    @pytest.mark.parametrize("name,old,new,message", MESSAGE_CASES,
+                             ids=[f"{name or 'minimal'}-{next(line for line in new.splitlines() if line != old)}"
+                                  for name, old, new, _ in MESSAGE_CASES])
     def test_error_messages(self, name, old, new, message):
         # ``name`` None edits MINIMAL_CHAR, whose line numbers the messages cite
         text = MINIMAL_CHAR if name is None else (REPO / "configs" / name).read_text()
@@ -1093,6 +1102,26 @@ t = 1.0
         assert cp_suite == killed == []
         assert {"levylab.grid", "levylab.semigroup", "concurrent.futures"} <= set(threaded)
         assert len(list(rng.chunk_bounds(9000))) == 2
+
+    def test_runs_never_load_numpy_ma(self, tmp_path):
+        # np.unique and np.median import numpy.ma on first use (numpy 2.4); the survival
+        # record steps and the generator check's spread are reduced without them
+        texts = {
+            "killed-diffusion": "[feller]\ndrift = zero\n[mc]\nn_paths = 200\n[kd]\nt = 0.1\ndt = 0.01\n",
+            "generator-check": ("[triplet]\nbeta = 1.0\n[mc]\nn_paths = 200\n"
+                                "[genchk]\nt_small = 0.01\npoints = -1.0, 0.0, 1.0, 2.0\n"),
+        }
+        runs = []
+        for kind, body in texts.items():
+            path = tmp_path / f"{kind}.cfg"
+            path.write_text(f"[run]\nkind = {kind}\nseed = 3\n{body}")
+            runs.append([kind, "--config", str(path), "--out", str(tmp_path / kind)])
+        code = (f"import sys\nfrom levylab.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_set_up_is_frozen_once_per_process(self, tmp_path):
         # objects alive when a config has parsed go to the permanent GC generation on the

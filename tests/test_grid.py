@@ -329,6 +329,17 @@ class TestDisplacementKernel:
         fresh = phase_tables(coef, 1024, grid.dp, wrap=momentum)
         assert np.array_equal(t1, fresh[0]) and np.array_equal(t2, fresh[1])
 
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_exp_zero_entries_keep_np_exp_bits(self, momentum):
+        # entry 0 of T2, and of T1 at origin 0 (the momentum lattice), is exp(0): it is
+        # written as 1, which must be the bits np.exp gives for every coefficient sign
+        coef = np.array([-2.5, -0.0, 0.0, 1e-300, -1e-300, 3.0])
+        origin = 0.0 if momentum else -33.0
+        t1, t2 = phase_tables(coef, 1024, 0.1, origin=origin, wrap=momentum)
+        exp_zero = np.exp(np.multiply(1j, np.multiply.outer(coef, [0.0, origin])))
+        assert t2[:, 0].tobytes() == exp_zero[:, 0].tobytes()
+        assert t1[:, 0].tobytes() == exp_zero[:, 1].tobytes()
+
     def test_batch_rows_match_single_state_weyl(self, moving_psi):
         grid = moving_psi.grid
         labels = [WeylLabel(0.7, -0.9), WeylLabel(-2.3, 1.4), WeylLabel(0.0, 0.5), WeylLabel(1.1, 0.0)]
